@@ -213,7 +213,8 @@ def _fmt(value):
     if isinstance(value, float) and np.isnan(value):
         return ""
     if isinstance(value, float):
-        return _FLOAT_FMT % value
+        # A negative zero is falsy, so it prints as "0".
+        return _FLOAT_FMT % (value or 0.0)
     return str(value)
 
 
@@ -316,21 +317,20 @@ def cmd_metric(cfg, out, threads, seed):
         if mode == "fr":
             r = cfg.get_float("metric", "r", 1.0)
             value = lipmetric.f_ball(entry.measure, other, r)
-            lines.append(_FLOAT_FMT % value)
+            lines.append(_fmt(value))
         elif mode == "series":
             terms = cfg.get_int("metric", "max_terms", 20)
             res = lipmetric.f_series(entry.measure, other, terms)
-            lines.append((_FLOAT_FMT % res.value) + "," +
-                         (_FLOAT_FMT % res.tail_bound))
+            lines.append(_fmt(res.value) + "," + _fmt(res.tail_bound))
         else:
             r = cfg.get_float("metric", "r", 2.0)
             value = lipmetric.f_scaling_residual(entry.measure, other, r)
-            lines.append(_FLOAT_FMT % value)
+            lines.append(_fmt(value))
     elif mode == "dcone":
         m = cfg.get_int("metric", "m", 1)
         s = cfg.get_float("metric", "s", 1.0)
         value = cones.d_cone_flat(entry.measure, m, s, seed=seed)
-        lines.append(_FLOAT_FMT % value)
+        lines.append(_fmt(value))
     else:
         raise ConfigError(f"unknown metric mode {mode!r}")
     _emit(out, lines)

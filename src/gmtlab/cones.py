@@ -9,7 +9,9 @@ measure to the cone of m-dimensional flat measures,
 
 by a coarse search over frames followed by Nelder-Mead refinement; the
 normalizing constant per plane is fixed in closed form since F_s is linear in
-the weights.  Values are clamped to [0, 1], and 1 is returned when
+the weights.  Each of the two stages warm-starts its chain of F_s programs
+through its own `gmtlab.transport.WarmStart` holder, so no solver state
+outlives the call.  Values are clamped to [0, 1], and 1 is returned when
 F_s(nu) = 0.
 
 ``symmetry_defect`` evaluates the annulus moment whose vanishing at every
@@ -31,6 +33,7 @@ from scipy.optimize import minimize
 from .errors import ContractError, DimensionMismatchError
 from .lipmetric import SITE_CAP, f_ball
 from .measures import Ball, DiscreteMeasure, mass_in
+from .transport import WarmStart
 
 # Candidate-plane grid spacing relative to the scale s, per dimension m of
 # the plane; chosen so flat samples stay within the LP site budget.
@@ -272,23 +275,29 @@ def d_cone_flat(nu, m, s, seed=0):
         coords = coords[np.sqrt(np.sum(coords * coords, axis=1)) <= s]
         return coords, np.full(coords.shape[0], spacing ** m)
 
-    def plane_distance(frame, target, grid_coords, grid_w):
+    def plane_distance(frame, target, grid_coords, grid_w, warm):
         pts = grid_coords @ frame.T
         norm = _flat_mass_norm(pts, grid_w, s)
         if norm <= 0.0:
             return 1.0
         cand = DiscreteMeasure(pts, grid_w / norm, dim=n)
-        return f_ball(target, cand, s)
+        return f_ball(target, cand, s, warm=warm)
 
     # Coarse stage at half resolution locates the basin; refinement and the
     # reported value use the full grid (whose floor is the quoted one).
+    # Each stage chains its LPs through one warm-start holder: the target is
+    # fixed and every candidate atom carries the same weight, so consecutive
+    # transport problems usually share their marginals exactly, and the last
+    # optimal basis is a feasible start for the next.
     coarse_target = normalized_target(nu, 2 * step)
     if coarse_target is None:
         return 1.0
     coarse_coords, coarse_w = plane_grid(2 * step)
+    coarse_warm = WarmStart()
     best_frame, best_val = None, np.inf
     for frame in _coarse_frames(n, m, seed=seed):
-        val = plane_distance(frame, coarse_target, coarse_coords, coarse_w)
+        val = plane_distance(frame, coarse_target, coarse_coords, coarse_w,
+                             coarse_warm)
         if val < best_val - 1e-15:
             best_frame, best_val = frame, val
 
@@ -296,12 +305,13 @@ def d_cone_flat(nu, m, s, seed=0):
     if target is None:
         return 1.0
     coords, base_w = plane_grid(step)
+    warm = WarmStart()
 
     def objective(params):
         q = _params_to_frame(n, m, params)
         if q is None:
             return 2.0
-        return plane_distance(q, target, coords, base_w)
+        return plane_distance(q, target, coords, base_w, warm)
 
     res = minimize(
         objective,
@@ -310,7 +320,7 @@ def d_cone_flat(nu, m, s, seed=0):
         options={"xatol": 1e-4, "fatol": 1e-5, "maxfev": 60},
     )
     refined = float(res.fun)
-    coarse_full = plane_distance(best_frame, target, coords, base_w)
+    coarse_full = plane_distance(best_frame, target, coords, base_w, warm)
     return float(np.clip(min(refined, coarse_full), 0.0, 1.0))
 
 

@@ -2,9 +2,10 @@
 
 Contract violations (bad arguments, dimension mismatches, singular matrices)
 raise `ContractError` subclasses; refusals of numerically unsafe requests
-(resolution guards, LP size caps) raise `GuardError` subclasses so callers can
-distinguish "you asked for something wrong" from "this instance is too coarse
-or too large to answer honestly".
+(resolution guards, LP size caps, solvers that cannot certify an optimum)
+raise `GuardError` subclasses so callers can distinguish "you asked for
+something wrong" from "this instance is too coarse or too large to answer
+honestly".
 """
 
 
@@ -34,6 +35,10 @@ class ResolutionGuardError(GuardError):
 
 class LpSizeError(GuardError):
     """Lipschitz LP instance exceeds the supported site count."""
+
+
+class SolverError(GuardError):
+    """An exact LP solver hit its iteration limit or failed its optimality audit."""
 
 
 class DiniDivergenceWarning(UserWarning):

@@ -105,13 +105,14 @@ def assemble_ball_lp(mu, nu, r):
     return LipschitzBallLP(pts, mass, caps, float(r))
 
 
-def solve_ball_lp(lp):
+def solve_ball_lp(lp, warm=None):
     """Optimal value of an assembled F_r program.
 
     One-signed mass is solved in closed form: the caps themselves form a
     feasible potential (distance to the ball complement is 1-Lipschitz) and
     dominate every other, so the optimum is sum(|mass| * caps).  Mixed signs
-    go through the transportation form of the dual.
+    go through the transportation form of the dual; ``warm`` is an optional
+    `gmtlab.transport.WarmStart` holder for a chain of such solves.
     """
     k = lp.size
     if k == 0:
@@ -120,7 +121,7 @@ def solve_ball_lp(lp):
         return float(lp.signed_mass @ lp.caps)
     if np.all(lp.signed_mass <= 0.0):
         return float(-(lp.signed_mass @ lp.caps))
-    return lipschitz_dual_value(lp.sites, lp.signed_mass, lp.caps)
+    return lipschitz_dual_value(lp.sites, lp.signed_mass, lp.caps, warm=warm)
 
 
 def solve_ball_lp_potential(lp):
@@ -170,9 +171,12 @@ def solve_ball_lp_potential(lp):
     raise ContractError("Lipschitz row generation failed to converge")
 
 
-def f_ball(mu, nu, r):
-    """F_r(mu, nu): bounded-Lipschitz distance on the closed ball B(0, r)."""
-    return solve_ball_lp(assemble_ball_lp(mu, nu, r))
+def f_ball(mu, nu, r, warm=None):
+    """F_r(mu, nu): bounded-Lipschitz distance on the closed ball B(0, r).
+
+    ``warm`` is passed on to `solve_ball_lp`.
+    """
+    return solve_ball_lp(assemble_ball_lp(mu, nu, r), warm=warm)
 
 
 def f_ball_potential(mu, nu, r):

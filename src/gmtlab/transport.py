@@ -13,20 +13,65 @@ source) and the negative-mass sites (plus a boundary sink).  Its optimum
 equals the potential optimum by strong duality.
 
 This module implements the classic transportation simplex on the dense cost
-matrix: spanning-tree basis, potentials by tree traversal, vectorized reduced
-costs, deterministic entering/leaving rules with a Bland-style fallback after
-degenerate stalls.  Everything is fixed-order, so results are reproducible
-bit for bit.
+matrix: spanning-tree basis, vectorized reduced costs, deterministic
+entering/leaving rules with a Bland-style fallback after degenerate stalls.
+Everything is fixed-order, so results are reproducible bit for bit.
+
+Basis tree.  Row a is node a and column b is node p + b.  The p + q - 1
+basic cells live in numbered slots (``cells[k]``, ``flows[k]``); the tree
+hangs from node 0 and is stored as arrays over nodes: ``parent``, the slot
+of the edge to the parent (``pslot``), ``depth``, and ``thread``, the
+successor in a preorder walk (cyclic, so the last node threads back to the
+root), with its inverse ``rthread``.  Invariants after every pivot: the
+subtree of v is the thread segment that starts at v and runs while the
+depth stays above ``depth[v]``; ``depth[v] = depth[parent[v]] + 1``; the
+potentials satisfy alpha[a] + beta[b] = cost[a, b] on every basic cell up to
+the float drift of the incremental updates.  A pivot finds the cycle by
+climbing from both ends of the entering cell to their common ancestor,
+cuts the subtree below the leaving cell, shifts its potentials by the
+entering reduced cost, and re-hangs it from the entering cell with the
+parent links along the cut path reversed.  Potentials are recomputed from
+the tree every 512 pivots and for the final certificate.
+
+Warm starts.  A `WarmStart` holder passed as ``warm`` keeps the optimal
+basis (cells and flows) of the last solve made with it.  When the next
+problem has the same shape and exactly (``np.array_equal``) the same supply
+and demand vectors, that basis is still primal feasible, and the solve
+starts from it and only re-prices; otherwise it silently takes the
+least-cost start.  Either way the result is certified the same way, and the
+holder then keeps the new optimal basis.  A holder is plain state for one
+chain of related solves; nothing is cached at module level.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, SolverError
 
 _TOL_RC = 1e-9
 _STALL_SWITCH = 200
+_REFRESH = 512
+
+
+class WarmStart:
+    """Last optimal basis of a chain of transportation solves (see module doc)."""
+
+    __slots__ = ("supply", "demand", "cells", "flows")
+
+    def __init__(self):
+        self.supply = self.demand = self.cells = self.flows = None
+
+    def basis_for(self, supply, demand):
+        """Copy of the stored basis if the marginals match exactly, else None.
+
+        ``np.array_equal`` is False for different shapes, so a basis is never
+        reused across problem sizes.
+        """
+        if (self.cells is None or not np.array_equal(self.supply, supply)
+                or not np.array_equal(self.demand, demand)):
+            return None
+        return list(self.cells), list(self.flows)
 
 
 def _least_cost_start(cost, supply, demand):
@@ -70,71 +115,144 @@ def _least_cost_start(cost, supply, demand):
     return cells, flows
 
 
-def _potentials(adj, p, q, cost):
-    """Dual potentials (alpha, beta) with alpha[0] = 0 from the basis tree."""
-    pot = np.full(p + q, np.nan)
-    pot[0] = 0.0
-    stack = [0]
-    seen = 1
-    while stack:
-        u = stack.pop()
-        pu = pot[u]
-        row = u < p
-        for v in adj[u]:
-            if np.isnan(pot[v]):
-                # alpha + beta = cost on basic cells.
-                pot[v] = (cost[u, v - p] - pu) if row else (cost[v, u - p] - pu)
-                seen += 1
-                stack.append(v)
-    if seen != p + q:
-        raise ContractError("transportation basis is not a spanning tree")
-    return pot[:p], pot[p:]
+class _BasisTree:
+    """Parent/depth/thread arrays of the basis spanning tree, rooted at node 0."""
+
+    def __init__(self, cells, p, q):
+        n = p + q
+        adj = [[] for _ in range(n)]
+        for k, (a, b) in enumerate(cells):
+            adj[a].append((p + b, k))
+            adj[p + b].append((a, k))
+        self.parent = parent = [-1] * n
+        self.pslot = pslot = [-1] * n
+        self.depth = depth = [0] * n
+        order = []
+        seen = [False] * n
+        seen[0] = True
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for v, k in reversed(adj[u]):
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v], pslot[v], depth[v] = u, k, depth[u] + 1
+                    stack.append(v)
+        if len(order) != n:
+            raise ContractError("transportation basis is not a spanning tree")
+        self.thread = thread = [0] * n
+        self.rthread = rthread = [0] * n
+        for u, v in zip(order, order[1:] + order[:1]):
+            thread[u], rthread[v] = v, u
+
+    def potentials(self, cost, p):
+        """Node potentials from scratch: alpha on rows, -beta on columns.
+
+        Storing -beta lets one index shift move a whole subtree, with the same
+        rounding as the separate updates alpha += delta, beta -= delta.
+        """
+        pot = np.zeros(len(self.parent))
+        parent, thread = self.parent, self.thread
+        v = thread[0]
+        while v != 0:
+            u = parent[v]
+            # alpha + beta = cost on basic cells.
+            if v < p:
+                pot[v] = cost[v, u - p] + pot[u]
+            else:
+                pot[v] = pot[u] - cost[u, v - p]
+            v = thread[v]
+        return pot
+
+    def cycle(self, i, j):
+        """Climb from i and j to their common ancestor.
+
+        Returns the nodes passed on each side, from i (resp. j) up to but not
+        including the ancestor; the tree edge above node x is basis slot
+        ``pslot[x]``.
+        """
+        parent, depth = self.parent, self.depth
+        up_i, up_j = [], []
+        while depth[i] > depth[j]:
+            up_i.append(i)
+            i = parent[i]
+        while depth[j] > depth[i]:
+            up_j.append(j)
+            j = parent[j]
+        while i != j:
+            up_i.append(i)
+            i = parent[i]
+            up_j.append(j)
+            j = parent[j]
+        return up_i, up_j
+
+    def subtree(self, v):
+        """Nodes of the subtree under v, in preorder."""
+        depth, thread = self.depth, self.thread
+        dv = depth[v]
+        nodes = [v]
+        x = thread[v]
+        while depth[x] > dv:
+            nodes.append(x)
+            x = thread[x]
+        return nodes
+
+    def rehang(self, sub, stem, u, slot):
+        """Move subtree ``sub`` (preorder, rooted at ``stem[-1]``) under u.
+
+        ``stem`` runs from the new subtree root ``stem[0]`` up to the old one;
+        the parent links along it are reversed and ``stem[0]`` hangs from u
+        through basis slot ``slot``.
+        """
+        parent, pslot, depth = self.parent, self.pslot, self.depth
+        thread, rthread = self.thread, self.rthread
+        # The new preorder is a run of pieces of ``sub``: the old subtree of
+        # stem[0], then for each higher stem node the parts of its old subtree
+        # before and after the nested segment of the stem node below it.
+        # Thread links inside a piece stay, and all depths in a piece shift
+        # alike, by 2 more per stem step.
+        shift = depth[u] + 1 - depth[stem[0]]
+        pieces = []
+        lo = hi = sub.index(stem[0])
+        for s in stem:
+            start = sub.index(s, 0, lo + 1)
+            end = max(hi, start + 1)
+            ds = depth[s]
+            while end < len(sub) and depth[sub[end]] > ds:
+                end += 1
+            pieces += [(start, lo, shift), (hi, end, shift)]
+            lo, hi = start, end
+            shift += 2
+        # Unlink the old segment from the thread.
+        before, after = rthread[sub[0]], thread[sub[-1]]
+        thread[before], rthread[after] = after, before
+        # Reverse the parent links along the stem.
+        for t in range(len(stem) - 1, 0, -1):
+            child, up = stem[t], stem[t - 1]
+            parent[child], pslot[child] = up, pslot[up]
+        parent[stem[0]], pslot[stem[0]] = u, slot
+        # Link the pieces in order right after u.
+        prev, nxt = u, thread[u]
+        for a, b, d in pieces:
+            if a < b:
+                for x in sub[a:b]:
+                    depth[x] += d
+                thread[prev], rthread[sub[a]] = sub[a], prev
+                prev = sub[b - 1]
+        thread[prev], rthread[nxt] = nxt, prev
 
 
-def _tree_path(adj, start, goal):
-    """Unique tree path start -> goal as the list of cell indices along it."""
-    parent = {start: (None, None)}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        if u == goal:
-            break
-        for v, idx in adj[u].items():
-            if v not in parent:
-                parent[v] = (u, idx)
-                stack.append(v)
-    if goal not in parent:
-        raise ContractError("entering cell is disconnected from the basis tree")
-    path = []
-    node = goal
-    while parent[node][0] is not None:
-        node, idx = parent[node]
-        path.append(idx)
-    path.reverse()
-    return path
-
-
-def _component(adj, start, stop_node=None):
-    """Nodes reachable from start; aborts returning None upon hitting stop_node."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        if u == stop_node:
-            return None
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
-def transport_simplex(cost, supply, demand, tol=_TOL_RC, max_iter=None):
+def transport_simplex(cost, supply, demand, tol=_TOL_RC, max_iter=None,
+                      warm=None):
     """Minimum cost of a balanced dense transportation problem.
 
     Returns ``(value, alpha, beta)`` where the potentials satisfy
     ``alpha[a] + beta[b] <= cost[a, b] + tol`` everywhere (dual feasibility,
-    i.e. the optimality certificate) and ``alpha[0] = 0``.
+    i.e. the optimality certificate) and ``alpha[0] = 0``.  ``warm`` is an
+    optional `WarmStart` holder; it is read before and updated after the
+    solve.  Raises `SolverError` when ``max_iter`` pricing rounds do not reach
+    optimality.
     """
     cost = np.asarray(cost, dtype=float)
     supply = np.asarray(supply, dtype=float).copy()
@@ -148,94 +266,89 @@ def transport_simplex(cost, supply, demand, tol=_TOL_RC, max_iter=None):
     if abs(total - demand.sum()) > 1e-9 * (1.0 + total):
         raise ContractError("transportation problem must be balanced")
 
-    cells, flows = _least_cost_start(cost, supply, demand)
+    basis = warm.basis_for(supply, demand) if warm is not None else None
+    cells, flows = basis or _least_cost_start(cost, supply, demand)
     if max_iter is None:
         max_iter = 400 * (p + q) + 2000
 
-    # Basis tree adjacency (row node a, col node p + b) with incremental
-    # updates; potentials are delta-shifted on the detached subtree at each
-    # pivot and recomputed from scratch only for the final certificate.
-    adj = [dict() for _ in range(p + q)]
-    for idx, (a, b) in enumerate(cells):
-        adj[a][p + b] = idx
-        adj[p + b][a] = idx
-    alpha, beta = _potentials(adj, p, q, cost)
-
+    tree = _BasisTree(cells, p, q)
+    pslot = tree.pslot
+    pot = tree.potentials(cost, p)
+    reduced = np.empty((p, q))
+    reduced_flat = reduced.ravel()
     stall = 0
     for it in range(max_iter):
-        if it and it % 512 == 0:
+        if it and it % _REFRESH == 0:
             # Cancel accumulated float drift in the delta-shifted potentials.
-            alpha, beta = _potentials(adj, p, q, cost)
-        reduced = cost - alpha[:, None] - beta[None, :]
+            pot = tree.potentials(cost, p)
+        np.subtract(cost, pot[:p, None], out=reduced)
+        reduced += pot[None, p:]
         if stall >= _STALL_SWITCH:
             # Bland-style: first improving cell in row-major order.
-            flat = np.flatnonzero(reduced.ravel() < -tol)
+            flat = np.flatnonzero(reduced_flat < -tol)
             if flat.size == 0:
                 break
             enter_flat = int(flat[0])
         else:
-            enter_flat = int(np.argmin(reduced.ravel()))
-            if reduced.ravel()[enter_flat] >= -tol:
+            enter_flat = int(np.argmin(reduced_flat))
+            if reduced_flat[enter_flat] >= -tol:
                 break
         ea, eb = enter_flat // q, enter_flat % q
-        rc = float(reduced[ea, eb])
+        rc = float(reduced_flat[enter_flat])
 
-        path = _tree_path(adj, ea, p + eb)
-        # Walking the path from the entering row node, even steps are the
-        # cells whose flow decreases when the entering cell increases.
+        # The cycle runs from row node ea up to the common ancestor and down
+        # to column node p + eb; walking it from ea, even steps are the cells
+        # whose flow decreases when the entering cell increases.
+        up_row, up_col = tree.cycle(ea, p + eb)
+        row_slots = [pslot[x] for x in up_row]
+        col_slots = [pslot[x] for x in up_col]
+        path = row_slots + col_slots[::-1]
         minus = path[0::2]
-        theta = min(flows[idx] for idx in minus)
-        leave_pos = min(
-            (idx for idx in minus if flows[idx] <= theta),
-            key=lambda idx: cells[idx],
-        )
-        for k, idx in enumerate(path):
-            flows[idx] += -theta if k % 2 == 0 else theta
+        theta = min(flows[k] for k in minus)
+        leave = min((k for k in minus if flows[k] <= theta),
+                    key=lambda k: cells[k])
+        for k, slot in enumerate(path):
+            flows[slot] += -theta if k % 2 == 0 else theta
 
-        la, lb = cells[leave_pos]
-        del adj[la][p + lb]
-        del adj[p + lb][la]
-        # Shift potentials on the component cut off by the leaving edge: rows
-        # by +delta and columns by -delta keep basic equations intact, with
-        # delta fixed by the entering cell's equation.
-        comp = _component(adj, ea, stop_node=0)
-        if comp is None:
-            comp = _component(adj, p + eb)
-            delta = -rc
+        # Cutting the leaving cell detaches the subtree holding one end of the
+        # entering cell.  Rows there shift by +delta and columns by -delta,
+        # which keeps their basic equations, with delta fixed by the entering
+        # cell's equation.
+        if leave in row_slots:
+            stem = up_row[:row_slots.index(leave) + 1]
+            hang, delta = p + eb, rc
         else:
-            delta = rc
-        for node in comp:
-            if node < p:
-                alpha[node] += delta
-            else:
-                beta[node - p] -= delta
-        cells[leave_pos] = (ea, eb)
-        flows[leave_pos] = theta
-        adj[ea][p + eb] = leave_pos
-        adj[p + eb][ea] = leave_pos
+            stem = up_col[:col_slots.index(leave) + 1]
+            hang, delta = ea, -rc
+        sub = tree.subtree(stem[-1])
+        pot[sub] += delta
+        tree.rehang(sub, stem, hang, leave)
+        cells[leave] = (ea, eb)
+        flows[leave] = theta
         stall = stall + 1 if theta <= tol else 0
     else:
-        raise ContractError(
+        raise SolverError(
             f"transportation simplex exceeded {max_iter} iterations"
         )
 
+    if warm is not None:
+        warm.supply, warm.demand = supply, demand
+        warm.cells, warm.flows = cells, flows
     # Fresh potentials for the optimality certificate (no accumulated drift).
-    alpha, beta = _potentials(adj, p, q, cost)
-    return _finish(cost, cells, flows, alpha, beta)
-
-
-def _finish(cost, cells, flows, alpha, beta):
+    pot = tree.potentials(cost, p)
     value = 0.0
     for (a, b), fl in zip(cells, flows):
         value += cost[a, b] * fl
-    return float(value), alpha, beta
+    return float(value), pot[:p], -pot[p:]
 
 
-def lipschitz_dual_value(sites, signed_mass, caps, tol=_TOL_RC):
+def lipschitz_dual_value(sites, signed_mass, caps, tol=_TOL_RC, warm=None):
     """Optimal F_r value via the boundary transportation problem.
 
     ``signed_mass`` must contain both signs (one-signed instances have a
-    closed form and never reach this routine).
+    closed form and never reach this routine).  ``warm`` is passed on to
+    `transport_simplex`.  Raises `SolverError` if the duals fail the
+    optimality audit.
     """
     pos = np.flatnonzero(signed_mass > 0)
     neg = np.flatnonzero(signed_mass < 0)
@@ -254,9 +367,10 @@ def lipschitz_dual_value(sites, signed_mass, caps, tol=_TOL_RC):
     supply = np.concatenate([signed_mass[pos], [-signed_mass[neg].sum()]])
     demand = np.concatenate([-signed_mass[neg], [signed_mass[pos].sum()]])
 
-    value, alpha, beta = transport_simplex(cost, supply, demand, tol=tol)
+    value, alpha, beta = transport_simplex(cost, supply, demand, tol=tol,
+                                           warm=warm)
     # Dual feasibility audit: the certificate that `value` is optimal.
     slack = cost - alpha[:, None] - beta[None, :]
     if slack.min() < -1e-7 * (1.0 + float(np.abs(cost).max())):
-        raise ContractError("transportation duals failed the optimality audit")
+        raise SolverError("transportation duals failed the optimality audit")
     return value

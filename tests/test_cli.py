@@ -1,6 +1,8 @@
 import pytest
 
-from gmtlab.cli import RunConfig, main
+from gmtlab import transport
+from gmtlab.cli import RunConfig, _fmt, main
+from gmtlab.errors import SolverError
 
 LINE_DENSITY_CFG = """
 [measure]
@@ -274,6 +276,22 @@ center = 0,0
 m = 1
 """)
     assert run_cli(["density", "--config", cfg]) == 3
+
+
+def test_solver_refusal_exits_3(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise SolverError("transportation simplex exceeded 1 iterations")
+    monkeypatch.setattr(transport, "transport_simplex", refuse)
+    cfg = write_cfg(tmp_path, METRIC_CFG.replace("mode = fr", "mode = dcone"))
+    assert run_cli(["metric", "--config", cfg]) == 3
+
+
+def test_fmt_never_prints_negative_zero():
+    assert _fmt(-0.0) == "0"
+    assert _fmt(0.0) == "0"
+    assert _fmt(-1e-300) == "-1e-300"
+    assert _fmt(float("nan")) == ""
+    assert _fmt(7) == "7"
 
 
 @pytest.mark.parametrize("command,cfg_text", [

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from gmtlab.errors import ContractError
-from gmtlab.transport import lipschitz_dual_value, transport_simplex
+from gmtlab import transport
+from gmtlab.errors import ContractError, GuardError, SolverError
+from gmtlab.transport import WarmStart, lipschitz_dual_value, transport_simplex
 
 
 def _reference_transport(cost, supply, demand):
@@ -71,3 +74,179 @@ def test_ties_and_zero_costs():
         value, _, _ = transport_simplex(cost, supply, demand)
         ref = _reference_transport(cost, supply, demand)
         assert value == pytest.approx(ref, abs=1e-9 * (1 + abs(ref)))
+
+
+def _reference_potential(sites, signed_mass, caps):
+    """HiGHS optimum of max sum c_i f_i, |f_i - f_j| <= d_ij, |f_i| <= cap_i."""
+    k = sites.shape[0]
+    i, j = np.nonzero(~np.eye(k, dtype=bool))
+    A_ub = np.zeros((i.size, k))
+    A_ub[np.arange(i.size), i] = 1.0
+    A_ub[np.arange(i.size), j] = -1.0
+    dist = np.sqrt(np.sum((sites[i] - sites[j]) ** 2, axis=1))
+    res = linprog(-signed_mass, A_ub=A_ub, b_ub=dist,
+                  bounds=list(zip(-caps, caps)), method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def _boundary_problem(x, wx, y, wy, r=1.0):
+    """Transport form of F_r between atoms x (mass wx) and y (mass wy).
+
+    Same layout as `lipschitz_dual_value`: metric costs plus a boundary row
+    and column carrying the caps r - |x|.
+    """
+    p, q = x.shape[0], y.shape[0]
+    cost = np.zeros((p + 1, q + 1))
+    cost[:p, :q] = np.sqrt(np.sum((x[:, None] - y[None]) ** 2, axis=-1))
+    cost[:p, q] = r - np.sqrt(np.sum(x * x, axis=1))
+    cost[p, :q] = r - np.sqrt(np.sum(y * y, axis=1))
+    return cost, np.append(wx, wy.sum()), np.append(wy, wx.sum())
+
+
+def _assert_certified(cost, supply, demand, value, alpha, beta):
+    assert (cost - alpha[:, None] - beta[None, :]).min() >= -1e-8
+    ref = _reference_transport(cost, supply, demand)
+    assert value == pytest.approx(ref, abs=1e-8 * (1 + abs(ref)))
+
+
+# ---------------------------------------------------------------------------
+# Honest failures
+# ---------------------------------------------------------------------------
+
+def test_iteration_limit_is_a_solver_refusal():
+    # Near-aligned lines: the least-cost start is far from optimal.
+    t = np.linspace(-1, 1, 12)[1:-1]
+    x = np.column_stack([t, 0 * t])
+    y = np.column_stack([t * np.cos(0.05), t * np.sin(0.05)])
+    cost, supply, demand = _boundary_problem(x, np.full(10, 0.1),
+                                             y, np.full(10, 0.11))
+    with pytest.raises(SolverError) as info:
+        transport_simplex(cost, supply, demand, max_iter=1)
+    assert isinstance(info.value, GuardError)
+    assert not isinstance(info.value, ContractError)
+    transport_simplex(cost, supply, demand)
+
+
+def test_failed_dual_audit_is_a_solver_refusal(monkeypatch):
+    real = transport.transport_simplex
+
+    def corrupted(*args, **kwargs):
+        value, alpha, beta = real(*args, **kwargs)
+        return value, alpha + 1.0, beta
+    monkeypatch.setattr(transport, "transport_simplex", corrupted)
+    sites = np.array([[0.0, 0.0], [0.5, 0.0]])
+    with pytest.raises(SolverError):
+        lipschitz_dual_value(sites, np.array([1.0, -1.0]), np.array([1.0, 0.5]))
+
+
+# ---------------------------------------------------------------------------
+# Warm starts
+# ---------------------------------------------------------------------------
+
+def _chain(seed, kind, p, q, angles):
+    """LPs that share their marginals but not their costs."""
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        # Grid atoms: many exactly equal costs, and some zero costs.
+        x = rng.integers(-3, 4, size=(p, 2)) * 0.25
+        y0 = rng.integers(-3, 4, size=(q, 2)) * 0.25
+    else:
+        x = rng.uniform(-0.7, 0.7, size=(p, 2))
+        y0 = rng.uniform(-0.7, 0.7, size=(q, 2))
+    wx = np.full(p, 1.0 / p) if kind == "equal" else rng.uniform(0.1, 1.0, p)
+    wy = np.full(q, 1.3 / q)
+    problems = []
+    for th in angles:
+        if kind == "ties":
+            # Quarter turns keep the grid, so ties survive the rotation.
+            th = np.pi / 2 * round(th / (np.pi / 2))
+        rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        problems.append(_boundary_problem(x, wx, y0 @ rot.T, wy))
+    return problems
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["metric", "ties", "equal"]),
+       p=st.integers(1, 12), q=st.integers(1, 12),
+       angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=2, max_size=5))
+def test_warm_chain_matches_cold_and_highs(seed, kind, p, q, angles):
+    warm = WarmStart()
+    for cost, supply, demand in _chain(seed, kind, p, q, angles):
+        value, alpha, beta = transport_simplex(cost, supply, demand, warm=warm)
+        cold = transport_simplex(cost, supply, demand)[0]
+        assert abs(value - cold) <= 1e-12 * (1 + abs(value))
+        _assert_certified(cost, supply, demand, value, alpha, beta)
+        # The basis just kept is optimal: re-pricing it finds nothing.
+        again = transport_simplex(cost, supply, demand, max_iter=1, warm=warm)
+        assert again[0] == value
+
+    # Different marginals or shapes fall back to the cold solve.
+    mismatched = [(cost, supply * 2.0, demand * 2.0),
+                  (cost[:, ::-1], supply, demand[::-1])]
+    if p > 1:
+        mismatched.append((cost[1:], supply[1:],
+                           demand * (supply[1:].sum() / supply.sum())))
+    for c, s, d in mismatched:
+        value = transport_simplex(c, s, d, warm=warm)[0]
+        assert value == transport_simplex(c, s, d)[0]
+
+
+def test_warm_holder_keeps_only_matching_marginals():
+    warm = WarmStart()
+    cost = np.array([[1.0, 2.0], [2.0, 1.0]])
+    supply = np.array([1.0, 1.0])
+    assert warm.basis_for(supply, supply) is None
+    transport_simplex(cost, supply, supply, warm=warm)
+    assert warm.basis_for(supply, supply) is not None
+    assert warm.basis_for(supply, np.array([0.5, 1.5])) is None
+    assert warm.basis_for(np.ones(3), supply) is None
+
+
+# ---------------------------------------------------------------------------
+# Larger oracle comparisons (deep trees, the periodic potential refresh)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed,p,q", [(0, 60, 60), (1, 45, 60), (2, 60, 30),
+                                      (3, 1, 60), (4, 60, 1), (5, 1, 1)])
+def test_large_random_problems(seed, p, q):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, size=(p, 2))
+    y = rng.uniform(-1, 1, size=(q, 2))
+    cost = np.sqrt(np.sum((x[:, None] - y[None]) ** 2, axis=-1))
+    supply = np.ones(p)
+    demand = np.full(q, p / q)
+    _assert_certified(cost, supply, demand,
+                      *transport_simplex(cost, supply, demand))
+
+
+def test_long_chain_of_pivots_passes_the_refresh():
+    # 59 atoms on each of two lines 0.05 rad apart: more than 512 pricing
+    # rounds, so the potentials are rebuilt from the tree mid-solve.
+    t = np.linspace(-1, 1, 61)[1:-1]
+    x = np.column_stack([t, 0 * t])
+    y = np.column_stack([t * np.cos(0.05), t * np.sin(0.05)])
+    cost, supply, demand = _boundary_problem(x, np.full(59, 1 / 59),
+                                             y, np.full(59, 1.1 / 59))
+    with pytest.raises(SolverError):
+        transport_simplex(cost, supply, demand, max_iter=transport._REFRESH + 1)
+    _assert_certified(cost, supply, demand,
+                      *transport_simplex(cost, supply, demand))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lipschitz_dual_with_duplicates_and_sphere_atoms(seed):
+    rng = np.random.default_rng(seed)
+    k = 30
+    ang = rng.uniform(0, 2 * np.pi, k)
+    rad = rng.uniform(0, 1, k)
+    rad[: k // 3] = 1.0  # on the sphere: cap exactly 0
+    sites = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+    sites[k // 3: k // 3 + 4] = sites[: 4]  # duplicates of sphere atoms
+    sites[-4:] = sites[-8:-4]  # duplicates inside
+    mass = rng.uniform(0.1, 1.0, k) * np.where(np.arange(k) % 2, 1.0, -1.0)
+    caps = np.maximum(1.0 - np.sqrt(np.sum(sites * sites, axis=1)), 0.0)
+    value = lipschitz_dual_value(sites, mass, caps)
+    ref = _reference_potential(sites, mass, caps)
+    assert value == pytest.approx(ref, abs=1e-8 * (1 + abs(ref)))
