@@ -9,10 +9,12 @@ measure to the cone of m-dimensional flat measures,
 
 by a coarse search over frames followed by Nelder-Mead refinement; the
 normalizing constant per plane is fixed in closed form since F_s is linear in
-the weights.  Each of the two stages warm-starts its chain of F_s programs
-through its own `gmtlab.transport.WarmStart` holder, so no solver state
-outlives the call.  Values are clamped to [0, 1], and 1 is returned when
-F_s(nu) = 0.
+the weights.  The refinement is the in-house `_nelder_mead`, which follows
+scipy's non-adaptive Nelder-Mead step sequence point for point (scipy is not
+imported at run time).  Each of the two stages warm-starts its chain of F_s
+programs through its own `gmtlab.transport.WarmStart` holder, so no solver
+state outlives the call.  Values are clamped to [0, 1], and 1 is returned
+when F_s(nu) = 0.
 
 ``symmetry_defect`` evaluates the annulus moment whose vanishing at every
 window characterizes points of symmetry, and ``uniformity_defect`` probes the
@@ -28,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ContractError, DimensionMismatchError
 from .lipmetric import SITE_CAP, f_ball
@@ -41,6 +42,10 @@ _GRID_DIV = {1: 80, 2: 8, 3: 4}
 
 # Optimizer tolerance on the cone distance.
 OPTIMIZER_TOL = 1e-3
+
+# Initial Nelder-Mead simplex: each vertex moves one coordinate of x0 by 5 %,
+# or to 0.00025 where it is zero (scipy's steps).
+_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
 
 
 def cone_grid_step(s, m):
@@ -236,13 +241,103 @@ def _params_to_frame(n, m, params):
     return _orthonormalize(params.reshape(n, m))
 
 
+class _BudgetSpent(Exception):
+    """A `_nelder_mead` evaluation would exceed ``maxfev``."""
+
+
+def _sort_simplex(sim, fsim):
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _nelder_mead(fun, x0, xatol, fatol, maxfev):
+    """Smallest value of ``fun`` seen by a Nelder-Mead search from ``x0``.
+
+    Reproduces scipy's ``_minimize_neldermead`` (non-adaptive, unbounded)
+    operation for operation: the same initial simplex, the same points in
+    the same order passed to ``fun`` (as copies), the same unstable argsort
+    after every iteration, the xatol/fatol stop, and the same abandonment of
+    an iteration whose next call would exceed ``maxfev``.  The returned float
+    is therefore bit-identical to ``minimize(..., method="Nelder-Mead").fun``.
+    The coefficients are the standard ones, written out below: reflection 1,
+    expansion 2, contraction and shrink 1/2.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).flatten()
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + _NM_NONZDELT) * y[k] if y[k] != 0 else _NM_ZDELT
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return fun(x.copy())
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # Sorted twice, as scipy does: argsort is not stable, so the second pass
+    # may still permute ties.
+    sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))
+
+    while calls < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:  # inside contraction
+                    xcc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxcc = f(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = _sort_simplex(sim, fsim)
+    return float(np.min(fsim))
+
+
 def d_cone_flat(nu, m, s, seed=0):
     """Distance in [0, 1] from ``nu`` to the m-flat cone at scale ``s``.
 
     Returns 1 when F_s(nu) = 0 (discrete measures never reach the infinite
     branch of the convention).  Minimizes over planes via the coarse frame
     grid plus Nelder-Mead refinement on the frame parameters, with the
-    per-plane constant fixed by F_s-normalization in closed form.
+    per-plane constant fixed by F_s-normalization in closed form.  The
+    refinement is `_nelder_mead`, which follows scipy's Nelder-Mead step
+    sequence exactly (at most 60 evaluations, xatol 1e-4, fatol 1e-5).
     """
     n = nu.dim
     if not 1 <= m <= n - 1:
@@ -313,13 +408,8 @@ def d_cone_flat(nu, m, s, seed=0):
             return 2.0
         return plane_distance(q, target, coords, base_w, warm)
 
-    res = minimize(
-        objective,
-        _frame_to_params(n, m, best_frame),
-        method="Nelder-Mead",
-        options={"xatol": 1e-4, "fatol": 1e-5, "maxfev": 60},
-    )
-    refined = float(res.fun)
+    refined = _nelder_mead(objective, _frame_to_params(n, m, best_frame),
+                           xatol=1e-4, fatol=1e-5, maxfev=60)
     coarse_full = plane_distance(best_frame, target, coords, base_w, warm)
     return float(np.clip(min(refined, coarse_full), 0.0, 1.0))
 

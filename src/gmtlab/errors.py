@@ -38,7 +38,8 @@ class LpSizeError(GuardError):
 
 
 class SolverError(GuardError):
-    """An exact LP solver hit its iteration limit or failed its optimality audit."""
+    """An exact LP solver hit its iteration limit, drifted, failed to converge
+    or failed its optimality audit."""
 
 
 class DiniDivergenceWarning(UserWarning):

@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, DimensionMismatchError, LpSizeError
+from .errors import (ContractError, DimensionMismatchError, LpSizeError,
+                     SolverError)
 from .measures import TIE_TOL, AffineMap, pushforward
 from .simplex import simplex_max_bounded
 from .transport import lipschitz_dual_value
@@ -168,7 +169,7 @@ def solve_ball_lp_potential(lp):
                 working.add((i, j))
                 rows_i.append(i)
                 rows_j.append(j)
-    raise ContractError("Lipschitz row generation failed to converge")
+    raise SolverError("Lipschitz row generation failed to converge")
 
 
 def f_ball(mu, nu, r, warm=None):

@@ -30,6 +30,9 @@ TIE_TOL = 1e-12
 # |det| floor below which an affine map is rejected as singular.
 _AFFINE_DET_FLOOR = 1e-12
 
+# Most field evaluations an EllipseField keeps; the oldest is dropped first.
+_FIELD_CACHE_CAP = 4096
+
 
 def _as_points(points, dim=None):
     pts = np.asarray(points, dtype=float)
@@ -351,6 +354,8 @@ class EllipseField:
         if hit is None:
             m = self._validate(self._evaluator(a), a)
             hit = (_freeze(m), _freeze(np.linalg.inv(m)))
+            if len(self._cache) >= _FIELD_CACHE_CAP:
+                del self._cache[next(iter(self._cache))]
             self._cache[key] = hit
         return hit
 

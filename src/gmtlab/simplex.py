@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, SolverError
 
 # Reduced-cost threshold: smaller gains are treated as optimal.
 _TOL_COST = 1e-9
@@ -33,7 +33,11 @@ _DEGENERATE_SWITCH = 40
 
 
 class SimplexError(ContractError):
-    """Instance outside the supported family (infeasible start, unbounded)."""
+    """Instance outside the supported family (infeasible start, unbounded).
+
+    Numerical failures on a supported instance (the iteration limit, a
+    drifted final point) raise `gmtlab.errors.SolverError` instead.
+    """
 
 
 @dataclass
@@ -97,7 +101,7 @@ def simplex_max_bounded(A, b, c, lo, hi, max_iter=None):
     while True:
         it += 1
         if it > max_iter:
-            raise SimplexError(f"simplex exceeded {max_iter} iterations")
+            raise SolverError(f"simplex exceeded {max_iter} iterations")
 
         y = cost[basis] @ T
         z = cost - y
@@ -178,5 +182,5 @@ def simplex_max_bounded(A, b, c, lo, hi, max_iter=None):
     # Defensive feasibility audit; violations mean numerical drift.
     resid = A @ x - b
     if resid.max(initial=0.0) > 1e-6 * scale:
-        raise SimplexError("simplex returned an infeasible point (drift)")
+        raise SolverError("simplex returned an infeasible point (drift)")
     return SimplexResult(float(c @ x), x, it)

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from gmtlab import transport
 from gmtlab.cli import RunConfig, _fmt, main
 from gmtlab.errors import SolverError
+from gmtlab.simplex import simplex_max_bounded
 
 LINE_DENSITY_CFG = """
 [measure]
@@ -281,6 +283,16 @@ m = 1
 def test_solver_refusal_exits_3(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise SolverError("transportation simplex exceeded 1 iterations")
+    monkeypatch.setattr(transport, "transport_simplex", refuse)
+    cfg = write_cfg(tmp_path, METRIC_CFG.replace("mode = fr", "mode = dcone"))
+    assert run_cli(["metric", "--config", cfg]) == 3
+
+
+def test_simplex_iteration_limit_exits_3(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        simplex_max_bounded(np.array([[1.0, 1.0]]), np.array([1.5]),
+                            np.array([1.0, 1.0]), np.zeros(2), np.ones(2),
+                            max_iter=1)
     monkeypatch.setattr(transport, "transport_simplex", refuse)
     cfg = write_cfg(tmp_path, METRIC_CFG.replace("mode = fr", "mode = dcone"))
     assert run_cli(["metric", "--config", cfg]) == 3

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from conftest import random_cloud
-from gmtlab.cones import (DefectReport, FlatMeasureSpec, d_cone_flat,
-                          sample_flat, symmetry_defect, uniformity_defect,
-                          uniformity_gap)
+from gmtlab import cones
+from gmtlab.cones import (DefectReport, FlatMeasureSpec, _nelder_mead,
+                          d_cone_flat, sample_flat, symmetry_defect,
+                          uniformity_defect, uniformity_gap)
 from gmtlab.errors import ContractError
 from gmtlab.lipmetric import f_ball
 from gmtlab.measures import AffineMap, DiscreteMeasure, pushforward
@@ -118,6 +125,140 @@ def test_d_cone_three_dimensional_smoke():
     cloud = DiscreteMeasure(rng.normal(size=(30, 3)) * 0.4,
                             rng.uniform(0.5, 1, 30))
     assert 0.0 <= d_cone_flat(cloud, 2, 1.0) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# In-house Nelder-Mead against scipy's
+# ---------------------------------------------------------------------------
+
+def _smooth(x):
+    return float(np.sum((x - 0.3) ** 2) + 0.1 * np.sin(7.0 * x).sum()
+                 + 0.2 * x[0] * x[-1])
+
+
+def _plateaus(x):
+    # Piecewise constant: ties between vertices force shrinks.
+    return float(np.floor(8.0 * np.abs(x - 0.4)).sum() / 8.0)
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                        + (1.0 - x[:-1]) ** 2))
+
+
+NM_CASES = [
+    (_smooth, [0.0]),
+    (_smooth, [1.5]),
+    (_plateaus, [0.0]),
+    (_rosenbrock, [0.0, 1.2]),
+    (_plateaus, [-0.7, 0.0]),
+    (_smooth, [0.5, 0.0, -1.0, 0.0]),
+    (_plateaus, [0.0, 1.0, 0.0, -0.5]),
+]
+NM_TOL = {"xatol": 1e-4, "fatol": 1e-5}
+
+
+def _recorded(fun):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x.copy())
+        value = fun(x)
+        x[:] = np.nan  # an objective may scribble on its argument
+        return value
+    return calls, wrapped
+
+
+def _run_ours(fun, x0, maxfev):
+    calls, wrapped = _recorded(fun)
+    value = _nelder_mead(wrapped, np.array(x0), maxfev=maxfev, **NM_TOL)
+    return calls, value
+
+
+def _run_scipy(fun, x0, maxfev, ends=None):
+    calls, wrapped = _recorded(fun)
+    callback = None if ends is None else (lambda xk: ends.append(len(calls)))
+    res = minimize(wrapped, np.array(x0), method="Nelder-Mead",
+                   callback=callback, options=dict(NM_TOL, maxfev=maxfev))
+    return calls, float(res.fun)
+
+
+def _assert_same_run(ours, ref):
+    (calls, value), (ref_calls, ref_value) = ours, ref
+    assert len(calls) == len(ref_calls)
+    for x, y in zip(calls, ref_calls):
+        assert x.tobytes() == y.tobytes()
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+
+
+def _step_kinds(calls, values, ends, n):
+    """Step each call of a full scipy run belongs to, from iteration ends.
+
+    An iteration makes 1 call (reflection), 2 (reflection then expansion or
+    contraction) or n + 2 (contraction then an n-call shrink); an expansion
+    follows a reflection that beats every earlier value.
+    """
+    kinds = ["initial"] * (n + 1)
+    start = n + 1
+    for end in ends:
+        count = end - start
+        kinds.append("reflection")
+        if count >= 2:
+            better = values[start] < min(values[:start])
+            kinds.append("expansion" if better and count == 2
+                         else "contraction")
+        kinds.extend(["shrink"] * (count - 2))
+        start = end
+    assert len(kinds) == len(calls)
+    return kinds
+
+
+@pytest.mark.parametrize("fun,x0", NM_CASES)
+def test_nelder_mead_matches_scipy_to_tolerance(fun, x0):
+    ref = _run_scipy(fun, x0, maxfev=2000)
+    assert len(ref[0]) < 2000  # stopped by xatol/fatol, not the budget
+    _assert_same_run(_run_ours(fun, x0, maxfev=2000), ref)
+
+
+def test_nelder_mead_matches_scipy_at_every_budget_cut():
+    """Cut each run at every call count below 150, so the budget runs out in
+    the initial simplex, an expansion, a contraction and a shrink."""
+    cut_kinds = set()
+    for fun, x0 in NM_CASES:
+        n = len(x0)
+        ends = []
+        calls, _ = _run_scipy(fun, x0, maxfev=2000, ends=ends)
+        kinds = _step_kinds(calls, [fun(x) for x in calls], ends, n)
+        for maxfev in range(1, min(len(calls), 150)):
+            _assert_same_run(_run_ours(fun, x0, maxfev),
+                             _run_scipy(fun, x0, maxfev))
+            cut_kinds.add(kinds[maxfev])
+    assert {"initial", "expansion", "contraction", "shrink"} <= cut_kinds
+
+
+def test_d_cone_flat_equals_scipy_refinement(monkeypatch):
+    rng = np.random.default_rng(4)
+    nus = [random_cloud(rng, 9), random_cloud(rng, 14, dim=3)]
+    ours = [d_cone_flat(nu, 1, 1.0) for nu in nus]
+
+    def scipy_nm(fun, x0, xatol, fatol, maxfev):
+        return float(minimize(fun, x0, method="Nelder-Mead",
+                              options={"xatol": xatol, "fatol": fatol,
+                                       "maxfev": maxfev}).fun)
+    monkeypatch.setattr(cones, "_nelder_mead", scipy_nm)
+    ref = [d_cone_flat(nu, 1, 1.0) for nu in nus]
+    assert np.array(ours).tobytes() == np.array(ref).tobytes()
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, gmtlab, gmtlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(cones.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

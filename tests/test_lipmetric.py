@@ -3,11 +3,14 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import random_cloud
-from gmtlab.errors import ContractError, DimensionMismatchError, LpSizeError
+from gmtlab import lipmetric
+from gmtlab.errors import (ContractError, DimensionMismatchError, LpSizeError,
+                           SolverError)
 from gmtlab.lipmetric import (assemble_ball_lp, f_ball, f_ball_potential,
                               f_scaling_residual, f_series, solve_ball_lp,
                               solve_ball_lp_potential)
 from gmtlab.measures import DiscreteMeasure
+from gmtlab.simplex import SimplexResult
 
 
 def _grid_oracle_1d(mu, nu, r, grid_n=400):
@@ -213,3 +216,15 @@ def test_scaling_residual_exact_at_unit():
     mu = random_cloud(rng, 6)
     nu = random_cloud(rng, 6)
     assert f_scaling_residual(mu, nu, 1.0) == 0.0
+
+
+def test_row_generation_non_convergence_is_a_solver_error(monkeypatch):
+    # A simplex that keeps returning the same pair-violating point never
+    # lets the row generation settle.
+    def stuck(A, b, c, lo, hi):
+        return SimplexResult(0.0, hi * np.sign(c), 0)
+    monkeypatch.setattr(lipmetric, "simplex_max_bounded", stuck)
+    lp = assemble_ball_lp(DiscreteMeasure.dirac(np.zeros(2)),
+                          DiscreteMeasure.dirac(np.array([0.1, 0.0])), 1.0)
+    with pytest.raises(SolverError, match="row generation"):
+        solve_ball_lp_potential(lp)

@@ -3,6 +3,7 @@ import pytest
 
 from gmtlab.errors import (ContractError, DimensionMismatchError,
                            SingularMatrixError)
+from gmtlab import measures
 from gmtlab.measures import (AffineMap, AllSpace, Ball, Box, DiscreteMeasure,
                              EllipseField, EmptyRegion, HalfSpace,
                              ellipse_ball, lambda_rescale, load_measure_csv,
@@ -179,6 +180,31 @@ def test_ellipse_field_constant_caches():
     field.matrix(np.ones(2))
     field.inverse(np.ones(2))
     assert len(calls) == 1
+
+
+def test_ellipse_field_cache_is_bounded():
+    calls = []
+
+    def ev(a):
+        calls.append(1)
+        return np.array([[2.0 + a[0], a[1]], [0.0, 1.0]])
+
+    cap = measures._FIELD_CACHE_CAP
+    field = EllipseField(ev, 2)
+    centers = np.column_stack([np.arange(cap + 10) * 1e-3,
+                               np.full(cap + 10, 0.5)])
+    for a in centers:
+        field.matrix(a)
+    assert len(field._cache) == cap
+    assert len(calls) == cap + 10
+    # The newest entries stay cached; the oldest were dropped and are
+    # re-evaluated correctly on demand.
+    field.inverse(centers[-1])
+    assert len(calls) == cap + 10
+    first = field.matrix(centers[0])
+    assert len(calls) == cap + 11 and len(field._cache) == cap
+    assert np.array_equal(first, ev(centers[0]))
+    assert np.allclose(field.inverse(centers[0]) @ first, np.eye(2))
 
 
 def test_measure_invariants_enforced():

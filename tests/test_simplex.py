@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from gmtlab.errors import GuardError, SolverError
 from gmtlab.simplex import SimplexError, simplex_max_bounded
 
 
@@ -28,9 +29,25 @@ def test_small_known_lp():
 
 
 def test_infeasible_start_rejected():
-    with pytest.raises(SimplexError):
+    with pytest.raises(SimplexError) as exc:
         simplex_max_bounded(np.array([[1.0]]), np.array([-1.0]),
                             np.array([1.0]), np.array([0.0]), np.array([1.0]))
+    assert not isinstance(exc.value, GuardError)
+
+
+def test_unbounded_rejected_as_contract_error():
+    with pytest.raises(SimplexError):
+        simplex_max_bounded(np.array([[1.0, -1.0]]), np.array([1.0]),
+                            np.array([1.0, 1.0]), np.zeros(2),
+                            np.full(2, np.inf))
+
+
+def test_iteration_limit_is_a_solver_error():
+    # Optimal only after both variables move: one iteration is not enough.
+    with pytest.raises(SolverError, match="exceeded 1 iterations"):
+        simplex_max_bounded(np.array([[1.0, 1.0]]), np.array([1.5]),
+                            np.array([1.0, 1.0]), np.zeros(2), np.ones(2),
+                            max_iter=1)
 
 
 @pytest.mark.parametrize("seed", range(6))
