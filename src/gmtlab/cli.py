@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -344,27 +345,24 @@ def cmd_dmo(cfg, out, threads, seed):
     probes = moduli.seeded_probes(dim, probe_count, seed=seed)
     extra = cfg.get_floats("dmo", "boundary_probe")
     if extra is not None:
+        if len(extra) != dim:
+            raise ConfigError(f"[dmo] boundary_probe needs {dim} coordinates")
         probes = np.vstack([probes, np.asarray(extra)[None, :]])
     profile = moduli.omega_profile(field, probes, radii)
     theta = profile.interpolator()
 
-    import warnings as _warnings
-    rows_tau, rows_hat, warned = [], [], []
+    taus, warned = [], []
     for r in sorted(radii):
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            small = moduli.dini_small(theta, r)
-            large_1 = moduli.dini_large(theta, max(dim - 1, 1), r)
-            large_2 = moduli.dini_large(theta, max(dim - 2, 1), r)
-        rows_tau.append(small + large_1)
-        rows_hat.append(small + large_2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            taus.append(moduli.tau_of_modulus(theta, dim, r))
         warned.append(1.0 if caught else 0.0)
     report = ScanReport(
         columns={
             "r": sorted(radii),
             "omega": profile.omega.tolist(),
-            "tau": rows_tau,
-            "tau_hat": rows_hat,
+            "tau": [t.tau for t in taus],
+            "tau_hat": [t.tau_hat for t in taus],
             "kappa_hat": [profile.kappa_hat] * len(radii),
             "divergence_warning": warned,
         },

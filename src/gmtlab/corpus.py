@@ -126,13 +126,8 @@ def gen_four_corner_cantor(depth):
     """
     if not 1 <= depth <= 10:
         raise ContractError("depth must lie in 1..10")
-    offsets = np.array([[0.0, 0.0], [0.75, 0.0], [0.0, 0.75], [0.75, 0.75]])
-    corners = np.zeros((1, 2))
-    side = 1.0
-    for _ in range(depth):
-        corners = (corners[:, None, :] + side * offsets[None, :, :]).reshape(-1, 2)
-        side /= 4.0
-    centers = corners + side / 2.0
+    # The level side 4^-depth is exact, so the centers are exact too.
+    centers = cantor_construction_corners(depth) + 4.0 ** (-depth) / 2
     weights = np.full(centers.shape[0], 4.0 ** (-depth))
     return CorpusEntry(
         name=f"cantor_{depth}",

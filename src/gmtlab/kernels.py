@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionMismatchError, ResolutionGuardError
-from .measures import TIE_TOL, EllipseField
+from .measures import TIE_TOL, EllipseField, ball_midpoints
 from .reports import ScanReport
 
 _SQRT_RESIDUAL_TOL = 1e-10
@@ -279,22 +279,13 @@ def ball_average(field, center, r, grid=16):
     Richardson comparison.  Supported for dim <= 3.
     """
     center = np.asarray(center, dtype=float).reshape(-1)
-    n = center.size
-    if n > 3:
+    if center.size > 3:
         raise ContractError("ball averages implemented for dim <= 3 only")
     if grid < 8:
         raise ContractError("ball-average grid must be >= 8 points per axis")
 
-    def midpoint_mean(k):
-        offsets = (np.arange(k) + 0.5) / k * (2 * r) - r
-        grids = np.meshgrid(*([offsets] * n), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1) + center
-        inball = np.sqrt(np.sum((pts - center) ** 2, axis=1)) <= r
-        mats = field.matrices(pts[inball])
-        return mats.mean(axis=0)
-
-    full = midpoint_mean(grid)
-    half = midpoint_mean(grid // 2)
+    full = field.matrices(ball_midpoints(center, r, grid)).mean(axis=0)
+    half = field.matrices(ball_midpoints(center, r, grid // 2)).mean(axis=0)
     return full, float(np.abs(full - half).max())
 
 

@@ -15,12 +15,12 @@ The metric series F(mu, nu) = sum over integer radii l of 2^{-l} min(1, F_l)
 is truncated after ``max_terms`` terms with the rigorous tail bound
 2^{-max_terms} reported separately.
 
-Mixed-sign programs are solved through the transportation form of the LP dual
-(`gmtlab.transport`); one-signed programs have a closed form.  The primal
-dense-simplex route (`solve_ball_lp_potential`) generates pair rows lazily and
-recovers the maximizing potential; it doubles as an independent check on the
-transportation solver.  Instances above ``SITE_CAP`` sites are rejected
-rather than silently approximated.
+Mixed-sign programs are solved by one exact solver, the transportation
+simplex on the boundary form of the LP dual (`gmtlab.transport`), whose duals
+certify the value; one-signed programs have a closed form.  A maximizing
+potential (`solve_ball_lp_potential`) is read off the same transport duals by
+one c-transform and audited against the value.  Instances above ``SITE_CAP``
+sites are rejected rather than silently approximated.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ import numpy as np
 from .errors import (ContractError, DimensionMismatchError, LpSizeError,
                      SolverError)
 from .measures import TIE_TOL, AffineMap, pushforward
-from .simplex import simplex_max_bounded
-from .transport import lipschitz_dual_value
+from .transport import lipschitz_dual_value, lipschitz_potential
 
 # Largest Lipschitz LP this module will solve exactly.
 SITE_CAP = 500
 
-# Absolute objective tolerance of the solver; downstream contracts quote 1e-7
-# to absorb conditioning.
+# Objective tolerance of the solver, per unit of 1 + sum(|mass| * cap), which
+# bounds every objective; downstream contracts quote 1e-7 to absorb
+# conditioning.
 SOLVER_TOL = 1e-9
 
 
@@ -63,16 +63,10 @@ class LipschitzBallLP:
     sites: np.ndarray
     signed_mass: np.ndarray
     caps: np.ndarray
-    radius: float
 
     @property
     def size(self):
         return self.sites.shape[0]
-
-
-def _pairwise_distances(points):
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
 def assemble_ball_lp(mu, nu, r):
@@ -103,7 +97,7 @@ def assemble_ball_lp(mu, nu, r):
             f"Lipschitz LP has {pts.shape[0]} sites, cap is {SITE_CAP}"
         )
     caps = np.maximum(r - np.sqrt(np.sum(pts * pts, axis=1)), 0.0)
-    return LipschitzBallLP(pts, mass, caps, float(r))
+    return LipschitzBallLP(pts, mass, caps)
 
 
 def solve_ball_lp(lp, warm=None):
@@ -126,11 +120,14 @@ def solve_ball_lp(lp, warm=None):
 
 
 def solve_ball_lp_potential(lp):
-    """Optimal value and site potential via the primal dense simplex.
+    """Optimal value and a maximizing site potential of an assembled program.
 
-    Slower than `solve_ball_lp` (pair rows are generated lazily against the
-    box-bounded simplex) but returns the maximizing potential, and serves as
-    an independent route for cross-checking the transportation solver.
+    Solves the transportation problem of `solve_ball_lp`, so the value is
+    bit-identical, and reads the potential off its duals by one c-transform
+    (`gmtlab.transport.lipschitz_potential`).  One-signed programs return
+    the closed form with the caps (or their negation) as the potential.
+    Raises `SolverError` when ``sum(mass * f)`` misses the value by more than
+    ``SOLVER_TOL``.
     """
     k = lp.size
     if k == 0:
@@ -139,37 +136,11 @@ def solve_ball_lp_potential(lp):
         return float(lp.signed_mass @ lp.caps), lp.caps.copy()
     if np.all(lp.signed_mass <= 0.0):
         return float(-(lp.signed_mass @ lp.caps)), -lp.caps
-
-    dist = _pairwise_distances(lp.sites)
-    feas_tol = 1e-10 * (1.0 + lp.radius)
-    working = set()
-    rows_i, rows_j = [], []
-    f = None
-    max_rounds = k * k + 10
-    for _ in range(max_rounds):
-        if rows_i:
-            a_idx = np.arange(len(rows_i))
-            A = np.zeros((len(rows_i), k))
-            A[a_idx, rows_i] = 1.0
-            A[a_idx, rows_j] = -1.0
-            b = dist[rows_i, rows_j]
-        else:
-            A = np.zeros((0, k))
-            b = np.zeros(0)
-        res = simplex_max_bounded(A, b, lp.signed_mass, -lp.caps, lp.caps)
-        f = res.x
-        viol = f[:, None] - f[None, :] - dist
-        np.fill_diagonal(viol, -np.inf)
-        worst = viol.max(axis=1)
-        if worst.max() <= feas_tol:
-            return float(res.value), f
-        for i in np.flatnonzero(worst > feas_tol):
-            j = int(np.argmax(viol[i]))
-            if (i, j) not in working:
-                working.add((i, j))
-                rows_i.append(i)
-                rows_j.append(j)
-    raise SolverError("Lipschitz row generation failed to converge")
+    value, f = lipschitz_potential(lp.sites, lp.signed_mass, lp.caps)
+    scale = 1.0 + float(np.abs(lp.signed_mass) @ lp.caps)
+    if abs(float(lp.signed_mass @ f) - value) > SOLVER_TOL * scale:
+        raise SolverError("c-transform potential misses the transport value")
+    return value, f
 
 
 def f_ball(mu, nu, r, warm=None):

@@ -436,6 +436,15 @@ def ellipse_ball(a, r, field):
     return Ball(a, r, matrix=field.matrix(a))
 
 
+def ball_midpoints(center, r, k):
+    """Nodes of the midpoint ball quadrature: the midpoints of the k^n grid
+    on the cube around B(center, r) that lie in the ball (``center`` 1-D)."""
+    offsets = (np.arange(k) + 0.5) / k * (2 * r) - r
+    grids = np.meshgrid(*([offsets] * center.size), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1) + center
+    return pts[np.sqrt(np.sum((pts - center) ** 2, axis=1)) <= r]
+
+
 # ---------------------------------------------------------------------------
 # CSV interchange
 # ---------------------------------------------------------------------------

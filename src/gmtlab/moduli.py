@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DiniDivergenceWarning
+from .measures import ball_midpoints
 
 # Log-spaced quadrature resolution for the Dini integrals.
 NODES_PER_DECADE = 200
@@ -92,12 +93,7 @@ def seeded_probes(dim, count=64, seed=0, box=2.0):
 
 def _ball_oscillation(field, center, r, grid):
     """Mean over B(center, r) of |A - mean(A)| in Frobenius norm."""
-    n = center.size
-    offsets = (np.arange(grid) + 0.5) / grid * (2 * r) - r
-    grids = np.meshgrid(*([offsets] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1) + center
-    keep = np.sqrt(np.sum((pts - center) ** 2, axis=1)) <= r
-    mats = field.matrices(pts[keep])
+    mats = field.matrices(ball_midpoints(center, r, grid))
     mean = mats.mean(axis=0)
     dev = mats - mean
     return float(np.sqrt(np.sum(dev * dev, axis=(1, 2))).mean())
@@ -234,7 +230,15 @@ def tau_moduli(field, probes, r, t_max=DEFAULT_T_MAX, ladder=None, grid=16):
         raise ContractError("oscillation ladder must cover (r/10, t_max)")
 
     profile = omega_profile(field, probes, ladder, grid=grid)
-    theta = profile.interpolator()
+    return tau_of_modulus(profile.interpolator(), n, r, t_max=t_max)
+
+
+def tau_of_modulus(theta, n, r, t_max=DEFAULT_T_MAX):
+    """`TauModuli` of a modulus theta in R^n: I_theta(r) + L^{n-1}_theta(r)
+    and I_theta(r) + L^{n-2}_theta(r), Dini exponents clamped at 1.
+
+    A `DiniDivergenceWarning` from `dini_small` passes through.
+    """
     small, small_err = dini_small(theta, r, return_error=True)
     large_n1, err_n1 = dini_large(theta, max(n - 1, 1), r, t_max=t_max,
                                   return_error=True)

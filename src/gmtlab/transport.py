@@ -10,7 +10,8 @@ Because the costs are a metric and the caps are 1-Lipschitz, every flow path
 can be shortcut to a direct arc, so the dual collapses to a dense
 transportation problem between the positive-mass sites (plus a boundary
 source) and the negative-mass sites (plus a boundary sink).  Its optimum
-equals the potential optimum by strong duality.
+equals the potential optimum by strong duality, and a maximizing potential
+is one c-transform of its duals away (`lipschitz_potential`).
 
 This module implements the classic transportation simplex on the dense cost
 matrix: spanning-tree basis, vectorized reduced costs, deterministic
@@ -342,13 +343,11 @@ def transport_simplex(cost, supply, demand, tol=_TOL_RC, max_iter=None,
     return float(value), pot[:p], -pot[p:]
 
 
-def lipschitz_dual_value(sites, signed_mass, caps, tol=_TOL_RC, warm=None):
-    """Optimal F_r value via the boundary transportation problem.
+def _solve_boundary(sites, signed_mass, caps, tol, warm):
+    """``(value, neg, alpha, beta)`` of the audited boundary problem.
 
-    ``signed_mass`` must contain both signs (one-signed instances have a
-    closed form and never reach this routine).  ``warm`` is passed on to
-    `transport_simplex`.  Raises `SolverError` if the duals fail the
-    optimality audit.
+    Rows are the positive sites plus the boundary B, columns the negative
+    sites plus B; the boundary row and column carry the caps.
     """
     pos = np.flatnonzero(signed_mass > 0)
     neg = np.flatnonzero(signed_mass < 0)
@@ -373,4 +372,35 @@ def lipschitz_dual_value(sites, signed_mass, caps, tol=_TOL_RC, warm=None):
     slack = cost - alpha[:, None] - beta[None, :]
     if slack.min() < -1e-7 * (1.0 + float(np.abs(cost).max())):
         raise SolverError("transportation duals failed the optimality audit")
-    return value
+    return value, neg, alpha, beta
+
+
+def lipschitz_dual_value(sites, signed_mass, caps, tol=_TOL_RC, warm=None):
+    """Optimal F_r value via the boundary transportation problem.
+
+    ``signed_mass`` must contain both signs (one-signed instances have a
+    closed form and never reach this routine).  ``warm`` is passed on to
+    `transport_simplex`.  Raises `SolverError` if the duals fail the
+    optimality audit.
+    """
+    return _solve_boundary(sites, signed_mass, caps, tol, warm)[0]
+
+
+def lipschitz_potential(sites, signed_mass, caps):
+    """Optimal F_r value and a maximizing site potential, from the duals.
+
+    The c-transform ``f(x) = min(cap(x), min_b g_b + |x - y_b|)`` of the
+    negative-site duals ``g_b = -(beta[b] + alpha[B])`` is 1-Lipschitz, has
+    ``|f| <= cap`` (cell (B, b) gives ``g_b >= -cap_b``), ``f <= g_b`` on
+    negative sites and ``f >= alpha[a] + beta[B]`` on positive ones (cells
+    (a, b), (a, B), (B, B)), so ``sum(mass * f)`` reaches the dual optimum.
+    Returns the transport value, bit-identical to `lipschitz_dual_value`,
+    and f at every site.  Raises `SolverError` if the duals fail the
+    optimality audit.
+    """
+    value, neg, alpha, beta = _solve_boundary(sites, signed_mass, caps,
+                                              _TOL_RC, None)
+    g = -(beta[:-1] + alpha[-1])
+    diff = sites[:, None, :] - sites[neg][None, :, :]
+    reach = g[None, :] + np.sqrt(np.sum(diff * diff, axis=-1))
+    return value, np.minimum(caps, reach.min(axis=1))

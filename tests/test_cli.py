@@ -262,6 +262,13 @@ def test_bad_config_exits_2(tmp_path):
     assert run_cli(["density", "--config", cfg]) == 2
 
 
+def test_dmo_boundary_probe_of_wrong_length_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, DMO_CFG.replace(
+        "probes = 16", "probes = 16\nboundary_probe = 0.1, 0.2, 0.3"))
+    assert run_cli(["dmo", "--config", cfg]) == 2
+    assert "boundary_probe needs 2 coordinates" in capsys.readouterr().err
+
+
 def test_resolution_guard_exits_3(tmp_path):
     cfg = write_cfg(tmp_path, """
 [measure]

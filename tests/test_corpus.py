@@ -17,11 +17,18 @@ def test_cantor_level_one_centers():
     assert np.all(entry.measure.weights == 0.25)
 
 
-@pytest.mark.parametrize("depth", [1, 3, 5, 7])
+@pytest.mark.parametrize("depth", range(1, 8))
 def test_cantor_total_mass_exact(depth):
     entry = gen_four_corner_cantor(depth)
     assert entry.measure.size == 4 ** depth
     assert entry.measure.total_mass == 1.0
+    # Centers in integer units of 4^-depth / 2, built in the same order.
+    corners = [(0, 0)]
+    for _ in range(depth):
+        corners = [(4 * x + 3 * dx, 4 * y + 3 * dy) for x, y in corners
+                   for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    centers = (2 * np.array(corners, dtype=float) + 1) / (2 * 4 ** depth)
+    assert np.array_equal(entry.measure.points, centers)
 
 
 def test_cantor_self_similarity_box_mass():

@@ -1,16 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import random_cloud
-from gmtlab import lipmetric
+from gmtlab import lipmetric, transport
 from gmtlab.errors import (ContractError, DimensionMismatchError, LpSizeError,
                            SolverError)
 from gmtlab.lipmetric import (assemble_ball_lp, f_ball, f_ball_potential,
                               f_scaling_residual, f_series, solve_ball_lp,
                               solve_ball_lp_potential)
 from gmtlab.measures import DiscreteMeasure
-from gmtlab.simplex import SimplexResult
+from gmtlab.simplex import simplex_max_bounded
 
 
 def _grid_oracle_1d(mu, nu, r, grid_n=400):
@@ -117,13 +124,20 @@ def test_grid_oracle_1d(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_transport_agrees_with_dense_simplex(seed):
+    # The pure-numpy reference LP on the full primal program: every ordered
+    # pair row f_i - f_j <= |x_i - x_j| and the box |f_i| <= cap_i.
     rng = np.random.default_rng(40 + seed)
     mu = random_cloud(rng, int(rng.integers(3, 16)))
     nu = random_cloud(rng, int(rng.integers(3, 16)))
     lp = assemble_ball_lp(mu, nu, float(rng.uniform(0.6, 2.0)))
+    i, j = np.nonzero(~np.eye(lp.size, dtype=bool))
+    A = np.zeros((i.size, lp.size))
+    A[np.arange(i.size), i] = 1.0
+    A[np.arange(i.size), j] = -1.0
+    dist = np.sqrt(np.sum((lp.sites[i] - lp.sites[j]) ** 2, axis=1))
+    ref = simplex_max_bounded(A, dist, lp.signed_mass, -lp.caps, lp.caps)
     v1 = solve_ball_lp(lp)
-    v2, _ = solve_ball_lp_potential(lp)
-    assert v1 == pytest.approx(v2, abs=1e-8 * (1 + v1))
+    assert v1 == pytest.approx(ref.value, abs=1e-8 * (1 + v1))
 
 
 def test_potential_is_feasible_and_attains_value():
@@ -218,13 +232,72 @@ def test_scaling_residual_exact_at_unit():
     assert f_scaling_residual(mu, nu, 1.0) == 0.0
 
 
-def test_row_generation_non_convergence_is_a_solver_error(monkeypatch):
-    # A simplex that keeps returning the same pair-violating point never
-    # lets the row generation settle.
-    def stuck(A, b, c, lo, hi):
-        return SimplexResult(0.0, hi * np.sign(c), 0)
-    monkeypatch.setattr(lipmetric, "simplex_max_bounded", stuck)
-    lp = assemble_ball_lp(DiscreteMeasure.dirac(np.zeros(2)),
-                          DiscreteMeasure.dirac(np.array([0.1, 0.0])), 1.0)
-    with pytest.raises(SolverError, match="row generation"):
+def test_corrupted_duals_fail_the_potential_gap_audit(monkeypatch):
+    # Lowering every column dual keeps the duals feasible, so only the gap
+    # between sum(mass * f) and the value can catch them.
+    real = transport.transport_simplex
+
+    def corrupted(*args, **kwargs):
+        value, alpha, beta = real(*args, **kwargs)
+        return value, alpha, beta - 0.25
+    monkeypatch.setattr(transport, "transport_simplex", corrupted)
+    lp = assemble_ball_lp(DiscreteMeasure.dirac(np.zeros(2), 0.5),
+                          DiscreteMeasure.dirac(np.array([0.1, 0.0])), 2.0)
+    with pytest.raises(SolverError, match="c-transform"):
         solve_ball_lp_potential(lp)
+
+
+def _hostile_pair(rng, n_mu, n_nu, r, dup, sphere, cancel):
+    """Two clouds in the ball with the atoms the potential must survive."""
+    p_mu = rng.normal(size=(n_mu, 2)) * (0.5 * r)
+    w_mu = rng.uniform(0.1, 1.0, n_mu)
+    p_nu = rng.normal(size=(n_nu, 2)) * (0.5 * r)
+    w_nu = rng.uniform(0.1, 1.0, n_nu)
+    if dup:
+        # Exact duplicates within mu, and nu atoms on mu's, some of them
+        # cancelling exactly when duplicates merge.
+        p_mu[-1] = p_mu[0]
+        k = min(n_mu, n_nu) // 2
+        p_nu[:k] = p_mu[:k]
+        w_nu[:k // 2] = w_mu[:k // 2]
+    if sphere:
+        # Atoms on |x| = r: axis points exactly, the rest up to rounding.
+        t = rng.uniform(0.0, 2.0 * np.pi, 2)
+        p_mu[0] = [r, 0.0]
+        p_nu[-1] = [0.0, -r]
+        p_mu[1] = r * np.array([np.cos(t[0]), np.sin(t[0])])
+        p_nu[0] = r * np.array([np.cos(t[1]), np.sin(t[1])])
+    if cancel:
+        # nu repeats mu with masses off by one part in 1e9 (either sign).
+        p_nu, w_nu = p_mu.copy(), w_mu * (1.0 + 1e-9 * rng.choice(
+            [-1.0, 1.0], n_mu))
+    return DiscreteMeasure(p_mu, w_mu), DiscreteMeasure(p_nu, w_nu)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_mu=st.integers(2, 14),
+       n_nu=st.integers(2, 14), r=st.sampled_from([0.5, 1.0, 2.0]),
+       dup=st.booleans(), sphere=st.booleans(), cancel=st.booleans())
+def test_dual_recovered_potential_is_feasible_and_attains_value(
+        seed, n_mu, n_nu, r, dup, sphere, cancel):
+    rng = np.random.default_rng(seed)
+    mu, nu = _hostile_pair(rng, n_mu, n_nu, r, dup, sphere, cancel)
+    value, sites, f = f_ball_potential(mu, nu, r)
+    assert value == f_ball(mu, nu, r)
+    lp = assemble_ball_lp(mu, nu, r)
+    assert np.array_equal(sites, lp.sites)
+    dist = np.sqrt(np.sum((sites[:, None] - sites[None]) ** 2, axis=-1))
+    assert np.all(np.abs(f[:, None] - f[None, :]) <= dist + 1e-12)
+    assert np.all(np.abs(f) <= lp.caps + 1e-12)
+    assert abs(float(lp.signed_mass @ f) - value) <= 1e-9 * (1 + value)
+
+
+def test_import_loads_no_dense_simplex():
+    code = ("import sys, gmtlab, gmtlab.cli; "
+            "print('gmtlab.simplex' in sys.modules)")
+    src = str(Path(lipmetric.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "False"
