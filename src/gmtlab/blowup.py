@@ -17,8 +17,9 @@ A scale ladder drives three intertwined diagnostics at a base point a:
                       that holds up to discretization slack whenever the
                       density exists.
 
-A resolution guard refuses ladders whose smallest radius does not dominate
-the sample spacing; refusing beats reporting noise.
+Distances are computed once per base point (per blowup for the sandwich) and
+masked per scale.  A resolution guard refuses ladders whose smallest radius
+does not dominate the sample spacing; refusing beats reporting noise.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 
 from .cones import cone_floor, d_cone_flat, symmetry_defect
 from .errors import ContractError, ResolutionGuardError
-from .measures import (Ball, DiscreteMeasure, ellipse_ball, lambda_rescale,
-                       mass_in)
+from .measures import (Ball, DiscreteMeasure, ball_masses, ellipse_ball,
+                       lambda_rescale, mass_in)
 from .reports import ScanReport
 
 # Each ellipse must contain at least this many sample cells per tangent
@@ -76,9 +77,10 @@ class ScaleLadder:
         return float(self.r0 * self.rho ** (self.count - 1))
 
 
-def ellipse_density(mu, a, r, anisotropy, m):
-    """mu(B_M(a, r)) / r^m, the finite-scale anisotropic density."""
-    return mass_in(mu, ellipse_ball(a, r, anisotropy)) / r ** m
+def _densities(mu, a, anisotropy, m, radii):
+    """The finite-scale anisotropic densities mu(B_M(a, r)) / r^m, r in radii."""
+    masses = ball_masses(mu, ellipse_ball(a, min(radii), anisotropy), radii)
+    return np.array([mass / r ** m for mass, r in zip(masses, radii)])
 
 
 def density_scan(mu, a, anisotropy, m, ladder):
@@ -88,7 +90,7 @@ def density_scan(mu, a, anisotropy, m, ladder):
     report flags that rather than failing.
     """
     radii = ladder.radii
-    dens = np.array([ellipse_density(mu, a, r, anisotropy, m) for r in radii])
+    dens = _densities(mu, a, anisotropy, m, radii)
     running = []
     top, bot = -np.inf, np.inf
     for v in dens:
@@ -119,8 +121,8 @@ class BlowupSequence:
 
     ``measures[i]`` is None when mass normalization hit an empty ellipse at
     that scale (index also recorded in ``skipped``).  ``densities`` holds the
-    power-law density at each scale, computed along the same arithmetic path
-    as `density_scan`.
+    power-law density at each scale (NaN without m), from the very routine
+    `density_scan` uses.
     """
 
     radii: np.ndarray
@@ -143,31 +145,27 @@ def blowup_sequence(mu, a, anisotropy, ladder, mode="power", m=None):
         raise ContractError(f"unknown normalization mode {mode!r}")
     if mode == "power" and m is None:
         raise ContractError("power mode needs the dimension parameter m")
-    a = np.asarray(a, dtype=float).reshape(-1)
     radii = ladder.radii
     window = Ball(np.zeros(mu.dim), WINDOW_RADIUS)
-    measures, skipped, densities = [], [], []
+    measures, skipped = [], []
     for i, r in enumerate(radii):
         resc = lambda_rescale(mu, a, float(r), anisotropy)
-        unit_mass = mass_in(resc, Ball(np.zeros(mu.dim), 1.0))
-        densities.append(
-            ellipse_density(mu, a, float(r), anisotropy, m) if m is not None
-            else np.nan
-        )
         inside = window.contains(resc.points)
         kept = DiscreteMeasure(resc.points[inside], resc.weights[inside],
                                dim=mu.dim)
-        if mode == "mass":
-            if unit_mass <= 0.0:
-                measures.append(None)
-                skipped.append(i)
-                continue
-            measures.append(kept.scaled(1.0 / unit_mass))
-        else:
+        if mode == "power":
             measures.append(kept.scaled(float(r) ** (-m)))
-    return BlowupSequence(radii=radii, measures=measures,
-                          densities=np.asarray(densities), mode=mode, m=m,
-                          skipped=skipped)
+            continue
+        unit_mass = mass_in(resc, Ball(np.zeros(mu.dim), 1.0))
+        if unit_mass <= 0.0:
+            measures.append(None)
+            skipped.append(i)
+            continue
+        measures.append(kept.scaled(1.0 / unit_mass))
+    densities = (np.full(radii.size, np.nan) if m is None
+                 else _densities(mu, a, anisotropy, m, radii))
+    return BlowupSequence(radii=radii, measures=measures, densities=densities,
+                          mode=mode, m=m, skipped=skipped)
 
 
 def flatness_profile(blowups, m, s=1.0):
@@ -225,12 +223,12 @@ def sandwich_check(mu, a, anisotropy, m, ladder, R_list):
 
     rows_r, rows_R, viol = [], [], []
     for r, nu in zip(seq.radii, seq.measures):
-        for R in R_list:
-            val = mass_in(nu, Ball(np.zeros(mu.dim), R)) / R ** m
-            gap = max(dmin - val, val - dmax, 0.0)
+        masses = ball_masses(nu, Ball(np.zeros(mu.dim), max(R_list)), R_list)
+        for R, mass in zip(R_list, masses):
+            val = mass / R ** m
             rows_r.append(float(r))
             rows_R.append(R)
-            viol.append(gap)
+            viol.append(max(dmin - val, val - dmax, 0.0))
     slack = 3.0 * ladder.spacing / (ladder.r_min * ladder.rho)
     worst = float(max(viol))
     return ScanReport(

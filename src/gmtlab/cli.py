@@ -156,6 +156,9 @@ def measure_from_config(cfg, section="measure"):
 
 def field_from_config(cfg, dim, section="field"):
     kind = cfg.get(section, "kind", "identity")
+    if kind == "rotating" and dim != 2:
+        raise ConfigError(f"[{section}] kind = rotating is 2-D only, "
+                          f"but n = {dim}")
     if kind == "identity":
         return EllipseField.identity(dim)
     if kind == "constant":
@@ -371,9 +374,9 @@ def cmd_dmo(cfg, out, threads, seed):
 
 
 def cmd_generate(cfg, out, threads, seed):
-    entry = measure_from_config(cfg)
     if out is None:
         raise ConfigError("generate requires --out PATH for the measure CSV")
+    entry = measure_from_config(cfg)
     save_measure_csv(entry.measure, out,
                      header_comment=f"config_sha256={cfg.sha256()}")
     manifest_path = cfg.get("generate", "manifest")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionMismatchError
 from .lipmetric import SITE_CAP, f_ball
-from .measures import Ball, DiscreteMeasure, mass_in
+from .measures import Ball, DiscreteMeasure, lambda_distances, mass_in
 from .transport import WarmStart
 
 # Candidate-plane grid spacing relative to the scale s, per dimension m of
@@ -429,14 +429,13 @@ def symmetry_defect(nu, x, r, R, m):
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != nu.dim:
         raise DimensionMismatchError("defect center dimension mismatch")
-    diff = x[None, :] - nu.points
-    dist = np.sqrt(np.sum(diff * diff, axis=1))
+    u, dist = lambda_distances(nu.points, x)
     # Closed annulus with the same relative tie tolerance as ball membership,
     # so mirror pairs straddling a cut by an ulp stay paired.
     mask = (dist >= r * (1.0 - 1e-12)) & (dist <= R * (1.0 + 1e-12))
     if not mask.any():
         return 0.0
-    kern = diff[mask] / dist[mask, None] ** (m + 1)
+    kern = -u[mask] / dist[mask, None] ** (m + 1)  # x - z, exactly
     total = (nu.weights[mask, None] * kern).sum(axis=0)
     return float(np.linalg.norm(total))
 
@@ -465,9 +464,9 @@ def uniformity_defect(nu, probe_pairs, radii, seed=0):
     if not radii or min(radii) <= 0:
         raise ContractError("radii must be positive")
     center = 0.5 * (support.min(axis=0) + support.max(axis=0))
-    bound = np.sqrt(np.sum((support - center) ** 2, axis=1)).max()
-    inner = support[np.sqrt(np.sum((support - center) ** 2, axis=1)) <= bound / 2] \
-        if bound > 0 else support
+    dist = lambda_distances(support, center)[1]
+    bound = dist.max()
+    inner = support[dist <= bound / 2] if bound > 0 else support
     if inner.shape[0] < 2:
         inner = support
     rng = np.random.default_rng(seed)

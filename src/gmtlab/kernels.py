@@ -18,7 +18,8 @@ Three kernel flavors act on pairs (x, y), all singular at y = x:
 Truncated sums integrate a kernel against a discrete measure over the window
 eps <= |L(x)^{-1}(y-x)| < R (ellipse truncation; the euclidean window is
 available as an option without any equivalence claim).  The convergence scan
-classifies the eps-ladder behavior as converged / oscillating / diverging,
+masks one pass of kernel rows and window distances per eps, as `truncated_pv`
+does, and classifies the ladder as converged / oscillating / diverging,
 and ``frozen_discrepancy`` measures how far the kernel frozen at a ball
 average drifts from the kernel frozen at the center, the engine of the
 variable-coefficient comparison.
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionMismatchError, ResolutionGuardError
-from .measures import TIE_TOL, EllipseField, ball_midpoints
+from .measures import TIE_TOL, EllipseField, ball_midpoints, lambda_distances
 from .reports import ScanReport
 
 _SQRT_RESIDUAL_TOL = 1e-10
@@ -63,8 +64,8 @@ class KernelSpec:
 
     ``riesz`` uses the matrix field and codimension m; ``theta`` uses the SPD
     matrix (m ignored, the exponent is n/2); ``finsler`` uses the SPD matrix
-    and m.  For theta/finsler the SPD square root is computed once and reused
-    for the ellipse truncation window.
+    and m.  For theta/finsler the inverse SPD square root is computed once and
+    reused for the ellipse truncation window.
     """
 
     flavor: str
@@ -73,7 +74,6 @@ class KernelSpec:
     anisotropy: EllipseField | None = None
     matrix: np.ndarray | None = None
     constant: float = 1.0
-    _sqrt: np.ndarray | None = field(default=None, repr=False, compare=False)
     _sqrt_inv: np.ndarray | None = field(default=None, repr=False, compare=False)
     _inv: np.ndarray | None = field(default=None, repr=False, compare=False)
     _det_root: float | None = field(default=None, repr=False, compare=False)
@@ -96,16 +96,11 @@ class KernelSpec:
             a = np.asarray(self.matrix, dtype=float)
             if a.shape != (n, n):
                 raise ContractError("matrix shape must match dim")
-            root = spd_sqrt(a)
             object.__setattr__(self, "matrix", a)
-            object.__setattr__(self, "_sqrt", root)
-            object.__setattr__(self, "_sqrt_inv", np.linalg.inv(root))
+            object.__setattr__(self, "_sqrt_inv", np.linalg.inv(spd_sqrt(a)))
             object.__setattr__(self, "_inv", np.linalg.inv(a))
             object.__setattr__(self, "_det_root",
                                float(np.sqrt(np.linalg.det(a))))
-
-    def sqrt_matrix(self):
-        return self._sqrt
 
 
 def riesz_kernel(anisotropy, m):
@@ -125,31 +120,20 @@ def finsler_kernel(matrix, m):
 def _kernel_rows(spec, x, targets):
     """Kernel vectors K(x, y) for all rows y of ``targets``, vectorized.
 
-    Returns (values, window_radii): the truncation variable is
-    |L^{-1}(y - x)| with L the anisotropy at x (riesz) or the SPD square root
-    (theta/finsler).
+    Returns (values, window_radii): the truncation variable is the
+    Lambda-distance |L^{-1}(y - x)| (`lambda_distances`) with L the anisotropy
+    at x (riesz) or the SPD square root (theta/finsler).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    diff = targets - x
-    n = spec.dim
     if spec.flavor == "riesz":
-        inv = spec.anisotropy.inverse(x)
-        u = diff @ inv.T
-        t = np.sqrt(np.sum(u * u, axis=1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = u / t[:, None] ** (spec.m + 1)
-        return vals, t
-    inv_root = spec._sqrt_inv
-    u = diff @ inv_root.T
-    t = np.sqrt(np.sum(u * u, axis=1))
-    w = diff @ spec._inv.T
-    if spec.flavor == "theta":
-        denom = spec._det_root * t ** n
+        w, t = lambda_distances(targets, x, spec.anisotropy.inverse(x))
     else:
-        denom = t ** (spec.m + 1)
+        t = lambda_distances(targets, x, spec._sqrt_inv)[1]
+        w = spec.constant * lambda_distances(targets, x, spec._inv)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = spec.constant * w / denom[:, None]
-    return vals, t
+        denom = (spec._det_root * t ** spec.dim if spec.flavor == "theta"
+                 else t ** (spec.m + 1))
+        return w / denom[:, None], t
 
 
 def kernel_eval(spec, x, y):
@@ -164,32 +148,37 @@ def kernel_eval(spec, x, y):
     return vals[0]
 
 
+def _window_sums(spec, mu, x, eps_list, R, truncation):
+    """Truncated sums for every eps in ``eps_list`` from one kernel-row pass:
+    the rows and their window distances are computed once, masked per eps."""
+    outer = np.inf if R is None else float(R)
+    for eps in eps_list:
+        if not 0 < eps < outer:
+            raise ContractError(f"need 0 < eps < R, got ({eps}, {outer})")
+    if truncation not in ("ellipse", "euclidean"):
+        raise ContractError(f"unknown truncation {truncation!r}")
+    if mu.dim != spec.dim:
+        raise DimensionMismatchError("measure dimension mismatch")
+    x = np.asarray(x, dtype=float).reshape(-1)
+    vals, t = _kernel_rows(spec, x, mu.points)
+    if truncation == "euclidean":
+        t = lambda_distances(mu.points, x)[1]
+    # Tie-tolerant half-open window [eps, R): mirror-symmetric samples whose
+    # float distances straddle a cut by an ulp must land on the same side, or
+    # odd-kernel cancellation breaks at the boundary spheres.
+    inner = t < outer * (1.0 - TIE_TOL)
+    masks = ((t >= eps * (1.0 - TIE_TOL)) & inner for eps in eps_list)
+    return [(mu.weights[k, None] * vals[k]).sum(axis=0) if k.any()
+            else np.zeros(spec.dim) for k in masks]
+
+
 def truncated_pv(spec, mu, x, eps, R=None, truncation="ellipse"):
     """Weighted kernel sum over the window eps <= |L^{-1}(y - x)| < R.
 
     ``truncation="euclidean"`` windows on |y - x| instead; the two are not
     claimed equivalent.  Atoms at x itself are excluded by the truncation.
     """
-    if not eps > 0:
-        raise ContractError("eps must be positive")
-    outer = np.inf if R is None else float(R)
-    if not eps < outer:
-        raise ContractError(f"need eps < R, got ({eps}, {outer})")
-    if truncation not in ("ellipse", "euclidean"):
-        raise ContractError(f"unknown truncation {truncation!r}")
-    if mu.dim != spec.dim:
-        raise DimensionMismatchError("measure dimension mismatch")
-    vals, t = _kernel_rows(spec, x, mu.points)
-    if truncation == "euclidean":
-        diff = mu.points - np.asarray(x, dtype=float).reshape(-1)
-        t = np.sqrt(np.sum(diff * diff, axis=1))
-    # Tie-tolerant half-open window [eps, R): mirror-symmetric samples whose
-    # float distances straddle a cut by an ulp must land on the same side, or
-    # odd-kernel cancellation breaks at the boundary spheres.
-    mask = (t >= eps * (1.0 - TIE_TOL)) & (t < outer * (1.0 - TIE_TOL))
-    if not mask.any():
-        return np.zeros(spec.dim)
-    return (mu.weights[mask, None] * vals[mask]).sum(axis=0)
+    return _window_sums(spec, mu, x, [eps], R, truncation)[0]
 
 
 def pv_convergence_scan(spec, mu, x, eps_ladder, spacing, R=None,
@@ -217,10 +206,7 @@ def pv_convergence_scan(spec, mu, x, eps_ladder, spacing, R=None,
             f"bottom rung {ladder[-1]} below 5 * spacing = {5 * spacing}"
         )
 
-    values = np.array([
-        truncated_pv(spec, mu, x, e, R=R, truncation=truncation)
-        for e in ladder
-    ])
+    values = np.array(_window_sums(spec, mu, x, ladder, R, truncation))
     diffs = np.linalg.norm(np.diff(values, axis=0), axis=1)
     norms = np.linalg.norm(values, axis=1)
 
@@ -335,6 +321,6 @@ def frozen_discrepancy(field, a, r, annulus=(0.5, 2.0), grid=16):
     k_loc = theta_kernel(local)
     v_avg, _ = _kernel_rows(k_avg, a, ys)
     v_loc, _ = _kernel_rows(k_loc, a, ys)
-    dist = np.sqrt(np.sum((ys - a) ** 2, axis=1))
+    dist = lambda_distances(ys, a)[1]
     gap = np.sqrt(np.sum((v_avg - v_loc) ** 2, axis=1)) * dist ** (n - 1)
     return float(gap.max())

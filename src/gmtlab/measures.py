@@ -12,7 +12,9 @@ driven by a matrix field a |-> M(a).
 
 All objects are immutable values; every operation returns a new measure.
 Ball membership is closed with a tie tolerance of ``TIE_TOL`` relative to the
-radius so floating-point boundary ties resolve deterministically.
+radius so floating-point boundary ties resolve deterministically.  Every
+Lambda(a)-distance comes from `lambda_distances`; scans compute it once per
+base point and mask it per radius, so their masses equal `mass_in` exactly.
 """
 
 from __future__ import annotations
@@ -167,11 +169,7 @@ class Ball:
 
     def contains(self, points):
         """Boolean mask of points inside the closed ball (tie-tolerant)."""
-        pts = np.asarray(points, dtype=float)
-        diff = pts - self.center
-        if self.matrix is not None:
-            diff = diff @ self._inv.T
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        dist = lambda_distances(points, self.center, self._inv)[1]
         return dist <= self.radius * (1.0 + TIE_TOL)
 
 
@@ -385,14 +383,32 @@ class EllipseField:
 # Operations
 # ---------------------------------------------------------------------------
 
+def lambda_distances(points, center, inv=None):
+    """Rows u = inv (y - center) for the rows y of ``points`` (u = y - center
+    when ``inv`` is None) and their norms |u|: the one place the package
+    computes a Lambda(a)-distance.  Scans compute it once per base point."""
+    u = np.asarray(points, dtype=float) - center
+    if inv is not None:
+        u = u @ inv.T
+    return u, np.sqrt(np.sum(u * u, axis=-1))
+
+
 def mass_in(mu, ball):
     """Total mass of ``mu`` inside a closed (euclidean or ellipse) ball."""
+    return ball_masses(mu, ball, [ball.radius])[0]
+
+
+def ball_masses(mu, ball, radii):
+    """Masses of ``mu`` in the closed balls with the center and matrix of
+    ``ball`` and each radius in ``radii``, from one distance pass; entry i
+    equals `mass_in` of the ball of radius ``radii[i]`` bit for bit."""
     if ball.dim != mu.dim:
         raise DimensionMismatchError(
             f"ball in R^{ball.dim} but measure in R^{mu.dim}"
         )
-    mask = ball.contains(mu.points)
-    return float(mu.weights[mask].sum())
+    dist = lambda_distances(mu.points, ball.center, ball._inv)[1]
+    return [float(mu.weights[dist <= r * (1.0 + TIE_TOL)].sum())
+            for r in radii]
 
 
 def restrict(mu, region):
@@ -442,7 +458,7 @@ def ball_midpoints(center, r, k):
     offsets = (np.arange(k) + 0.5) / k * (2 * r) - r
     grids = np.meshgrid(*([offsets] * center.size), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1) + center
-    return pts[np.sqrt(np.sum((pts - center) ** 2, axis=1)) <= r]
+    return pts[lambda_distances(pts, center)[1] <= r]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from gmtlab import corpus
 from gmtlab.measures import DiscreteMeasure, EllipseField
+
+# Every property test is reproducible: a fixed example sequence, no example
+# database on disk and no per-example deadline (LP solves vary in time).
+# Each test sets only its own max_examples.
+settings.register_profile("gmtlab", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("gmtlab")
 
 
 @pytest.fixture(scope="session")

@@ -269,6 +269,50 @@ def test_dmo_boundary_probe_of_wrong_length_exits_2(tmp_path, capsys):
     assert "boundary_probe needs 2 coordinates" in capsys.readouterr().err
 
 
+def test_dmo_rotating_field_in_3d_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, """
+[dmo]
+n = 3
+probes = 4
+[field]
+kind = rotating
+""")
+    assert run_cli(["dmo", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "rotating" in err and "n = 3" in err
+
+
+def test_density_rotating_field_on_3d_measure_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, """
+[measure]
+kind = flat
+n = 3
+m = 1
+h = 0.001
+[field]
+kind = rotating
+[density]
+center = 0,0,0
+m = 1
+""")
+    assert run_cli(["density", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "rotating" in err and "n = 3" in err
+
+
+def test_generate_without_out_exits_2_before_building(tmp_path, monkeypatch,
+                                                      capsys):
+    from gmtlab import corpus
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure built before --out was checked")
+
+    monkeypatch.setattr(corpus, "gen_four_corner_cantor", refuse)
+    cfg = write_cfg(tmp_path, "[measure]\nkind = cantor\ndepth = 10\n")
+    assert run_cli(["generate", "--config", cfg]) == 2
+    assert "requires --out" in capsys.readouterr().err
+
+
 def test_resolution_guard_exits_3(tmp_path):
     cfg = write_cfg(tmp_path, """
 [measure]

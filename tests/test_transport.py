@@ -166,7 +166,7 @@ def _chain(seed, kind, p, q, angles):
     return problems
 
 
-@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        kind=st.sampled_from(["metric", "ties", "equal"]),
        p=st.integers(1, 12), q=st.integers(1, 12),
