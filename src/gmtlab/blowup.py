@@ -17,9 +17,9 @@ A scale ladder drives three intertwined diagnostics at a base point a:
                       that holds up to discretization slack whenever the
                       density exists.
 
-Distances are computed once per base point (per blowup for the sandwich) and
-masked per scale.  A resolution guard refuses ladders whose smallest radius
-does not dominate the sample spacing; refusing beats reporting noise.
+Distances are computed once per base point and masked per scale.  A
+resolution guard refuses ladders whose smallest radius does not dominate the
+sample spacing; refusing beats reporting noise.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 
 from .cones import cone_floor, d_cone_flat, symmetry_defect
 from .errors import ContractError, ResolutionGuardError
-from .measures import (Ball, DiscreteMeasure, ball_masses, ellipse_ball,
-                       lambda_rescale, mass_in)
+from .measures import (Ball, ball_masses, ellipse_ball, lambda_rescale,
+                       restrict)
 from .reports import ScanReport
 
 # Each ellipse must contain at least this many sample cells per tangent
@@ -77,10 +77,9 @@ class ScaleLadder:
         return float(self.r0 * self.rho ** (self.count - 1))
 
 
-def _densities(mu, a, anisotropy, m, radii):
-    """The finite-scale anisotropic densities mu(B_M(a, r)) / r^m, r in radii."""
-    masses = ball_masses(mu, ellipse_ball(a, min(radii), anisotropy), radii)
-    return np.array([mass / r ** m for mass, r in zip(masses, radii)])
+def _ellipse_masses(mu, a, anisotropy, radii):
+    """The ellipse masses mu(B_M(a, r)), r in radii, from one distance pass."""
+    return ball_masses(mu, ellipse_ball(a, min(radii), anisotropy), radii)
 
 
 def density_scan(mu, a, anisotropy, m, ladder):
@@ -90,7 +89,8 @@ def density_scan(mu, a, anisotropy, m, ladder):
     report flags that rather than failing.
     """
     radii = ladder.radii
-    dens = _densities(mu, a, anisotropy, m, radii)
+    masses = _ellipse_masses(mu, a, anisotropy, radii)
+    dens = np.array([mass / r ** m for mass, r in zip(masses, radii)])
     running = []
     top, bot = -np.inf, np.inf
     for v in dens:
@@ -111,6 +111,8 @@ def density_gap_verdict(report, threshold):
     constant of the density-gap rectifiability criterion, whose numeric value
     is not pinned down.
     """
+    if not 0 < threshold < np.inf:
+        raise ContractError(f"need 0 < threshold < inf, got {threshold}")
     ratio = report.meta["gap_ratio"]
     return "small-gap" if ratio - 1.0 < threshold else "large-gap"
 
@@ -137,33 +139,31 @@ class BlowupSequence:
 def blowup_sequence(mu, a, anisotropy, ladder, mode="power", m=None):
     """Blowups c_i . T^M_{a, r_i}[mu] restricted to the window ball.
 
-    ``power`` mode uses c_i = r_i^{-m} (needs m); ``mass`` mode normalizes
-    each blowup to unit mass on B(0, 1) and skips scales where the ellipse
-    carries no mass.
+    ``power`` mode uses c_i = r_i^{-m} (needs m); ``mass`` mode uses
+    c_i = 1/mu(B_M(a, r_i)), unit mass on B(0, 1), and skips the scales
+    where that ellipse carries no mass before rescaling them.
     """
     if mode not in ("power", "mass"):
         raise ContractError(f"unknown normalization mode {mode!r}")
     if mode == "power" and m is None:
         raise ContractError("power mode needs the dimension parameter m")
     radii = ladder.radii
+    masses = _ellipse_masses(mu, a, anisotropy, radii)
     window = Ball(np.zeros(mu.dim), WINDOW_RADIUS)
     measures, skipped = [], []
-    for i, r in enumerate(radii):
-        resc = lambda_rescale(mu, a, float(r), anisotropy)
-        inside = window.contains(resc.points)
-        kept = DiscreteMeasure(resc.points[inside], resc.weights[inside],
-                               dim=mu.dim)
+    for i, (r, mass) in enumerate(zip(radii, masses)):
         if mode == "power":
-            measures.append(kept.scaled(float(r) ** (-m)))
-            continue
-        unit_mass = mass_in(resc, Ball(np.zeros(mu.dim), 1.0))
-        if unit_mass <= 0.0:
+            factor = float(r) ** (-m)
+        elif mass > 0.0:
+            factor = 1.0 / mass
+        else:
             measures.append(None)
             skipped.append(i)
             continue
-        measures.append(kept.scaled(1.0 / unit_mass))
-    densities = (np.full(radii.size, np.nan) if m is None
-                 else _densities(mu, a, anisotropy, m, radii))
+        resc = lambda_rescale(mu, a, float(r), anisotropy)
+        measures.append(restrict(resc, window).scaled(factor))
+    densities = (np.full(radii.size, np.nan) if m is None else
+                 np.array([mass / r ** m for mass, r in zip(masses, radii)]))
     return BlowupSequence(radii=radii, measures=measures, densities=densities,
                           mode=mode, m=m, skipped=skipped)
 
@@ -205,27 +205,29 @@ def sandwich_check(mu, a, anisotropy, m, ladder, R_list):
 
         dmin * R^m <= nu_i(B_R) <= dmax * R^m
 
-    where dmin/dmax are the extreme densities over the scanned window.  The
-    worst signed violation (in density units) is compared against the slack
-    3 h / (r_min * rho); violations beyond it mean the density-existence
-    hypothesis fails and the report says ``inconclusive``.
+    where dmin/dmax are the extreme densities over the scanned window and
+    nu_i(B_R) = r_i^{-m} mu(B_M(a, r_i R)) is read off the densities' one
+    distance pass.  The worst signed violation (in density units) is compared
+    against the slack 3 h / (r_min * rho); violations beyond it mean the
+    density-existence hypothesis fails and the report says ``inconclusive``.
     """
     R_list = [float(R) for R in R_list]
-    if not R_list or min(R_list) <= 0:
-        raise ContractError("R list must be positive")
-    if max(R_list) > WINDOW_RADIUS:
-        raise ContractError(f"R beyond the blowup window {WINDOW_RADIUS}")
-    seq = blowup_sequence(mu, a, anisotropy, ladder, mode="power", m=m)
-    dens = seq.densities
+    if not R_list or not all(0 < R <= WINDOW_RADIUS for R in R_list):
+        raise ContractError(f"R list must lie in (0, {WINDOW_RADIUS}], "
+                            f"got {R_list}")
+    radii = ladder.radii
+    masses = _ellipse_masses(mu, a, anisotropy, list(radii) + [
+        r * R for r in radii for R in R_list])
+    dens = np.array([mass / r ** m for mass, r in zip(masses, radii)])
     if np.min(dens) <= 0.0:
         raise ContractError("sandwich needs positive densities on the window")
     dmin, dmax = float(dens.min()), float(dens.max())
 
     rows_r, rows_R, viol = [], [], []
-    for r, nu in zip(seq.radii, seq.measures):
-        masses = ball_masses(nu, Ball(np.zeros(mu.dim), max(R_list)), R_list)
-        for R, mass in zip(R_list, masses):
-            val = mass / R ** m
+    shells = iter(masses[radii.size:])
+    for r in radii:
+        for R in R_list:
+            val = next(shells) * float(r) ** -m / R ** m
             rows_r.append(float(r))
             rows_R.append(R)
             viol.append(max(dmin - val, val - dmax, 0.0))

@@ -283,25 +283,22 @@ def cmd_blowup(cfg, out, threads, seed):
                                  mode="power", m=m)
     sandwich = blowup.sandwich_check(entry.measure, a, field, m, ladder, r_list)
     worst_by_scale = {}
-    for r, R, v in zip(sandwich.columns["r"], sandwich.columns["R"],
-                       sandwich.columns["violation"]):
+    for r, v in zip(sandwich.columns["r"], sandwich.columns["violation"]):
         worst_by_scale[r] = max(worst_by_scale.get(r, 0.0), v)
 
-    def stage(item):
-        r, nu = item
+    def stage(nu):
         flat = cones.d_cone_flat(nu, m, 1.0)
         sym = blowup.blowup_symmetry_defect(nu, m=m)
         return flat, sym
 
-    pairs = [(float(r), nu) for r, nu in zip(seq.radii, seq.measures)
-             if nu is not None]
-    staged = _parallel(stage, pairs, threads)
+    radii = [float(r) for r in seq.radii]
+    staged = _parallel(stage, seq.measures, threads)
     report = ScanReport(
         columns={
-            "r": [r for r, _ in pairs],
+            "r": radii,
             "flatness": [f for f, _ in staged],
             "symmetry_defect": [s for _, s in staged],
-            "sandwich_violation": [worst_by_scale[r] for r, _ in pairs],
+            "sandwich_violation": [worst_by_scale[r] for r in radii],
         },
         verdict=sandwich.verdict,
         meta={"slack": sandwich.meta["slack"]},

@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import ContractError, DimensionMismatchError
 from .lipmetric import SITE_CAP, f_ball
-from .measures import Ball, DiscreteMeasure, lambda_distances, mass_in
+from .measures import (TIE_TOL, Ball, DiscreteMeasure, lambda_distances,
+                       mass_in)
 from .transport import WarmStart
 
 # Candidate-plane grid spacing relative to the scale s, per dimension m of
@@ -142,7 +143,7 @@ def _rebin(measure, step, radius):
     effect on normalized cone distances is inside the reported floor.
     """
     pts = measure.points
-    keep = np.sqrt(np.sum(pts * pts, axis=1)) <= radius * (1 + 1e-12)
+    keep = np.sqrt(np.sum(pts * pts, axis=1)) <= radius * (1 + TIE_TOL)
     pts, w = pts[keep], measure.weights[keep]
     if pts.shape[0] == 0:
         return DiscreteMeasure.empty(measure.dim)
@@ -353,7 +354,8 @@ def d_cone_flat(nu, m, s, seed=0):
 
     def normalized_target(source, bin_step):
         tgt = source
-        inside = np.sqrt(np.sum(source.points ** 2, axis=1)) <= s * (1 + 1e-12)
+        inside = (np.sqrt(np.sum(source.points ** 2, axis=1))
+                  <= s * (1 + TIE_TOL))
         if int(inside.sum()) > SITE_CAP // 2:
             tgt = _rebin(source, bin_step, s)
         norm = f_ball(tgt, DiscreteMeasure.empty(n), s)
@@ -432,7 +434,7 @@ def symmetry_defect(nu, x, r, R, m):
     u, dist = lambda_distances(nu.points, x)
     # Closed annulus with the same relative tie tolerance as ball membership,
     # so mirror pairs straddling a cut by an ulp stay paired.
-    mask = (dist >= r * (1.0 - 1e-12)) & (dist <= R * (1.0 + 1e-12))
+    mask = (dist >= r * (1.0 - TIE_TOL)) & (dist <= R * (1.0 + TIE_TOL))
     if not mask.any():
         return 0.0
     kern = -u[mask] / dist[mask, None] ** (m + 1)  # x - z, exactly

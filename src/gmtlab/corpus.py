@@ -38,6 +38,14 @@ class CorpusEntry:
         return float(self.params.get("h", 0.0))
 
 
+def _positive_finite(**values):
+    """Reject a spacing, extent or radius that is not positive and finite."""
+    for name, value in values.items():
+        if not 0 < value < np.inf:
+            raise ContractError(f"{name} must be positive and finite, "
+                                f"got {value}")
+
+
 def gen_flat(n, m, c, radius, h, frame=None, name=None):
     """Grid sample of c * H^m restricted to an m-plane; label rectifiable."""
     if frame is None:
@@ -78,8 +86,7 @@ def gen_graph(f, lip_bound, domain, h, grad=None, name="graph"):
     difference unless ``grad`` is supplied).
     """
     a, b = float(domain[0]), float(domain[1])
-    if not b > a:
-        raise ContractError("empty graph domain")
+    _positive_finite(h=h, domain_width=b - a)
     t = np.arange(a, b + h / 2, h)
     ft = np.asarray([f(v) for v in t], dtype=float)
     if grad is not None:
@@ -153,6 +160,7 @@ def cantor_construction_corners(level):
 
 def gen_cross(h, extent=1.0):
     """Union of the two axes' H^1 samples: symmetric at 0, never flat there."""
+    _positive_finite(h=h, extent=extent)
     t = np.arange(-round(extent / h), round(extent / h) + 1) * h
     xs = np.column_stack([t, np.zeros_like(t)])
     ys = np.column_stack([np.zeros_like(t), t])
@@ -169,6 +177,7 @@ def gen_cross(h, extent=1.0):
 
 def gen_circle(h, radius=1.0):
     """Arc-length sample of the circle of the given radius about the origin."""
+    _positive_finite(h=h, radius=radius)
     count = int(round(2 * np.pi * radius / h))
     if count < 8:
         raise ContractError("spacing too coarse for the circle")

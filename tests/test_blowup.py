@@ -5,7 +5,7 @@ from gmtlab.blowup import (ScaleLadder, blowup_sequence, containment_constants,
                            density_gap_verdict, density_scan,
                            eccentricity_bucket, flatness_profile,
                            sandwich_check)
-from gmtlab.corpus import gen_graph
+from gmtlab.corpus import gen_graph, gen_lambda_field
 from gmtlab.errors import ContractError, ResolutionGuardError
 from gmtlab.measures import Ball, DiscreteMeasure, EllipseField, mass_in
 
@@ -59,6 +59,9 @@ def test_density_gap_verdicts(line_entry, cantor7_entry, identity2):
     assert cant_rep.meta["gap_ratio"] == pytest.approx(CANTOR_CORNER_GAP,
                                                        abs=0.05)
     assert density_gap_verdict(cant_rep, 0.05) == "large-gap"
+    for threshold in (np.nan, 0.0, -0.05, np.inf):
+        with pytest.raises(ContractError):
+            density_gap_verdict(line_rep, threshold)
 
 
 def test_blowup_power_mode_matches_density_scan(line_entry, identity2):
@@ -188,9 +191,64 @@ def test_sandwich_cantor_inconclusive(cantor7_entry, identity2):
 
 def test_sandwich_validates_window(line_entry, identity2):
     lad = ScaleLadder(**LINE_LADDER)
-    with pytest.raises(ContractError):
-        sandwich_check(line_entry.measure, np.zeros(2), identity2, 1, lad,
-                       [5.0])
+    # Every R must lie in (0, WINDOW_RADIUS]; NaN fails both comparisons.
+    for R_list in ([5.0], [], [0.5, np.nan], [np.inf], [0.0], [-1.0, 1.0],
+                   [1.0, 4.0 + 1e-9]):
+        with pytest.raises(ContractError):
+            sandwich_check(line_entry.measure, np.zeros(2), identity2, 1, lad,
+                           R_list)
+
+
+def _blowup_route_violations(mu, a, field, m, ladder, R_list):
+    """The sandwich read off the rescaled power blowups, mass_in(nu, B_R)."""
+    seq = blowup_sequence(mu, a, field, ladder, mode="power", m=m)
+    dmin, dmax = float(seq.densities.min()), float(seq.densities.max())
+    viol = []
+    for nu in seq.measures:
+        for R in R_list:
+            val = mass_in(nu, Ball(np.zeros(2), R)) / R ** m
+            viol.append(max(dmin - val, val - dmax, 0.0))
+    return viol
+
+
+def _graph_point(entry, t):
+    pts = entry.measure.points
+    return pts[np.argmin(np.abs(pts[:, 0] - t))]
+
+
+SCAN_LADDER = dict(r0=0.25, rho=0.63096, count=6, spacing=0.001)
+ROTATING = dict(kind="rotating", eccentricity=2.0, rate=1.0)
+CHECKERBOARD = dict(kind="checkerboard", m1=np.eye(2), m2=2.0 * np.eye(2),
+                    cell=0.5)
+# (fixture, base point, field, ladder, R list): the sandwich ladders above,
+# a sine-graph atom under the rotating field and a circle atom under the
+# checkerboard field (angle 0.3, in a cell where M = 2 I).
+ROUTE_CASES = {
+    "line": ("line_entry", lambda e: np.zeros(2), None, LINE_LADDER,
+             [0.5, 1.0, 2.0]),
+    "circle": ("circle_entry", lambda e: np.array([1.0, 0.0]), None,
+               dict(r0=0.2, rho=0.5, count=3, spacing=0.001), [0.5, 1.0, 2.0]),
+    "cantor": ("cantor7_entry", lambda e: np.zeros(2), None,
+               dict(r0=0.25, rho=0.5, count=3, spacing=4.0 ** -7), [0.7, 1.4]),
+    "rotating-graph": ("sine_graph_entry", lambda e: _graph_point(e, 0.3),
+                       ROTATING, SCAN_LADDER, [0.5, 1.0, 2.0]),
+    "checkerboard-circle": ("circle_entry", lambda e: e.measure.points[300],
+                            CHECKERBOARD, SCAN_LADDER, [0.5, 1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+def test_sandwich_agrees_with_the_blowup_route(request, identity2, case):
+    fixture, point, params, ladder, R_list = ROUTE_CASES[case]
+    entry = request.getfixturevalue(fixture)
+    field = identity2 if params is None else gen_lambda_field(**params)
+    a, lad = point(entry), ScaleLadder(**ladder)
+    rep = sandwich_check(entry.measure, a, field, 1, lad, R_list)
+    old = _blowup_route_violations(entry.measure, a, field, 1, lad, R_list)
+    for new, v in zip(rep.columns["violation"], old, strict=True):
+        assert abs(new - v) <= 1e-12 * (1 + abs(v))
+    assert rep.verdict == ("ok" if max(old) <= rep.meta["slack"]
+                           else "inconclusive")
 
 
 def test_containment_constants():

@@ -4,6 +4,7 @@ import pytest
 from gmtlab import transport
 from gmtlab.cli import RunConfig, _fmt, main
 from gmtlab.errors import SolverError
+from gmtlab.measures import lambda_rescale
 from gmtlab.simplex import simplex_max_bounded
 
 LINE_DENSITY_CFG = """
@@ -311,6 +312,49 @@ def test_generate_without_out_exits_2_before_building(tmp_path, monkeypatch,
     cfg = write_cfg(tmp_path, "[measure]\nkind = cantor\ndepth = 10\n")
     assert run_cli(["generate", "--config", cfg]) == 2
     assert "requires --out" in capsys.readouterr().err
+
+
+def test_blowup_builds_one_rescaling_per_rung(tmp_path, monkeypatch):
+    from gmtlab import blowup
+    calls = []
+
+    def counted(mu, a, r, field):
+        calls.append(r)
+        return lambda_rescale(mu, a, r, field)
+
+    monkeypatch.setattr(blowup, "lambda_rescale", counted)
+    cfg = write_cfg(tmp_path, BLOWUP_CFG)
+    assert run_cli(["blowup", "--config", cfg, "--out",
+                    str(tmp_path / "blowup.csv")]) == 0
+    assert calls == [0.5, 0.25]  # r0 = 0.5, rho = 0.5, count = 2
+
+
+def test_blowup_sandwich_R_nan_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BLOWUP_CFG.replace("sandwich_R = 0.5,1,2",
+                                                 "sandwich_R = 0.5,nan"))
+    out = tmp_path / "blowup.csv"
+    assert run_cli(["blowup", "--config", cfg, "--out", str(out)]) == 2
+    assert "R list must lie in" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_density_threshold_nan_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, LINE_DENSITY_CFG.replace("threshold = 0.05",
+                                                       "threshold = nan"))
+    out = tmp_path / "density.csv"
+    assert run_cli(["density", "--config", cfg, "--out", str(out)]) == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,h", [("cross", "0"), ("cross", "-0.01"),
+                                    ("circle", "nan"), ("graph", "0")])
+def test_generate_with_bad_spacing_exits_2(tmp_path, capsys, kind, h):
+    cfg = write_cfg(tmp_path, f"[measure]\nkind = {kind}\nh = {h}\n")
+    out = tmp_path / "measure.csv"
+    assert run_cli(["generate", "--config", cfg, "--out", str(out)]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_resolution_guard_exits_3(tmp_path):

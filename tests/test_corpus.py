@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from gmtlab.corpus import (cantor_construction_corners, gen_atom_on_line,
-                           gen_four_corner_cantor, gen_flat, gen_graph,
-                           gen_lambda_field, gen_line, gen_sine_graph,
-                           read_manifest, write_manifest)
+                           gen_circle, gen_cross, gen_four_corner_cantor,
+                           gen_flat, gen_graph, gen_lambda_field, gen_line,
+                           gen_sine_graph, read_manifest, write_manifest)
 from gmtlab.errors import ContractError
 from gmtlab.measures import Box, restrict
 
@@ -107,6 +107,30 @@ def test_graph_local_density_is_length_factor():
 def test_graph_rejects_slope_over_bound():
     with pytest.raises(ContractError):
         gen_graph(lambda t: t, lip_bound=0.5, domain=(-1, 1), h=0.01)
+
+
+BAD_SIZES = [0.0, -0.01, np.nan, np.inf]
+
+
+@pytest.mark.parametrize("h", BAD_SIZES)
+@pytest.mark.parametrize("make", [
+    gen_cross, gen_circle, gen_sine_graph,
+    lambda h: gen_graph(np.sin, lip_bound=1.0, domain=(-1.0, 1.0), h=h)],
+    ids=["cross", "circle", "sine_graph", "graph"])
+def test_generators_reject_a_bad_spacing(make, h):
+    with pytest.raises(ContractError, match="h must be positive and finite"):
+        make(h)
+
+
+@pytest.mark.parametrize("size", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make", [
+    lambda s: gen_cross(0.01, extent=s), lambda s: gen_circle(0.01, radius=s),
+    lambda s: gen_sine_graph(0.01, extent=s),
+    lambda s: gen_graph(np.sin, lip_bound=1.0, domain=(-1.0, s), h=0.01)],
+    ids=["cross", "circle", "sine_graph", "graph"])
+def test_generators_reject_a_non_finite_extent(make, size):
+    with pytest.raises(ContractError, match="must be positive and finite"):
+        make(size)
 
 
 def test_cross_mass_and_origin(cross_entry):

@@ -3,7 +3,8 @@
 `density_scan`, `blowup_sequence`, `pv_convergence_scan` and `sandwich_check`
 compute their distances once per base point and mask them per rung.  These
 properties rebuild every rung from its definition (`mass_in` of one ball,
-one `truncated_pv` call) on adversarial clouds: atoms placed on the ellipse
+one `truncated_pv` call; the sandwich's nu_i(B_R) is r_i^-m mu(B_M(a, r_i R)))
+on adversarial clouds: atoms placed on the ellipse
 spheres a + M(a) r e of the very radii being scanned, duplicated atoms, an
 atom at the base point, zero weights, and the two scan fields of the corpus
 (the smooth rotating field and the discontinuous checkerboard, with base
@@ -16,12 +17,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmtlab.blowup import (ScaleLadder, blowup_sequence, density_scan,
-                           sandwich_check)
+from gmtlab.blowup import (WINDOW_RADIUS, ScaleLadder, blowup_sequence,
+                           density_scan, sandwich_check)
 from gmtlab.corpus import gen_lambda_field
 from gmtlab.kernels import (finsler_kernel, pv_convergence_scan, riesz_kernel,
                             theta_kernel, truncated_pv)
-from gmtlab.measures import Ball, DiscreteMeasure, ellipse_ball, mass_in
+from gmtlab.measures import (Ball, DiscreteMeasure, ellipse_ball,
+                             lambda_rescale, mass_in, restrict)
 
 FIELDS = {
     "rotating": {"kind": "rotating", "eccentricity": 2.0, "rate": 1.0},
@@ -145,16 +147,46 @@ def test_pv_scan_rows_equal_per_eps_truncated_pv(scene, flavor, eps0, rungs,
 @settings(max_examples=80)
 @given(scene=scenes(), m=st.sampled_from([1, 2]))
 def test_sandwich_violations_equal_per_R_masses(scene, m):
+    """nu_i(B_R) = r^-m mu(B_M(a, r R)): each violation from one ellipse
+    mass per (r, R), never from the rescaled blowup."""
     field, a, ladder, mu = scene
     rep = sandwich_check(mu, a, field, m, ladder, list(SANDWICH_R))
-    seq = blowup_sequence(mu, a, field, ladder, mode="power", m=m)
-    dmin, dmax = float(seq.densities.min()), float(seq.densities.max())
+    radii = [float(r) for r in ladder.radii]
+    dens = [mass_in(mu, ellipse_ball(a, r, field)) / r ** m for r in radii]
+    dmin, dmax = min(dens), max(dens)
+    dist = _distances(mu.points, a, np.linalg.inv(field.matrix(a)))[1]
     want, defined = [], []
-    for nu in seq.measures:
-        dist = _distances(nu.points, np.zeros(2))[1]
+    for r in radii:
         for R in SANDWICH_R:
-            val = mass_in(nu, Ball(np.zeros(2), R)) / R ** m
+            val = mass_in(mu, ellipse_ball(a, r * R, field)) * r ** -m / R ** m
             want.append(max(dmin - val, val - dmax, 0.0))
-            val = _mass(nu, dist, R) / R ** m
+            val = _mass(mu, dist, r * R) * r ** -m / R ** m
             defined.append(max(dmin - val, val - dmax, 0.0))
     assert rep.columns["violation"] == want == defined
+    assert rep.meta["density_window"] == (dmin, dmax)
+
+
+@settings(max_examples=100)
+@given(scene=scenes(), hole=st.integers(0, 6))
+def test_mass_mode_skips_exactly_the_empty_ellipses(scene, hole):
+    """Mass mode drops the rungs whose ellipse holds no mass (here some are
+    emptied by clearing the ellipse of one ladder radius) and scales the
+    window-restricted rescaling of every other rung by 1 / that mass."""
+    field, a, ladder, mu = scene
+    radii = [float(r) for r in ladder.radii]
+    if hole:
+        dist = _distances(mu.points, a, np.linalg.inv(field.matrix(a)))[1]
+        keep = dist > radii[min(hole, len(radii)) - 1]
+        mu = DiscreteMeasure(mu.points[keep], mu.weights[keep], dim=2)
+    seq = blowup_sequence(mu, a, field, ladder, mode="mass")
+    masses = [mass_in(mu, ellipse_ball(a, r, field)) for r in radii]
+    assert seq.skipped == [i for i, mass in enumerate(masses) if mass == 0.0]
+    assert np.isnan(seq.densities).all()
+    window = Ball(np.zeros(2), WINDOW_RADIUS)
+    for r, mass, nu in zip(radii, masses, seq.measures):
+        if mass == 0.0:
+            assert nu is None
+            continue
+        kept = restrict(lambda_rescale(mu, a, r, field), window)
+        assert np.array_equal(nu.points, kept.points)
+        assert np.array_equal(nu.weights, kept.weights * (1.0 / mass))
