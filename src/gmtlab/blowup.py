@@ -54,14 +54,16 @@ class ScaleLadder:
     guard: float = RESOLUTION_GUARD
 
     def __post_init__(self):
-        if not self.r0 > 0:
-            raise ContractError("ladder top radius must be positive")
+        if not 0 < self.r0 < np.inf:
+            raise ContractError(
+                f"ladder top radius must be positive and finite, got {self.r0}")
         if not 0 < self.rho < 1:
             raise ContractError("ladder ratio must lie in (0, 1)")
         if self.count < 1:
             raise ContractError("ladder needs at least one radius")
-        if self.spacing < 0:
-            raise ContractError("spacing must be nonnegative")
+        if not 0 <= self.spacing < np.inf:
+            raise ContractError(
+                f"spacing must be nonnegative and finite, got {self.spacing}")
         if self.r_min < self.guard * self.spacing:
             raise ResolutionGuardError(
                 f"smallest ladder radius {self.r_min:.4g} is below "

@@ -197,6 +197,8 @@ def point_from_config(cfg, dim, section, key="center"):
     vals = cfg.get_floats(section, key, default=[0.0] * dim)
     if len(vals) != dim:
         raise ConfigError(f"[{section}] {key} needs {dim} coordinates")
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"[{section}] {key} has a non-finite coordinate")
     return np.asarray(vals)
 
 
@@ -343,11 +345,9 @@ def cmd_dmo(cfg, out, threads, seed):
     radii = cfg.get_floats("dmo", "radii", [0.8, 0.4, 0.2, 0.1])
     probe_count = cfg.get_int("dmo", "probes", 64)
     probes = moduli.seeded_probes(dim, probe_count, seed=seed)
-    extra = cfg.get_floats("dmo", "boundary_probe")
-    if extra is not None:
-        if len(extra) != dim:
-            raise ConfigError(f"[dmo] boundary_probe needs {dim} coordinates")
-        probes = np.vstack([probes, np.asarray(extra)[None, :]])
+    if cfg.get("dmo", "boundary_probe") is not None:
+        extra = point_from_config(cfg, dim, "dmo", "boundary_probe")
+        probes = np.vstack([probes, extra[None, :]])
     profile = moduli.omega_profile(field, probes, radii)
     theta = profile.interpolator()
 

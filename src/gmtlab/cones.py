@@ -7,14 +7,13 @@ measure to the cone of m-dimensional flat measures,
     d_s(nu, M_{n,m}) = inf { F_s(nu / F_s(nu), mu) :
                              mu = c H^m|V,  F_s(mu) = 1 },
 
-by a coarse search over frames followed by Nelder-Mead refinement; the
-normalizing constant per plane is fixed in closed form since F_s is linear in
-the weights.  The refinement is the in-house `_nelder_mead`, which follows
-scipy's non-adaptive Nelder-Mead step sequence point for point (scipy is not
-imported at run time).  Each of the two stages warm-starts its chain of F_s
-programs through its own `gmtlab.transport.WarmStart` holder, so no solver
-state outlives the call.  Values are clamped to [0, 1], and 1 is returned
-when F_s(nu) = 0.
+by a coarse search over frames followed by a compass search on the frame
+parameters; the normalizing constant per plane is fixed in closed form since
+F_s is linear in the weights.  The result is the smallest value seen, an
+upper bound on the infimum; it is not certified.  Each of the two stages
+warm-starts its chain of F_s programs through its own
+`gmtlab.transport.WarmStart` holder, so no solver state outlives the call.
+Values are clamped to [0, 1], and 1 is returned when F_s(nu) = 0.
 
 ``symmetry_defect`` evaluates the annulus moment whose vanishing at every
 window characterizes points of symmetry, and ``uniformity_defect`` probes the
@@ -28,6 +27,7 @@ of that step, which is covered by the same floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -41,12 +41,13 @@ from .transport import WarmStart
 # the plane; chosen so flat samples stay within the LP site budget.
 _GRID_DIV = {1: 80, 2: 8, 3: 4}
 
-# Optimizer tolerance on the cone distance.
+# The compass search stops once its step falls below this tolerance, or
+# after _SEARCH_EVALS full-resolution evaluations.
 OPTIMIZER_TOL = 1e-3
+_SEARCH_EVALS = 60
 
-# Initial Nelder-Mead simplex: each vertex moves one coordinate of x0 by 5 %,
-# or to 0.00025 where it is zero (scipy's steps).
-_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+# First compass step: half the spacing of the 36-angle coarse grid for n = 2.
+_SEARCH_STEP = np.pi / 72
 
 
 def cone_grid_step(s, m):
@@ -162,17 +163,12 @@ def _flat_mass_norm(points, weights, s):
 
 def _coarse_frames(n, m, seed=0):
     """Deterministic list of candidate frames covering G(n, m)."""
-    frames = []
+    if n == 2:  # m == 1; the angle grid already holds both axes
+        angles = np.pi * np.arange(36) / 36
+        return [np.array([[np.cos(th)], [np.sin(th)]]) for th in angles]
     eye = np.eye(n)
-    from itertools import combinations
-
-    for combo in combinations(range(n), m):
-        frames.append(eye[:, list(combo)])
-    if n == 2 and m == 1:
-        for k in range(36):
-            th = np.pi * k / 36
-            frames.append(np.array([[np.cos(th)], [np.sin(th)]]))
-    elif n == 3:
+    frames = [eye[:, list(combo)] for combo in combinations(range(n), m)]
+    if n == 3:
         dirs = _hemisphere_grid(64)
         if m == 1:
             frames.extend(d[:, None] for d in dirs)
@@ -242,109 +238,47 @@ def _params_to_frame(n, m, params):
     return _orthonormalize(params.reshape(n, m))
 
 
-class _BudgetSpent(Exception):
-    """A `_nelder_mead` evaluation would exceed ``maxfev``."""
+def _compass_search(fun, x, fx):
+    """Smallest value of ``fun`` found by a compass search from ``x``.
 
-
-def _sort_simplex(sim, fsim):
-    ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-
-def _nelder_mead(fun, x0, xatol, fatol, maxfev):
-    """Smallest value of ``fun`` seen by a Nelder-Mead search from ``x0``.
-
-    Reproduces scipy's ``_minimize_neldermead`` (non-adaptive, unbounded)
-    operation for operation: the same initial simplex, the same points in
-    the same order passed to ``fun`` (as copies), the same unstable argsort
-    after every iteration, the xatol/fatol stop, and the same abandonment of
-    an iteration whose next call would exceed ``maxfev``.  The returned float
-    is therefore bit-identical to ``minimize(..., method="Nelder-Mead").fun``.
-    The coefficients are the standard ones, written out below: reflection 1,
-    expansion 2, contraction and shrink 1/2.
+    ``fx`` is ``fun(x)``.  A sweep tries x + step e_1, ..., x + step e_d, then
+    x - step e_1, ..., x - step e_d, and moves to the first strict
+    improvement; a sweep without one halves the step.  The search stops once
+    the step is below OPTIMIZER_TOL or after _SEARCH_EVALS calls of ``fun``.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).flatten()
-    n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = x0.copy()
-        y[k] = (1 + _NM_NONZDELT) * y[k] if y[k] != 0 else _NM_ZDELT
-        sim[k + 1] = y
-    fsim = np.full(n + 1, np.inf)
-    calls = 0
-
-    def f(x):
-        nonlocal calls
-        if calls >= maxfev:
-            raise _BudgetSpent
-        calls += 1
-        return fun(x.copy())
-
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _BudgetSpent:
-        pass
-    # Sorted twice, as scipy does: argsort is not stable, so the second pass
-    # may still permute ties.
-    sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))
-
-    while calls < maxfev:
-        try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+    moves = np.concatenate([np.eye(x.size), -np.eye(x.size)])
+    step, calls = _SEARCH_STEP, 0
+    while step >= OPTIMIZER_TOL:
+        for move in moves:
+            if calls >= _SEARCH_EVALS:
+                return fx
+            trial = x + step * move
+            value = fun(trial)
+            calls += 1
+            if value < fx:
+                x, fx = trial, value
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
-                    shrink = not fxc <= fxr
-                    if not shrink:
-                        sim[-1], fsim[-1] = xc, fxc
-                else:  # inside contraction
-                    xcc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxcc = f(xcc)
-                    shrink = not fxcc < fsim[-1]
-                    if not shrink:
-                        sim[-1], fsim[-1] = xcc, fxcc
-                if shrink:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-        except _BudgetSpent:
-            pass
-        sim, fsim = _sort_simplex(sim, fsim)
-    return float(np.min(fsim))
+        else:
+            step /= 2
+    return fx
 
 
 def d_cone_flat(nu, m, s, seed=0):
     """Distance in [0, 1] from ``nu`` to the m-flat cone at scale ``s``.
 
     Returns 1 when F_s(nu) = 0 (discrete measures never reach the infinite
-    branch of the convention).  Minimizes over planes via the coarse frame
-    grid plus Nelder-Mead refinement on the frame parameters, with the
-    per-plane constant fixed by F_s-normalization in closed form.  The
-    refinement is `_nelder_mead`, which follows scipy's Nelder-Mead step
-    sequence exactly (at most 60 evaluations, xatol 1e-4, fatol 1e-5).
+    branch of the convention).  Minimizes over planes with the per-plane
+    constant fixed by F_s-normalization in closed form: the coarse frame grid
+    at half resolution picks the best frame, and `_compass_search` refines
+    it on the frame parameters at full resolution, starting from that
+    frame's full-resolution value (first step pi/72, at most 60 further
+    evaluations).  ``s`` must be positive and finite.
     """
     n = nu.dim
     if not 1 <= m <= n - 1:
         raise ContractError(f"flat dimension m={m} must lie in 1..{n - 1}")
-    if not s > 0:
-        raise ContractError("scale s must be positive")
+    if not 0 < s < np.inf:
+        raise ContractError(f"scale s must be positive and finite, got {s}")
 
     fs_nu = f_ball(nu, DiscreteMeasure.empty(n), s)
     if fs_nu <= 0.0:
@@ -410,10 +344,9 @@ def d_cone_flat(nu, m, s, seed=0):
             return 2.0
         return plane_distance(q, target, coords, base_w, warm)
 
-    refined = _nelder_mead(objective, _frame_to_params(n, m, best_frame),
-                           xatol=1e-4, fatol=1e-5, maxfev=60)
-    coarse_full = plane_distance(best_frame, target, coords, base_w, warm)
-    return float(np.clip(min(refined, coarse_full), 0.0, 1.0))
+    start = plane_distance(best_frame, target, coords, base_w, warm)
+    best = _compass_search(objective, _frame_to_params(n, m, best_frame), start)
+    return float(np.clip(best, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,13 @@ def test_ladder_guard():
         ScaleLadder(r0=0.1, rho=0.5, count=4, spacing=0.001)
     lad = ScaleLadder(**LINE_LADDER)
     assert lad.r_min >= 20 * 0.001
+    # NaN fails every comparison, so each bound must be written to reject it.
+    for bad in (dict(r0=0.0), dict(r0=np.nan), dict(r0=np.inf),
+                dict(rho=1.0), dict(rho=np.nan), dict(count=0),
+                dict(spacing=-0.001), dict(spacing=np.nan),
+                dict(spacing=np.inf)):
+        with pytest.raises(ContractError):
+            ScaleLadder(**dict(LINE_LADDER, **bad))
 
 
 def test_density_scan_line(line_entry, identity2):

@@ -347,6 +347,59 @@ def test_density_threshold_nan_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_metric_dcone_infinite_scale_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, METRIC_CFG.replace(
+        "mode = fr\nr = 1.0", "mode = dcone\nm = 1\ns = inf"))
+    out = tmp_path / "dcone.txt"
+    assert run_cli(["metric", "--config", cfg, "--out", str(out)]) == 2
+    assert "positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_blowup_ladder_spacing_nan_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BLOWUP_CFG.replace("count = 2",
+                                                 "count = 2\nspacing = nan"))
+    out = tmp_path / "blowup.csv"
+    assert run_cli(["blowup", "--config", cfg, "--out", str(out)]) == 2
+    assert "spacing must be nonnegative and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_density_ladder_r0_inf_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, LINE_DENSITY_CFG.replace("r0 = 0.5", "r0 = inf"))
+    out = tmp_path / "density.csv"
+    assert run_cli(["density", "--config", cfg, "--out", str(out)]) == 2
+    assert "top radius must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_density_center_nan_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, LINE_DENSITY_CFG.replace("center = 0,0",
+                                                       "center = nan,0"))
+    out = tmp_path / "density.csv"
+    assert run_cli(["density", "--config", cfg, "--out", str(out)]) == 2
+    assert "[density] center has a non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pv_center_inf_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, HALFLINE_PV_CFG.replace("center = 0,0",
+                                                      "center = inf,0"))
+    out = tmp_path / "pv.csv"
+    assert run_cli(["pv", "--config", cfg, "--out", str(out)]) == 2
+    assert "[pv] center has a non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dmo_boundary_probe_nan_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, DMO_CFG.replace(
+        "probes = 16", "probes = 16\nboundary_probe = nan, 0"))
+    out = tmp_path / "dmo.csv"
+    assert run_cli(["dmo", "--config", cfg, "--out", str(out)]) == 2
+    assert "boundary_probe has a non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind,h", [("cross", "0"), ("cross", "-0.01"),
                                     ("circle", "nan"), ("graph", "0")])
 def test_generate_with_bad_spacing_exits_2(tmp_path, capsys, kind, h):

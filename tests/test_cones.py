@@ -5,13 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from conftest import random_cloud
 from gmtlab import cones
-from gmtlab.cones import (DefectReport, FlatMeasureSpec, _nelder_mead,
-                          d_cone_flat, sample_flat, symmetry_defect,
-                          uniformity_defect, uniformity_gap)
+from gmtlab.cones import (OPTIMIZER_TOL, DefectReport, FlatMeasureSpec,
+                          _compass_search, d_cone_flat, sample_flat,
+                          symmetry_defect, uniformity_defect, uniformity_gap)
 from gmtlab.errors import ContractError
 from gmtlab.lipmetric import f_ball
 from gmtlab.measures import AffineMap, DiscreteMeasure, pushforward
@@ -73,23 +72,44 @@ def test_d_cone_rejects_bad_m():
         d_cone_flat(nu, 2, 1.0)
 
 
+def test_d_cone_rejects_bad_scale():
+    nu = DiscreteMeasure.dirac(np.zeros(2))
+    for s in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ContractError):
+            d_cone_flat(nu, 1, s)
+
+
+def _line_oracle(nu, angles):
+    """Brute force at s = 1: direct LP per direction, full-resolution line,
+    clamped to [0, 1] as d_cone_flat reports it."""
+    s = 1.0
+    target = DiscreteMeasure(
+        nu.points, nu.weights / f_ball(nu, DiscreteMeasure.empty(2), s), dim=2)
+    h = 1.0 / 80
+    ks = np.arange(-80, 81) * h
+    caps = s - np.abs(ks)
+    norm = float(np.full(ks.size, h) @ np.maximum(caps, 0))
+    best = np.inf
+    for th in angles:
+        pts = np.column_stack([ks * np.cos(th), ks * np.sin(th)])
+        cand = DiscreteMeasure(pts, np.full(ks.size, h) / norm, dim=2)
+        best = min(best, f_ball(target, cand, s))
+    return float(np.clip(best, 0.0, 1.0))
+
+
 def test_d_cone_delta_matches_plane_grid_oracle():
     """Brute force: dense direction grid, direct LP per direction."""
     delta = DiscreteMeasure.dirac(np.zeros(2))
-    s = 1.0
-    best = np.inf
-    h = 1.0 / 80
-    ks = np.arange(-80, 81) * h
-    for k in range(180):
-        th = np.pi * k / 180
-        pts = np.column_stack([ks * np.cos(th), ks * np.sin(th)])
-        caps = s - np.abs(ks)
-        norm = float(np.full(ks.size, h) @ np.maximum(caps, 0))
-        cand = DiscreteMeasure(pts, np.full(ks.size, h) / norm, dim=2)
-        best = min(best, f_ball(delta, cand, s))
+    best = _line_oracle(delta, np.pi * np.arange(180) / 180)
     value = d_cone_flat(delta, 1, 1.0)
     assert value == pytest.approx(best, abs=1e-3)
     assert value == pytest.approx(DELTA_CONE_BASELINE, abs=0.02)
+
+    rng = np.random.default_rng(12)
+    for _ in range(6):
+        nu = random_cloud(rng, 12)
+        best = _line_oracle(nu, np.pi * np.arange(360) / 360)
+        assert d_cone_flat(nu, 1, 1.0) == pytest.approx(best, abs=1e-3)
 
 
 def test_d_cone_scale_identity():
@@ -107,12 +127,12 @@ def test_d_cone_rotation_invariance():
     t = np.arange(-50, 51) * 0.02
     line = DiscreteMeasure(np.column_stack([t, np.zeros_like(t)]),
                            np.full(t.size, 0.02))
-    th = 0.3
-    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    rotated = DiscreteMeasure(line.points @ rot.T, line.weights)
     d1 = d_cone_flat(line, 1, 1.0)
-    d2 = d_cone_flat(rotated, 1, 1.0)
-    assert abs(d1 - d2) <= 1e-3
+    # 0.004 and 3.13 sit next to the coarse angles 0 and pi.
+    for th in (0.3, 0.004, 1.0, 2.2, 3.13):
+        rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        rotated = DiscreteMeasure(line.points @ rot.T, line.weights)
+        assert abs(d1 - d_cone_flat(rotated, 1, 1.0)) <= 1e-3
 
 
 def test_d_cone_three_dimensional_smoke():
@@ -127,127 +147,26 @@ def test_d_cone_three_dimensional_smoke():
     assert 0.0 <= d_cone_flat(cloud, 2, 1.0) <= 1.0
 
 
-# ---------------------------------------------------------------------------
-# In-house Nelder-Mead against scipy's
-# ---------------------------------------------------------------------------
-
-def _smooth(x):
-    return float(np.sum((x - 0.3) ** 2) + 0.1 * np.sin(7.0 * x).sum()
-                 + 0.2 * x[0] * x[-1])
-
-
-def _plateaus(x):
-    # Piecewise constant: ties between vertices force shrinks.
-    return float(np.floor(8.0 * np.abs(x - 0.4)).sum() / 8.0)
-
-
-def _rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
-                        + (1.0 - x[:-1]) ** 2))
-
-
-NM_CASES = [
-    (_smooth, [0.0]),
-    (_smooth, [1.5]),
-    (_plateaus, [0.0]),
-    (_rosenbrock, [0.0, 1.2]),
-    (_plateaus, [-0.7, 0.0]),
-    (_smooth, [0.5, 0.0, -1.0, 0.0]),
-    (_plateaus, [0.0, 1.0, 0.0, -0.5]),
-]
-NM_TOL = {"xatol": 1e-4, "fatol": 1e-5}
-
-
-def _recorded(fun):
+def test_compass_search_stop_rules():
     calls = []
 
-    def wrapped(x):
-        calls.append(x.copy())
-        value = fun(x)
-        x[:] = np.nan  # an objective may scribble on its argument
-        return value
-    return calls, wrapped
+    def flat(x):
+        calls.append(x)
+        return 1.0
 
+    # No improvement: one +/- sweep per step pi/72, pi/144, ..., down to the
+    # last step >= OPTIMIZER_TOL (6 steps), then stop.
+    assert _compass_search(flat, np.zeros(1), 1.0) == 1.0
+    assert len(calls) == 2 * 6
+    assert [x[0] for x in calls[:2]] == [np.pi / 72, -np.pi / 72]
+    calls.clear()
+    _compass_search(flat, np.zeros(8), 1.0)  # 16 moves per sweep
+    assert len(calls) == 60
 
-def _run_ours(fun, x0, maxfev):
-    calls, wrapped = _recorded(fun)
-    value = _nelder_mead(wrapped, np.array(x0), maxfev=maxfev, **NM_TOL)
-    return calls, value
-
-
-def _run_scipy(fun, x0, maxfev, ends=None):
-    calls, wrapped = _recorded(fun)
-    callback = None if ends is None else (lambda xk: ends.append(len(calls)))
-    res = minimize(wrapped, np.array(x0), method="Nelder-Mead",
-                   callback=callback, options=dict(NM_TOL, maxfev=maxfev))
-    return calls, float(res.fun)
-
-
-def _assert_same_run(ours, ref):
-    (calls, value), (ref_calls, ref_value) = ours, ref
-    assert len(calls) == len(ref_calls)
-    for x, y in zip(calls, ref_calls):
-        assert x.tobytes() == y.tobytes()
-    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
-
-
-def _step_kinds(calls, values, ends, n):
-    """Step each call of a full scipy run belongs to, from iteration ends.
-
-    An iteration makes 1 call (reflection), 2 (reflection then expansion or
-    contraction) or n + 2 (contraction then an n-call shrink); an expansion
-    follows a reflection that beats every earlier value.
-    """
-    kinds = ["initial"] * (n + 1)
-    start = n + 1
-    for end in ends:
-        count = end - start
-        kinds.append("reflection")
-        if count >= 2:
-            better = values[start] < min(values[:start])
-            kinds.append("expansion" if better and count == 2
-                         else "contraction")
-        kinds.extend(["shrink"] * (count - 2))
-        start = end
-    assert len(kinds) == len(calls)
-    return kinds
-
-
-@pytest.mark.parametrize("fun,x0", NM_CASES)
-def test_nelder_mead_matches_scipy_to_tolerance(fun, x0):
-    ref = _run_scipy(fun, x0, maxfev=2000)
-    assert len(ref[0]) < 2000  # stopped by xatol/fatol, not the budget
-    _assert_same_run(_run_ours(fun, x0, maxfev=2000), ref)
-
-
-def test_nelder_mead_matches_scipy_at_every_budget_cut():
-    """Cut each run at every call count below 150, so the budget runs out in
-    the initial simplex, an expansion, a contraction and a shrink."""
-    cut_kinds = set()
-    for fun, x0 in NM_CASES:
-        n = len(x0)
-        ends = []
-        calls, _ = _run_scipy(fun, x0, maxfev=2000, ends=ends)
-        kinds = _step_kinds(calls, [fun(x) for x in calls], ends, n)
-        for maxfev in range(1, min(len(calls), 150)):
-            _assert_same_run(_run_ours(fun, x0, maxfev),
-                             _run_scipy(fun, x0, maxfev))
-            cut_kinds.add(kinds[maxfev])
-    assert {"initial", "expansion", "contraction", "shrink"} <= cut_kinds
-
-
-def test_d_cone_flat_equals_scipy_refinement(monkeypatch):
-    rng = np.random.default_rng(4)
-    nus = [random_cloud(rng, 9), random_cloud(rng, 14, dim=3)]
-    ours = [d_cone_flat(nu, 1, 1.0) for nu in nus]
-
-    def scipy_nm(fun, x0, xatol, fatol, maxfev):
-        return float(minimize(fun, x0, method="Nelder-Mead",
-                              options={"xatol": xatol, "fatol": fatol,
-                                       "maxfev": maxfev}).fun)
-    monkeypatch.setattr(cones, "_nelder_mead", scipy_nm)
-    ref = [d_cone_flat(nu, 1, 1.0) for nu in nus]
-    assert np.array(ours).tobytes() == np.array(ref).tobytes()
+    target = np.array([0.1, -0.2])
+    value = _compass_search(lambda x: float(np.abs(x - target).sum()),
+                            np.zeros(2), 0.3)
+    assert value <= 2 * OPTIMIZER_TOL
 
 
 def test_import_loads_no_scipy():
