@@ -8,6 +8,7 @@ four-corner Cantor construction must fail them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,8 @@ class CorpusEntry:
 
 
 def _positive_finite(**values):
-    """Reject a spacing, extent or radius that is not positive and finite."""
+    """Reject a spacing, extent, radius or exponent that is not positive and
+    finite."""
     for name, value in values.items():
         if not 0 < value < np.inf:
             raise ContractError(f"{name} must be positive and finite, "
@@ -211,9 +213,17 @@ def gen_atom_on_line(h, weight=1.0, extent=1.0):
 # Coefficient fields
 # ---------------------------------------------------------------------------
 
-def _rotation(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+# libm pow entry by entry, as the scalar t ** alpha: numpy's vectorized power
+# differs from it in the last bit at a few percent of arguments, and its
+# kernel depends on the CPU.
+_libm_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _finite(**values):
+    """Reject a field parameter or matrix with a non-finite entry."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ContractError(f"{name} must be finite, got {value}")
 
 
 def gen_lambda_field(kind, **kw):
@@ -228,62 +238,57 @@ def gen_lambda_field(kind, **kw):
                                         (not Dini);
       radial_holder(alpha, base)     -- (base + min(|x|, 1)^alpha) * I, a
                                         C^alpha field.
+
+    Non-finite parameters are rejected here; singular matrices are left to
+    the determinant floor of `EllipseField.matrices`.
     """
     if kind == "constant":
-        return EllipseField.constant(np.asarray(kw["matrix"], dtype=float))
+        matrix = np.asarray(kw["matrix"], dtype=float)
+        _finite(matrix=matrix)
+        return EllipseField.constant(matrix)
 
     if kind == "rotating":
         ecc = float(kw.get("eccentricity", 2.0))
         rate = float(kw.get("rate", 1.0))
+        _finite(eccentricity=ecc, rate=rate)
         diag = np.diag([ecc, 1.0])
 
-        def evaluate(a):
-            q = _rotation(rate * a[0])
-            return q @ diag @ q.T
-
-        def batch(pts):
+        def evaluate(pts):
             th = rate * pts[:, 0]
             c, s = np.cos(th), np.sin(th)
-            q = np.empty((pts.shape[0], 2, 2))
-            q[:, 0, 0] = c
-            q[:, 0, 1] = -s
-            q[:, 1, 0] = s
-            q[:, 1, 1] = c
-            return np.einsum("kij,jl,kml->kim", q, diag, q)
+            q = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
+            return q @ diag @ np.swapaxes(q, 1, 2)
 
-        return EllipseField(evaluate, 2, kind="analytic", batch_evaluator=batch)
+        return EllipseField(evaluate, 2)
 
     if kind == "checkerboard":
         m1 = np.asarray(kw["m1"], dtype=float)
         m2 = np.asarray(kw["m2"], dtype=float)
         cell = float(kw.get("cell", 1.0))
-        n = m1.shape[0]
+        _finite(m1=m1, m2=m2)
+        _positive_finite(cell=cell)
 
-        def evaluate(a):
-            parity = int(np.sum(np.floor(np.asarray(a) / cell))) % 2
-            return m1 if parity == 0 else m2
+        def evaluate(pts):
+            parity = np.sum(np.floor(pts / cell), axis=1) % 2
+            return np.where(parity[:, None, None] == 0, m1, m2)
 
-        def batch(pts):
-            parity = np.sum(np.floor(pts / cell), axis=1).astype(np.int64) % 2
-            out = np.where(parity[:, None, None] == 0, m1, m2)
-            return out
-
-        return EllipseField(evaluate, n, kind="piecewise", batch_evaluator=batch)
+        return EllipseField(evaluate, m1.shape[0])
 
     if kind == "radial_holder":
         alpha = float(kw.get("alpha", 0.5))
         base = float(kw.get("base", 1.0))
         n = int(kw.get("n", 2))
+        _positive_finite(alpha=alpha)
+        _finite(base=base)
 
-        def evaluate(a):
-            t = min(float(np.linalg.norm(a)), 1.0)
-            return (base + t ** alpha) * np.eye(n)
+        def evaluate(pts):
+            # |x| summed as np.linalg.norm sums it; an overflow clips to 1.
+            with np.errstate(over="ignore"):
+                norm = np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
+            power = _libm_pow(np.minimum(norm, 1.0), alpha).astype(float)
+            return (base + power)[:, None, None] * np.eye(n)
 
-        def batch(pts):
-            t = np.minimum(np.sqrt(np.sum(pts * pts, axis=1)), 1.0)
-            return (base + t ** alpha)[:, None, None] * np.eye(n)
-
-        return EllipseField(evaluate, n, kind="analytic", batch_evaluator=batch)
+        return EllipseField(evaluate, n)
 
     raise ContractError(f"unknown field kind {kind!r}")
 

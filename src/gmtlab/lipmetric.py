@@ -75,8 +75,9 @@ def assemble_ball_lp(mu, nu, r):
         raise DimensionMismatchError(
             f"measures in R^{mu.dim} and R^{nu.dim}"
         )
-    if not r > 0.0:
-        raise ContractError(f"ball radius must be positive, got {r}")
+    if not 0.0 < r < np.inf:
+        raise ContractError(f"ball radius must be positive and finite, "
+                            f"got {r}")
     pts = np.vstack([mu.points, nu.points])
     mass = np.concatenate([mu.weights, -nu.weights])
     if pts.shape[0]:

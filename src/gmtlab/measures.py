@@ -32,6 +32,9 @@ TIE_TOL = 1e-12
 # |det| floor below which an affine map is rejected as singular.
 _AFFINE_DET_FLOOR = 1e-12
 
+# |det| floor below which a field matrix is rejected as singular.
+_FIELD_DET_FLOOR = 1e-9
+
 # Most field evaluations an EllipseField keeps; the oldest is dropped first.
 _FIELD_CACHE_CAP = 4096
 
@@ -290,67 +293,64 @@ class AffineMap:
 class EllipseField:
     """A map a |-> M(a) in GL(n, R) defining the ellipses M(a) B(0, r).
 
+    One batch evaluator defines the field.  Every matrix it yields passes
+    the shape check and the finite |det| >= ``_FIELD_DET_FLOOR`` check
+    (numerics need quantitative nondegeneracy).  `matrix` and `inverse` are
+    the cached one-point case of `matrices`, so both paths give equal bits.
+
     Parameters
     ----------
     evaluator : callable
-        Maps an n-vector to an (n, n) matrix.
+        Maps a (K, n) array of points to a (K, n, n) array of matrices.
     dim : int
         Ambient dimension n.
-    kind : {"constant", "analytic", "piecewise"}
-        Tag describing the field; ``constant`` fields are evaluated once.
-    batch_evaluator : callable, optional
-        Vectorized form mapping a (K, n) array to a (K, n, n) array; used by
-        quadrature-heavy consumers.  Falls back to a python loop.
-    det_floor : float
-        Matrices with |det| below this floor are rejected.  Invertibility is
-        all the geometry needs, but numerics require quantitative
-        nondegeneracy.
     """
 
-    def __init__(self, evaluator, dim, kind="analytic", batch_evaluator=None,
-                 det_floor=1e-9):
-        if kind not in ("constant", "analytic", "piecewise"):
-            raise ContractError(f"unknown field kind {kind!r}")
+    def __init__(self, evaluator, dim):
         if dim < 1:
             raise ContractError("dimension must be >= 1")
         self._evaluator = evaluator
         self.dim = int(dim)
-        self.kind = kind
-        self._batch = batch_evaluator
-        self.det_floor = float(det_floor)
         self._cache = {}
 
     @classmethod
     def constant(cls, matrix):
         """Field returning the same matrix everywhere."""
         m = np.asarray(matrix, dtype=float)
-        return cls(lambda a, _m=m: _m, m.shape[0], kind="constant")
+        return cls(lambda pts: np.broadcast_to(m, (len(pts),) + m.shape),
+                   m.shape[0])
 
     @classmethod
     def identity(cls, dim):
         return cls.constant(np.eye(dim))
 
-    def _validate(self, m, a):
-        m = np.asarray(m, dtype=float)
-        if m.shape != (self.dim, self.dim):
+    def matrices(self, points):
+        """M at each row of a (K, n) array of points, validated; no caching."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"field in R^{self.dim} evaluated at points {pts.shape}")
+        # A copy: an evaluator may return a view of its own state.
+        out = np.array(self._evaluator(pts), dtype=float)
+        if out.shape != (pts.shape[0], self.dim, self.dim):
             raise ContractError(
-                f"field evaluated at {a} returned shape {m.shape}, "
-                f"expected ({self.dim}, {self.dim})"
-            )
-        det = np.linalg.det(m)
-        if not np.isfinite(det) or abs(det) < self.det_floor:
+                f"field evaluator returned shape {out.shape}, expected "
+                f"({pts.shape[0]}, {self.dim}, {self.dim})")
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = np.abs(np.linalg.det(out))
+        bad = np.flatnonzero(~((det >= _FIELD_DET_FLOOR) & (det < np.inf)))
+        if bad.size:
             raise SingularMatrixError(
-                f"field matrix at {a} has |det| = {abs(det):.3g} "
-                f"below floor {self.det_floor:.3g}"
-            )
-        return m
+                f"field matrix at {pts[bad[0]]} has |det| = {det[bad[0]]:.3g}, "
+                f"not in [{_FIELD_DET_FLOOR:.3g}, inf)")
+        return out
 
     def _entry(self, a):
         a = np.asarray(a, dtype=float).reshape(-1)
-        key = b"" if self.kind == "constant" else a.tobytes()
+        key = a.tobytes()
         hit = self._cache.get(key)
         if hit is None:
-            m = self._validate(self._evaluator(a), a)
+            m = self.matrices(a[None, :])[0]
             hit = (_freeze(m), _freeze(np.linalg.inv(m)))
             if len(self._cache) >= _FIELD_CACHE_CAP:
                 del self._cache[next(iter(self._cache))]
@@ -358,25 +358,12 @@ class EllipseField:
         return hit
 
     def matrix(self, a):
-        """M(a), validated against the determinant floor."""
+        """M(a): the one-point case of `matrices`, cached."""
         return self._entry(a)[0]
 
     def inverse(self, a):
         """Cached M(a)^{-1}."""
         return self._entry(a)[1]
-
-    def matrices(self, points):
-        """Batch evaluation at a (K, n) array of points; no caching."""
-        pts = np.asarray(points, dtype=float)
-        if self.kind == "constant":
-            m = self.matrix(np.zeros(self.dim))
-            return np.broadcast_to(m, (pts.shape[0],) + m.shape).copy()
-        if self._batch is not None:
-            out = np.asarray(self._batch(pts), dtype=float)
-            if out.shape != (pts.shape[0], self.dim, self.dim):
-                raise ContractError("batch evaluator returned wrong shape")
-            return out
-        return np.stack([self._validate(self._evaluator(p), p) for p in pts])
 
 
 # ---------------------------------------------------------------------------

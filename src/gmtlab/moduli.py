@@ -114,6 +114,9 @@ def omega_profile(field, probe_centers, radii, grid=16):
         raise ContractError("probe dimension does not match the field")
     if grid < 8:
         raise ContractError("quadrature grid must be >= 8 points per axis")
+    for r in radii:
+        if not 0.0 < r < np.inf:
+            raise ContractError(f"radius must be positive and finite, got {r}")
     omega = np.zeros(radii.size)
     errs = np.zeros(radii.size)
     for k, r in enumerate(radii):

@@ -400,6 +400,36 @@ def test_dmo_boundary_probe_nan_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+_CONSTANT_FIELD = "kind = constant\nmatrix = 2,0,0,1"
+_SINGULAR_PHASE = "kind = checkerboard\ncontrast = 0"
+
+
+@pytest.mark.parametrize("command,cfg_text,message", [
+    ("dmo", DMO_CFG.replace(_CONSTANT_FIELD, _SINGULAR_PHASE),
+     "not in [1e-09, inf)"),
+    ("density", LINE_DENSITY_CFG.replace("kind = identity", _SINGULAR_PHASE)
+     .replace("center = 0,0", "center = 0.75,0"), "not in [1e-09, inf)"),
+    ("pv", HALFLINE_PV_CFG.replace("kind = identity", _SINGULAR_PHASE)
+     .replace("center = 0,0", "center = 0.75,0"), "not in [1e-09, inf)"),
+    ("dmo", DMO_CFG.replace(_CONSTANT_FIELD, "kind = checkerboard\ncell = 0"),
+     "cell must be positive and finite"),
+    ("dmo", DMO_CFG.replace(_CONSTANT_FIELD, "kind = rotating\nrate = nan"),
+     "rate must be finite"),
+    ("metric", METRIC_CFG.replace("r = 1.0", "r = inf"),
+     "ball radius must be positive and finite"),
+    ("dmo", DMO_CFG.replace("radii = 0.8,0.4,0.2,0.1", "radii = 0.8,nan"),
+     "radius must be positive and finite"),
+], ids=["dmo-contrast-0", "density-contrast-0", "pv-contrast-0",
+        "dmo-cell-0", "dmo-rate-nan", "metric-r-inf", "dmo-radius-nan"])
+def test_singular_field_or_bad_radius_exits_2(tmp_path, capsys, command,
+                                              cfg_text, message):
+    cfg = write_cfg(tmp_path, cfg_text)
+    out = tmp_path / "out.csv"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind,h", [("cross", "0"), ("cross", "-0.01"),
                                     ("circle", "nan"), ("graph", "0")])
 def test_generate_with_bad_spacing_exits_2(tmp_path, capsys, kind, h):

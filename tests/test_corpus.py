@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmtlab.corpus import (cantor_construction_corners, gen_atom_on_line,
                            gen_circle, gen_cross, gen_four_corner_cantor,
                            gen_flat, gen_graph, gen_lambda_field, gen_line,
                            gen_sine_graph, read_manifest, write_manifest)
 from gmtlab.errors import ContractError
-from gmtlab.measures import Box, restrict
+from gmtlab.measures import Box, EllipseField, restrict
 
 
 def test_cantor_level_one_centers():
@@ -179,6 +181,79 @@ def test_radial_holder_continuity():
     a = field.matrix(np.array([0.01, 0.0]))[0, 0]
     b = field.matrix(np.array([0.0, 0.0]))[0, 0]
     assert abs(a - b) <= 0.15  # ~ 0.01**0.5
+
+
+FIELD_PARAMS = {
+    "constant": dict(kind="constant", matrix=[[2.0, 0.5], [0.1, 1.0]]),
+    "rotating": dict(kind="rotating", eccentricity=3.0, rate=2.0),
+    "checkerboard": dict(kind="checkerboard", m1=np.eye(2), m2=3 * np.eye(2),
+                         cell=0.5),
+    "radial_holder": dict(kind="radial_holder", alpha=0.3),
+}
+# Cell edges and corners, the origin, |a| = 1 and large |a|.
+hostile_coords = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, -0.5, 1.0, -1.0, 0.6, 0.8,
+                     1e6, -1e6, 1e12, 1e300, -1e300]),
+    st.floats(-2.0, 2.0), st.floats(-1e9, 1e9))
+
+
+def _pointwise(name, a):
+    """FIELD_PARAMS[name] at one point, restated with scalar arithmetic."""
+    if name == "rotating":
+        c, s = np.cos(2.0 * a[0]), np.sin(2.0 * a[0])
+        q = np.array([[c, -s], [s, c]])
+        return q @ np.diag([3.0, 1.0]) @ q.T
+    if name == "checkerboard":
+        parity = int(np.sum(np.floor(a / 0.5))) % 2
+        return np.eye(2) if parity == 0 else 3 * np.eye(2)
+    if name == "radial_holder":
+        with np.errstate(over="ignore"):
+            t = min(float(np.linalg.norm(a)), 1.0)
+        return (1.0 + t ** 0.3) * np.eye(2)
+    return np.array(FIELD_PARAMS["constant"]["matrix"])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(FIELD_PARAMS) + ["EllipseField.constant"]),
+       pts=st.lists(st.tuples(hostile_coords, hostile_coords),
+                    min_size=1, max_size=12))
+def test_matrix_is_the_one_point_case_of_matrices(name, pts):
+    # Bit for bit: matrix(a), row k of the batch and the scalar definition.
+    if name == "EllipseField.constant":
+        field = EllipseField.constant(FIELD_PARAMS["constant"]["matrix"])
+    else:
+        field = gen_lambda_field(**FIELD_PARAMS[name])
+    P = np.array(pts, dtype=float)
+    batch = field.matrices(P)
+    for k, a in enumerate(P):
+        assert field.matrix(a).tobytes() == batch[k].tobytes()
+        assert batch[k].tobytes() == _pointwise(name, a).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_PARAMS))
+def test_matrices_equal_the_pointwise_definition_on_a_seeded_cloud(name):
+    P = np.random.default_rng(5).normal(scale=0.7, size=(2000, 2))
+    batch = gen_lambda_field(**FIELD_PARAMS[name]).matrices(P)
+    for k, a in enumerate(P):
+        assert batch[k].tobytes() == _pointwise(name, a).tobytes()
+
+
+@pytest.mark.parametrize("params,name", [
+    (dict(kind="constant", matrix=[[1.0, np.nan], [0.0, 1.0]]), "matrix"),
+    (dict(kind="rotating", eccentricity=np.inf), "eccentricity"),
+    (dict(kind="rotating", rate=np.nan), "rate"),
+    (dict(kind="checkerboard", m1=np.eye(2), m2=np.full((2, 2), np.inf)),
+     "m2"),
+    (dict(kind="checkerboard", m1=np.eye(2), m2=np.eye(2), cell=0.0), "cell"),
+    (dict(kind="checkerboard", m1=np.eye(2), m2=np.eye(2), cell=np.inf),
+     "cell"),
+    (dict(kind="radial_holder", alpha=np.nan), "alpha"),
+    (dict(kind="radial_holder", alpha=-1.0), "alpha"),
+    (dict(kind="radial_holder", base=np.inf), "base"),
+])
+def test_field_parameters_rejected_by_name(params, name):
+    with pytest.raises(ContractError, match=name):
+        gen_lambda_field(**params)
 
 
 def test_unknown_field_kind():

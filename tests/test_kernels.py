@@ -3,7 +3,8 @@ import pytest
 
 from conftest import random_cloud
 from gmtlab.corpus import cantor_construction_corners, gen_lambda_field
-from gmtlab.errors import ContractError, ResolutionGuardError
+from gmtlab.errors import (ContractError, ResolutionGuardError,
+                           SingularMatrixError)
 from gmtlab.kernels import (ball_average, finsler_kernel, frozen_discrepancy,
                             kernel_eval, layer_potential_identity_residual,
                             pv_convergence_scan, riesz_kernel, spd_sqrt,
@@ -215,3 +216,11 @@ def test_frozen_discrepancy_rejects_non_spd():
     field = EllipseField.constant(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ContractError):
         frozen_discrepancy(field, np.zeros(2), 0.3)
+
+
+def test_frozen_discrepancy_rejects_singular_phase():
+    # Regular at a, singular on part of the averaging ball B(a, 1.5 r).
+    field = gen_lambda_field("checkerboard", m1=np.eye(2),
+                             m2=np.zeros((2, 2)), cell=0.5)
+    with pytest.raises(SingularMatrixError):
+        frozen_discrepancy(field, np.array([0.1, 0.1]), 0.3)

@@ -163,31 +163,47 @@ def test_lambda_rescale_rejects_bad_radius(line_entry, identity2):
 
 
 def test_ellipse_field_rejects_near_singular():
-    field = EllipseField(lambda a: np.diag([1e-10, 1.0]), 2)
+    field = EllipseField(
+        lambda P: np.broadcast_to(np.diag([1e-10, 1.0]), (len(P), 2, 2)), 2)
     with pytest.raises(SingularMatrixError):
         field.matrix(np.zeros(2))
 
 
-def test_ellipse_field_constant_caches():
-    calls = []
+def test_ellipse_field_matrices_rejects_singular_and_non_finite():
+    def ev(P):
+        out = np.broadcast_to(np.eye(2), (len(P), 2, 2)).copy()
+        out[P[:, 0] > 1.0] = 0.0
+        out[P[:, 0] < -1.0, 0, 0] = np.nan
+        return out
 
-    def ev(a):
-        calls.append(1)
-        return np.eye(2)
+    field = EllipseField(ev, 2)
+    assert field.matrices(np.zeros((3, 2))).shape == (3, 2, 2)
+    with pytest.raises(SingularMatrixError, match=r"at \[2\. 0\.\] has \|det\| = 0, not in"):
+        field.matrices(np.array([[0.0, 0.0], [2.0, 0.0]]))
+    with pytest.raises(SingularMatrixError, match=r"\|det\| = nan"):
+        field.matrices(np.array([[-2.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(SingularMatrixError):
+        EllipseField.constant(np.zeros((2, 2))).matrices(np.zeros((1, 2)))
 
-    field = EllipseField(ev, 2, kind="constant")
-    field.matrix(np.zeros(2))
-    field.matrix(np.ones(2))
-    field.inverse(np.ones(2))
-    assert len(calls) == 1
+
+def test_ellipse_field_matrices_checks_shapes():
+    field = EllipseField(lambda P: np.zeros((len(P), 3, 3)), 2)
+    with pytest.raises(ContractError, match="returned shape"):
+        field.matrices(np.zeros((2, 2)))
+    with pytest.raises(DimensionMismatchError):
+        EllipseField.identity(2).matrices(np.zeros((2, 3)))
 
 
 def test_ellipse_field_cache_is_bounded():
     calls = []
 
-    def ev(a):
+    def ev(P):
         calls.append(1)
-        return np.array([[2.0 + a[0], a[1]], [0.0, 1.0]])
+        out = np.zeros((len(P), 2, 2))
+        out[:, 0, 0] = 2.0 + P[:, 0]
+        out[:, 0, 1] = P[:, 1]
+        out[:, 1, 1] = 1.0
+        return out
 
     cap = measures._FIELD_CACHE_CAP
     field = EllipseField(ev, 2)
@@ -203,7 +219,7 @@ def test_ellipse_field_cache_is_bounded():
     assert len(calls) == cap + 10
     first = field.matrix(centers[0])
     assert len(calls) == cap + 11 and len(field._cache) == cap
-    assert np.array_equal(first, ev(centers[0]))
+    assert np.array_equal(first, ev(centers[:1])[0])
     assert np.allclose(field.inverse(centers[0]) @ first, np.eye(2))
 
 

@@ -13,10 +13,8 @@ PROBES = seeded_probes(2, 16, seed=0)
 def _sin_field():
     e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
     return EllipseField(
-        lambda a: np.eye(2) + 0.1 * np.sin(a[0]) * e11, 2,
-        batch_evaluator=lambda P: (np.eye(2)[None, :, :] +
-                                   0.1 * np.sin(P[:, 0])[:, None, None] * e11),
-    )
+        lambda P: (np.eye(2)[None, :, :] +
+                   0.1 * np.sin(P[:, 0])[:, None, None] * e11), 2)
 
 
 def test_omega_constant_field_identically_zero():
@@ -44,9 +42,7 @@ def test_omega_scale_invariance():
     # replacing A(.) by A(lambda .) maps omega(r) to omega(lambda r)
     lam = 2.0
     base = _sin_field()
-    scaled = EllipseField(
-        lambda a: base.matrix(lam * np.asarray(a)), 2,
-        batch_evaluator=lambda P: base.matrices(lam * P))
+    scaled = EllipseField(lambda P: base.matrices(lam * P), 2)
     p1 = omega_profile(base, PROBES / lam, [0.8, 0.4, 0.2])
     p2 = omega_profile(scaled, PROBES / lam / lam, [0.4, 0.2, 0.1])
     assert np.allclose(p2.omega, p1.omega, atol=2e-3)
@@ -57,9 +53,8 @@ def test_omega_linear_in_perturbation_size():
 
     def field_scaled(s):
         return EllipseField(
-            lambda a: np.eye(2) + s * np.sin(a[0]) * e11, 2,
-            batch_evaluator=lambda P: (np.eye(2)[None, :, :] +
-                                       s * np.sin(P[:, 0])[:, None, None] * e11))
+            lambda P: (np.eye(2)[None, :, :] +
+                       s * np.sin(P[:, 0])[:, None, None] * e11), 2)
 
     p1 = omega_profile(field_scaled(0.1), PROBES, [0.4, 0.2])
     p2 = omega_profile(field_scaled(0.2), PROBES, [0.4, 0.2])
