@@ -42,6 +42,11 @@ RESOLUTION_GUARD = 20.0
 # and the sandwich at R <= 2, small enough to bound LP sites.
 WINDOW_RADIUS = 4.0
 
+# Flatness is the cone distance at this scale; the symmetry defect is the
+# annulus moment over SYMMETRY_ANNULUS.
+FLATNESS_SCALE = 1.0
+SYMMETRY_ANNULUS = (0.1, 1.0)
+
 
 @dataclass(frozen=True)
 class ScaleLadder:
@@ -51,7 +56,6 @@ class ScaleLadder:
     rho: float
     count: int
     spacing: float
-    guard: float = RESOLUTION_GUARD
 
     def __post_init__(self):
         if not 0 < self.r0 < np.inf:
@@ -64,10 +68,11 @@ class ScaleLadder:
         if not 0 <= self.spacing < np.inf:
             raise ContractError(
                 f"spacing must be nonnegative and finite, got {self.spacing}")
-        if self.r_min < self.guard * self.spacing:
+        if self.r_min < RESOLUTION_GUARD * self.spacing:
             raise ResolutionGuardError(
                 f"smallest ladder radius {self.r_min:.4g} is below "
-                f"{self.guard:g} sample spacings ({self.guard * self.spacing:.4g})"
+                f"{RESOLUTION_GUARD:g} sample spacings "
+                f"({RESOLUTION_GUARD * self.spacing:.4g})"
             )
 
     @property
@@ -170,8 +175,9 @@ def blowup_sequence(mu, a, anisotropy, ladder, mode="power", m=None):
                           mode=mode, m=m, skipped=skipped)
 
 
-def flatness_profile(blowups, m, s=1.0):
-    """Cone distance of each blowup to the m-flats, with a trend verdict.
+def flatness_profile(blowups, m):
+    """Cone distance at `FLATNESS_SCALE` of each blowup to the m-flats, with
+    a trend verdict.
 
     Verdicts (floor = the cone discretization floor): ``decreasing`` when the
     last value is at most half the first and the sequence is monotone within
@@ -183,8 +189,8 @@ def flatness_profile(blowups, m, s=1.0):
     if not pairs:
         raise ContractError("no blowups to profile")
     radii = [float(r) for r, _ in pairs]
-    vals = [d_cone_flat(nu, m, s) for _, nu in pairs]
-    floor = cone_floor(s, m)
+    vals = [d_cone_flat(nu, m, FLATNESS_SCALE) for _, nu in pairs]
+    floor = cone_floor(FLATNESS_SCALE, m)
     first, last = vals[0], vals[-1]
     monotone = all(nxt <= prev * 1.2 for prev, nxt in zip(vals, vals[1:]))
     if last <= 0.5 * first and monotone:
@@ -243,9 +249,9 @@ def sandwich_check(mu, a, anisotropy, m, ladder, R_list):
     )
 
 
-def blowup_symmetry_defect(blowup, r=0.1, R=1.0, m=1):
-    """Symmetry defect of a blowup at the origin over the (r, R) annulus."""
-    return symmetry_defect(blowup, np.zeros(blowup.dim), r, R, m)
+def blowup_symmetry_defect(blowup, m=1):
+    """Symmetry defect of a blowup at the origin over `SYMMETRY_ANNULUS`."""
+    return symmetry_defect(blowup, np.zeros(blowup.dim), *SYMMETRY_ANNULUS, m)
 
 
 # ---------------------------------------------------------------------------

@@ -341,9 +341,12 @@ def cmd_metric(cfg, out, threads, seed):
 
 def cmd_dmo(cfg, out, threads, seed):
     dim = cfg.get_int("dmo", "n", 2)
+    probe_count = cfg.get_int("dmo", "probes", 64)
+    for key, value in (("n", dim), ("probes", probe_count)):
+        if value < 1:
+            raise ConfigError(f"[dmo] {key} = {value} must be at least 1")
     field = field_from_config(cfg, dim)
     radii = cfg.get_floats("dmo", "radii", [0.8, 0.4, 0.2, 0.1])
-    probe_count = cfg.get_int("dmo", "probes", 64)
     probes = moduli.seeded_probes(dim, probe_count, seed=seed)
     if cfg.get("dmo", "boundary_probe") is not None:
         extra = point_from_config(cfg, dim, "dmo", "boundary_probe")

@@ -105,8 +105,9 @@ def sample_flat(spec, radius):
     carries weight c * spacing^m, so the total mass converges to the
     m-volume as the spacing shrinks.
     """
-    if not radius > 0:
-        raise ContractError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ContractError(
+            f"radius must be positive and finite, got {radius}")
     h = spec.spacing
     if h > radius / 10:
         raise ContractError(

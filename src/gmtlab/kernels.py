@@ -8,16 +8,14 @@ Three kernel flavors act on pairs (x, y), all singular at y = x:
                 rectifiability diagnostics;
 * ``theta``:    the gradient of the constant-coefficient fundamental solution
                 A^{-1}(y-x) / (det(A)^{1/2} <A^{-1}(y-x), y-x>^{n/2}), with
-                the dimensional normalizing constant fixed to 1 (exposed as
-                ``constant``; every identity checked here is stated so it
-                cancels);
+                the dimensional normalizing constant fixed to 1 (every
+                identity checked here is stated so it cancels);
 * ``finsler``:  A^{-1}(y-x) / <A^{-1}(y-x), y-x>^{(m+1)/2}, the kernel of the
                 Finsler p-Laplacian layer potential, equal to L^{-1} applied
                 to the riesz kernel of the square root L of A.
 
-Truncated sums integrate a kernel against a discrete measure over the window
-eps <= |L(x)^{-1}(y-x)| < R (ellipse truncation; the euclidean window is
-available as an option without any equivalence claim).  The convergence scan
+Truncated sums integrate a kernel against a discrete measure over the
+ellipse window eps <= |L(x)^{-1}(y-x)| < R.  The convergence scan
 masks one pass of kernel rows and window distances per eps, as `truncated_pv`
 does, and classifies the ladder as converged / oscillating / diverging,
 and ``frozen_discrepancy`` measures how far the kernel frozen at a ball
@@ -32,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionMismatchError, ResolutionGuardError
-from .measures import TIE_TOL, EllipseField, ball_midpoints, lambda_distances
+from .measures import (BALL_GRID, TIE_TOL, EllipseField, ball_midpoints,
+                       lambda_distances)
 from .reports import ScanReport
 
 _SQRT_RESIDUAL_TOL = 1e-10
@@ -73,7 +72,6 @@ class KernelSpec:
     m: int | None = None
     anisotropy: EllipseField | None = None
     matrix: np.ndarray | None = None
-    constant: float = 1.0
     _sqrt_inv: np.ndarray | None = field(default=None, repr=False, compare=False)
     _inv: np.ndarray | None = field(default=None, repr=False, compare=False)
     _det_root: float | None = field(default=None, repr=False, compare=False)
@@ -107,9 +105,9 @@ def riesz_kernel(anisotropy, m):
     return KernelSpec("riesz", anisotropy.dim, m=m, anisotropy=anisotropy)
 
 
-def theta_kernel(matrix, constant=1.0):
+def theta_kernel(matrix):
     matrix = np.asarray(matrix, dtype=float)
-    return KernelSpec("theta", matrix.shape[0], matrix=matrix, constant=constant)
+    return KernelSpec("theta", matrix.shape[0], matrix=matrix)
 
 
 def finsler_kernel(matrix, m):
@@ -129,7 +127,7 @@ def _kernel_rows(spec, x, targets):
         w, t = lambda_distances(targets, x, spec.anisotropy.inverse(x))
     else:
         t = lambda_distances(targets, x, spec._sqrt_inv)[1]
-        w = spec.constant * lambda_distances(targets, x, spec._inv)[0]
+        w = lambda_distances(targets, x, spec._inv)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = (spec._det_root * t ** spec.dim if spec.flavor == "theta"
                  else t ** (spec.m + 1))
@@ -148,21 +146,17 @@ def kernel_eval(spec, x, y):
     return vals[0]
 
 
-def _window_sums(spec, mu, x, eps_list, R, truncation):
+def _window_sums(spec, mu, x, eps_list, R):
     """Truncated sums for every eps in ``eps_list`` from one kernel-row pass:
     the rows and their window distances are computed once, masked per eps."""
     outer = np.inf if R is None else float(R)
     for eps in eps_list:
         if not 0 < eps < outer:
             raise ContractError(f"need 0 < eps < R, got ({eps}, {outer})")
-    if truncation not in ("ellipse", "euclidean"):
-        raise ContractError(f"unknown truncation {truncation!r}")
     if mu.dim != spec.dim:
         raise DimensionMismatchError("measure dimension mismatch")
     x = np.asarray(x, dtype=float).reshape(-1)
     vals, t = _kernel_rows(spec, x, mu.points)
-    if truncation == "euclidean":
-        t = lambda_distances(mu.points, x)[1]
     # Tie-tolerant half-open window [eps, R): mirror-symmetric samples whose
     # float distances straddle a cut by an ulp must land on the same side, or
     # odd-kernel cancellation breaks at the boundary spheres.
@@ -172,27 +166,29 @@ def _window_sums(spec, mu, x, eps_list, R, truncation):
             else np.zeros(spec.dim) for k in masks]
 
 
-def truncated_pv(spec, mu, x, eps, R=None, truncation="ellipse"):
-    """Weighted kernel sum over the window eps <= |L^{-1}(y - x)| < R.
+def truncated_pv(spec, mu, x, eps, R=None):
+    """Weighted kernel sum over the ellipse window eps <= |L^{-1}(y - x)| < R.
 
-    ``truncation="euclidean"`` windows on |y - x| instead; the two are not
-    claimed equivalent.  Atoms at x itself are excluded by the truncation.
+    Atoms at x itself are excluded by the truncation.
     """
-    return _window_sums(spec, mu, x, [eps], R, truncation)[0]
+    return _window_sums(spec, mu, x, [eps], R)[0]
 
 
-def pv_convergence_scan(spec, mu, x, eps_ladder, spacing, R=None,
-                        truncation="ellipse"):
+def pv_convergence_scan(spec, mu, x, eps_ladder, spacing, R=None):
     """Cauchy-criterion diagnosis of the truncated sums along an eps-ladder.
 
     The ladder must be strictly decreasing with ratio 2, hold at least four
     rungs, and stay at or above 5 * spacing (the resolution guard; below it
-    discretization noise swamps the thresholds).
+    discretization noise swamps the thresholds).  The spacing must be
+    nonnegative and finite.
 
     Verdicts: ``converged`` when the last three successive differences are
     each below 1e-2 * (1 + |last value|); ``diverging`` when the norms grow
     monotonically with per-rung ratio >= 1.2; ``oscillating`` otherwise.
     """
+    if not 0 <= spacing < np.inf:
+        raise ContractError(
+            f"spacing must be nonnegative and finite, got {spacing}")
     ladder = [float(e) for e in eps_ladder]
     if len(ladder) < 4:
         raise ContractError("eps ladder needs at least 4 rungs")
@@ -206,7 +202,7 @@ def pv_convergence_scan(spec, mu, x, eps_ladder, spacing, R=None,
             f"bottom rung {ladder[-1]} below 5 * spacing = {5 * spacing}"
         )
 
-    values = np.array(_window_sums(spec, mu, x, ladder, R, truncation))
+    values = np.array(_window_sums(spec, mu, x, ladder, R))
     diffs = np.linalg.norm(np.diff(values, axis=0), axis=1)
     norms = np.linalg.norm(values, axis=1)
 
@@ -258,25 +254,21 @@ def layer_potential_identity_residual(A, mu, x, eps):
 # Frozen-coefficient discrepancy
 # ---------------------------------------------------------------------------
 
-def ball_average(field, center, r, grid=16):
-    """Midpoint-grid average of a matrix field over the ball B(center, r).
-
-    Returns (average, error_estimate) with the error from a half-resolution
-    Richardson comparison.  Supported for dim <= 3.
+def ball_average(field, center, r):
+    """Midpoint-grid average of a matrix field over the ball B(center, r),
+    on `BALL_GRID` midpoints per axis.  Supported for dim <= 3.
     """
     center = np.asarray(center, dtype=float).reshape(-1)
     if center.size > 3:
         raise ContractError("ball averages implemented for dim <= 3 only")
-    if grid < 8:
-        raise ContractError("ball-average grid must be >= 8 points per axis")
-
-    full = field.matrices(ball_midpoints(center, r, grid)).mean(axis=0)
-    half = field.matrices(ball_midpoints(center, r, grid // 2)).mean(axis=0)
-    return full, float(np.abs(full - half).max())
+    return field.matrices(ball_midpoints(center, r, BALL_GRID)).mean(axis=0)
 
 
-def _annulus_grid(n, c2, C2, radial=8, angular=96):
-    radii = np.linspace(c2, C2, radial)
+def _annulus_grid(n):
+    """Unit-scale sample of the annulus 1/2 <= |y| <= 2: 8 radii times 96
+    directions."""
+    radii = np.linspace(0.5, 2.0, 8)
+    angular = 96
     if n == 2:
         th = np.arange(angular) * (2 * np.pi / angular)
         dirs = np.column_stack([np.cos(th), np.sin(th)])
@@ -291,32 +283,29 @@ def _annulus_grid(n, c2, C2, radial=8, angular=96):
     return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
 
 
-def frozen_discrepancy(field, a, r, annulus=(0.5, 2.0), grid=16):
+def frozen_discrepancy(field, a, r):
     """Sup over the annulus of the frozen-kernel drift, scale-normalized:
 
         sup  | grad_theta(a, y; avg of A over B(a, 1.5 r))
                - grad_theta(a, y; A(a)) | * |y - a|^{n-1}
 
-    over c2 * r <= |y - a| <= C2 * r.  Zero for constant fields; decreasing
+    over r/2 <= |y - a| <= 2 r.  Zero for constant fields; decreasing
     in r wherever the field is continuous at ``a`` (trend check only).
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     n = a.size
     if field.dim != n:
         raise DimensionMismatchError("field/center dimension mismatch")
-    if not r > 0:
-        raise ContractError("radius must be positive")
-    c2, C2 = annulus
-    if not 0 < c2 < C2:
-        raise ContractError("annulus must satisfy 0 < c2 < C2")
+    if not 0 < r < np.inf:
+        raise ContractError(f"radius must be positive and finite, got {r}")
 
-    avg, _ = ball_average(field, a, 1.5 * r, grid=grid)
+    avg = ball_average(field, a, 1.5 * r)
     avg = 0.5 * (avg + avg.T)
     if np.linalg.eigvalsh(avg).min() <= 0:
         raise ContractError("ball average of the field is not SPD")
     local = np.asarray(field.matrix(a), dtype=float)
 
-    ys = a + r * _annulus_grid(n, c2, C2)
+    ys = a + r * _annulus_grid(n)
     k_avg = theta_kernel(avg)
     k_loc = theta_kernel(local)
     v_avg, _ = _kernel_rows(k_avg, a, ys)

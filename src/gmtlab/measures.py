@@ -38,6 +38,10 @@ _FIELD_DET_FLOOR = 1e-9
 # Most field evaluations an EllipseField keeps; the oldest is dropped first.
 _FIELD_CACHE_CAP = 4096
 
+# Midpoints per axis of the ball quadrature behind field averages and
+# oscillations (`ball_midpoints`).
+BALL_GRID = 16
+
 
 def _as_points(points, dim=None):
     pts = np.asarray(points, dtype=float)

@@ -14,7 +14,7 @@ sup) and ball means by midpoint quadrature with half-resolution error bars.
 
 by log-spaced midpoint quadrature; the small-scale integral warns when the
 integrand has not decayed at its lower cutoff (divergence suspected), and the
-large-scale one flat-extends theta beyond ``t_max`` where corpus fields are
+large-scale one flat-extends theta beyond ``T_MAX`` where corpus fields are
 constant.  ``tau_moduli`` combines them into the composite moduli used by the
 frozen-coefficient comparison, and ``doubling_constant`` estimates the
 doubling constant of a sampled modulus on a dyadic ladder.
@@ -28,14 +28,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DiniDivergenceWarning
-from .measures import ball_midpoints
+from .measures import BALL_GRID, ball_midpoints
 
 # Log-spaced quadrature resolution for the Dini integrals.
 NODES_PER_DECADE = 200
 
+# The small-scale Dini integral starts at this fraction of its radius.
+T_MIN_FACTOR = 1e-6
+
 # theta is flat-extended above this radius (corpus fields are constant far
-# out); configurable per call.
-DEFAULT_T_MAX = 10.0
+# out).
+T_MAX = 10.0
+
+# Probe centers fill the cube [-PROBE_BOX, PROBE_BOX]^dim.
+PROBE_BOX = 2.0
 
 
 @dataclass
@@ -53,7 +59,7 @@ class OscillationProfile:
         if self.kappa_hat < 1.0:
             raise ContractError("doubling constant must be >= 1")
 
-    def interpolator(self, extrapolate_power=True):
+    def interpolator(self):
         """theta(t): log-linear interpolation of the profile.
 
         Below the ladder the profile is extended by the power law fitted to
@@ -67,7 +73,7 @@ class OscillationProfile:
         log_r = np.log(radii)
         lo_r, lo_w = radii[0], omega[0]
         hi_w = omega[-1]
-        if extrapolate_power and lo_w > 0 and omega[1] > 0 and radii[1] > lo_r:
+        if lo_w > 0 and omega[1] > 0 and radii[1] > lo_r:
             beta = (np.log(omega[1]) - np.log(lo_w)) / (np.log(radii[1]) - np.log(lo_r))
             beta = float(np.clip(beta, 0.0, 8.0))
         else:
@@ -85,10 +91,15 @@ class OscillationProfile:
         return theta
 
 
-def seeded_probes(dim, count=64, seed=0, box=2.0):
-    """Deterministic probe centers filling [-box, box]^dim."""
+def _check_radius(r):
+    if not 0 < r < np.inf:
+        raise ContractError(f"radius must be positive and finite, got {r}")
+
+
+def seeded_probes(dim, count=64, seed=0):
+    """Deterministic probe centers filling [-PROBE_BOX, PROBE_BOX]^dim."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(-box, box, size=(count, dim))
+    return rng.uniform(-PROBE_BOX, PROBE_BOX, size=(count, dim))
 
 
 def _ball_oscillation(field, center, r, grid):
@@ -99,12 +110,12 @@ def _ball_oscillation(field, center, r, grid):
     return float(np.sqrt(np.sum(dev * dev, axis=(1, 2))).mean())
 
 
-def omega_profile(field, probe_centers, radii, grid=16):
+def omega_profile(field, probe_centers, radii):
     """Oscillation modulus on a radius ladder, maximized over the probes.
 
     The sup over all centers is replaced by the finite probe set, so the
-    profile is a lower bound on the true modulus.  Error bars come from a
-    half-resolution quadrature comparison.
+    profile is a lower bound on the true modulus.  Ball means use `BALL_GRID`
+    midpoints per axis; error bars compare them with half that resolution.
     """
     probes = np.asarray(probe_centers, dtype=float)
     radii = np.asarray(sorted(float(r) for r in radii))
@@ -112,16 +123,14 @@ def omega_profile(field, probe_centers, radii, grid=16):
         raise ContractError("need nonempty probes and radii")
     if probes.shape[1] != field.dim:
         raise ContractError("probe dimension does not match the field")
-    if grid < 8:
-        raise ContractError("quadrature grid must be >= 8 points per axis")
     for r in radii:
-        if not 0.0 < r < np.inf:
-            raise ContractError(f"radius must be positive and finite, got {r}")
+        _check_radius(r)
     omega = np.zeros(radii.size)
     errs = np.zeros(radii.size)
     for k, r in enumerate(radii):
-        full = max(_ball_oscillation(field, p, r, grid) for p in probes)
-        half = max(_ball_oscillation(field, p, r, grid // 2) for p in probes)
+        full = max(_ball_oscillation(field, p, r, BALL_GRID) for p in probes)
+        half = max(_ball_oscillation(field, p, r, BALL_GRID // 2)
+                   for p in probes)
         omega[k] = full
         errs[k] = abs(full - half)
     kappa = doubling_constant(radii, omega) if radii.size >= 2 else 1.0
@@ -129,10 +138,10 @@ def omega_profile(field, probe_centers, radii, grid=16):
                               kappa_hat=max(kappa, 1.0))
 
 
-def _log_quadrature(theta, t_lo, t_hi, weight=None, nodes_per_decade=NODES_PER_DECADE):
+def _log_quadrature(theta, t_lo, t_hi, weight=None):
     """Midpoint rule in log space for integral theta(t) * weight(t) dt/t."""
     decades = np.log10(t_hi / t_lo)
-    count = max(int(np.ceil(decades * nodes_per_decade)), 4)
+    count = max(int(np.ceil(decades * NODES_PER_DECADE)), 4)
     edges = np.linspace(np.log(t_lo), np.log(t_hi), count + 1)
     mids = np.exp(0.5 * (edges[:-1] + edges[1:]))
     dlog = np.diff(edges)
@@ -142,23 +151,18 @@ def _log_quadrature(theta, t_lo, t_hi, weight=None, nodes_per_decade=NODES_PER_D
     vals = np.maximum(vals, 0.0)
     if weight is not None:
         vals = vals * weight(mids)
-    return float(np.sum(vals * dlog)), mids, vals
+    return float(np.sum(vals * dlog)), vals
 
 
-def dini_small(theta, r, t_min_factor=1e-6, return_error=False):
+def dini_small(theta, r):
     """Small-scale Dini integral of theta up to r, with divergence warning.
 
-    Integrates theta(t) dt/t over (t_min, r] with t_min = t_min_factor * r;
+    Integrates theta(t) dt/t over (t_min, r] with t_min = T_MIN_FACTOR * r;
     warns when theta has not decayed at t_min relative to its maximum on the
     quadrature grid (the integral is then suspected divergent).
     """
-    if not r > 0:
-        raise ContractError("r must be positive")
-    t_min = t_min_factor * r
-    value, mids, vals = _log_quadrature(theta, t_min, r)
-    half, _, _ = _log_quadrature(theta, t_min, r,
-                                 nodes_per_decade=NODES_PER_DECADE // 2)
-    err = abs(value - half) / 3.0
+    _check_radius(r)
+    value, vals = _log_quadrature(theta, T_MIN_FACTOR * r, r)
     peak = vals.max(initial=0.0)
     if peak > 0 and vals[0] > 1e-3 * peak:
         warnings.warn(
@@ -167,91 +171,71 @@ def dini_small(theta, r, t_min_factor=1e-6, return_error=False):
             DiniDivergenceWarning,
             stacklevel=2,
         )
-    return (value, err) if return_error else value
+    return value
 
 
-def dini_large(theta, d, r, t_max=DEFAULT_T_MAX, return_error=False):
+def dini_large(theta, d, r):
     """Large-scale Dini integral r^d * integral_r^inf theta dt/t^{d+1}.
 
-    theta is flat-extended beyond ``t_max``, making the tail exact:
-    theta(t_max) * (r / t_max)^d / d.  Nonincreasing in d.
+    theta is flat-extended beyond ``T_MAX``, making the tail exact:
+    theta(T_MAX) * (r / T_MAX)^d / d.  Nonincreasing in d.
     """
     if d < 1:
         raise ContractError("d must be >= 1")
-    if not r > 0:
-        raise ContractError("r must be positive")
-    tail_level = float(np.asarray(theta(np.array([t_max])), dtype=float)[0])
+    _check_radius(r)
+    tail_level = float(np.asarray(theta(np.array([T_MAX])), dtype=float)[0])
     if tail_level < -1e-14:
         raise ContractError("theta must be nonnegative")
     tail_level = max(tail_level, 0.0)
-    tail = tail_level * (r / t_max) ** d / d
-    if r >= t_max:
+    if r >= T_MAX:
         # Entirely in the flat-extended region.
-        value, err = tail_level / d, 0.0
-        return (value, err) if return_error else value
+        return tail_level / d
     weight = lambda t: (r / t) ** d
-    value, _, _ = _log_quadrature(theta, r, t_max, weight=weight)
-    half, _, _ = _log_quadrature(theta, r, t_max, weight=weight,
-                                 nodes_per_decade=NODES_PER_DECADE // 2)
-    err = abs(value - half) / 3.0
-    value += tail
-    return (value, err) if return_error else value
+    value, _ = _log_quadrature(theta, r, T_MAX, weight=weight)
+    return value + tail_level * (r / T_MAX) ** d / d
 
 
 @dataclass(frozen=True)
 class TauModuli:
-    """Composite small+large moduli with propagated quadrature errors."""
+    """Composite small+large moduli."""
 
     tau: float
     tau_hat: float
-    tau_error: float = 0.0
-    tau_hat_error: float = 0.0
 
     def __iter__(self):
         return iter((self.tau, self.tau_hat))
 
 
-def tau_moduli(field, probes, r, t_max=DEFAULT_T_MAX, ladder=None, grid=16):
+def tau_moduli(field, probes, r):
     """tau(r) = I_omega(r) + L^{n-1}_omega(r) and the companion
     tau_hat(r) = I_omega(r) + L^{n-2}_omega(r).
 
     The oscillation profile is measured on a dyadic ladder spanning two
-    decades below r up to t_max and interpolated; both moduli reuse exactly
+    decades below r up to T_MAX and interpolated; both moduli reuse exactly
     the Dini quadratures of `dini_small` / `dini_large`.
     """
-    n = field.dim
-    if not r > 0:
-        raise ContractError("r must be positive")
-    if ladder is None:
-        t_lo = r / 100.0
-        count = int(np.ceil(np.log2(t_max / t_lo))) + 1
-        ladder = t_max * 0.5 ** np.arange(count)[::-1]
-    ladder = np.asarray(sorted(float(t) for t in ladder))
+    _check_radius(r)
+    count = int(np.ceil(np.log2(T_MAX / (r / 100.0)))) + 1
+    ladder = T_MAX * 0.5 ** np.arange(count)[::-1]
     if ladder.size < 4:
         raise ContractError("oscillation ladder too short (need >= 4 radii)")
-    if ladder[0] > r / 10 or ladder[-1] < t_max * (1 - 1e-9):
-        raise ContractError("oscillation ladder must cover (r/10, t_max)")
+    if ladder[0] > r / 10 or ladder[-1] < T_MAX * (1 - 1e-9):
+        raise ContractError("oscillation ladder must cover (r/10, T_MAX)")
 
-    profile = omega_profile(field, probes, ladder, grid=grid)
-    return tau_of_modulus(profile.interpolator(), n, r, t_max=t_max)
+    profile = omega_profile(field, probes, ladder)
+    return tau_of_modulus(profile.interpolator(), field.dim, r)
 
 
-def tau_of_modulus(theta, n, r, t_max=DEFAULT_T_MAX):
+def tau_of_modulus(theta, n, r):
     """`TauModuli` of a modulus theta in R^n: I_theta(r) + L^{n-1}_theta(r)
     and I_theta(r) + L^{n-2}_theta(r), Dini exponents clamped at 1.
 
     A `DiniDivergenceWarning` from `dini_small` passes through.
     """
-    small, small_err = dini_small(theta, r, return_error=True)
-    large_n1, err_n1 = dini_large(theta, max(n - 1, 1), r, t_max=t_max,
-                                  return_error=True)
-    large_n2, err_n2 = dini_large(theta, max(n - 2, 1), r, t_max=t_max,
-                                  return_error=True)
+    small = dini_small(theta, r)
     return TauModuli(
-        tau=small + large_n1,
-        tau_hat=small + large_n2,
-        tau_error=small_err + err_n1,
-        tau_hat_error=small_err + err_n2,
+        tau=small + dini_large(theta, max(n - 1, 1), r),
+        tau_hat=small + dini_large(theta, max(n - 2, 1), r),
     )
 
 

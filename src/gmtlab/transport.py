@@ -244,16 +244,15 @@ class _BasisTree:
         thread[prev], rthread[nxt] = nxt, prev
 
 
-def transport_simplex(cost, supply, demand, tol=_TOL_RC, max_iter=None,
-                      warm=None):
+def transport_simplex(cost, supply, demand, max_iter=None, warm=None):
     """Minimum cost of a balanced dense transportation problem.
 
     Returns ``(value, alpha, beta)`` where the potentials satisfy
-    ``alpha[a] + beta[b] <= cost[a, b] + tol`` everywhere (dual feasibility,
-    i.e. the optimality certificate) and ``alpha[0] = 0``.  ``warm`` is an
-    optional `WarmStart` holder; it is read before and updated after the
-    solve.  Raises `SolverError` when ``max_iter`` pricing rounds do not reach
-    optimality.
+    ``alpha[a] + beta[b] <= cost[a, b] + _TOL_RC`` everywhere (dual
+    feasibility, i.e. the optimality certificate) and ``alpha[0] = 0``.
+    ``warm`` is an optional `WarmStart` holder; it is read before and updated
+    after the solve.  Raises `SolverError` when ``max_iter`` pricing rounds do
+    not reach optimality.
     """
     cost = np.asarray(cost, dtype=float)
     supply = np.asarray(supply, dtype=float).copy()
@@ -286,13 +285,13 @@ def transport_simplex(cost, supply, demand, tol=_TOL_RC, max_iter=None,
         reduced += pot[None, p:]
         if stall >= _STALL_SWITCH:
             # Bland-style: first improving cell in row-major order.
-            flat = np.flatnonzero(reduced_flat < -tol)
+            flat = np.flatnonzero(reduced_flat < -_TOL_RC)
             if flat.size == 0:
                 break
             enter_flat = int(flat[0])
         else:
             enter_flat = int(np.argmin(reduced_flat))
-            if reduced_flat[enter_flat] >= -tol:
+            if reduced_flat[enter_flat] >= -_TOL_RC:
                 break
         ea, eb = enter_flat // q, enter_flat % q
         rc = float(reduced_flat[enter_flat])
@@ -326,7 +325,7 @@ def transport_simplex(cost, supply, demand, tol=_TOL_RC, max_iter=None,
         tree.rehang(sub, stem, hang, leave)
         cells[leave] = (ea, eb)
         flows[leave] = theta
-        stall = stall + 1 if theta <= tol else 0
+        stall = stall + 1 if theta <= _TOL_RC else 0
     else:
         raise SolverError(
             f"transportation simplex exceeded {max_iter} iterations"
@@ -343,7 +342,7 @@ def transport_simplex(cost, supply, demand, tol=_TOL_RC, max_iter=None,
     return float(value), pot[:p], -pot[p:]
 
 
-def _solve_boundary(sites, signed_mass, caps, tol, warm):
+def _solve_boundary(sites, signed_mass, caps, warm):
     """``(value, neg, alpha, beta)`` of the audited boundary problem.
 
     Rows are the positive sites plus the boundary B, columns the negative
@@ -366,8 +365,7 @@ def _solve_boundary(sites, signed_mass, caps, tol, warm):
     supply = np.concatenate([signed_mass[pos], [-signed_mass[neg].sum()]])
     demand = np.concatenate([-signed_mass[neg], [signed_mass[pos].sum()]])
 
-    value, alpha, beta = transport_simplex(cost, supply, demand, tol=tol,
-                                           warm=warm)
+    value, alpha, beta = transport_simplex(cost, supply, demand, warm=warm)
     # Dual feasibility audit: the certificate that `value` is optimal.
     slack = cost - alpha[:, None] - beta[None, :]
     if slack.min() < -1e-7 * (1.0 + float(np.abs(cost).max())):
@@ -375,7 +373,7 @@ def _solve_boundary(sites, signed_mass, caps, tol, warm):
     return value, neg, alpha, beta
 
 
-def lipschitz_dual_value(sites, signed_mass, caps, tol=_TOL_RC, warm=None):
+def lipschitz_dual_value(sites, signed_mass, caps, warm=None):
     """Optimal F_r value via the boundary transportation problem.
 
     ``signed_mass`` must contain both signs (one-signed instances have a
@@ -383,7 +381,7 @@ def lipschitz_dual_value(sites, signed_mass, caps, tol=_TOL_RC, warm=None):
     `transport_simplex`.  Raises `SolverError` if the duals fail the
     optimality audit.
     """
-    return _solve_boundary(sites, signed_mass, caps, tol, warm)[0]
+    return _solve_boundary(sites, signed_mass, caps, warm)[0]
 
 
 def lipschitz_potential(sites, signed_mass, caps):
@@ -398,8 +396,7 @@ def lipschitz_potential(sites, signed_mass, caps):
     and f at every site.  Raises `SolverError` if the duals fail the
     optimality audit.
     """
-    value, neg, alpha, beta = _solve_boundary(sites, signed_mass, caps,
-                                              _TOL_RC, None)
+    value, neg, alpha, beta = _solve_boundary(sites, signed_mass, caps, None)
     g = -(beta[:-1] + alpha[-1])
     diff = sites[:, None, :] - sites[neg][None, :, :]
     reach = g[None, :] + np.sqrt(np.sum(diff * diff, axis=-1))

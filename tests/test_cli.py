@@ -4,7 +4,8 @@ import pytest
 from gmtlab import transport
 from gmtlab.cli import RunConfig, _fmt, main
 from gmtlab.errors import SolverError
-from gmtlab.measures import lambda_rescale
+from gmtlab.corpus import gen_half_line
+from gmtlab.measures import lambda_rescale, save_measure_csv
 from gmtlab.simplex import simplex_max_bounded
 
 LINE_DENSITY_CFG = """
@@ -424,6 +425,33 @@ _SINGULAR_PHASE = "kind = checkerboard\ncontrast = 0"
 def test_singular_field_or_bad_radius_exits_2(tmp_path, capsys, command,
                                               cfg_text, message):
     cfg = write_cfg(tmp_path, cfg_text)
+    out = tmp_path / "out.csv"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+_CSV_HALFLINE = "kind = csv\npath = {csv}\nh = "
+
+
+@pytest.mark.parametrize("command,cfg_text,message", [
+    ("pv", HALFLINE_PV_CFG.replace("kind = halfline\nh = 0.001",
+                                   _CSV_HALFLINE + "nan"),
+     "spacing must be nonnegative and finite, got nan"),
+    ("pv", HALFLINE_PV_CFG.replace("kind = halfline\nh = 0.001",
+                                   _CSV_HALFLINE + "-1"),
+     "spacing must be nonnegative and finite, got -1.0"),
+    ("dmo", DMO_CFG.replace("probes = 16", "probes = -1"),
+     "[dmo] probes = -1 must be at least 1"),
+    ("dmo", DMO_CFG.replace("n = 2", "n = -1"),
+     "[dmo] n = -1 must be at least 1"),
+], ids=["pv-csv-h-nan", "pv-csv-h-negative", "dmo-probes-negative",
+        "dmo-n-negative"])
+def test_bad_spacing_or_count_exits_2(tmp_path, capsys, command, cfg_text,
+                                      message):
+    csv = tmp_path / "halfline.csv"
+    save_measure_csv(gen_half_line(0.01, 1.5).measure, csv)
+    cfg = write_cfg(tmp_path, cfg_text.replace("{csv}", str(csv)))
     out = tmp_path / "out.csv"
     assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err

@@ -107,11 +107,10 @@ def test_truncation_flavors_differ_for_anisotropic_windows():
     field = EllipseField.constant(np.diag([2.0, 1.0]))
     spec = riesz_kernel(field, 1)
     mu = DiscreteMeasure.dirac(np.array([1.5, 0.0]))
-    # ellipse window: |diag(1/2,1)(1.5,0)| = 0.75 < 1 -> excluded at eps=1
+    # ellipse window: |diag(1/2,1)(1.5,0)| = 0.75 < 1 -> excluded at eps=1,
+    # although its euclidean distance 1.5 is above 1; kept at eps = 0.5
     assert np.allclose(truncated_pv(spec, mu, np.zeros(2), 1.0), 0.0)
-    # euclidean window keeps it
-    out = truncated_pv(spec, mu, np.zeros(2), 1.0, truncation="euclidean")
-    assert np.linalg.norm(out) > 0
+    assert np.linalg.norm(truncated_pv(spec, mu, np.zeros(2), 0.5)) > 0
 
 
 def test_scan_line_converges(line_entry, identity2):
@@ -188,9 +187,8 @@ def test_layer_potential_identity_diag():
 
 def test_ball_average_of_constant_field():
     field = EllipseField.constant(np.diag([3.0, 1.0]))
-    avg, err = ball_average(field, np.zeros(2), 0.5)
+    avg = ball_average(field, np.zeros(2), 0.5)
     assert np.allclose(avg, np.diag([3.0, 1.0]))
-    assert err <= 1e-12
 
 
 def test_frozen_discrepancy_constant_is_zero():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from gmtlab.cones import FlatMeasureSpec, sample_flat
 from gmtlab.corpus import gen_lambda_field
 from gmtlab.errors import ContractError, DiniDivergenceWarning
+from gmtlab.kernels import frozen_discrepancy
 from gmtlab.measures import EllipseField
 from gmtlab.moduli import (dini_large, dini_small, doubling_constant,
-                           omega_profile, seeded_probes, tau_moduli)
+                           omega_profile, seeded_probes, tau_moduli,
+                           tau_of_modulus)
 
 PROBES = seeded_probes(2, 16, seed=0)
 
@@ -154,5 +157,23 @@ def test_tau_checkerboard_warns():
 
 def test_tau_ladder_validation():
     field = _sin_field()
-    with pytest.raises(ContractError):
-        tau_moduli(field, PROBES, 0.1, ladder=[0.5, 1.0, 10.0])
+    with pytest.raises(ContractError, match="too short"):
+        tau_moduli(field, PROBES, 1000.0)  # ladder up to T_MAX has 1 rung
+
+
+_RADIUS_TAKERS = {
+    "frozen_discrepancy": lambda r: frozen_discrepancy(
+        EllipseField.constant(np.eye(2)), np.zeros(2), r),
+    "tau_moduli": lambda r: tau_moduli(_sin_field(), PROBES, r),
+    "dini_small": lambda r: dini_small(lambda t: t, r),
+    "tau_of_modulus": lambda r: tau_of_modulus(lambda t: t, 2, r),
+    "sample_flat": lambda r: sample_flat(
+        FlatMeasureSpec(np.array([[1.0], [0.0]]), 1.0, 0.001), r),
+}
+
+
+@pytest.mark.parametrize("r", [np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(_RADIUS_TAKERS))
+def test_radius_must_be_positive_and_finite(name, r):
+    with pytest.raises(ContractError, match=f"positive and finite, got {r}"):
+        _RADIUS_TAKERS[name](r)

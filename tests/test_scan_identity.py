@@ -46,7 +46,7 @@ def _mass(mu, dist, r):
     return float(mu.weights[dist <= r * (1.0 + TIE)].sum())
 
 
-def _pv(spec, mu, a, eps, outer, truncation):
+def _pv(spec, mu, a, eps, outer):
     """One truncated sum, restated from the kernel definitions."""
     if spec.flavor == "riesz":
         inv = np.linalg.inv(spec.anisotropy.matrix(a))
@@ -57,9 +57,7 @@ def _pv(spec, mu, a, eps, outer, truncation):
         w, _ = _distances(mu.points, a, spec._inv)
         denom = (spec._det_root * t ** 2 if spec.flavor == "theta"
                  else t ** (spec.m + 1))
-        vals = spec.constant * w / denom[:, None]
-    if truncation == "euclidean":
-        t = _distances(mu.points, a)[1]
+        vals = w / denom[:, None]
     top = np.inf if outer is None else outer
     keep = (t >= eps * (1.0 - TIE)) & (t < top * (1.0 - TIE))
     if not keep.any():
@@ -123,22 +121,19 @@ def test_density_scan_equals_per_ball_masses(scene, m):
 @settings(max_examples=150)
 @given(scene=scenes(), flavor=st.sampled_from(["riesz", "theta", "finsler"]),
        eps0=st.sampled_from([0.4, 0.25]), rungs=st.integers(4, 6),
-       outer=st.sampled_from([None, 0.8, 2.0]),
-       truncation=st.sampled_from(["ellipse", "euclidean"]))
+       outer=st.sampled_from([None, 0.8, 2.0]))
 def test_pv_scan_rows_equal_per_eps_truncated_pv(scene, flavor, eps0, rungs,
-                                                 outer, truncation):
+                                                 outer):
     field, a, _, mu = scene
     spd = field.matrix(a)
     spec = {"riesz": lambda: riesz_kernel(field, 1),
             "theta": lambda: theta_kernel(spd),
             "finsler": lambda: finsler_kernel(spd, 1)}[flavor]()
     ladder = [eps0 * 0.5 ** k for k in range(rungs)]
-    rep = pv_convergence_scan(spec, mu, a, ladder, spacing=0.0, R=outer,
-                              truncation=truncation)
-    rows = [truncated_pv(spec, mu, a, e, R=outer, truncation=truncation)
-            for e in ladder]
+    rep = pv_convergence_scan(spec, mu, a, ladder, spacing=0.0, R=outer)
+    rows = [truncated_pv(spec, mu, a, e, R=outer) for e in ladder]
     with np.errstate(divide="ignore", invalid="ignore"):
-        defined = [_pv(spec, mu, a, e, outer, truncation) for e in ladder]
+        defined = [_pv(spec, mu, a, e, outer) for e in ladder]
     for k in range(2):
         assert rep.columns[f"v{k + 1}"] == [float(v[k]) for v in rows]
         assert [float(v[k]) for v in defined] == [float(v[k]) for v in rows]
