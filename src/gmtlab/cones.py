@@ -12,8 +12,10 @@ parameters; the normalizing constant per plane is fixed in closed form since
 F_s is linear in the weights.  The result is the smallest value seen, an
 upper bound on the infimum; it is not certified.  Each of the two stages
 warm-starts its chain of F_s programs through its own
-`gmtlab.transport.WarmStart` holder, so no solver state outlives the call.
-Values are clamped to [0, 1], and 1 is returned when F_s(nu) = 0.
+`gmtlab.transport.WarmStart` holder, keyed by the frame parameters, so each
+solve starts from the basis of the nearest frame solved before it in that
+stage; no solver state outlives the call.  Values are clamped to [0, 1], and
+1 is returned when F_s(nu) = 0.
 
 ``symmetry_defect`` evaluates the annulus moment whose vanishing at every
 window characterizes points of symmetry, and ``uniformity_defect`` probes the
@@ -273,7 +275,11 @@ def d_cone_flat(nu, m, s, seed=0):
     at half resolution picks the best frame, and `_compass_search` refines
     it on the frame parameters at full resolution, starting from that
     frame's full-resolution value (first step pi/72, at most 60 further
-    evaluations).  ``s`` must be positive and finite.
+    evaluations).  Each stage warm-starts its transport solves through its
+    own holder, keyed by `_frame_to_params`: a solve starts from the stored
+    basis of the nearest frame of that stage (ties to the most recent), so
+    on the n = 2 coarse grid that is the previous angle, and in the compass
+    search x + h/2 starts from x + h.  ``s`` must be positive and finite.
     """
     n = nu.dim
     if not 1 <= m <= n - 1:
@@ -308,6 +314,7 @@ def d_cone_flat(nu, m, s, seed=0):
         return coords, np.full(coords.shape[0], spacing ** m)
 
     def plane_distance(frame, target, grid_coords, grid_w, warm):
+        warm.key = _frame_to_params(n, m, frame)
         pts = grid_coords @ frame.T
         norm = _flat_mass_norm(pts, grid_w, s)
         if norm <= 0.0:
@@ -318,18 +325,18 @@ def d_cone_flat(nu, m, s, seed=0):
     # Coarse stage at half resolution locates the basin; refinement and the
     # reported value use the full grid (whose floor is the quoted one).
     # Each stage chains its LPs through one warm-start holder: the target is
-    # fixed and every candidate atom carries the same weight, so consecutive
-    # transport problems usually share their marginals exactly, and the last
-    # optimal basis is a feasible start for the next.
+    # fixed and every candidate atom carries the same weight, so the
+    # transport problems of a stage usually share their marginals exactly,
+    # and every optimal basis kept is a feasible start for the next.
     coarse_target = normalized_target(nu, 2 * step)
     if coarse_target is None:
         return 1.0
     coarse_coords, coarse_w = plane_grid(2 * step)
-    coarse_warm = WarmStart()
+    warm = WarmStart()
     best_frame, best_val = None, np.inf
     for frame in _coarse_frames(n, m, seed=seed):
         val = plane_distance(frame, coarse_target, coarse_coords, coarse_w,
-                             coarse_warm)
+                             warm)
         if val < best_val - 1e-15:
             best_frame, best_val = frame, val
 
@@ -337,6 +344,8 @@ def d_cone_flat(nu, m, s, seed=0):
     if target is None:
         return 1.0
     coords, base_w = plane_grid(step)
+    # A fresh holder: no full-resolution problem has the coarse marginals,
+    # so the coarse bases are released here.
     warm = WarmStart()
 
     def objective(params):

@@ -269,8 +269,13 @@ def gen_lambda_field(kind, **kw):
         _positive_finite(cell=cell)
 
         def evaluate(pts):
-            parity = np.sum(np.floor(pts / cell), axis=1) % 2
-            return np.where(parity[:, None, None] == 0, m1, m2)
+            with np.errstate(over="ignore", invalid="ignore"):
+                index = np.sum(np.floor(pts / cell), axis=1)
+            if not np.isfinite(index).all():
+                raise ContractError(
+                    f"checkerboard cell {cell} leaves the cell index of "
+                    f"{pts[~np.isfinite(index)][0]} non-finite")
+            return np.where((index % 2)[:, None, None] == 0, m1, m2)
 
         return EllipseField(evaluate, m1.shape[0])
 

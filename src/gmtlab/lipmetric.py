@@ -108,7 +108,10 @@ def solve_ball_lp(lp, warm=None):
     feasible potential (distance to the ball complement is 1-Lipschitz) and
     dominate every other, so the optimum is sum(|mass| * caps).  Mixed signs
     go through the transportation form of the dual; ``warm`` is an optional
-    `gmtlab.transport.WarmStart` holder for a chain of such solves.
+    `gmtlab.transport.WarmStart` holder for a chain of such solves: the
+    solve starts from the kept basis whose marginals match and whose key
+    (set by the caller) is nearest, and adds its own optimal basis under the
+    current key.
     """
     k = lp.size
     if k == 0:

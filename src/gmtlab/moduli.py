@@ -212,15 +212,20 @@ def tau_moduli(field, probes, r):
 
     The oscillation profile is measured on a dyadic ladder spanning two
     decades below r up to T_MAX and interpolated; both moduli reuse exactly
-    the Dini quadratures of `dini_small` / `dini_large`.
+    the Dini quadratures of `dini_small` / `dini_large`.  A radius so small
+    that T_MAX / (r/100) is not finite is rejected with `ContractError`.
     """
     _check_radius(r)
-    count = int(np.ceil(np.log2(T_MAX / (r / 100.0)))) + 1
+    with np.errstate(divide="ignore", over="ignore"):
+        octaves = np.log2(np.float64(T_MAX) / (r / 100.0))
+    if not octaves < np.inf:
+        raise ContractError(f"radius {r} is too small for the oscillation "
+                            f"ladder down to r/100")
+    count = int(np.ceil(octaves)) + 1
     ladder = T_MAX * 0.5 ** np.arange(count)[::-1]
     if ladder.size < 4:
         raise ContractError("oscillation ladder too short (need >= 4 radii)")
-    if ladder[0] > r / 10 or ladder[-1] < T_MAX * (1 - 1e-9):
-        raise ContractError("oscillation ladder must cover (r/10, T_MAX)")
+    assert ladder[0] <= r / 10 and ladder[-1] == T_MAX
 
     profile = omega_profile(field, probes, ladder)
     return tau_of_modulus(profile.interpolator(), field.dim, r)

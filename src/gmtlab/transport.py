@@ -18,6 +18,20 @@ matrix: spanning-tree basis, vectorized reduced costs, deterministic
 entering/leaving rules with a Bland-style fallback after degenerate stalls.
 Everything is fixed-order, so results are reproducible bit for bit.
 
+Pricing.  A full pass computes every reduced cost cost[a, b] - alpha[a] -
+beta[b] and enters the most negative cell (Dantzig's rule), the first one in
+row-major order on ties.  Matrices of at least 64 * 64 cells also price from
+a candidate list (Ahuja, Magnanti & Orlin 1993, ch. 11): after a
+nondegenerate pivot whose cell came from a full pass, the 64 most negative
+cells of that pass (ties at the cut in row-major order) become candidates,
+and the following rounds price only them, with the current potentials and
+the full pass's float expression, entering the most negative.  A full pass
+runs on the first round, after every degenerate pivot, after the periodic
+refresh, once no candidate is below -_TOL_RC, and throughout Bland's mode.
+Only a full pass that finds no improving cell ends a solve, so the
+optimality certificate is unchanged.  Smaller matrices use the full pass
+alone: there it is cheaper than keeping the list.
+
 Basis tree.  Row a is node a and column b is node p + b.  The p + q - 1
 basic cells live in numbered slots (``cells[k]``, ``flows[k]``); the tree
 hangs from node 0 and is stored as arrays over nodes: ``parent``, the slot
@@ -35,13 +49,16 @@ parent links along the cut path reversed.  Potentials are recomputed from
 the tree every 512 pivots and for the final certificate.
 
 Warm starts.  A `WarmStart` holder passed as ``warm`` keeps the optimal
-basis (cells and flows) of the last solve made with it.  When the next
-problem has the same shape and exactly (``np.array_equal``) the same supply
-and demand vectors, that basis is still primal feasible, and the solve
-starts from it and only re-prices; otherwise it silently takes the
-least-cost start.  Either way the result is certified the same way, and the
-holder then keeps the new optimal basis.  A holder is plain state for one
-chain of related solves; nothing is cached at module level.
+basis (cells and flows) of every solve made with it, each under the
+holder's ``key`` at the time, a point the caller sets before each solve
+(`gmtlab.cones.d_cone_flat` uses the frame parameters).  A basis whose
+problem had exactly the same supply and demand vectors is still primal
+feasible for the next problem, so the solve starts from the matching basis
+whose key is nearest to the current key in the max-norm, the most recent on
+ties, and only re-prices; if none matches it silently takes the least-cost
+start.  Either way the result is certified the same way, and the holder then
+adds the new optimal basis.  A failed solve adds nothing.  A holder is plain
+state for one chain of related solves; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -53,26 +70,51 @@ from .errors import ContractError, SolverError
 _TOL_RC = 1e-9
 _STALL_SWITCH = 200
 _REFRESH = 512
+# Candidate-list pricing: matrices of at least _PARTIAL_CELLS cells keep the
+# _CANDIDATES most negative cells of a full pass (see module doc).
+_CANDIDATES = 64
+_PARTIAL_CELLS = 64 * _CANDIDATES
 
 
 class WarmStart:
-    """Last optimal basis of a chain of transportation solves (see module doc)."""
+    """Optimal bases of a chain of transportation solves (see module doc).
 
-    __slots__ = ("supply", "demand", "cells", "flows")
+    ``key`` is set by the caller before each solve and is stored with the
+    basis that solve ends at; it says which stored basis is the nearest.
+    Left at ``()``, every key ties, so the most recent matching basis wins.
+    """
+
+    __slots__ = ("key", "_bases")
 
     def __init__(self):
-        self.supply = self.demand = self.cells = self.flows = None
+        self.key = ()
+        # (supply bytes, demand bytes) -> [(key, cells, flows), ...]
+        self._bases = {}
 
     def basis_for(self, supply, demand):
-        """Copy of the stored basis if the marginals match exactly, else None.
+        """Copy of the nearest stored basis with exactly these marginals.
 
-        ``np.array_equal`` is False for different shapes, so a basis is never
-        reused across problem sizes.
+        Among the bases whose supply and demand have the same bits as the
+        given ones (so a basis is never reused across problem sizes), the
+        one whose key is nearest to ``key`` in the max-norm wins, ties going
+        to the most recent; None if none match.
         """
-        if (self.cells is None or not np.array_equal(self.supply, supply)
-                or not np.array_equal(self.demand, demand)):
+        best, gap = None, np.inf
+        for key, cells, flows in self._bases.get(
+                (supply.tobytes(), demand.tobytes()), ()):
+            dist = np.max(np.abs(key - self.key), initial=0.0)
+            if dist <= gap:
+                best, gap = (cells, flows), dist
+        if best is None:
             return None
-        return list(self.cells), list(self.flows)
+        return list(map(tuple, best[0].tolist())), best[1].tolist()
+
+    def keep(self, supply, demand, cells, flows):
+        """Store an optimal basis under the current key, as compact arrays."""
+        bases = self._bases.setdefault((supply.tobytes(), demand.tobytes()),
+                                       [])
+        bases.append((np.array(self.key, dtype=float),
+                      np.array(cells, dtype=np.int32), np.array(flows)))
 
 
 def _least_cost_start(cost, supply, demand):
@@ -114,6 +156,20 @@ def _least_cost_start(cost, supply, demand):
             work[:, b] = np.inf
             open_cols -= 1
     return cells, flows
+
+
+def _candidates(reduced_flat):
+    """Flat indices, row-major, of the _CANDIDATES most negative entries.
+
+    Only entries below -_TOL_RC qualify; ties at the cut go to the earliest
+    cells in row-major order, so the list is deterministic.
+    """
+    cut = np.partition(reduced_flat, _CANDIDATES - 1)[_CANDIDATES - 1]
+    if cut >= -_TOL_RC:
+        return np.flatnonzero(reduced_flat < -_TOL_RC)
+    below = np.flatnonzero(reduced_flat < cut)
+    ties = np.flatnonzero(reduced_flat == cut)[:_CANDIDATES - below.size]
+    return np.sort(np.concatenate([below, ties]))
 
 
 class _BasisTree:
@@ -276,25 +332,41 @@ def transport_simplex(cost, supply, demand, max_iter=None, warm=None):
     pot = tree.potentials(cost, p)
     reduced = np.empty((p, q))
     reduced_flat = reduced.ravel()
+    cost_flat = cost.ravel()
+    partial = p * q >= _PARTIAL_CELLS
+    cand = None
     stall = 0
     for it in range(max_iter):
         if it and it % _REFRESH == 0:
             # Cancel accumulated float drift in the delta-shifted potentials.
             pot = tree.potentials(cost, p)
-        np.subtract(cost, pot[:p, None], out=reduced)
-        reduced += pot[None, p:]
-        if stall >= _STALL_SWITCH:
-            # Bland-style: first improving cell in row-major order.
-            flat = np.flatnonzero(reduced_flat < -_TOL_RC)
-            if flat.size == 0:
-                break
-            enter_flat = int(flat[0])
-        else:
-            enter_flat = int(np.argmin(reduced_flat))
-            if reduced_flat[enter_flat] >= -_TOL_RC:
-                break
+            cand = None
+        if cand is not None:
+            # Price the candidates alone, with the full pass's expression.
+            cand_rc = cost_flat[cand] - pot[cand_rows]
+            cand_rc += pot[cand_cols]
+            k = int(np.argmin(cand_rc))
+            rc = float(cand_rc[k])
+            if rc < -_TOL_RC:
+                enter_flat = int(cand[k])
+            else:
+                cand = None
+        full = cand is None
+        if full:
+            np.subtract(cost, pot[:p, None], out=reduced)
+            reduced += pot[None, p:]
+            if stall >= _STALL_SWITCH:
+                # Bland-style: first improving cell in row-major order.
+                flat = np.flatnonzero(reduced_flat < -_TOL_RC)
+                if flat.size == 0:
+                    break
+                enter_flat = int(flat[0])
+            else:
+                enter_flat = int(np.argmin(reduced_flat))
+                if reduced_flat[enter_flat] >= -_TOL_RC:
+                    break
+            rc = float(reduced_flat[enter_flat])
         ea, eb = enter_flat // q, enter_flat % q
-        rc = float(reduced_flat[enter_flat])
 
         # The cycle runs from row node ea up to the common ancestor and down
         # to column node p + eb; walking it from ea, even steps are the cells
@@ -325,15 +397,21 @@ def transport_simplex(cost, supply, demand, max_iter=None, warm=None):
         tree.rehang(sub, stem, hang, leave)
         cells[leave] = (ea, eb)
         flows[leave] = theta
-        stall = stall + 1 if theta <= _TOL_RC else 0
+        if theta <= _TOL_RC:
+            stall += 1
+            cand = None
+        else:
+            stall = 0
+            if full and partial:
+                cand = _candidates(reduced_flat)
+                cand_rows, cand_cols = cand // q, p + cand % q
     else:
         raise SolverError(
             f"transportation simplex exceeded {max_iter} iterations"
         )
 
     if warm is not None:
-        warm.supply, warm.demand = supply, demand
-        warm.cells, warm.flows = cells, flows
+        warm.keep(supply, demand, cells, flows)
     # Fresh potentials for the optimality certificate (no accumulated drift).
     pot = tree.potentials(cost, p)
     value = 0.0
@@ -356,6 +434,8 @@ def _solve_boundary(sites, signed_mass, caps, warm):
     sn = sites[neg]
     diff = sp[:, None, :] - sn[None, :, :]
     dmat = np.sqrt(np.sum(diff * diff, axis=-1))
+    # Freed before the solve, which sets the peak memory of a cone search.
+    del diff
     p, q = pos.size, neg.size
 
     cost = np.zeros((p + 1, q + 1))

@@ -414,6 +414,9 @@ _SINGULAR_PHASE = "kind = checkerboard\ncontrast = 0"
      .replace("center = 0,0", "center = 0.75,0"), "not in [1e-09, inf)"),
     ("dmo", DMO_CFG.replace(_CONSTANT_FIELD, "kind = checkerboard\ncell = 0"),
      "cell must be positive and finite"),
+    ("dmo", DMO_CFG.replace(_CONSTANT_FIELD,
+                            "kind = checkerboard\ncell = 1e-310"),
+     "checkerboard cell 1e-310"),
     ("dmo", DMO_CFG.replace(_CONSTANT_FIELD, "kind = rotating\nrate = nan"),
      "rate must be finite"),
     ("metric", METRIC_CFG.replace("r = 1.0", "r = inf"),
@@ -421,7 +424,8 @@ _SINGULAR_PHASE = "kind = checkerboard\ncontrast = 0"
     ("dmo", DMO_CFG.replace("radii = 0.8,0.4,0.2,0.1", "radii = 0.8,nan"),
      "radius must be positive and finite"),
 ], ids=["dmo-contrast-0", "density-contrast-0", "pv-contrast-0",
-        "dmo-cell-0", "dmo-rate-nan", "metric-r-inf", "dmo-radius-nan"])
+        "dmo-cell-0", "dmo-cell-subnormal", "dmo-rate-nan", "metric-r-inf",
+        "dmo-radius-nan"])
 def test_singular_field_or_bad_radius_exits_2(tmp_path, capsys, command,
                                               cfg_text, message):
     cfg = write_cfg(tmp_path, cfg_text)

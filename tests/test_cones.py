@@ -112,6 +112,37 @@ def test_d_cone_delta_matches_plane_grid_oracle():
         assert d_cone_flat(nu, 1, 1.0) == pytest.approx(best, abs=1e-3)
 
 
+class _ColdStart(cones.WarmStart):
+    """A holder that never hands out a basis: every solve starts cold."""
+
+    def basis_for(self, supply, demand):
+        return None
+
+
+def _evaluations(monkeypatch, nu, holder):
+    """d_cone_flat's value and every F_s value its search computed."""
+    values = []
+
+    def recorded(*args, **kwargs):
+        values.append(f_ball(*args, **kwargs))
+        return values[-1]
+    with monkeypatch.context() as patch:
+        patch.setattr(cones, "f_ball", recorded)
+        patch.setattr(cones, "WarmStart", holder)
+        return d_cone_flat(nu, 1, 1.0), values
+
+
+def test_d_cone_warm_starts_match_cold_solves(monkeypatch, cross_entry):
+    rng = np.random.default_rng(12)
+    clouds = [random_cloud(rng, 12) for _ in range(6)]
+    for nu in clouds + [cross_entry.measure]:
+        warm, warm_evals = _evaluations(monkeypatch, nu, cones.WarmStart)
+        cold, cold_evals = _evaluations(monkeypatch, nu, _ColdStart)
+        assert len(warm_evals) == len(cold_evals)
+        for a, b in zip(warm_evals + [warm], cold_evals + [cold]):
+            assert abs(a - b) <= 1e-12
+
+
 def test_d_cone_scale_identity():
     rng = np.random.default_rng(5)
     nu = random_cloud(rng, 25, spread=0.8)

@@ -256,6 +256,14 @@ def test_field_parameters_rejected_by_name(params, name):
         gen_lambda_field(**params)
 
 
+def test_checkerboard_rejects_an_overflowing_cell_index():
+    field = gen_lambda_field("checkerboard", m1=np.eye(2), m2=2 * np.eye(2),
+                             cell=1e-300)
+    assert field.matrices(np.array([[1e-290, 0.0]]))[0][0, 0] == 1.0
+    with pytest.raises(ContractError, match="checkerboard cell 1e-300"):
+        field.matrices(np.array([[0.5, 0.5], [1e300, 1e300]]))
+
+
 def test_unknown_field_kind():
     with pytest.raises(ContractError):
         gen_lambda_field("nope")

@@ -177,3 +177,11 @@ _RADIUS_TAKERS = {
 def test_radius_must_be_positive_and_finite(name, r):
     with pytest.raises(ContractError, match=f"positive and finite, got {r}"):
         _RADIUS_TAKERS[name](r)
+
+
+@pytest.mark.parametrize("r", [5e-324, 1e-310])
+def test_tau_moduli_rejects_a_radius_too_small_for_its_ladder(r):
+    # Positive and finite, but r / 100 underflows or T_MAX / (r / 100)
+    # overflows.
+    with pytest.raises(ContractError, match=f"radius {r} is too small"):
+        tau_moduli(_sin_field(), PROBES, r)

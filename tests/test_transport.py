@@ -193,6 +193,57 @@ def test_warm_chain_matches_cold_and_highs(seed, kind, p, q, angles):
         assert value == transport_simplex(c, s, d)[0]
 
 
+def test_warm_holder_returns_the_nearest_matching_key():
+    warm = WarmStart()
+    supply, demand = np.array([1.0, 2.0]), np.array([2.0, 1.0])
+    for key, tag in [((0.0,), 0), ((1.0,), 1), ((2.0,), 2), ((1.0,), 3)]:
+        warm.key = key
+        warm.keep(supply, demand, [(0, 0), (0, 1), (1, 1)],
+                  [0.0, 1.0, float(tag)])
+    tag = {}
+    for key in (-5.0, 0.4, 0.5, 0.9, 1.5, 1.6, 9.0):
+        warm.key = (key,)
+        cells, flows = warm.basis_for(supply, demand)
+        assert cells == [(0, 0), (0, 1), (1, 1)]
+        tag[key] = flows[2]
+    # Nearest in the max-norm; ties (0.5, 1.5, and the two bases under key
+    # 1) go to the most recent, the second basis under key 1.
+    assert tag == {-5.0: 0.0, 0.4: 0.0, 0.5: 3.0, 0.9: 3.0, 1.5: 3.0,
+                   1.6: 2.0, 9.0: 2.0}
+    # A copy: the caller may pivot on it.
+    cells.append((1, 0))
+    assert len(warm.basis_for(supply, demand)[0]) == 3
+    assert warm.basis_for(supply, demand[::-1]) is None
+    assert warm.basis_for(supply[:1], demand[:1]) is None
+
+
+def test_failed_solve_leaves_the_stored_bases():
+    # Two problems with the same marginals: the candidate line turned by
+    # 0.05 rad and by -1 rad, so the first optimal basis needs more than one
+    # pivot on the second.
+    t = np.linspace(-1, 1, 12)[1:-1]
+    x = np.column_stack([t, 0 * t])
+    problems = [_boundary_problem(x, np.full(10, 0.1),
+                                  np.column_stack([t * np.cos(th),
+                                                   t * np.sin(th)]),
+                                  np.full(10, 0.11))
+                for th in (0.05, -1.0)]
+    warm = WarmStart()
+    warm.key = (0.0,)
+    transport_simplex(*problems[0], warm=warm)
+    cost, supply, demand = problems[1]
+    kept = warm.basis_for(supply, demand)
+    warm.key = (1.0,)
+    with pytest.raises(SolverError):
+        transport_simplex(cost, supply, demand, max_iter=1, warm=warm)
+    assert warm.basis_for(supply, demand) == kept
+    warm.key = (2.0,)
+    assert warm.basis_for(supply, demand) == kept
+    # The holder still starts the solve it failed on.
+    _assert_certified(cost, supply, demand,
+                      *transport_simplex(cost, supply, demand, warm=warm))
+
+
 def test_warm_holder_keeps_only_matching_marginals():
     warm = WarmStart()
     cost = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -233,6 +284,70 @@ def test_long_chain_of_pivots_passes_the_refresh():
         transport_simplex(cost, supply, demand, max_iter=transport._REFRESH + 1)
     _assert_certified(cost, supply, demand,
                       *transport_simplex(cost, supply, demand))
+
+
+# ---------------------------------------------------------------------------
+# Candidate-list pricing (matrices of at least _PARTIAL_CELLS cells)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def candidate_lists(monkeypatch):
+    """Counts the candidate lists the solves build."""
+    built = []
+    real = transport._candidates
+
+    def counted(reduced_flat):
+        built.append(real(reduced_flat))
+        return built[-1]
+    monkeypatch.setattr(transport, "_candidates", counted)
+    return built
+
+
+@pytest.mark.parametrize("seed,p,q", [(0, 63, 63), (1, 90, 50), (2, 40, 120),
+                                      (3, 200, 30)])
+def test_candidate_pricing_on_euclidean_boundary_problems(seed, p, q,
+                                                          candidate_lists):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.7, 0.7, size=(p, 2))
+    y = rng.uniform(-0.7, 0.7, size=(q, 2))
+    cost, supply, demand = _boundary_problem(x, rng.uniform(0.1, 1.0, p),
+                                             y, rng.uniform(0.1, 1.0, q))
+    assert cost.size >= transport._PARTIAL_CELLS
+    _assert_certified(cost, supply, demand,
+                      *transport_simplex(cost, supply, demand))
+    assert candidate_lists
+
+
+def test_candidate_pricing_on_a_degenerate_grid_problem(candidate_lists):
+    # Unit supplies and demands on integer-grid sites: many equal costs and
+    # many zero-flow pivots.
+    g8, g4, g16 = np.arange(8.0), np.arange(4.0), np.arange(16.0)
+    x = np.column_stack([np.repeat(g8, 8), np.tile(g8, 8)])
+    y = np.column_stack([np.repeat(g16, 4), np.tile(g4, 16)])
+    cost = np.sqrt(np.sum((x[:, None] - y[None]) ** 2, axis=-1))
+    supply = demand = np.ones(64)
+    assert cost.size >= transport._PARTIAL_CELLS
+    _assert_certified(cost, supply, demand,
+                      *transport_simplex(cost, supply, demand))
+    assert candidate_lists
+
+
+def test_candidate_pricing_passes_the_refresh(candidate_lists):
+    # The refresh test on 99 atoms per line: a 100 x 100 matrix, above the
+    # candidate gate, and still more than 512 pricing rounds.
+    t = np.linspace(-1, 1, 101)[1:-1]
+    x = np.column_stack([t, 0 * t])
+    y = np.column_stack([t * np.cos(0.05), t * np.sin(0.05)])
+    cost, supply, demand = _boundary_problem(x, np.full(99, 1 / 99),
+                                             y, np.full(99, 1.1 / 99))
+    assert cost.size >= transport._PARTIAL_CELLS
+    with pytest.raises(SolverError):
+        transport_simplex(cost, supply, demand,
+                          max_iter=transport._REFRESH + 1)
+    candidate_lists.clear()
+    _assert_certified(cost, supply, demand,
+                      *transport_simplex(cost, supply, demand))
+    assert candidate_lists
 
 
 @pytest.mark.parametrize("seed", range(4))
