@@ -21,6 +21,10 @@ certify the value; one-signed programs have a closed form.  A maximizing
 potential (`solve_ball_lp_potential`) is read off the same transport duals by
 one c-transform and audited against the value.  Instances above ``SITE_CAP``
 sites are rejected rather than silently approximated.
+
+Assembly merges exact duplicate sites with one stable lexicographic sort and
+a mask of the runs of equal rows (`_merge_duplicates`), giving the sites,
+order and merged masses of ``np.unique(axis=0)`` with ``np.add.at``.
 """
 
 from __future__ import annotations
@@ -69,6 +73,26 @@ class LipschitzBallLP:
         return self.sites.shape[0]
 
 
+def _merge_duplicates(pts, mass):
+    """Sites in lexicographic order, exact duplicates merged, zeros dropped.
+
+    One stable `np.lexsort` (first coordinate first) puts equal rows in runs;
+    each run's masses are summed in input order (`np.bincount`), so shared
+    atoms cancel exactly.  The rows, their order and the merged masses are
+    those of ``np.unique(pts, axis=0)`` with ``np.add.at``.  Rows that
+    differ only in the sign of a zero coordinate compare equal there too;
+    the first of them in input order is kept (``np.unique`` keeps whichever
+    its unstable sort puts first), which moves no distance or cap bit.
+    """
+    order = np.lexsort(pts.T[::-1])
+    pts, mass = pts[order], mass[order]
+    first = np.ones(pts.shape[0], dtype=bool)
+    np.any(pts[1:] != pts[:-1], axis=1, out=first[1:])
+    merged = np.bincount(np.cumsum(first) - 1, weights=mass)
+    keep = merged != 0.0
+    return pts[first][keep], merged[keep]
+
+
 def assemble_ball_lp(mu, nu, r):
     """Build the F_r program for a pair of measures (nu may be the zero measure)."""
     if mu.dim != nu.dim:
@@ -84,12 +108,7 @@ def assemble_ball_lp(mu, nu, r):
         inside = np.sqrt(np.sum(pts * pts, axis=1)) <= r * (1.0 + TIE_TOL)
         pts, mass = pts[inside], mass[inside]
     if pts.shape[0]:
-        # Merge exact coordinate duplicates; shared atoms cancel.
-        uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
-        merged = np.zeros(uniq.shape[0])
-        np.add.at(merged, inverse, mass)
-        keep = merged != 0.0
-        pts, mass = uniq[keep], merged[keep]
+        pts, mass = _merge_duplicates(pts, mass)
     mixed = pts.shape[0] and mass.min() < 0.0 < mass.max()
     if mixed and pts.shape[0] > SITE_CAP:
         # One-signed programs have a closed form at any size; only genuine

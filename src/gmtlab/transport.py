@@ -46,19 +46,31 @@ climbing from both ends of the entering cell to their common ancestor,
 cuts the subtree below the leaving cell, shifts its potentials by the
 entering reduced cost, and re-hangs it from the entering cell with the
 parent links along the cut path reversed.  Potentials are recomputed from
-the tree every 512 pivots and for the final certificate.
+the tree every 512 pivots and for the final certificate: the basic cells'
+costs are gathered with one fancy index, and a preorder walk sets
+pot[v] = cost + pot[parent] on rows and pot[parent] - cost on columns over
+Python floats, the same float operations as indexing cell by cell.  The
+objective sums cost * flow over the same gathered costs, in slot order.
+
+Set-up.  Every argument must be finite (else `ContractError`, naming it).
+The boundary cost matrix is filled in place one coordinate at a time
+(`_distances`), with no (p, q, n) difference array.
 
 Warm starts.  A `WarmStart` holder passed as ``warm`` keeps the optimal
-basis (cells and flows) of every solve made with it, each under the
-holder's ``key`` at the time, a point the caller sets before each solve
-(`gmtlab.cones.d_cone_flat` uses the frame parameters).  A basis whose
-problem had exactly the same supply and demand vectors is still primal
-feasible for the next problem, so the solve starts from the matching basis
-whose key is nearest to the current key in the max-norm, the most recent on
-ties, and only re-prices; if none matches it silently takes the least-cost
-start.  Either way the result is certified the same way, and the holder then
-adds the new optimal basis.  A failed solve adds nothing.  A holder is plain
-state for one chain of related solves; nothing is cached at module level.
+basis (cells and flows) of every solve made with it, with its basis tree,
+each under the holder's ``key`` at the time, a point the caller sets before
+each solve (`gmtlab.cones.d_cone_flat` uses the frame parameters).  A basis
+whose problem had exactly the same supply and demand vectors is still primal
+feasible for the next problem, so the solve starts from a copy of the
+matching basis and tree whose key is nearest to the current key in the
+max-norm, the most recent on ties, and only re-prices; if none matches it
+silently takes the least-cost start.  The kept tree has the parent, slot
+and depth arrays that rebuilding it from the cells would give, so every
+pivot choice and every returned bit is the same; only the preorder can
+differ, and no choice reads it.  Either way the result is certified the
+same way, and the holder then adds the new optimal basis.  A failed solve
+adds nothing.  A holder is plain state for one chain of related solves;
+nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -81,15 +93,26 @@ class WarmStart:
 
     ``key`` is set by the caller before each solve and is stored with the
     basis that solve ends at; it says which stored basis is the nearest.
-    Left at ``()``, every key ties, so the most recent matching basis wins.
+    Keys are points of one length per holder.  Left at ``()``, every key
+    ties, so the most recent matching basis wins.
     """
 
     __slots__ = ("key", "_bases")
 
     def __init__(self):
         self.key = ()
-        # (supply bytes, demand bytes) -> [(key, cells, flows), ...]
+        # (supply bytes, demand bytes) -> (keys, [(cells, flows, tree), ...])
         self._bases = {}
+
+    def _nearest(self, supply, demand):
+        """The stored ``(cells, flows, tree)`` that `basis_for` copies."""
+        group = self._bases.get((supply.tobytes(), demand.tobytes()))
+        if group is None:
+            return None
+        keys, bases = group
+        gap = np.max(np.abs(np.array(keys) - self.key), axis=-1, initial=0.0)
+        # The last of the nearest: ties go to the most recent.
+        return bases[gap.size - 1 - int(np.argmin(gap[::-1]))]
 
     def basis_for(self, supply, demand):
         """Copy of the nearest stored basis with exactly these marginals.
@@ -99,22 +122,22 @@ class WarmStart:
         one whose key is nearest to ``key`` in the max-norm wins, ties going
         to the most recent; None if none match.
         """
-        best, gap = None, np.inf
-        for key, cells, flows in self._bases.get(
-                (supply.tobytes(), demand.tobytes()), ()):
-            dist = np.max(np.abs(key - self.key), initial=0.0)
-            if dist <= gap:
-                best, gap = (cells, flows), dist
+        best = self._nearest(supply, demand)
         if best is None:
             return None
-        return list(map(tuple, best[0].tolist())), best[1].tolist()
+        return list(best[0]), list(best[1])
 
-    def keep(self, supply, demand, cells, flows):
-        """Store an optimal basis under the current key, as compact arrays."""
-        bases = self._bases.setdefault((supply.tobytes(), demand.tobytes()),
-                                       [])
-        bases.append((np.array(self.key, dtype=float),
-                      np.array(cells, dtype=np.int32), np.array(flows)))
+    def keep(self, supply, demand, cells, flows, tree=None):
+        """Store an optimal basis and its tree under the current key.
+
+        Without ``tree`` the basis tree is built from ``cells`` here.
+        """
+        if tree is None:
+            tree = _BasisTree(cells, supply.size, demand.size)
+        keys, bases = self._bases.setdefault(
+            (supply.tobytes(), demand.tobytes()), ([], []))
+        keys.append(np.array(self.key, dtype=float))
+        bases.append((list(cells), list(flows), tree))
 
 
 def _least_cost_start(cost, supply, demand):
@@ -126,8 +149,8 @@ def _least_cost_start(cost, supply, demand):
     solution, typically far closer to optimal than a northwest-corner start.
     """
     p, q = cost.shape
-    s = supply.copy()
-    d = demand.copy()
+    s = supply.tolist()
+    d = demand.tolist()
     work = cost.copy()
     open_rows = p
     open_cols = q
@@ -161,15 +184,19 @@ def _least_cost_start(cost, supply, demand):
 def _candidates(reduced_flat):
     """Flat indices, row-major, of the _CANDIDATES most negative entries.
 
-    Only entries below -_TOL_RC qualify; ties at the cut go to the earliest
-    cells in row-major order, so the list is deterministic.
+    Only entries below -_TOL_RC qualify, and only they are partitioned; ties
+    at the cut go to the earliest cells in row-major order, so the list is
+    deterministic.
     """
-    cut = np.partition(reduced_flat, _CANDIDATES - 1)[_CANDIDATES - 1]
-    if cut >= -_TOL_RC:
-        return np.flatnonzero(reduced_flat < -_TOL_RC)
-    below = np.flatnonzero(reduced_flat < cut)
-    ties = np.flatnonzero(reduced_flat == cut)[:_CANDIDATES - below.size]
-    return np.sort(np.concatenate([below, ties]))
+    improving = np.flatnonzero(reduced_flat < -_TOL_RC)
+    if improving.size <= _CANDIDATES:
+        return improving
+    rc = reduced_flat[improving]
+    cut = np.partition(rc, _CANDIDATES - 1)[_CANDIDATES - 1]
+    chosen = rc < cut
+    ties = np.flatnonzero(rc == cut)[:_CANDIDATES - np.count_nonzero(chosen)]
+    chosen[ties] = True
+    return improving[chosen]
 
 
 class _BasisTree:
@@ -203,24 +230,33 @@ class _BasisTree:
         for u, v in zip(order, order[1:] + order[:1]):
             thread[u], rthread[v] = v, u
 
-    def potentials(self, cost, p):
+    def copy(self):
+        """An independent tree with the same arrays."""
+        other = object.__new__(_BasisTree)
+        other.parent = self.parent.copy()
+        other.pslot = self.pslot.copy()
+        other.depth = self.depth.copy()
+        other.thread = self.thread.copy()
+        other.rthread = self.rthread.copy()
+        return other
+
+    def potentials(self, cell_cost, p):
         """Node potentials from scratch: alpha on rows, -beta on columns.
 
+        ``cell_cost[k]`` is the cost of basis slot k, as a Python float.
         Storing -beta lets one index shift move a whole subtree, with the same
         rounding as the separate updates alpha += delta, beta -= delta.
         """
-        pot = np.zeros(len(self.parent))
-        parent, thread = self.parent, self.thread
+        parent, pslot, thread = self.parent, self.pslot, self.thread
+        pot = [0.0] * len(parent)
         v = thread[0]
         while v != 0:
             u = parent[v]
             # alpha + beta = cost on basic cells.
-            if v < p:
-                pot[v] = cost[v, u - p] + pot[u]
-            else:
-                pot[v] = pot[u] - cost[u, v - p]
+            c = cell_cost[pslot[v]]
+            pot[v] = c + pot[u] if v < p else pot[u] - c
             v = thread[v]
-        return pot
+        return np.array(pot)
 
     def cycle(self, i, j):
         """Climb from i and j to their common ancestor.
@@ -300,6 +336,18 @@ class _BasisTree:
         thread[prev], rthread[nxt] = nxt, prev
 
 
+def _require_finite(**arrays):
+    """Raise `ContractError` naming the first argument that is not finite."""
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ContractError(f"{name} must be finite")
+
+
+def _cell_costs(cost_flat, cells, q):
+    """Costs of the basis cells, slot by slot, as Python floats."""
+    return cost_flat[[a * q + b for a, b in cells]].tolist()
+
+
 def transport_simplex(cost, supply, demand, max_iter=None, warm=None):
     """Minimum cost of a balanced dense transportation problem.
 
@@ -313,6 +361,7 @@ def transport_simplex(cost, supply, demand, max_iter=None, warm=None):
     cost = np.asarray(cost, dtype=float)
     supply = np.asarray(supply, dtype=float).copy()
     demand = np.asarray(demand, dtype=float).copy()
+    _require_finite(cost=cost, supply=supply, demand=demand)
     p, q = cost.shape
     if supply.shape != (p,) or demand.shape != (q,):
         raise ContractError("supply/demand shapes do not match the cost matrix")
@@ -322,24 +371,27 @@ def transport_simplex(cost, supply, demand, max_iter=None, warm=None):
     if abs(total - demand.sum()) > 1e-9 * (1.0 + total):
         raise ContractError("transportation problem must be balanced")
 
-    basis = warm.basis_for(supply, demand) if warm is not None else None
-    cells, flows = basis or _least_cost_start(cost, supply, demand)
+    basis = warm._nearest(supply, demand) if warm is not None else None
+    if basis is None:
+        cells, flows = _least_cost_start(cost, supply, demand)
+        tree = _BasisTree(cells, p, q)
+    else:
+        cells, flows, tree = list(basis[0]), list(basis[1]), basis[2].copy()
     if max_iter is None:
         max_iter = 400 * (p + q) + 2000
 
-    tree = _BasisTree(cells, p, q)
     pslot = tree.pslot
-    pot = tree.potentials(cost, p)
+    cost_flat = cost.ravel()
+    pot = tree.potentials(_cell_costs(cost_flat, cells, q), p)
     reduced = np.empty((p, q))
     reduced_flat = reduced.ravel()
-    cost_flat = cost.ravel()
     partial = p * q >= _PARTIAL_CELLS
     cand = None
     stall = 0
     for it in range(max_iter):
         if it and it % _REFRESH == 0:
             # Cancel accumulated float drift in the delta-shifted potentials.
-            pot = tree.potentials(cost, p)
+            pot = tree.potentials(_cell_costs(cost_flat, cells, q), p)
             cand = None
         if cand is not None:
             # Price the candidates alone, with the full pass's expression.
@@ -411,13 +463,37 @@ def transport_simplex(cost, supply, demand, max_iter=None, warm=None):
         )
 
     if warm is not None:
-        warm.keep(supply, demand, cells, flows)
+        warm.keep(supply, demand, cells, flows, tree)
     # Fresh potentials for the optimality certificate (no accumulated drift).
-    pot = tree.potentials(cost, p)
+    cell_cost = _cell_costs(cost_flat, cells, q)
+    pot = tree.potentials(cell_cost, p)
     value = 0.0
-    for (a, b), fl in zip(cells, flows):
-        value += cost[a, b] * fl
-    return float(value), pot[:p], -pot[p:]
+    for c, fl in zip(cell_cost, flows):
+        value += c * fl
+    return value, pot[:p], -pot[p:]
+
+
+def _distances(x, y, out=None):
+    """Euclidean distances |x_i - y_j| between the rows of x and of y.
+
+    Filled into ``out`` (a new (p, q) array if None) one coordinate at a
+    time, squares added in coordinate order, with no (p, q, n) temporary.
+    For n <= 7 the bits equal ``np.sqrt(np.sum(diff * diff, axis=-1))``
+    with ``diff = x[:, None] - y[None]``, since numpy adds fewer than 8
+    terms in sequence; for n >= 8 numpy sums pairwise and the last bit may
+    differ.
+    """
+    if out is None:
+        out = np.empty((x.shape[0], y.shape[0]))
+    np.subtract.outer(x[:, 0], y[:, 0], out=out)
+    np.square(out, out=out)
+    if x.shape[1] > 1:
+        term = np.empty_like(out)
+        for k in range(1, x.shape[1]):
+            np.subtract.outer(x[:, k], y[:, k], out=term)
+            np.square(term, out=term)
+            out += term
+    return np.sqrt(out, out=out)
 
 
 def _solve_boundary(sites, signed_mass, caps, warm):
@@ -426,28 +502,24 @@ def _solve_boundary(sites, signed_mass, caps, warm):
     Rows are the positive sites plus the boundary B, columns the negative
     sites plus B; the boundary row and column carry the caps.
     """
+    _require_finite(sites=sites, signed_mass=signed_mass, caps=caps)
     pos = np.flatnonzero(signed_mass > 0)
     neg = np.flatnonzero(signed_mass < 0)
     if pos.size == 0 or neg.size == 0:
         raise ContractError("transportation route needs both mass signs")
-    sp = sites[pos]
-    sn = sites[neg]
-    diff = sp[:, None, :] - sn[None, :, :]
-    dmat = np.sqrt(np.sum(diff * diff, axis=-1))
-    # Freed before the solve, which sets the peak memory of a cone search.
-    del diff
     p, q = pos.size, neg.size
-
-    cost = np.zeros((p + 1, q + 1))
-    cost[:p, :q] = dmat
+    cost = np.empty((p + 1, q + 1))
+    _distances(sites[pos], sites[neg], out=cost[:p, :q])
     cost[:p, q] = caps[pos]
     cost[p, :q] = caps[neg]
+    cost[p, q] = 0.0
     supply = np.concatenate([signed_mass[pos], [-signed_mass[neg].sum()]])
     demand = np.concatenate([-signed_mass[neg], [signed_mass[pos].sum()]])
 
     value, alpha, beta = transport_simplex(cost, supply, demand, warm=warm)
     # Dual feasibility audit: the certificate that `value` is optimal.
-    slack = cost - alpha[:, None] - beta[None, :]
+    slack = np.subtract(cost, alpha[:, None])
+    slack -= beta
     if slack.min() < -1e-7 * (1.0 + float(np.abs(cost).max())):
         raise SolverError("transportation duals failed the optimality audit")
     return value, neg, alpha, beta
@@ -457,7 +529,8 @@ def lipschitz_dual_value(sites, signed_mass, caps, warm=None):
     """Optimal F_r value via the boundary transportation problem.
 
     ``signed_mass`` must contain both signs (one-signed instances have a
-    closed form and never reach this routine).  ``warm`` is passed on to
+    closed form and never reach this routine), and every input must be
+    finite (else `ContractError`).  ``warm`` is passed on to
     `transport_simplex`.  Raises `SolverError` if the duals fail the
     optimality audit.
     """
@@ -478,6 +551,6 @@ def lipschitz_potential(sites, signed_mass, caps):
     """
     value, neg, alpha, beta = _solve_boundary(sites, signed_mass, caps, None)
     g = -(beta[:-1] + alpha[-1])
-    diff = sites[:, None, :] - sites[neg][None, :, :]
-    reach = g[None, :] + np.sqrt(np.sum(diff * diff, axis=-1))
+    reach = _distances(sites, sites[neg])
+    reach += g[None, :]
     return value, np.minimum(caps, reach.min(axis=1))

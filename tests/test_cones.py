@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import random_cloud
-from gmtlab import cones
+from gmtlab import cones, corpus, transport
+from gmtlab.blowup import ScaleLadder, blowup_sequence
 from gmtlab.cones import (OPTIMIZER_TOL, DefectReport, FlatMeasureSpec,
                           _compass_search, d_cone_flat, sample_flat,
                           symmetry_defect, uniformity_defect, uniformity_gap)
 from gmtlab.errors import ContractError
 from gmtlab.lipmetric import f_ball
-from gmtlab.measures import AffineMap, DiscreteMeasure, pushforward
+from gmtlab.measures import (AffineMap, DiscreteMeasure, EllipseField,
+                             pushforward)
 
 # Locked at first computation; the best candidate line for a unit atom at the
 # origin sits at distance 1/2 in the normalized ball metric.
@@ -115,7 +117,7 @@ def test_d_cone_delta_matches_plane_grid_oracle():
 class _ColdStart(cones.WarmStart):
     """A holder that never hands out a basis: every solve starts cold."""
 
-    def basis_for(self, supply, demand):
+    def _nearest(self, supply, demand):
         return None
 
 
@@ -141,6 +143,56 @@ def test_d_cone_warm_starts_match_cold_solves(monkeypatch, cross_entry):
         assert len(warm_evals) == len(cold_evals)
         for a, b in zip(warm_evals + [warm], cold_evals + [cold]):
             assert abs(a - b) <= 1e-12
+
+
+def test_cold_holder_starts_every_solve_cold(monkeypatch):
+    calls = {"solves": 0, "cold": 0}
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+    monkeypatch.setattr(transport, "transport_simplex",
+                        counting("solves", transport.transport_simplex))
+    monkeypatch.setattr(transport, "_least_cost_start",
+                        counting("cold", transport._least_cost_start))
+    nu = random_cloud(np.random.default_rng(3), 12)
+    _evaluations(monkeypatch, nu, _ColdStart)
+    assert calls["cold"] == calls["solves"] > 1
+
+
+def test_flatness_outputs_are_pinned(monkeypatch):
+    # The four flatness benchmark inputs: the three rungs of the heavy line
+    # blowup (h = 0.001, r0 = 0.4, rho = 0.5, count = 3) and the cross.  A
+    # change to the work around the transport pivots must keep every value
+    # bit for bit, and the f_ball calls, solves and pivots that reach it.
+    ladder = ScaleLadder(r0=0.4, rho=0.5, count=3, spacing=0.001)
+    rungs = blowup_sequence(corpus.gen_line(0.001).measure, np.zeros(2),
+                            EllipseField.identity(2), ladder, mode="power",
+                            m=1).measures
+    counts = {}
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return counted
+    monkeypatch.setattr(cones, "f_ball", counting("f_ball", f_ball))
+    monkeypatch.setattr(transport, "transport_simplex",
+                        counting("solves", transport.transport_simplex))
+    monkeypatch.setattr(transport._BasisTree, "rehang",
+                        counting("pivots", transport._BasisTree.rehang))
+    got = []
+    for nu in list(rungs) + [corpus.gen_cross(0.001).measure]:
+        counts.update(f_ball=0, solves=0, pivots=0)
+        value = d_cone_flat(nu, 1, 1.0)
+        got.append((repr(value), counts["f_ball"], counts["solves"],
+                    counts["pivots"]))
+    assert got == [("-0.0", 52, 48, 766),
+                   ("0.0024999999999999988", 52, 48, 581),
+                   ("0.007500000000000014", 52, 49, 916),
+                   ("0.4141883688394247", 52, 49, 4592)]
 
 
 def test_d_cone_scale_identity():

@@ -292,6 +292,140 @@ def test_dual_recovered_potential_is_feasible_and_attains_value(
     assert abs(float(lp.signed_mass @ f) - value) <= 1e-9 * (1 + value)
 
 
+_TOL = lipmetric.SOLVER_TOL
+
+
+def _quarter_turn(measure):
+    """The measure turned by pi/2: (x, y) -> (-y, x), exact in floats."""
+    pts = measure.points
+    return DiscreteMeasure(np.column_stack([-pts[:, 1], pts[:, 0]]),
+                           measure.weights)
+
+
+_HOSTILE = dict(seed=st.integers(0, 2 ** 32 - 1), n_mu=st.integers(2, 12),
+                n_nu=st.integers(2, 12), r=st.sampled_from([0.5, 1.0, 2.0]),
+                dup=st.booleans(), sphere=st.booleans(),
+                cancel=st.booleans())
+
+
+@settings(max_examples=60)
+@given(**_HOSTILE)
+def test_hostile_triangle_inequality(seed, n_mu, n_nu, r, dup, sphere, cancel):
+    rng = np.random.default_rng(seed)
+    mu, nu = _hostile_pair(rng, n_mu, n_nu, r, dup, sphere, cancel)
+    rho = _hostile_pair(rng, n_nu, n_mu, r, dup, sphere, cancel)[1]
+    for a, b, c in [(mu, nu, rho), (nu, rho, mu), (rho, mu, nu)]:
+        ac, ab, bc = f_ball(a, c, r), f_ball(a, b, r), f_ball(b, c, r)
+        assert ac <= ab + bc + _TOL * (1 + ab + bc)
+
+
+@settings(max_examples=60)
+@given(**_HOSTILE)
+def test_hostile_monotone_in_radius(seed, n_mu, n_nu, r, dup, sphere, cancel):
+    # A potential supported in B(0, r) is feasible in every larger ball.
+    rng = np.random.default_rng(seed)
+    mu, nu = _hostile_pair(rng, n_mu, n_nu, r, dup, sphere, cancel)
+    vals = [f_ball(mu, nu, t * r) for t in (0.25, 0.5, 1.0, 1.5, 3.0)]
+    assert all(a <= b + _TOL * (1 + b) for a, b in zip(vals, vals[1:]))
+
+
+@settings(max_examples=60)
+@given(angle=st.floats(0.0, 2 * np.pi), **_HOSTILE)
+def test_hostile_rotation_invariance(seed, n_mu, n_nu, r, dup, sphere, cancel,
+                                     angle):
+    rng = np.random.default_rng(seed)
+    mu, nu = _hostile_pair(rng, n_mu, n_nu, r, dup, sphere, cancel)
+    value = f_ball(mu, nu, r)
+    # Quarter turns move every point exactly and keep every distance and cap
+    # bit for bit: the same program up to the order of its sites.
+    turned = (mu, nu)
+    for _ in range(4):
+        turned = tuple(map(_quarter_turn, turned))
+        assert abs(f_ball(*turned, r) - value) <= 1e-12 * (1 + value)
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
+    spun = [DiscreteMeasure(m.points @ rot.T, m.weights) for m in (mu, nu)]
+    # A general turn moves atoms by rounding, which can carry a sphere atom
+    # just outside the ball.
+    if not sphere:
+        assert abs(f_ball(*spun, r) - value) <= _TOL * (1 + value)
+
+
+@settings(max_examples=60)
+@given(**_HOSTILE)
+def test_hostile_scaling_identity(seed, n_mu, n_nu, r, dup, sphere, cancel):
+    # F_r(mu, nu) = r F_1(mu / r, nu / r); the radii are powers of two, so the
+    # rescaled program has exactly the rescaled sites and caps.
+    rng = np.random.default_rng(seed)
+    mu, nu = _hostile_pair(rng, n_mu, n_nu, r, dup, sphere, cancel)
+    value = f_ball(mu, nu, r)
+    assert f_scaling_residual(mu, nu, r) <= 1e-12 * (1 + value)
+
+
+def _merge_by_unique(pts, mass):
+    """The site merge as `np.unique(axis=0)` with `np.add.at` computes it."""
+    uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
+    merged = np.zeros(uniq.shape[0])
+    np.add.at(merged, inverse, mass)
+    keep = merged != 0.0
+    return uniq[keep], merged[keep]
+
+
+def _hostile_cloud(rng, k, dim):
+    """Rows with -0.0 and 0.0 coordinates, sphere atoms, exact duplicates
+    and masses that cancel exactly or nearly.  Each coordinate has one sign
+    of zero, so no two rows differ only in the sign of a zero."""
+    pts = rng.normal(size=(k, dim)) * 0.5
+    mass = rng.uniform(0.1, 1.0, k) * rng.choice([-1.0, 1.0], k)
+    zero = rng.choice([0.0, -0.0], dim)
+    zeros = rng.random((k, dim)) < 0.2
+    pts[zeros] = np.broadcast_to(zero, pts.shape)[zeros]
+    # Sphere atoms: axis points exactly, the rest up to rounding.
+    for i in rng.choice(k, k // 5, replace=False):
+        if rng.random() < 0.5:
+            pts[i] = zero
+            pts[i, rng.integers(dim)] = rng.choice([-1.0, 1.0])
+        else:
+            pts[i] /= np.linalg.norm(pts[i]) or 1.0
+    # Exact duplicates, a third of them cancelling and some nearly so.
+    src = rng.integers(0, k, k // 2)
+    dst = rng.integers(0, k, k // 2)
+    pts[dst] = pts[src]
+    third = (k // 2) // 3
+    mass[dst[:third]] = -mass[src[:third]]
+    mass[dst[third:2 * third]] = -mass[src[third:2 * third]] * (1 + 1e-12)
+    return pts, mass
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_site_merge_matches_unique(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(300):
+        pts, mass = _hostile_cloud(rng, int(rng.integers(1, 120)), dim)
+        got_pts, got_mass = lipmetric._merge_duplicates(pts, mass)
+        ref_pts, ref_mass = _merge_by_unique(pts, mass)
+        assert got_pts.tobytes() == ref_pts.tobytes()
+        assert got_mass.tobytes() == ref_mass.tobytes()
+
+
+def test_site_merge_keeps_the_first_of_signed_zero_twins():
+    # Rows that differ only in the sign of a zero are one site; np.unique
+    # keeps either (its quicksort is not stable), the merge the first in
+    # input order.  Values, order and masses agree with np.unique.
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        k = int(rng.integers(2, 200))
+        pts = rng.choice([0.0, -0.0, 0.5, -0.25], size=(k, 2))
+        mass = rng.uniform(-1.0, 1.0, k)
+        got_pts, got_mass = lipmetric._merge_duplicates(pts, mass)
+        ref_pts, ref_mass = _merge_by_unique(pts, mass)
+        assert np.array_equal(got_pts, ref_pts)
+        assert got_mass.tobytes() == ref_mass.tobytes()
+        for row in got_pts:
+            first = pts[np.flatnonzero(np.all(pts == row, axis=1))[0]]
+            assert row.tobytes() == first.tobytes()
+
+
 def test_import_loads_no_dense_simplex():
     code = ("import sys, gmtlab, gmtlab.cli; "
             "print('gmtlab.simplex' in sys.modules)")

@@ -365,3 +365,117 @@ def test_lipschitz_dual_with_duplicates_and_sphere_atoms(seed):
     value = lipschitz_dual_value(sites, mass, caps)
     ref = _reference_potential(sites, mass, caps)
     assert value == pytest.approx(ref, abs=1e-8 * (1 + abs(ref)))
+
+
+# ---------------------------------------------------------------------------
+# Non-finite inputs are contract violations, named by argument
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,bad", [("cost", np.nan), ("cost", np.inf),
+                                      ("cost", -np.inf), ("supply", np.nan),
+                                      ("demand", np.nan), ("supply", np.inf)])
+def test_non_finite_transport_input_is_a_contract_error(name, bad):
+    args = {"cost": np.array([[1.0, 2.0], [2.0, 1.0]]),
+            "supply": np.array([1.0, 1.0]), "demand": np.array([1.0, 1.0])}
+    args[name] = args[name].copy()
+    args[name][-1] = bad
+    with pytest.raises(ContractError, match=f"{name} must be finite"):
+        transport_simplex(**args)
+
+
+@pytest.mark.parametrize("name", ["sites", "signed_mass", "caps"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_boundary_input_is_a_contract_error(name, bad):
+    # The first two sites alone have value 0.75; a NaN mass on the third
+    # used to be dropped silently and the same 0.75 returned.
+    args = {"sites": np.array([[0.0, 0.0], [0.75, 0.0], [0.0, 0.25]]),
+            "signed_mass": np.array([1.0, -1.0, 0.5]),
+            "caps": np.array([1.0, 0.25, 0.75])}
+    assert lipschitz_dual_value(*(a[:2] for a in args.values())) == 0.75
+    args[name] = args[name].copy()
+    args[name].flat[-1] = bad
+    for solve in (lipschitz_dual_value, transport.lipschitz_potential):
+        with pytest.raises(ContractError, match=f"{name} must be finite"):
+            solve(**args)
+
+
+# ---------------------------------------------------------------------------
+# Set-up pieces: bit-identical to the expressions they replace
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_distances_match_the_difference_array_expression(n):
+    rng = np.random.default_rng(n)
+    for p, q in [(1, 1), (5, 3), (40, 23), (322, 161)]:
+        x = rng.normal(size=(p, n)) * 10.0 ** rng.integers(-4, 4, size=n)
+        y = rng.normal(size=(q, n))
+        k = min(p, q) // 2
+        y[:k] = x[:k]                   # duplicate sites: distance 0
+        x[-1] = x[0]
+        y[-1, 0] = -0.0
+        diff = x[:, None, :] - y[None, :, :]
+        ref = np.sqrt(np.sum(diff * diff, axis=-1))
+        assert transport._distances(x, y).tobytes() == ref.tobytes()
+        # Filled in place into a strided block, as the boundary cost is.
+        cost = np.full((p + 1, q + 1), 7.0)
+        transport._distances(x, y, out=cost[:p, :q])
+        assert cost[:p, :q].tobytes() == ref.tobytes()
+        assert np.all(cost[p] == 7.0) and np.all(cost[:, q] == 7.0)
+
+
+def _candidates_by_full_partition(reduced_flat):
+    """Candidate list as a partition of every cell computes it."""
+    size, tol = transport._CANDIDATES, transport._TOL_RC
+    cut = np.partition(reduced_flat, size - 1)[size - 1]
+    if cut >= -tol:
+        return np.flatnonzero(reduced_flat < -tol)
+    below = np.flatnonzero(reduced_flat < cut)
+    ties = np.flatnonzero(reduced_flat == cut)[:size - below.size]
+    return np.sort(np.concatenate([below, ties]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_candidates_match_the_full_partition(seed):
+    rng = np.random.default_rng(seed)
+    size = transport._CANDIDATES
+    for negatives in (0, 1, size - 1, size, size + 1, 3 * size, 2000):
+        reduced = rng.uniform(0.0, 1.0, 4096)
+        idx = rng.choice(reduced.size, negatives, replace=False)
+        # Few distinct values, so the cut falls inside a run of ties; some
+        # entries sit at -_TOL_RC itself, which does not qualify.
+        reduced[idx] = -rng.integers(0, 6, negatives) * 0.25
+        reduced[idx[:negatives // 7]] = -transport._TOL_RC
+        got = transport._candidates(reduced)
+        assert np.array_equal(got, _candidates_by_full_partition(reduced))
+        assert got.size == min(size, np.count_nonzero(
+            reduced < -transport._TOL_RC))
+
+
+class _RebuiltTree(WarmStart):
+    """A holder that drops each solve's tree and rebuilds it from the cells."""
+
+    def keep(self, supply, demand, cells, flows, tree=None):
+        super().keep(supply, demand, cells, flows)
+
+
+@pytest.mark.parametrize("seed,kind,p,q", [(0, "metric", 9, 7),
+                                           (1, "ties", 8, 8),
+                                           (2, "equal", 12, 5),
+                                           (3, "metric", 80, 60),
+                                           (4, "equal", 70, 70)])
+def test_kept_tree_gives_the_bits_of_a_rebuilt_tree(seed, kind, p, q):
+    # 80 x 60 and 70 x 70 are above the candidate-pricing gate.
+    angles = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, 6)
+    kept, rebuilt = WarmStart(), _RebuiltTree()
+    for k, (cost, supply, demand) in enumerate(_chain(seed, kind, p, q,
+                                                      angles)):
+        kept.key = rebuilt.key = (float(angles[k]),)
+        a = transport_simplex(cost, supply, demand, warm=kept)
+        b = transport_simplex(cost, supply, demand, warm=rebuilt)
+        assert np.float64(a[0]).tobytes() == np.float64(b[0]).tobytes()
+        assert a[1].tobytes() == b[1].tobytes()
+        assert a[2].tobytes() == b[2].tobytes()
+        cells_a, flows_a = kept.basis_for(supply, demand)
+        cells_b, flows_b = rebuilt.basis_for(supply, demand)
+        assert cells_a == cells_b
+        assert np.array(flows_a).tobytes() == np.array(flows_b).tobytes()
