@@ -3,17 +3,14 @@
 Computable quantities of anisotropic geometric measure theory at desk scale:
 ellipse densities and blowups, truncated singular integrals, exact
 bounded-Lipschitz metrics via linear programming, distances to flat cones,
-symmetry/uniformity defects, and oscillation moduli of coefficient fields.
+symmetry defects, and oscillation moduli of coefficient fields.
 """
 
 from .measures import (
     AffineMap,
-    AllSpace,
     Ball,
-    Box,
     DiscreteMeasure,
     EllipseField,
-    EmptyRegion,
     HalfSpace,
     ellipse_ball,
     lambda_rescale,
@@ -25,14 +22,11 @@ from .measures import (
 )
 from .lipmetric import SeriesResult, f_ball, f_ball_potential, f_scaling_residual, f_series
 from .cones import (
-    DefectReport,
     FlatMeasureSpec,
     cone_floor,
     d_cone_flat,
     sample_flat,
     symmetry_defect,
-    uniformity_defect,
-    uniformity_gap,
 )
 from .kernels import (
     KernelSpec,
@@ -59,10 +53,8 @@ from .blowup import (
     BlowupSequence,
     ScaleLadder,
     blowup_sequence,
-    containment_constants,
     density_gap_verdict,
     density_scan,
-    eccentricity_bucket,
     flatness_profile,
     sandwich_check,
 )

@@ -9,8 +9,9 @@ A scale ladder drives three intertwined diagnostics at a base point a:
                       restricted to a window ball, normalized either by the
                       ellipse mass (c_i = 1/mu(B_M(a, r_i))) or by the power
                       law (c_i = r_i^{-m});
-* ``flatness_profile`` and ``sandwich_check``: distances of the blowups to
-                      the flat cone, and the finite-scale density sandwich
+* ``flatness_profile`` and ``sandwich_check``: the trend of the blowups'
+                      distances to the flat cone, and the finite-scale
+                      density sandwich
 
         (min window density) * R^m <= nu_i(B_R) <= (max window density) * R^m
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import cone_floor, d_cone_flat, symmetry_defect
+from .cones import cone_floor, symmetry_defect
 from .errors import ContractError, ResolutionGuardError
 from .measures import (Ball, ball_masses, ellipse_ball, lambda_rescale,
                        restrict)
@@ -175,21 +176,20 @@ def blowup_sequence(mu, a, anisotropy, ladder, mode="power", m=None):
                           mode=mode, m=m, skipped=skipped)
 
 
-def flatness_profile(blowups, m):
-    """Cone distance at `FLATNESS_SCALE` of each blowup to the m-flats, with
-    a trend verdict.
+def flatness_profile(radii, flatness, m):
+    """Trend verdict of the per-scale flatness of a blowup sequence.
 
+    ``flatness[i]`` is the cone distance at `FLATNESS_SCALE` of the blowup
+    at ``radii[i]`` to the m-flats (``d_cone_flat(nu_i, m, FLATNESS_SCALE)``).
     Verdicts (floor = the cone discretization floor): ``decreasing`` when the
     last value is at most half the first and the sequence is monotone within
     20% noise; ``non-vanishing`` when every value stays >= 2x floor;
     ``inconclusive`` otherwise.
     """
-    pairs = [(r, nu) for r, nu in zip(blowups.radii, blowups.measures)
-             if nu is not None]
-    if not pairs:
+    radii = [float(r) for r in radii]
+    vals = [float(v) for v in flatness]
+    if not vals:
         raise ContractError("no blowups to profile")
-    radii = [float(r) for r, _ in pairs]
-    vals = [d_cone_flat(nu, m, FLATNESS_SCALE) for _, nu in pairs]
     floor = cone_floor(FLATNESS_SCALE, m)
     first, last = vals[0], vals[-1]
     monotone = all(nxt <= prev * 1.2 for prev, nxt in zip(vals, vals[1:]))
@@ -252,40 +252,3 @@ def sandwich_check(mu, a, anisotropy, m, ladder, R_list):
 def blowup_symmetry_defect(blowup, m=1):
     """Symmetry defect of a blowup at the origin over `SYMMETRY_ANNULUS`."""
     return symmetry_defect(blowup, np.zeros(blowup.dim), *SYMMETRY_ANNULUS, m)
-
-
-# ---------------------------------------------------------------------------
-# Eccentricity bucketing of invertible matrices
-# ---------------------------------------------------------------------------
-
-def containment_constants(m1, m2):
-    """(c, C) with  m1 B(0, c r)  inside  m2 B(0, r)  inside  m1 B(0, C r).
-
-    c and C are the extreme singular values of m1^{-1} m2; for m1 = identity
-    they bound how ellipse densities compare to euclidean ones.
-    """
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
-    sv = np.linalg.svd(np.linalg.solve(m1, m2), compute_uv=False)
-    return float(sv.min()), float(sv.max())
-
-
-def eccentricity_bucket(matrix, eps):
-    """Hashable key such that matrices sharing a key define ellipses that
-    sandwich each other within radius factors (1 - eps, 1 + eps).
-
-    Quantizes the entries at a resolution tied to a power-of-two floor of
-    the smallest singular value; a countable cover of the invertible
-    matrices, not a minimal one (near-identical matrices can straddle cells).
-    """
-    m = np.asarray(matrix, dtype=float)
-    if not 0 < eps < 1:
-        raise ContractError("eps must lie in (0, 1)")
-    n = m.shape[0]
-    smin = np.linalg.svd(m, compute_uv=False).min()
-    if smin <= 0:
-        raise ContractError("matrix must be invertible")
-    k0 = int(np.floor(np.log2(smin)))
-    delta = eps * 2.0 ** k0 / (2.0 * n * n)
-    cells = np.round(m / delta).astype(np.int64)
-    return (k0, n) + tuple(cells.ravel().tolist())

@@ -289,23 +289,26 @@ def cmd_blowup(cfg, out, threads, seed):
         worst_by_scale[r] = max(worst_by_scale.get(r, 0.0), v)
 
     def stage(nu):
-        flat = cones.d_cone_flat(nu, m, 1.0)
+        flat = cones.d_cone_flat(nu, m, blowup.FLATNESS_SCALE)
         sym = blowup.blowup_symmetry_defect(nu, m=m)
         return flat, sym
 
     radii = [float(r) for r in seq.radii]
     staged = _parallel(stage, seq.measures, threads)
+    profile = blowup.flatness_profile(radii, [f for f, _ in staged], m)
     report = ScanReport(
         columns={
             "r": radii,
-            "flatness": [f for f, _ in staged],
+            "flatness": profile.columns["flatness"],
             "symmetry_defect": [s for _, s in staged],
             "sandwich_violation": [worst_by_scale[r] for r in radii],
         },
         verdict=sandwich.verdict,
-        meta={"slack": sandwich.meta["slack"]},
     )
-    _emit(out, report_lines(report, cfg))
+    _emit(out, report_lines(report, cfg) + [
+        f"# meta.flatness_verdict={profile.verdict}",
+        f"# meta.flatness_floor={_fmt(profile.meta['floor'])}",
+    ])
 
 
 def cmd_metric(cfg, out, threads, seed):

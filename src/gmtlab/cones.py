@@ -1,4 +1,4 @@
-"""Flat measures, distances to the flat cones, and symmetry/uniformity defects.
+"""Flat measures, distances to the flat cones, and the symmetry defect.
 
 ``sample_flat`` discretizes c * H^m restricted to an m-plane through the
 origin inside a ball.  ``d_cone_flat`` computes the scale-s distance from a
@@ -18,8 +18,7 @@ stage; no solver state outlives the call.  Values are clamped to [0, 1], and
 1 is returned when F_s(nu) = 0.
 
 ``symmetry_defect`` evaluates the annulus moment whose vanishing at every
-window characterizes points of symmetry, and ``uniformity_defect`` probes the
-defining property of uniform measures on seeded support pairs.
+window characterizes points of symmetry.
 
 Reported cone distances carry a discretization floor of 2 * grid_step / s;
 inputs denser than the LP site budget are conservatively rebinned onto a grid
@@ -34,9 +33,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ContractError, DimensionMismatchError
-from .lipmetric import SITE_CAP, f_ball
-from .measures import (TIE_TOL, Ball, DiscreteMeasure, lambda_distances,
-                       mass_in)
+from .lipmetric import SITE_CAP, _merge_duplicates, f_ball
+from .measures import TIE_TOL, DiscreteMeasure, lambda_distances
 from .transport import WarmStart
 
 # Candidate-plane grid spacing relative to the scale s, per dimension m of
@@ -127,15 +125,6 @@ def sample_flat(spec, radius):
     return DiscreteMeasure(points, weights, dim=spec.ambient_dim)
 
 
-@dataclass(frozen=True)
-class DefectReport:
-    """Value of a defect functional plus the window and witness achieving it."""
-
-    value: float
-    window: tuple
-    witness: tuple | None = None
-
-
 # ---------------------------------------------------------------------------
 # Distance to the flat cone
 # ---------------------------------------------------------------------------
@@ -144,18 +133,16 @@ def _rebin(measure, step, radius):
     """Snap points inside B(0, radius) to a grid of the given step.
 
     Mass-preserving; moves each point by at most step * sqrt(n) / 2, so the
-    effect on normalized cone distances is inside the reported floor.
+    effect on normalized cone distances is inside the reported floor.  The
+    atoms of a cell merge as in `gmtlab.lipmetric._merge_duplicates`: cells
+    in lexicographic order, masses summed in input order, and cells whose
+    mass sums to zero dropped.
     """
     pts = measure.points
     keep = np.sqrt(np.sum(pts * pts, axis=1)) <= radius * (1 + TIE_TOL)
     pts, w = pts[keep], measure.weights[keep]
-    if pts.shape[0] == 0:
-        return DiscreteMeasure.empty(measure.dim)
-    keys = np.round(pts / step)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    agg = np.zeros(uniq.shape[0])
-    np.add.at(agg, inverse, w)
-    return DiscreteMeasure(uniq * step, agg, dim=measure.dim)
+    keys, agg = _merge_duplicates(np.round(pts / step), w)
+    return DiscreteMeasure(keys * step, agg, dim=measure.dim)
 
 
 def _flat_mass_norm(points, weights, s):
@@ -360,7 +347,7 @@ def d_cone_flat(nu, m, s, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Symmetry and uniformity defects
+# Symmetry defect
 # ---------------------------------------------------------------------------
 
 def symmetry_defect(nu, x, r, R, m):
@@ -383,51 +370,3 @@ def symmetry_defect(nu, x, r, R, m):
     kern = -u[mask] / dist[mask, None] ** (m + 1)  # x - z, exactly
     total = (nu.weights[mask, None] * kern).sum(axis=0)
     return float(np.linalg.norm(total))
-
-
-def uniformity_gap(nu, x, y, r):
-    """Relative ball-mass gap |nu(B(x,r)) - nu(B(y,r))| / max(...)."""
-    mx = mass_in(nu, Ball(np.asarray(x, float), r))
-    my = mass_in(nu, Ball(np.asarray(y, float), r))
-    top = max(mx, my)
-    if top <= 0.0:
-        return 0.0
-    return abs(mx - my) / top
-
-
-def uniformity_defect(nu, probe_pairs, radii, seed=0):
-    """Largest relative ball-mass gap over seeded support pairs and radii.
-
-    Probes are drawn (with a fixed seed) from support points in the inner
-    half of the support's bounding ball, avoiding sample-boundary effects.
-    A lower bound on the true defect; near 0 for uniform measures.
-    """
-    support = nu.support()
-    if support.shape[0] == 0:
-        raise ContractError("uniformity defect of an empty support")
-    radii = [float(r) for r in radii]
-    if not radii or min(radii) <= 0:
-        raise ContractError("radii must be positive")
-    center = 0.5 * (support.min(axis=0) + support.max(axis=0))
-    dist = lambda_distances(support, center)[1]
-    bound = dist.max()
-    inner = support[dist <= bound / 2] if bound > 0 else support
-    if inner.shape[0] < 2:
-        inner = support
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, inner.shape[0], size=(int(probe_pairs), 2))
-    best = (0.0, None, None)
-    for i, j in idx:
-        if i == j:
-            continue
-        x, y = inner[i], inner[j]
-        for r in radii:
-            gap = uniformity_gap(nu, x, y, r)
-            if gap > best[0]:
-                best = (gap, (x.copy(), y.copy()), r)
-    value, witness, r = best
-    return DefectReport(
-        value=value,
-        window=(min(radii), max(radii)),
-        witness=None if witness is None else (witness[0], witness[1], r),
-    )

@@ -195,20 +195,6 @@ def gen_circle(h, radius=1.0):
     )
 
 
-def gen_atom_on_line(h, weight=1.0, extent=1.0):
-    """A unit line sample plus an atom at the origin: not uniform."""
-    line = gen_line(h, extent).measure
-    pts = np.vstack([line.points, np.zeros((1, 2))])
-    w = np.concatenate([line.weights, [weight]])
-    return CorpusEntry(
-        name="atom_on_line",
-        measure=DiscreteMeasure(pts, w, dim=2),
-        label="mixed",
-        params={"h": h, "weight": weight, "extent": extent},
-        truth={"uniform": False},
-    )
-
-
 # ---------------------------------------------------------------------------
 # Coefficient fields
 # ---------------------------------------------------------------------------
@@ -314,26 +300,3 @@ def write_manifest(entries, path):
             for key in sorted(entry.params):
                 fh.write(f"param.{key} = {entry.params[key]}\n")
             fh.write("\n")
-
-
-def read_manifest(path):
-    """Parse a manifest back into a list of record dicts (comments skipped)."""
-    records = []
-    current = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                if current:
-                    records.append(current)
-                    current = {}
-                continue
-            if line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ContractError(f"bad manifest line {line!r}")
-            key, _, value = line.partition("=")
-            current[key.strip()] = value.strip()
-    if current:
-        records.append(current)
-    return records

@@ -3,7 +3,7 @@
 A `DiscreteMeasure` is a finite list of points in R^n with nonnegative
 weights, standing in for a compactly supported Radon measure.  Everything
 else in the package consumes the operations defined here: mass of closed
-euclidean/ellipse balls, restriction to predicate regions, affine
+euclidean/ellipse balls, restriction to a ball or half-space, affine
 pushforward, and the anisotropic rescaling
 
     y  |->  M(a)^{-1} (y - a) / r
@@ -118,11 +118,6 @@ class DiscreteMeasure:
     def total_mass(self):
         return float(self.weights.sum())
 
-    def support(self):
-        """Points carrying strictly positive weight."""
-        keep = self.weights > 0.0
-        return self.points[keep]
-
     def scaled(self, factor):
         """Measure with all weights multiplied by ``factor`` (>= 0)."""
         if factor < 0:
@@ -198,40 +193,6 @@ class HalfSpace:
         return pts @ self.normal <= self.offset
 
 
-@dataclass(frozen=True)
-class Box:
-    """Closed axis-aligned box { y : lo <= y <= hi componentwise }."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float).reshape(-1)
-        hi = np.asarray(self.hi, dtype=float).reshape(-1)
-        if lo.shape != hi.shape or np.any(lo > hi):
-            raise ContractError("box needs lo <= hi of equal dimension")
-        object.__setattr__(self, "lo", _freeze(lo))
-        object.__setattr__(self, "hi", _freeze(hi))
-
-    def contains(self, points):
-        pts = np.asarray(points, dtype=float)
-        return np.all((pts >= self.lo) & (pts <= self.hi), axis=-1)
-
-
-class AllSpace:
-    """The trivial region containing everything."""
-
-    def contains(self, points):
-        return np.ones(np.asarray(points).shape[0], dtype=bool)
-
-
-class EmptyRegion:
-    """The empty region."""
-
-    def contains(self, points):
-        return np.zeros(np.asarray(points).shape[0], dtype=bool)
-
-
 # ---------------------------------------------------------------------------
 # Affine maps
 # ---------------------------------------------------------------------------
@@ -254,10 +215,6 @@ class AffineMap:
         object.__setattr__(self, "offset", _freeze(b))
 
     @classmethod
-    def identity(cls, dim):
-        return cls(np.eye(dim), np.zeros(dim))
-
-    @classmethod
     def linear(cls, matrix):
         matrix = np.asarray(matrix, dtype=float)
         return cls(matrix, np.zeros(matrix.shape[0]))
@@ -277,17 +234,6 @@ class AffineMap:
     def apply(self, points):
         pts = np.asarray(points, dtype=float)
         return pts @ self.matrix.T + self.offset
-
-    def compose(self, other):
-        """The map ``self o other`` (apply ``other`` first)."""
-        return AffineMap(
-            self.matrix @ other.matrix,
-            self.matrix @ other.offset + self.offset,
-        )
-
-    def inverse(self):
-        inv = np.linalg.inv(self.matrix)
-        return AffineMap(inv, -inv @ self.offset)
 
 
 # ---------------------------------------------------------------------------

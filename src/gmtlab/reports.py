@@ -32,9 +32,6 @@ class ScanReport:
             return len(v)
         return 0
 
-    def column(self, name):
-        return list(self.columns[name])
-
     def rows(self):
         """Rows in column order, one tuple per scan step."""
         cols = [self.columns[n] for n in self.names]

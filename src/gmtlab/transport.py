@@ -57,20 +57,21 @@ The boundary cost matrix is filled in place one coordinate at a time
 (`_distances`), with no (p, q, n) difference array.
 
 Warm starts.  A `WarmStart` holder passed as ``warm`` keeps the optimal
-basis (cells and flows) of every solve made with it, with its basis tree,
-each under the holder's ``key`` at the time, a point the caller sets before
-each solve (`gmtlab.cones.d_cone_flat` uses the frame parameters).  A basis
-whose problem had exactly the same supply and demand vectors is still primal
-feasible for the next problem, so the solve starts from a copy of the
-matching basis and tree whose key is nearest to the current key in the
-max-norm, the most recent on ties, and only re-prices; if none matches it
-silently takes the least-cost start.  The kept tree has the parent, slot
-and depth arrays that rebuilding it from the cells would give, so every
-pivot choice and every returned bit is the same; only the preorder can
-differ, and no choice reads it.  Either way the result is certified the
-same way, and the holder then adds the new optimal basis.  A failed solve
-adds nothing.  A holder is plain state for one chain of related solves;
-nothing is cached at module level.
+basis (cells, flows and basis tree) of every solve made with it, each under
+the holder's ``key`` at the time, a point the caller sets before each solve
+(`gmtlab.cones.d_cone_flat` uses the frame parameters).  A basis whose
+problem had exactly the same supply and demand vectors is still primal
+feasible for the next problem.  `WarmStart.basis_for` is the one lookup: it
+returns a copy of the matching ``(cells, flows, tree)`` whose key is nearest
+to the current key in the max-norm, the most recent on ties, and the solve
+starts from it and only re-prices; if none matches it silently takes the
+least-cost start.  The kept tree has the parent, slot and depth arrays that
+rebuilding it from the cells would give, so every pivot choice and every
+returned bit is the same; only the preorder can differ, and no choice reads
+it.  Either way the result is certified the same way, and the holder then
+adds the new optimal basis and its tree.  A failed solve adds nothing.  A
+holder is plain state for one chain of related solves; nothing is cached at
+module level.
 """
 
 from __future__ import annotations
@@ -104,36 +105,26 @@ class WarmStart:
         # (supply bytes, demand bytes) -> (keys, [(cells, flows, tree), ...])
         self._bases = {}
 
-    def _nearest(self, supply, demand):
-        """The stored ``(cells, flows, tree)`` that `basis_for` copies."""
-        group = self._bases.get((supply.tobytes(), demand.tobytes()))
-        if group is None:
-            return None
-        keys, bases = group
-        gap = np.max(np.abs(np.array(keys) - self.key), axis=-1, initial=0.0)
-        # The last of the nearest: ties go to the most recent.
-        return bases[gap.size - 1 - int(np.argmin(gap[::-1]))]
-
     def basis_for(self, supply, demand):
-        """Copy of the nearest stored basis with exactly these marginals.
+        """Copy of the nearest stored ``(cells, flows, tree)`` with exactly
+        these marginals.
 
         Among the bases whose supply and demand have the same bits as the
         given ones (so a basis is never reused across problem sizes), the
         one whose key is nearest to ``key`` in the max-norm wins, ties going
         to the most recent; None if none match.
         """
-        best = self._nearest(supply, demand)
-        if best is None:
+        group = self._bases.get((supply.tobytes(), demand.tobytes()))
+        if group is None:
             return None
-        return list(best[0]), list(best[1])
+        keys, bases = group
+        gap = np.max(np.abs(np.array(keys) - self.key), axis=-1, initial=0.0)
+        # The last of the nearest: ties go to the most recent.
+        cells, flows, tree = bases[gap.size - 1 - int(gap[::-1].argmin())]
+        return list(cells), list(flows), tree.copy()
 
-    def keep(self, supply, demand, cells, flows, tree=None):
-        """Store an optimal basis and its tree under the current key.
-
-        Without ``tree`` the basis tree is built from ``cells`` here.
-        """
-        if tree is None:
-            tree = _BasisTree(cells, supply.size, demand.size)
+    def keep(self, supply, demand, cells, flows, tree):
+        """Store an optimal basis and its tree under the current key."""
         keys, bases = self._bases.setdefault(
             (supply.tobytes(), demand.tobytes()), ([], []))
         keys.append(np.array(self.key, dtype=float))
@@ -157,7 +148,7 @@ def _least_cost_start(cost, supply, demand):
     cells = []
     flows = []
     for _ in range(p + q - 1):
-        flat = int(np.argmin(work))
+        flat = int(work.argmin())
         a, b = flat // q, flat % q
         move = min(s[a], d[b])
         cells.append((a, b))
@@ -371,12 +362,12 @@ def transport_simplex(cost, supply, demand, max_iter=None, warm=None):
     if abs(total - demand.sum()) > 1e-9 * (1.0 + total):
         raise ContractError("transportation problem must be balanced")
 
-    basis = warm._nearest(supply, demand) if warm is not None else None
+    basis = warm.basis_for(supply, demand) if warm is not None else None
     if basis is None:
         cells, flows = _least_cost_start(cost, supply, demand)
         tree = _BasisTree(cells, p, q)
     else:
-        cells, flows, tree = list(basis[0]), list(basis[1]), basis[2].copy()
+        cells, flows, tree = basis
     if max_iter is None:
         max_iter = 400 * (p + q) + 2000
 
@@ -397,7 +388,7 @@ def transport_simplex(cost, supply, demand, max_iter=None, warm=None):
             # Price the candidates alone, with the full pass's expression.
             cand_rc = cost_flat[cand] - pot[cand_rows]
             cand_rc += pot[cand_cols]
-            k = int(np.argmin(cand_rc))
+            k = int(cand_rc.argmin())
             rc = float(cand_rc[k])
             if rc < -_TOL_RC:
                 enter_flat = int(cand[k])
@@ -414,7 +405,7 @@ def transport_simplex(cost, supply, demand, max_iter=None, warm=None):
                     break
                 enter_flat = int(flat[0])
             else:
-                enter_flat = int(np.argmin(reduced_flat))
+                enter_flat = int(reduced_flat.argmin())
                 if reduced_flat[enter_flat] >= -_TOL_RC:
                     break
             rc = float(reduced_flat[enter_flat])

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gmtlab.blowup import (ScaleLadder, blowup_sequence, containment_constants,
+from gmtlab.blowup import (FLATNESS_SCALE, ScaleLadder, blowup_sequence,
                            density_gap_verdict, density_scan,
-                           eccentricity_bucket, flatness_profile,
-                           sandwich_check)
+                           flatness_profile, sandwich_check)
+from gmtlab.cones import d_cone_flat
 from gmtlab.corpus import gen_graph, gen_lambda_field
 from gmtlab.errors import ContractError, ResolutionGuardError
 from gmtlab.measures import Ball, DiscreteMeasure, EllipseField, mass_in
@@ -120,17 +120,26 @@ def test_eccentricity_density_sandwich(line_entry):
                                   lad).columns["density"])
     d_euc = np.array(density_scan(line_entry.measure, np.zeros(2), ident, 1,
                                   lad).columns["density"])
-    smin, smax = containment_constants(np.eye(2), lam)
+    # B(0, smin r) lies inside lam B(0, r), which lies inside B(0, smax r)
+    smin, smax = np.linalg.svd(lam, compute_uv=False)[[-1, 0]]
     tol = 1.05
     assert np.all(d_ell <= d_euc.max() * smax * tol)
     assert np.all(d_ell >= d_euc.min() * smin / tol)
+
+
+def _profile(seq, m):
+    """`flatness_profile` of the per-rung cone distances of a blowup sequence,
+    as `gmtlab.cli.cmd_blowup` computes them."""
+    return flatness_profile(
+        seq.radii, [d_cone_flat(nu, m, FLATNESS_SCALE) for nu in seq.measures],
+        m)
 
 
 def test_flatness_profile_flat_sample(line_entry, identity2):
     lad = ScaleLadder(r0=0.4, rho=0.5, count=3, spacing=0.001)
     seq = blowup_sequence(line_entry.measure, np.zeros(2), identity2, lad,
                           mode="power", m=1)
-    rep = flatness_profile(seq, 1)
+    rep = _profile(seq, 1)
     floor = rep.meta["floor"]
     assert all(v <= 0.02 + floor for v in rep.columns["flatness"])
 
@@ -144,7 +153,7 @@ def test_flatness_profile_graph_decreases(identity2):
     a = np.array([t0, amp * np.sin(freq * t0)])
     lad = ScaleLadder(r0=0.8, rho=0.5, count=4, spacing=0.001)
     seq = blowup_sequence(entry.measure, a, identity2, lad, mode="power", m=1)
-    rep = flatness_profile(seq, 1)
+    rep = _profile(seq, 1)
     assert rep.verdict == "decreasing"
     assert rep.meta["final"] <= 0.05 + rep.meta["floor"]
 
@@ -153,11 +162,27 @@ def test_flatness_profile_cross_self_similar(cross_entry, identity2):
     lad = ScaleLadder(r0=0.4, rho=0.5, count=3, spacing=0.001)
     seq = blowup_sequence(cross_entry.measure, np.zeros(2), identity2, lad,
                           mode="power", m=1)
-    rep = flatness_profile(seq, 1)
+    rep = _profile(seq, 1)
     assert rep.verdict == "non-vanishing"
     vals = rep.columns["flatness"]
     assert max(vals) - min(vals) <= 0.01  # the cross is its own blowup at 0
     assert vals[0] == pytest.approx(CROSS_FLATNESS, abs=0.02)
+
+
+def test_flatness_profile_verdicts_from_values():
+    floor = 0.025  # cone_floor(FLATNESS_SCALE, 1)
+    cases = [([0.4, 0.3, 0.1], "decreasing"),
+             ([0.4, 0.5, 0.01], "inconclusive"),  # not monotone within 20%
+             ([0.41, 0.42, 0.41], "non-vanishing"),
+             ([0.41, 2 * floor, 0.41], "non-vanishing"),
+             ([0.41, 0.04, 0.41], "inconclusive")]
+    for vals, verdict in cases:
+        rep = flatness_profile([0.4, 0.2, 0.1], vals, 1)
+        assert rep.verdict == verdict, vals
+        assert rep.meta == {"floor": floor, "final": vals[-1]}
+        assert rep.columns == {"r": [0.4, 0.2, 0.1], "flatness": vals}
+    with pytest.raises(ContractError):
+        flatness_profile([], [], 1)
 
 
 def test_sandwich_line(line_entry, identity2):
@@ -256,30 +281,3 @@ def test_sandwich_agrees_with_the_blowup_route(request, identity2, case):
         assert abs(new - v) <= 1e-12 * (1 + abs(v))
     assert rep.verdict == ("ok" if max(old) <= rep.meta["slack"]
                            else "inconclusive")
-
-
-def test_containment_constants():
-    c, big = containment_constants(np.eye(2), np.diag([2.0, 0.5]))
-    assert c == pytest.approx(0.5)
-    assert big == pytest.approx(2.0)
-
-
-def test_eccentricity_bucket_containment():
-    rng = np.random.default_rng(21)
-    eps = 0.1
-    buckets = {}
-    for _ in range(300):
-        m = rng.normal(size=(2, 2)) + 3 * np.eye(2)
-        if abs(np.linalg.det(m)) < 0.5:
-            continue
-        buckets.setdefault(eccentricity_bucket(m, eps), []).append(m)
-    checked = 0
-    for group in buckets.values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                c, big = containment_constants(group[i], group[j])
-                assert 1 - eps <= c <= big <= 1 + eps
-                checked += 1
-    # sanity: identical matrices always share a bucket
-    m = np.diag([2.0, 1.0])
-    assert eccentricity_bucket(m, eps) == eccentricity_bucket(m.copy(), eps)

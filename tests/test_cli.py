@@ -3,6 +3,7 @@ import pytest
 
 from gmtlab import transport
 from gmtlab.cli import RunConfig, _fmt, main
+from gmtlab.cones import cone_floor
 from gmtlab.errors import SolverError
 from gmtlab.corpus import gen_half_line
 from gmtlab.measures import lambda_rescale, save_measure_csv
@@ -535,8 +536,7 @@ def test_byte_identical_across_threads(tmp_path, command, cfg_text):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_blowup_cross_columns(tmp_path):
-    cfg = write_cfg(tmp_path, """
+CROSS_BLOWUP_CFG = """
 [measure]
 kind = cross
 h = 0.01
@@ -550,7 +550,11 @@ count = 2
 [blowup]
 center = 0,0
 m = 1
-""")
+"""
+
+
+def test_blowup_cross_columns(tmp_path):
+    cfg = write_cfg(tmp_path, CROSS_BLOWUP_CFG)
     out = tmp_path / "blowup.csv"
     assert run_cli(["blowup", "--config", cfg, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
@@ -560,6 +564,18 @@ m = 1
         # the cross is symmetric at 0 but never flat there
         assert float(row[2]) <= 0.02
         assert float(row[1]) >= 0.2
+
+
+def test_blowup_prints_the_flatness_trend_after_the_verdict(tmp_path):
+    cfg = write_cfg(tmp_path, CROSS_BLOWUP_CFG)
+    out = tmp_path / "blowup.csv"
+    assert run_cli(["blowup", "--config", cfg, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    # header, CSV header, two rungs, then the sandwich verdict
+    assert len(lines) == 7 and lines[4] == "# verdict=ok"
+    # the cross is its own blowup at 0: its flatness never vanishes
+    assert lines[5:] == ["# meta.flatness_verdict=non-vanishing",
+                         "# meta.flatness_floor=" + _fmt(cone_floor(1.0, 1))]
 
 
 def test_config_hash_is_canonical():

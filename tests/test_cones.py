@@ -9,13 +9,12 @@ import pytest
 from conftest import random_cloud
 from gmtlab import cones, corpus, transport
 from gmtlab.blowup import ScaleLadder, blowup_sequence
-from gmtlab.cones import (OPTIMIZER_TOL, DefectReport, FlatMeasureSpec,
-                          _compass_search, d_cone_flat, sample_flat,
-                          symmetry_defect, uniformity_defect, uniformity_gap)
+from gmtlab.cones import (OPTIMIZER_TOL, FlatMeasureSpec, _compass_search,
+                          d_cone_flat, sample_flat, symmetry_defect)
 from gmtlab.errors import ContractError
 from gmtlab.lipmetric import f_ball
-from gmtlab.measures import (AffineMap, DiscreteMeasure, EllipseField,
-                             pushforward)
+from gmtlab.measures import (AffineMap, Ball, DiscreteMeasure, EllipseField,
+                             mass_in, pushforward)
 
 # Locked at first computation; the best candidate line for a unit atom at the
 # origin sits at distance 1/2 in the normalized ball metric.
@@ -117,7 +116,7 @@ def test_d_cone_delta_matches_plane_grid_oracle():
 class _ColdStart(cones.WarmStart):
     """A holder that never hands out a basis: every solve starts cold."""
 
-    def _nearest(self, supply, demand):
+    def basis_for(self, supply, demand):
         return None
 
 
@@ -308,43 +307,15 @@ def test_flat_defect_shrinks_with_spacing():
     assert vals[1] <= vals[0] + 1e-12
 
 
-# ---------------------------------------------------------------------------
-# Uniformity defect
-# ---------------------------------------------------------------------------
-
-def test_uniformity_defect_line_small(line_entry):
-    rep = uniformity_defect(line_entry.measure, probe_pairs=40,
-                            radii=[0.05, 0.1, 0.2], seed=0)
-    assert isinstance(rep, DefectReport)
-    assert rep.value <= 0.02
-
-
-def test_uniformity_defect_circle_small(circle_entry):
-    rep = uniformity_defect(circle_entry.measure, probe_pairs=40,
-                            radii=[0.05, 0.1, 0.2], seed=0)
-    assert rep.value <= 0.03
-
-
-def test_uniformity_witness_reproduces_value(line_entry):
-    rep = uniformity_defect(line_entry.measure, probe_pairs=40,
-                            radii=[0.05, 0.1, 0.2], seed=1)
-    if rep.witness is not None:
-        x, y, r = rep.witness
-        assert uniformity_gap(line_entry.measure, x, y, r) == rep.value
-
-
 def test_atom_breaks_uniformity():
-    # direct evaluation of both ball masses at radii isolating the atom
+    # a uniform measure gives equal balls about support points equal mass;
+    # an atom on the line breaks that at radii isolating it
     t = np.arange(-1000, 1001) * 0.001
     pts = np.vstack([np.column_stack([t, np.zeros_like(t)])])
     w = np.full(pts.shape[0], 0.001)
     pts = np.vstack([pts, [[0.0, 0.0]]])
     w = np.concatenate([w, [1.0]])
     nu = DiscreteMeasure(pts, w)
-    gap = uniformity_gap(nu, np.zeros(2), np.array([0.5, 0.0]), 0.1)
-    assert gap >= 0.5
-
-
-def test_uniformity_empty_support_rejected():
-    with pytest.raises(ContractError):
-        uniformity_defect(DiscreteMeasure.empty(2), 10, [0.1])
+    at_atom = mass_in(nu, Ball(np.zeros(2), 0.1))
+    off_atom = mass_in(nu, Ball(np.array([0.5, 0.0]), 0.1))
+    assert (at_atom - off_atom) / at_atom >= 0.5

@@ -1,0 +1,43 @@
+"""Every module of the package uses each name it imports.
+
+A stdlib-`ast` check, so it needs no linter: a deleted routine may not leave
+behind an import that only it used.  ``__init__.py`` is skipped, since its
+imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gmtlab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """Names bound by the module's imports that nothing in it reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds `a`.
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_the_check_finds_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os\nimport numpy as np\nfrom x import a, b as c\n"
+              "np.zeros(a)\n")
+    assert unused_imports(source) == [(2, "os"), (4, "c")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_keeps_an_unused_import(path):
+    assert unused_imports(path.read_text()) == []

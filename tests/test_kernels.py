@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_cloud
 from gmtlab.corpus import cantor_construction_corners, gen_lambda_field
@@ -75,6 +77,50 @@ def test_truncated_pv_single_atom(identity2):
     atom = DiscreteMeasure.dirac(np.array([1.0, 0.0]))
     out = truncated_pv(riesz_kernel(identity2, 1), atom, np.zeros(2), 0.5)
     assert np.allclose(out, [1.0, 0.0])
+
+
+def _odd_spec(flavor, rng, n, m):
+    """A kernel of ``flavor`` with a random anisotropy, and the matrix L whose
+    distance |L^{-1} y| is its truncation variable at x = 0."""
+    if flavor == "riesz":
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        root = q @ np.diag(rng.uniform(0.5, 2.0, n))  # not symmetric
+        return riesz_kernel(EllipseField.constant(root), m), root
+    b = rng.normal(size=(n, n))
+    spd = b @ b.T + np.eye(n)
+    spec = theta_kernel(spd) if flavor == "theta" else finsler_kernel(spd, m)
+    return spec, spd_sqrt(spd)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       flavor=st.sampled_from(["riesz", "theta", "finsler"]),
+       n=st.sampled_from([2, 3]), pairs=st.integers(1, 20),
+       sphere=st.booleans())
+def test_odd_kernels_cancel_on_point_symmetric_samples(seed, flavor, n, pairs,
+                                                       sphere):
+    # At x = 0 every flavor is odd, K(0, -v) = -K(0, v), so mirror pairs of
+    # equal weight cancel.  Pairs on the eps and R window spheres must land
+    # on the same side of each cut.
+    rng = np.random.default_rng(seed)
+    spec, root = _odd_spec(flavor, rng, n, int(rng.integers(1, n)))
+    eps = rng.uniform(0.05, 0.5)
+    R = eps * rng.uniform(2.0, 10.0)
+    t = rng.uniform(0.5 * eps, 2.0 * R, pairs)
+    if sphere:
+        t = np.concatenate([t, [eps, R]])
+    dirs = rng.normal(size=(t.size, n))
+    # |L^{-1} v| = t for v = t L d / |d|.
+    half = (t[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]) @ root.T
+    w = rng.uniform(0.1, 1.0, t.size)
+    order = rng.permutation(2 * t.size)
+    mu = DiscreteMeasure(np.vstack([half, -half])[order],
+                         np.concatenate([w, w])[order])
+    out = truncated_pv(spec, mu, np.zeros(n), eps, R)
+    window = (t >= eps * (1 - 1e-9)) & (t <= R * (1 + 1e-9))
+    scale = 2 * sum(wk * np.linalg.norm(kernel_eval(spec, np.zeros(n), v))
+                    for wk, v in zip(w[window], half[window]))
+    assert np.abs(out).max() <= 1e-12 * scale
 
 
 def test_truncated_pv_half_line_log(half_line_entry, identity2):

@@ -198,13 +198,15 @@ def test_warm_holder_returns_the_nearest_matching_key():
     supply, demand = np.array([1.0, 2.0]), np.array([2.0, 1.0])
     for key, tag in [((0.0,), 0), ((1.0,), 1), ((2.0,), 2), ((1.0,), 3)]:
         warm.key = key
-        warm.keep(supply, demand, [(0, 0), (0, 1), (1, 1)],
-                  [0.0, 1.0, float(tag)])
+        cells = [(0, 0), (0, 1), (1, 1)]
+        warm.keep(supply, demand, cells, [0.0, 1.0, float(tag)],
+                  transport._BasisTree(cells, 2, 2))
     tag = {}
     for key in (-5.0, 0.4, 0.5, 0.9, 1.5, 1.6, 9.0):
         warm.key = (key,)
-        cells, flows = warm.basis_for(supply, demand)
+        cells, flows, tree = warm.basis_for(supply, demand)
         assert cells == [(0, 0), (0, 1), (1, 1)]
+        assert tree.parent == [-1, 3, 0, 0]
         tag[key] = flows[2]
     # Nearest in the max-norm; ties (0.5, 1.5, and the two bases under key
     # 1) go to the most recent, the second basis under key 1.
@@ -212,7 +214,9 @@ def test_warm_holder_returns_the_nearest_matching_key():
                    1.6: 2.0, 9.0: 2.0}
     # A copy: the caller may pivot on it.
     cells.append((1, 0))
-    assert len(warm.basis_for(supply, demand)[0]) == 3
+    tree.parent[1] = 2
+    cells, _, tree = warm.basis_for(supply, demand)
+    assert (len(cells), tree.parent[1]) == (3, 3)
     assert warm.basis_for(supply, demand[::-1]) is None
     assert warm.basis_for(supply[:1], demand[:1]) is None
 
@@ -232,13 +236,13 @@ def test_failed_solve_leaves_the_stored_bases():
     warm.key = (0.0,)
     transport_simplex(*problems[0], warm=warm)
     cost, supply, demand = problems[1]
-    kept = warm.basis_for(supply, demand)
+    kept = warm.basis_for(supply, demand)[:2]
     warm.key = (1.0,)
     with pytest.raises(SolverError):
         transport_simplex(cost, supply, demand, max_iter=1, warm=warm)
-    assert warm.basis_for(supply, demand) == kept
+    assert warm.basis_for(supply, demand)[:2] == kept
     warm.key = (2.0,)
-    assert warm.basis_for(supply, demand) == kept
+    assert warm.basis_for(supply, demand)[:2] == kept
     # The holder still starts the solve it failed on.
     _assert_certified(cost, supply, demand,
                       *transport_simplex(cost, supply, demand, warm=warm))
@@ -454,8 +458,9 @@ def test_candidates_match_the_full_partition(seed):
 class _RebuiltTree(WarmStart):
     """A holder that drops each solve's tree and rebuilds it from the cells."""
 
-    def keep(self, supply, demand, cells, flows, tree=None):
-        super().keep(supply, demand, cells, flows)
+    def keep(self, supply, demand, cells, flows, tree):
+        super().keep(supply, demand, cells, flows,
+                     transport._BasisTree(cells, supply.size, demand.size))
 
 
 @pytest.mark.parametrize("seed,kind,p,q", [(0, "metric", 9, 7),
@@ -475,7 +480,7 @@ def test_kept_tree_gives_the_bits_of_a_rebuilt_tree(seed, kind, p, q):
         assert np.float64(a[0]).tobytes() == np.float64(b[0]).tobytes()
         assert a[1].tobytes() == b[1].tobytes()
         assert a[2].tobytes() == b[2].tobytes()
-        cells_a, flows_a = kept.basis_for(supply, demand)
-        cells_b, flows_b = rebuilt.basis_for(supply, demand)
+        cells_a, flows_a, _ = kept.basis_for(supply, demand)
+        cells_b, flows_b, _ = rebuilt.basis_for(supply, demand)
         assert cells_a == cells_b
         assert np.array(flows_a).tobytes() == np.array(flows_b).tobytes()
