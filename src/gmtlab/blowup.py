@@ -181,10 +181,11 @@ def flatness_profile(radii, flatness, m):
 
     ``flatness[i]`` is the cone distance at `FLATNESS_SCALE` of the blowup
     at ``radii[i]`` to the m-flats (``d_cone_flat(nu_i, m, FLATNESS_SCALE)``).
-    Verdicts (floor = the cone discretization floor): ``decreasing`` when the
-    last value is at most half the first and the sequence is monotone within
-    20% noise; ``non-vanishing`` when every value stays >= 2x floor;
-    ``inconclusive`` otherwise.
+    Verdicts (floor = the cone discretization floor), checked in this order:
+    ``flat`` when every value is <= floor (values inside the floor carry no
+    trend); ``decreasing`` when the last value is at most half the first and
+    the sequence is monotone within 20% noise; ``non-vanishing`` when every
+    value stays >= 2x floor; ``inconclusive`` otherwise.
     """
     radii = [float(r) for r in radii]
     vals = [float(v) for v in flatness]
@@ -193,7 +194,9 @@ def flatness_profile(radii, flatness, m):
     floor = cone_floor(FLATNESS_SCALE, m)
     first, last = vals[0], vals[-1]
     monotone = all(nxt <= prev * 1.2 for prev, nxt in zip(vals, vals[1:]))
-    if last <= 0.5 * first and monotone:
+    if max(vals) <= floor:
+        verdict = "flat"
+    elif last <= 0.5 * first and monotone:
         verdict = "decreasing"
     elif min(vals) >= 2.0 * floor:
         verdict = "non-vanishing"

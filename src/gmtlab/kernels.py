@@ -21,10 +21,17 @@ does, and classifies the ladder as converged / oscillating / diverging,
 and ``frozen_discrepancy`` measures how far the kernel frozen at a ball
 average drifts from the kernel frozen at the center, the engine of the
 variable-coefficient comparison.
+
+Summation order: each window sum adds its weighted kernel terms in atom
+order, one after another from +0.0; the terms are stored as contiguous
+(dim, N) rows, so a window is one column gather and one running sum.  Any
+reordering (by distance, by prefix sums) moves the last bits of the
+printed principal values.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,7 +155,10 @@ def kernel_eval(spec, x, y):
 
 def _window_sums(spec, mu, x, eps_list, R):
     """Truncated sums for every eps in ``eps_list`` from one kernel-row pass:
-    the rows and their window distances are computed once, masked per eps."""
+    the weighted terms are computed once and each window's columns summed in
+    atom order from +0.0, the bits of a row-by-row
+    ``(w[k, None] * vals[k]).sum(axis=0)`` (a window of -0.0 terms gives
+    +0.0)."""
     outer = np.inf if R is None else float(R)
     for eps in eps_list:
         if not 0 < eps < outer:
@@ -157,13 +167,19 @@ def _window_sums(spec, mu, x, eps_list, R):
         raise DimensionMismatchError("measure dimension mismatch")
     x = np.asarray(x, dtype=float).reshape(-1)
     vals, t = _kernel_rows(spec, x, mu.points)
+    # An atom at x has a non-finite kernel value; no window reads its term.
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.ascontiguousarray((mu.weights[:, None] * vals).T)
     # Tie-tolerant half-open window [eps, R): mirror-symmetric samples whose
     # float distances straddle a cut by an ulp must land on the same side, or
     # odd-kernel cancellation breaks at the boundary spheres.
     inner = t < outer * (1.0 - TIE_TOL)
-    masks = ((t >= eps * (1.0 - TIE_TOL)) & inner for eps in eps_list)
-    return [(mu.weights[k, None] * vals[k]).sum(axis=0) if k.any()
-            else np.zeros(spec.dim) for k in masks]
+    sums = []
+    for eps in eps_list:
+        part = np.compress((t >= eps * (1.0 - TIE_TOL)) & inner, terms, axis=1)
+        sums.append(np.add.accumulate(part, axis=1)[:, -1] + 0.0
+                    if part.shape[1] else np.zeros(spec.dim))
+    return sums
 
 
 def truncated_pv(spec, mu, x, eps, R=None):
@@ -261,12 +277,14 @@ def ball_average(field, center, r):
     center = np.asarray(center, dtype=float).reshape(-1)
     if center.size > 3:
         raise ContractError("ball averages implemented for dim <= 3 only")
-    return field.matrices(ball_midpoints(center, r, BALL_GRID)).mean(axis=0)
+    nodes, _ = ball_midpoints(center[None, :], r, BALL_GRID)
+    return field.matrices(nodes).mean(axis=0)
 
 
+@functools.cache
 def _annulus_grid(n):
     """Unit-scale sample of the annulus 1/2 <= |y| <= 2: 8 radii times 96
-    directions."""
+    directions.  Built once per dimension and read-only."""
     radii = np.linspace(0.5, 2.0, 8)
     angular = 96
     if n == 2:
@@ -280,7 +298,9 @@ def _annulus_grid(n):
         dirs = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
     else:
         raise ContractError("annulus grids implemented for dim <= 3 only")
-    return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+    grid = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+    grid.flags.writeable = False
+    return grid
 
 
 def frozen_discrepancy(field, a, r):

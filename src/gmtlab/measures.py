@@ -389,13 +389,18 @@ def ellipse_ball(a, r, field):
     return Ball(a, r, matrix=field.matrix(a))
 
 
-def ball_midpoints(center, r, k):
-    """Nodes of the midpoint ball quadrature: the midpoints of the k^n grid
-    on the cube around B(center, r) that lie in the ball (``center`` 1-D)."""
+def ball_midpoints(centers, r, k):
+    """Nodes of the midpoint ball quadrature on B(c, r) for every row c of
+    the (P, n) array ``centers``: the midpoints of the k^n grid on the cube
+    around each ball that lie in it, from one offsets grid and one distance
+    pass.  Returns the (M, n) nodes, center after center, and the (P,) node
+    count of each center; each center's nodes are those it would get alone.
+    """
     offsets = (np.arange(k) + 0.5) / k * (2 * r) - r
-    grids = np.meshgrid(*([offsets] * center.size), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1) + center
-    return pts[lambda_distances(pts, center)[1] <= r]
+    grids = np.meshgrid(*([offsets] * centers.shape[1]), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1) + centers[:, None, :]
+    inside = lambda_distances(pts, centers[:, None, :])[1] <= r
+    return pts[inside], inside.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

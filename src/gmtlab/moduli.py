@@ -6,6 +6,10 @@
 
 with the sup over a finite probe set (a documented lower bound on the true
 sup) and ball means by midpoint quadrature with half-resolution error bars.
+The quadrature nodes of many probes go to the field in one call (at most
+``BALL_GRID ** 4`` grid nodes per call); each probe's mean and deviations
+are then taken over its own contiguous slice of the matrices, in node order,
+so every value has the bits of a quadrature of that probe alone.
 
 ``dini_small`` and ``dini_large`` are the weighted tail integrals
 
@@ -102,12 +106,20 @@ def seeded_probes(dim, count=64, seed=0):
     return rng.uniform(-PROBE_BOX, PROBE_BOX, size=(count, dim))
 
 
-def _ball_oscillation(field, center, r, grid):
-    """Mean over B(center, r) of |A - mean(A)| in Frobenius norm."""
-    mats = field.matrices(ball_midpoints(center, r, grid))
-    mean = mats.mean(axis=0)
-    dev = mats - mean
-    return float(np.sqrt(np.sum(dev * dev, axis=(1, 2))).mean())
+def _oscillations(field, probes, r, grid):
+    """Mean over B(p, r) of |A - mean(A)| in Frobenius norm for every probe
+    p, in order, from one `field.matrices` call per batch of probes."""
+    batch = max(1, BALL_GRID ** 4 // grid ** probes.shape[1])
+    out = []
+    for start in range(0, len(probes), batch):
+        nodes, counts = ball_midpoints(probes[start:start + batch], r, grid)
+        mats = field.matrices(nodes)
+        ends = np.cumsum(counts).tolist()
+        for lo, hi in zip([0] + ends[:-1], ends):
+            ball = mats[lo:hi]
+            dev = ball - ball.mean(axis=0)
+            out.append(float(np.sqrt(np.sum(dev * dev, axis=(1, 2))).mean()))
+    return out
 
 
 def omega_profile(field, probe_centers, radii):
@@ -128,9 +140,8 @@ def omega_profile(field, probe_centers, radii):
     omega = np.zeros(radii.size)
     errs = np.zeros(radii.size)
     for k, r in enumerate(radii):
-        full = max(_ball_oscillation(field, p, r, BALL_GRID) for p in probes)
-        half = max(_ball_oscillation(field, p, r, BALL_GRID // 2)
-                   for p in probes)
+        full = max(_oscillations(field, probes, r, BALL_GRID))
+        half = max(_oscillations(field, probes, r, BALL_GRID // 2))
         omega[k] = full
         errs[k] = abs(full - half)
     kappa = doubling_constant(radii, omega) if radii.size >= 2 else 1.0

@@ -142,6 +142,7 @@ def test_flatness_profile_flat_sample(line_entry, identity2):
     rep = _profile(seq, 1)
     floor = rep.meta["floor"]
     assert all(v <= 0.02 + floor for v in rep.columns["flatness"])
+    assert rep.verdict == "flat"
 
 
 def test_flatness_profile_graph_decreases(identity2):
@@ -175,12 +176,20 @@ def test_flatness_profile_verdicts_from_values():
              ([0.4, 0.5, 0.01], "inconclusive"),  # not monotone within 20%
              ([0.41, 0.42, 0.41], "non-vanishing"),
              ([0.41, 2 * floor, 0.41], "non-vanishing"),
-             ([0.41, 0.04, 0.41], "inconclusive")]
+             ([0.41, 0.04, 0.41], "inconclusive"),
+             # every value within the floor: no trend to read, checked first
+             ([0.01125, 0.020625], "flat"),  # the line `blowup` config
+             ([-0.0, 0.0025, 0.0075], "flat"),  # the heavy line blowup
+             ([0.02, 0.01, 0.005], "flat"),  # would read decreasing
+             ([floor, floor, floor], "flat"),
+             ([0.01, 0.02, 0.026], "inconclusive"),
+             ([0.05, 0.02, 0.01], "decreasing")]
     for vals, verdict in cases:
-        rep = flatness_profile([0.4, 0.2, 0.1], vals, 1)
+        radii = [0.4 / 2 ** i for i in range(len(vals))]
+        rep = flatness_profile(radii, vals, 1)
         assert rep.verdict == verdict, vals
         assert rep.meta == {"floor": floor, "final": vals[-1]}
-        assert rep.columns == {"r": [0.4, 0.2, 0.1], "flatness": vals}
+        assert rep.columns == {"r": radii, "flatness": vals}
     with pytest.raises(ContractError):
         flatness_profile([], [], 1)
 

@@ -578,6 +578,16 @@ def test_blowup_prints_the_flatness_trend_after_the_verdict(tmp_path):
                          "# meta.flatness_floor=" + _fmt(cone_floor(1.0, 1))]
 
 
+def test_blowup_prints_flat_for_a_line(tmp_path):
+    cfg = write_cfg(tmp_path, BLOWUP_CFG)
+    out = tmp_path / "blowup.csv"
+    assert run_cli(["blowup", "--config", cfg, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    # both rungs of a straight line lie within the cone floor: no trend
+    assert lines[4:] == ["# verdict=ok", "# meta.flatness_verdict=flat",
+                         "# meta.flatness_floor=" + _fmt(cone_floor(1.0, 1))]
+
+
 def test_config_hash_is_canonical():
     a = RunConfig.parse("[b]\nx = 1\n[a]\ny = 2\n")
     b = RunConfig.parse("[a]\ny = 2\n[b]\nx = 1\n")

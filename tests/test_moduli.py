@@ -5,7 +5,7 @@ from gmtlab.cones import FlatMeasureSpec, sample_flat
 from gmtlab.corpus import gen_lambda_field
 from gmtlab.errors import ContractError, DiniDivergenceWarning
 from gmtlab.kernels import frozen_discrepancy
-from gmtlab.measures import EllipseField
+from gmtlab.measures import BALL_GRID, EllipseField
 from gmtlab.moduli import (dini_large, dini_small, doubling_constant,
                            omega_profile, seeded_probes, tau_moduli,
                            tau_of_modulus)
@@ -185,3 +185,20 @@ def test_tau_moduli_rejects_a_radius_too_small_for_its_ladder(r):
     # overflows.
     with pytest.raises(ContractError, match=f"radius {r} is too small"):
         tau_moduli(_sin_field(), PROBES, r)
+
+
+def test_omega_profile_bounds_each_field_call():
+    # n = 4 at full resolution has 16^4 grid nodes per probe: one probe per
+    # field call, never all probes' matrices at once.
+    sizes = []
+
+    def evaluate(pts):
+        sizes.append(len(pts))
+        return np.broadcast_to(np.eye(4), (len(pts), 4, 4))
+
+    probes = seeded_probes(4, 5, seed=1)
+    prof = omega_profile(EllipseField(evaluate, 4), probes, [0.5])
+    assert prof.omega.tolist() == [0.0]
+    assert max(sizes) <= BALL_GRID ** 4
+    # five one-probe calls at full resolution, one five-probe call at half
+    assert len(sizes) == 6 and sizes[:5] == [sizes[0]] * 5
