@@ -35,29 +35,30 @@ alone: there it is cheaper than keeping the list.
 Basis tree.  Row a is node a and column b is node p + b.  The p + q - 1
 basic cells live in numbered slots (``cells[k]``, ``flows[k]``); the tree
 hangs from node 0 and is stored as arrays over nodes: ``parent``, the slot
-of the edge to the parent (``pslot``), ``depth``, and ``thread``, the
-successor in a preorder walk (cyclic, so the last node threads back to the
-root), with its inverse ``rthread``.  Invariants after every pivot: the
-subtree of v is the thread segment that starts at v and runs while the
-depth stays above ``depth[v]``; ``depth[v] = depth[parent[v]] + 1``; the
-potentials satisfy alpha[a] + beta[b] = cost[a, b] on every basic cell up to
-the float drift of the incremental updates.  A pivot finds the cycle by
-climbing from both ends of the entering cell to their common ancestor,
-cuts the subtree below the leaving cell, shifts its potentials by the
-entering reduced cost, and re-hangs it from the entering cell with the
-parent links along the cut path reversed.  Potentials are recomputed from
-the tree every 512 pivots and for the final certificate: the basic cells'
-costs are gathered with one fancy index, and a preorder walk sets
-pot[v] = cost + pot[parent] on rows and pot[parent] - cost on columns over
-Python floats, the same float operations as indexing cell by cell.  The
-objective sums cost * flow over the same gathered costs, in slot order.
+of the edge to the parent (``pslot``), ``depth``, and ``children``, each
+node's child list.  Invariants after every pivot: every node but the root
+appears once in its parent's child list; ``depth[v] = depth[parent[v]] +
+1``; ``cells[pslot[v]]`` joins v and ``parent[v]``; the potentials satisfy
+alpha[a] + beta[b] = cost[a, b] on every basic cell up to the float drift of
+the incremental updates.  A pivot finds the cycle by climbing from both ends
+of the entering cell to their common ancestor, cuts the subtree below the
+leaving cell, re-hangs it from the entering cell with the parent links along
+the cut path reversed, and walks it once, breadth first, to recompute its
+depths and shift its potentials by the entering reduced cost.  Potentials
+are recomputed from the tree every 512 pivots and for the final certificate:
+the basic cells' costs are gathered with one fancy index, and a breadth-first
+walk sets pot[v] = cost + pot[parent] on rows and pot[parent] - cost on
+columns over Python floats, the same float operations as indexing cell by
+cell.  Each pot[v] reads only its parent's, so any parent-first order gives
+the same bits.  The objective sums cost * flow over the same gathered costs,
+in slot order.
 
 Set-up.  Every argument must be finite (else `ContractError`, naming it).
 The boundary cost matrix is filled in place one coordinate at a time
 (`_distances`), with no (p, q, n) difference array.
 
 Warm starts.  A `WarmStart` holder passed as ``warm`` keeps the optimal
-basis (cells, flows and basis tree) of every solve made with it, each under
+basis (cells, flows and tree links) of every solve made with it, each under
 the holder's ``key`` at the time, a point the caller sets before each solve
 (`gmtlab.cones.d_cone_flat` uses the frame parameters).  A basis whose
 problem had exactly the same supply and demand vectors is still primal
@@ -65,13 +66,13 @@ feasible for the next problem.  `WarmStart.basis_for` is the one lookup: it
 returns a copy of the matching ``(cells, flows, tree)`` whose key is nearest
 to the current key in the max-norm, the most recent on ties, and the solve
 starts from it and only re-prices; if none matches it silently takes the
-least-cost start.  The kept tree has the parent, slot and depth arrays that
-rebuilding it from the cells would give, so every pivot choice and every
-returned bit is the same; only the preorder can differ, and no choice reads
-it.  Either way the result is certified the same way, and the holder then
-adds the new optimal basis and its tree.  A failed solve adds nothing.  A
-holder is plain state for one chain of related solves; nothing is cached at
-module level.
+least-cost start.  The holder keeps a tree's parent, slot and depth arrays,
+which rebuilding it from the cells would give too, and rebuilds the child
+lists from ``parent`` when it hands a basis out; only the order within a
+child list can differ, no pivot choice reads it, so every bit is the same.
+Either way the result is certified the same way, and the holder then adds
+the new optimal basis.  A failed solve adds nothing.  A holder is plain
+state for one chain of related solves; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ class WarmStart:
 
     def __init__(self):
         self.key = ()
-        # (supply bytes, demand bytes) -> (keys, [(cells, flows, tree), ...])
+        # (supply bytes, demand bytes) -> (keys, [(cells, flows, links), ...])
+        # where links = (parent, pslot, depth) of the basis tree.
         self._bases = {}
 
     def basis_for(self, supply, demand):
@@ -120,15 +122,16 @@ class WarmStart:
         keys, bases = group
         gap = np.max(np.abs(np.array(keys) - self.key), axis=-1, initial=0.0)
         # The last of the nearest: ties go to the most recent.
-        cells, flows, tree = bases[gap.size - 1 - int(gap[::-1].argmin())]
-        return list(cells), list(flows), tree.copy()
+        cells, flows, links = bases[gap.size - 1 - int(gap[::-1].argmin())]
+        return list(cells), list(flows), _BasisTree(*map(list, links))
 
     def keep(self, supply, demand, cells, flows, tree):
-        """Store an optimal basis and its tree under the current key."""
+        """Store an optimal basis and its tree links under the current key."""
         keys, bases = self._bases.setdefault(
             (supply.tobytes(), demand.tobytes()), ([], []))
         keys.append(np.array(self.key, dtype=float))
-        bases.append((list(cells), list(flows), tree))
+        bases.append((list(cells), list(flows),
+                      (tree.parent, tree.pslot, tree.depth)))
 
 
 def _least_cost_start(cost, supply, demand):
@@ -191,45 +194,40 @@ def _candidates(reduced_flat):
 
 
 class _BasisTree:
-    """Parent/depth/thread arrays of the basis spanning tree, rooted at node 0."""
+    """Basis spanning tree rooted at node 0: parent links and child lists."""
 
-    def __init__(self, cells, p, q):
+    def __init__(self, parent, pslot, depth):
+        """A tree that owns these arrays; the child lists follow from
+        ``parent``."""
+        self.parent, self.pslot, self.depth = parent, pslot, depth
+        self.children = children = [[] for _ in parent]
+        for v in range(1, len(parent)):
+            children[parent[v]].append(v)
+
+    @classmethod
+    def of_cells(cls, cells, p, q):
+        """The tree of p + q - 1 basic cells; `ContractError` unless they
+        span all p + q nodes."""
         n = p + q
         adj = [[] for _ in range(n)]
         for k, (a, b) in enumerate(cells):
             adj[a].append((p + b, k))
             adj[p + b].append((a, k))
-        self.parent = parent = [-1] * n
-        self.pslot = pslot = [-1] * n
-        self.depth = depth = [0] * n
-        order = []
+        parent = [-1] * n
+        pslot = [-1] * n
+        depth = [0] * n
         seen = [False] * n
         seen[0] = True
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for v, k in reversed(adj[u]):
+        order = [0]
+        for u in order:
+            for v, k in adj[u]:
                 if not seen[v]:
                     seen[v] = True
                     parent[v], pslot[v], depth[v] = u, k, depth[u] + 1
-                    stack.append(v)
+                    order.append(v)
         if len(order) != n:
             raise ContractError("transportation basis is not a spanning tree")
-        self.thread = thread = [0] * n
-        self.rthread = rthread = [0] * n
-        for u, v in zip(order, order[1:] + order[:1]):
-            thread[u], rthread[v] = v, u
-
-    def copy(self):
-        """An independent tree with the same arrays."""
-        other = object.__new__(_BasisTree)
-        other.parent = self.parent.copy()
-        other.pslot = self.pslot.copy()
-        other.depth = self.depth.copy()
-        other.thread = self.thread.copy()
-        other.rthread = self.rthread.copy()
-        return other
+        return cls(parent, pslot, depth)
 
     def potentials(self, cell_cost, p):
         """Node potentials from scratch: alpha on rows, -beta on columns.
@@ -238,15 +236,13 @@ class _BasisTree:
         Storing -beta lets one index shift move a whole subtree, with the same
         rounding as the separate updates alpha += delta, beta -= delta.
         """
-        parent, pslot, thread = self.parent, self.pslot, self.thread
+        parent, pslot = self.parent, self.pslot
         pot = [0.0] * len(parent)
-        v = thread[0]
-        while v != 0:
+        for v in self.subtree(0)[1:]:
             u = parent[v]
             # alpha + beta = cost on basic cells.
             c = cell_cost[pslot[v]]
             pot[v] = c + pot[u] if v < p else pot[u] - c
-            v = thread[v]
         return np.array(pot)
 
     def cycle(self, i, j):
@@ -272,59 +268,35 @@ class _BasisTree:
         return up_i, up_j
 
     def subtree(self, v):
-        """Nodes of the subtree under v, in preorder."""
-        depth, thread = self.depth, self.thread
-        dv = depth[v]
+        """Nodes of the subtree under v, breadth first: parents first."""
+        children = self.children
         nodes = [v]
-        x = thread[v]
-        while depth[x] > dv:
-            nodes.append(x)
-            x = thread[x]
+        for x in nodes:  # the walk reaches the children it appends
+            nodes += children[x]
         return nodes
 
-    def rehang(self, sub, stem, u, slot):
-        """Move subtree ``sub`` (preorder, rooted at ``stem[-1]``) under u.
+    def rehang(self, stem, u, slot):
+        """Move the subtree of ``stem[-1]`` under u and return its nodes.
 
-        ``stem`` runs from the new subtree root ``stem[0]`` up to the old one;
-        the parent links along it are reversed and ``stem[0]`` hangs from u
-        through basis slot ``slot``.
+        ``stem`` runs from the new subtree root ``stem[0]`` up to the old
+        one; the parent links along it are reversed and ``stem[0]`` hangs
+        from u through basis slot ``slot``.  One walk lists the moved
+        nodes, parents first, and their depths are recomputed in that order.
         """
         parent, pslot, depth = self.parent, self.pslot, self.depth
-        thread, rthread = self.thread, self.rthread
-        # The new preorder is a run of pieces of ``sub``: the old subtree of
-        # stem[0], then for each higher stem node the parts of its old subtree
-        # before and after the nested segment of the stem node below it.
-        # Thread links inside a piece stay, and all depths in a piece shift
-        # alike, by 2 more per stem step.
-        shift = depth[u] + 1 - depth[stem[0]]
-        pieces = []
-        lo = hi = sub.index(stem[0])
-        for s in stem:
-            start = sub.index(s, 0, lo + 1)
-            end = max(hi, start + 1)
-            ds = depth[s]
-            while end < len(sub) and depth[sub[end]] > ds:
-                end += 1
-            pieces += [(start, lo, shift), (hi, end, shift)]
-            lo, hi = start, end
-            shift += 2
-        # Unlink the old segment from the thread.
-        before, after = rthread[sub[0]], thread[sub[-1]]
-        thread[before], rthread[after] = after, before
-        # Reverse the parent links along the stem.
+        children = self.children
+        children[parent[stem[-1]]].remove(stem[-1])
         for t in range(len(stem) - 1, 0, -1):
             child, up = stem[t], stem[t - 1]
+            children[child].remove(up)
+            children[up].append(child)
             parent[child], pslot[child] = up, pslot[up]
         parent[stem[0]], pslot[stem[0]] = u, slot
-        # Link the pieces in order right after u.
-        prev, nxt = u, thread[u]
-        for a, b, d in pieces:
-            if a < b:
-                for x in sub[a:b]:
-                    depth[x] += d
-                thread[prev], rthread[sub[a]] = sub[a], prev
-                prev = sub[b - 1]
-        thread[prev], rthread[nxt] = nxt, prev
+        children[u].append(stem[0])
+        nodes = self.subtree(stem[0])
+        for x in nodes:
+            depth[x] = depth[parent[x]] + 1
+        return nodes
 
 
 def _require_finite(**arrays):
@@ -365,7 +337,7 @@ def transport_simplex(cost, supply, demand, max_iter=None, warm=None):
     basis = warm.basis_for(supply, demand) if warm is not None else None
     if basis is None:
         cells, flows = _least_cost_start(cost, supply, demand)
-        tree = _BasisTree(cells, p, q)
+        tree = _BasisTree.of_cells(cells, p, q)
     else:
         cells, flows, tree = basis
     if max_iter is None:
@@ -435,9 +407,7 @@ def transport_simplex(cost, supply, demand, max_iter=None, warm=None):
         else:
             stem = up_col[:col_slots.index(leave) + 1]
             hang, delta = ea, -rc
-        sub = tree.subtree(stem[-1])
-        pot[sub] += delta
-        tree.rehang(sub, stem, hang, leave)
+        pot[tree.rehang(stem, hang, leave)] += delta
         cells[leave] = (ea, eb)
         flows[leave] = theta
         if theta <= _TOL_RC:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,67 @@ def _assert_certified(cost, supply, demand, value, alpha, beta):
     assert value == pytest.approx(ref, abs=1e-8 * (1 + abs(ref)))
 
 
+def _assert_tree(tree, cells, p, q):
+    """The basis tree invariants of the module doc, against ``cells``."""
+    n = p + q
+    parent, pslot, depth = tree.parent, tree.pslot, tree.depth
+    children = tree.children
+    assert parent[0] == -1 and depth[0] == 0
+    assert sorted(v for kids in children for v in kids) == list(range(1, n))
+    assert sorted(pslot[1:]) == list(range(n - 1))
+    for v in range(1, n):
+        u = parent[v]
+        assert children[u].count(v) == 1
+        assert depth[v] == depth[u] + 1
+        a, b = cells[pslot[v]]
+        assert {a, p + b} == {u, v}
+    assert sorted(tree.subtree(0)) == list(range(n))
+
+
+@pytest.fixture
+def checked_pivots(monkeypatch):
+    """Checks every basis tree a solve starts from and has after each pivot.
+
+    Returns the list of the moved-node lists, one per pivot.
+    """
+    tree_cls = transport._BasisTree
+    real_of_cells = tree_cls.of_cells.__func__
+    real_basis_for = WarmStart.basis_for
+    real_rehang = tree_cls.rehang
+    basis_of = {}  # tree -> (the cells list its solve pivots in place, p, q)
+    moved = []
+
+    def of_cells(cls, cells, p, q):
+        tree = real_of_cells(cls, cells, p, q)
+        basis_of[tree] = cells, p, q
+        _assert_tree(tree, cells, p, q)
+        return tree
+
+    def basis_for(self, supply, demand):
+        basis = real_basis_for(self, supply, demand)
+        if basis is not None:
+            cells, _, tree = basis
+            basis_of[tree] = cells, supply.size, demand.size
+            _assert_tree(tree, cells, supply.size, demand.size)
+        return basis
+
+    def rehang(tree, stem, u, slot):
+        nodes = real_rehang(tree, stem, u, slot)
+        cells, p, q = basis_of[tree]
+        # The solve writes the entering cell, from row node min(u, stem[0])
+        # to column node max(u, stem[0]), into the leaving slot next.
+        cells = list(cells)
+        cells[slot] = (min(u, stem[0]), max(u, stem[0]) - p)
+        _assert_tree(tree, cells, p, q)
+        assert nodes == tree.subtree(stem[0])
+        moved.append(nodes)
+        return nodes
+    monkeypatch.setattr(tree_cls, "of_cells", classmethod(of_cells))
+    monkeypatch.setattr(WarmStart, "basis_for", basis_for)
+    monkeypatch.setattr(tree_cls, "rehang", rehang)
+    return moved
+
+
 # ---------------------------------------------------------------------------
 # Honest failures
 # ---------------------------------------------------------------------------
@@ -200,7 +263,7 @@ def test_warm_holder_returns_the_nearest_matching_key():
         warm.key = key
         cells = [(0, 0), (0, 1), (1, 1)]
         warm.keep(supply, demand, cells, [0.0, 1.0, float(tag)],
-                  transport._BasisTree(cells, 2, 2))
+                  transport._BasisTree.of_cells(cells, 2, 2))
     tag = {}
     for key in (-5.0, 0.4, 0.5, 0.9, 1.5, 1.6, 9.0):
         warm.key = (key,)
@@ -276,9 +339,10 @@ def test_large_random_problems(seed, p, q):
                       *transport_simplex(cost, supply, demand))
 
 
-def test_long_chain_of_pivots_passes_the_refresh():
+def test_long_chain_of_pivots_passes_the_refresh(checked_pivots):
     # 59 atoms on each of two lines 0.05 rad apart: more than 512 pricing
-    # rounds, so the potentials are rebuilt from the tree mid-solve.
+    # rounds, so the potentials are rebuilt from the tree mid-solve.  The
+    # tree is checked after every pivot.
     t = np.linspace(-1, 1, 61)[1:-1]
     x = np.column_stack([t, 0 * t])
     y = np.column_stack([t * np.cos(0.05), t * np.sin(0.05)])
@@ -286,8 +350,10 @@ def test_long_chain_of_pivots_passes_the_refresh():
                                              y, np.full(59, 1.1 / 59))
     with pytest.raises(SolverError):
         transport_simplex(cost, supply, demand, max_iter=transport._REFRESH + 1)
+    checked_pivots.clear()
     _assert_certified(cost, supply, demand,
                       *transport_simplex(cost, supply, demand))
+    assert len(checked_pivots) > transport._REFRESH
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +402,8 @@ def test_candidate_pricing_on_a_degenerate_grid_problem(candidate_lists):
     assert candidate_lists
 
 
-def test_candidate_pricing_passes_the_refresh(candidate_lists):
+def test_candidate_pricing_passes_the_refresh(candidate_lists,
+                                              checked_pivots):
     # The refresh test on 99 atoms per line: a 100 x 100 matrix, above the
     # candidate gate, and still more than 512 pricing rounds.
     t = np.linspace(-1, 1, 101)[1:-1]
@@ -349,9 +416,11 @@ def test_candidate_pricing_passes_the_refresh(candidate_lists):
         transport_simplex(cost, supply, demand,
                           max_iter=transport._REFRESH + 1)
     candidate_lists.clear()
+    checked_pivots.clear()
     _assert_certified(cost, supply, demand,
                       *transport_simplex(cost, supply, demand))
     assert candidate_lists
+    assert len(checked_pivots) > transport._REFRESH
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -459,8 +528,8 @@ class _RebuiltTree(WarmStart):
     """A holder that drops each solve's tree and rebuilds it from the cells."""
 
     def keep(self, supply, demand, cells, flows, tree):
-        super().keep(supply, demand, cells, flows,
-                     transport._BasisTree(cells, supply.size, demand.size))
+        tree = transport._BasisTree.of_cells(cells, supply.size, demand.size)
+        super().keep(supply, demand, cells, flows, tree)
 
 
 @pytest.mark.parametrize("seed,kind,p,q", [(0, "metric", 9, 7),
@@ -468,8 +537,10 @@ class _RebuiltTree(WarmStart):
                                            (2, "equal", 12, 5),
                                            (3, "metric", 80, 60),
                                            (4, "equal", 70, 70)])
-def test_kept_tree_gives_the_bits_of_a_rebuilt_tree(seed, kind, p, q):
-    # 80 x 60 and 70 x 70 are above the candidate-pricing gate.
+def test_kept_tree_gives_the_bits_of_a_rebuilt_tree(seed, kind, p, q,
+                                                    checked_pivots):
+    # 80 x 60 and 70 x 70 are above the candidate-pricing gate.  Every
+    # tree, cold, kept or rebuilt, is checked after each pivot.
     angles = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, 6)
     kept, rebuilt = WarmStart(), _RebuiltTree()
     for k, (cost, supply, demand) in enumerate(_chain(seed, kind, p, q,
@@ -484,3 +555,71 @@ def test_kept_tree_gives_the_bits_of_a_rebuilt_tree(seed, kind, p, q):
         cells_b, flows_b, _ = rebuilt.basis_for(supply, demand)
         assert cells_a == cells_b
         assert np.array(flows_a).tobytes() == np.array(flows_b).tobytes()
+    assert checked_pivots
+
+
+# ---------------------------------------------------------------------------
+# A basis that is not a tree, and Bland's mode
+# ---------------------------------------------------------------------------
+
+def test_basis_that_is_not_a_spanning_tree_is_a_contract_error():
+    # Row 1 is in no cell, and (0, 0) is listed twice.
+    with pytest.raises(ContractError, match="not a spanning tree"):
+        transport._BasisTree.of_cells([(0, 0), (0, 1), (0, 0)], 2, 2)
+
+
+def test_blands_mode_matches_highs(monkeypatch):
+    # With the stall switch at 0, every full pass enters the first improving
+    # cell in row-major order.  Integer costs and marginals, with zero
+    # demands, make most pivots degenerate.
+    monkeypatch.setattr(transport, "_STALL_SWITCH", 0)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        p, q = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        cost = rng.integers(0, 4, size=(p, q)).astype(float)
+        supply = rng.integers(1, 5, p).astype(float)
+        demand = np.bincount(rng.integers(0, q, int(supply.sum())),
+                             minlength=q).astype(float)
+        value, alpha, beta = transport_simplex(cost, supply, demand)
+        _assert_certified(cost, supply, demand, value, alpha, beta)
+        assert value == _reference_transport(cost, supply, demand)
+    warm = WarmStart()
+    for cost, supply, demand in _chain(5, "ties", 8, 8, [0.0, 1.6, 3.1, 4.7]):
+        _assert_certified(cost, supply, demand,
+                          *transport_simplex(cost, supply, demand, warm=warm))
+
+
+# ---------------------------------------------------------------------------
+# Cold-solve bits, pinned
+# ---------------------------------------------------------------------------
+
+def _mixed_sign_problem(seed, k, kind):
+    """Sites, signed masses and caps of an lp-small-sized boundary problem."""
+    rng = np.random.default_rng(seed)
+    r = (0.5, 1.0, 2.0)[seed % 3]
+    sites = rng.normal(size=(k, 2)) * (0.5 * r)
+    mass = rng.uniform(0.1, 1.0, k) * np.where(np.arange(k) % 2, 1.0, -1.0)
+    if kind == "duplicate":
+        sites[k // 2:] = sites[:k - k // 2]
+    elif kind == "cancel":
+        mass[1::2] = -mass[0::2][:mass[1::2].size] * (1 + 1e-12)
+    caps = np.maximum(r - np.sqrt(np.sum(sites * sites, axis=1)), 0.0)
+    return sites, mass, caps
+
+
+@pytest.mark.parametrize("seed,k,kind,value,duals", [
+    (0, 16, "plain", "0.6092514353066366", "138f47a83b6d870c"),
+    (1, 24, "duplicate", "2.9001172591628457", "75967f8ff496fb13"),
+    (2, 40, "cancel", "3.8967197088461405", "24273318fa01ac05"),
+    (3, 56, "plain", "1.7641482724929547", "744ee46602816dc5"),
+    (4, 80, "duplicate", "5.976317630044786", "ff86363f84ddd9de"),
+    (5, 80, "cancel", "8.274273661495902", "c59729580a0036c4")])
+def test_cold_solve_bits_are_pinned(seed, k, kind, value, duals):
+    # The value and the alpha/beta bytes of six cold solves of 1 to 84
+    # pivots: a change to the bookkeeping around the pivots, which no pivot
+    # choice reads, must not move a bit.
+    got, _, alpha, beta = transport._solve_boundary(
+        *_mixed_sign_problem(seed, k, kind), None)
+    assert repr(got) == value
+    digest = hashlib.sha256(alpha.tobytes() + beta.tobytes()).hexdigest()
+    assert digest[:16] == duals
