@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import cone_floor, symmetry_defect
-from .errors import ContractError, ResolutionGuardError
+from .errors import (ContractError, ResolutionGuardError,
+                     require_positive_finite)
 from .measures import (Ball, ball_masses, ellipse_ball, lambda_rescale,
                        restrict)
 from .reports import ScanReport
@@ -59,9 +60,7 @@ class ScaleLadder:
     spacing: float
 
     def __post_init__(self):
-        if not 0 < self.r0 < np.inf:
-            raise ContractError(
-                f"ladder top radius must be positive and finite, got {self.r0}")
+        require_positive_finite("ladder top radius", self.r0)
         if not 0 < self.rho < 1:
             raise ContractError("ladder ratio must lie in (0, 1)")
         if self.count < 1:

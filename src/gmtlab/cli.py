@@ -4,8 +4,8 @@ Subcommands: density | pv | blowup | metric | dmo | generate.  Every run is
 driven by a line-oriented key=value config with [section] headers; the full
 canonical config is hashed and the hash embedded in a header comment of every
 output, so results are traceable to their inputs.  Outputs are byte-identical
-across reruns and thread counts: worker threads only distribute independent
-scan steps whose results are gathered in index order.
+across reruns; commands run serially, so output cannot depend on
+``--threads``, which is accepted and ignored.
 
 Exit codes: 0 success, 2 config or I/O error, 3 numerical guard refusal
 (resolution guard, LP size cap).
@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -87,32 +86,25 @@ class RunConfig:
             return default
         return value
 
-    def get_float(self, section, key, default=None, required=False):
-        value = self.get(section, key, required=required)
-        if value is None:
-            return default
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} = {value!r} is not a number")
-
-    def get_int(self, section, key, default=None, required=False):
-        value = self.get(section, key, required=required)
-        if value is None:
-            return default
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} = {value!r} is not an integer")
-
-    def get_floats(self, section, key, default=None):
+    def _parse(self, section, key, default, convert, what):
+        """convert(value), or default if absent; else "is not <what>"."""
         value = self.get(section, key)
         if value is None:
             return default
         try:
-            return [float(v) for v in value.split(",") if v.strip()]
+            return convert(value)
         except ValueError:
-            raise ConfigError(f"[{section}] {key} = {value!r} is not a list")
+            raise ConfigError(f"[{section}] {key} = {value!r} is not {what}")
+
+    def get_float(self, section, key, default=None):
+        return self._parse(section, key, default, float, "a number")
+
+    def get_int(self, section, key, default=None):
+        return self._parse(section, key, default, int, "an integer")
+
+    def get_floats(self, section, key, default=None):
+        return self._parse(section, key, default, lambda value: [
+            float(v) for v in value.split(",") if v.strip()], "a list")
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +226,11 @@ def report_lines(report, cfg):
     return lines
 
 
-def _parallel(fn, items, threads):
-    """Order-preserving map; workers only split independent items."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_density(cfg, out, threads, seed):
+def cmd_density(cfg, out, seed):
     entry = measure_from_config(cfg)
     field = field_from_config(cfg, entry.measure.dim)
     ladder = ladder_from_config(cfg, entry.spacing)
@@ -258,7 +242,7 @@ def cmd_density(cfg, out, threads, seed):
     _emit(out, report_lines(report, cfg))
 
 
-def cmd_pv(cfg, out, threads, seed):
+def cmd_pv(cfg, out, seed):
     entry = measure_from_config(cfg)
     field = field_from_config(cfg, entry.measure.dim)
     m = cfg.get_int("pv", "m", 1)
@@ -274,7 +258,7 @@ def cmd_pv(cfg, out, threads, seed):
     _emit(out, report_lines(report, cfg))
 
 
-def cmd_blowup(cfg, out, threads, seed):
+def cmd_blowup(cfg, out, seed):
     entry = measure_from_config(cfg)
     field = field_from_config(cfg, entry.measure.dim)
     ladder = ladder_from_config(cfg, entry.spacing)
@@ -288,19 +272,16 @@ def cmd_blowup(cfg, out, threads, seed):
     for r, v in zip(sandwich.columns["r"], sandwich.columns["violation"]):
         worst_by_scale[r] = max(worst_by_scale.get(r, 0.0), v)
 
-    def stage(nu):
-        flat = cones.d_cone_flat(nu, m, blowup.FLATNESS_SCALE)
-        sym = blowup.blowup_symmetry_defect(nu, m=m)
-        return flat, sym
-
     radii = [float(r) for r in seq.radii]
-    staged = _parallel(stage, seq.measures, threads)
-    profile = blowup.flatness_profile(radii, [f for f, _ in staged], m)
+    flats = [cones.d_cone_flat(nu, m, blowup.FLATNESS_SCALE)
+             for nu in seq.measures]
+    defects = [blowup.blowup_symmetry_defect(nu, m=m) for nu in seq.measures]
+    profile = blowup.flatness_profile(radii, flats, m)
     report = ScanReport(
         columns={
             "r": radii,
             "flatness": profile.columns["flatness"],
-            "symmetry_defect": [s for _, s in staged],
+            "symmetry_defect": defects,
             "sandwich_violation": [worst_by_scale[r] for r in radii],
         },
         verdict=sandwich.verdict,
@@ -311,7 +292,7 @@ def cmd_blowup(cfg, out, threads, seed):
     ])
 
 
-def cmd_metric(cfg, out, threads, seed):
+def cmd_metric(cfg, out, seed):
     mode = cfg.get("metric", "mode", "fr")
     entry = measure_from_config(cfg)
     lines = [f"# config_sha256={cfg.sha256()}"]
@@ -342,7 +323,7 @@ def cmd_metric(cfg, out, threads, seed):
     _emit(out, lines)
 
 
-def cmd_dmo(cfg, out, threads, seed):
+def cmd_dmo(cfg, out, seed):
     dim = cfg.get_int("dmo", "n", 2)
     probe_count = cfg.get_int("dmo", "probes", 64)
     for key, value in (("n", dim), ("probes", probe_count)):
@@ -376,7 +357,7 @@ def cmd_dmo(cfg, out, threads, seed):
     _emit(out, report_lines(report, cfg))
 
 
-def cmd_generate(cfg, out, threads, seed):
+def cmd_generate(cfg, out, seed):
     if out is None:
         raise ConfigError("generate requires --out PATH for the measure CSV")
     entry = measure_from_config(cfg)
@@ -405,7 +386,8 @@ def build_parser():
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="key=value run config")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored: commands run serially")
     parser.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -414,7 +396,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.config)
-        _COMMANDS[args.command](cfg, args.out, args.threads, args.seed)
+        _COMMANDS[args.command](cfg, args.out, args.seed)
     except GuardError as exc:
         print(f"gmt-lab: guard refused: {exc}", file=sys.stderr)
         return 3

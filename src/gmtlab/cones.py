@@ -32,7 +32,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ContractError, DimensionMismatchError
+from .errors import (ContractError, DimensionMismatchError,
+                     require_positive_finite)
 from .lipmetric import SITE_CAP, _merge_duplicates, f_ball
 from .measures import TIE_TOL, DiscreteMeasure, lambda_distances
 from .transport import WarmStart
@@ -98,6 +99,16 @@ class FlatMeasureSpec:
         return self.frame.shape[1]
 
 
+def _plane_grid(m, h, radius):
+    """Points of the grid h * Z^m inside the closed ball B(0, radius) in R^m,
+    in lexicographic order; each coordinate is the single product k * h."""
+    kmax = int(np.floor(radius / h))
+    axis = np.arange(-kmax, kmax + 1, dtype=float) * h
+    grids = np.meshgrid(*([axis] * m), indexing="ij")
+    coords = np.stack([g.ravel() for g in grids], axis=1)
+    return coords[np.sqrt(np.sum(coords * coords, axis=1)) <= radius]
+
+
 def sample_flat(spec, radius):
     """Grid discretization of c * H^m|V inside the closed ball B(0, radius).
 
@@ -105,22 +116,14 @@ def sample_flat(spec, radius):
     carries weight c * spacing^m, so the total mass converges to the
     m-volume as the spacing shrinks.
     """
-    if not 0 < radius < np.inf:
-        raise ContractError(
-            f"radius must be positive and finite, got {radius}")
+    require_positive_finite("radius", radius)
     h = spec.spacing
     if h > radius / 10:
         raise ContractError(
             f"spacing {h} too coarse for radius {radius} (need h <= radius/10)"
         )
     m = spec.plane_dim
-    kmax = int(np.floor(radius / h))
-    axis = np.arange(-kmax, kmax + 1, dtype=float)
-    grids = np.meshgrid(*([axis] * m), indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1) * h
-    keep = np.sqrt(np.sum(coords * coords, axis=1)) <= radius
-    coords = coords[keep]
-    points = coords @ spec.frame.T
+    points = _plane_grid(m, h, radius) @ spec.frame.T
     weights = np.full(points.shape[0], spec.constant * h ** m)
     return DiscreteMeasure(points, weights, dim=spec.ambient_dim)
 
@@ -271,8 +274,7 @@ def d_cone_flat(nu, m, s, seed=0):
     n = nu.dim
     if not 1 <= m <= n - 1:
         raise ContractError(f"flat dimension m={m} must lie in 1..{n - 1}")
-    if not 0 < s < np.inf:
-        raise ContractError(f"scale s must be positive and finite, got {s}")
+    require_positive_finite("scale s", s)
 
     fs_nu = f_ball(nu, DiscreteMeasure.empty(n), s)
     if fs_nu <= 0.0:
@@ -293,11 +295,7 @@ def d_cone_flat(nu, m, s, seed=0):
         return DiscreteMeasure(tgt.points, tgt.weights / norm, dim=n)
 
     def plane_grid(spacing):
-        kmax = int(np.floor(s / spacing))
-        axis = np.arange(-kmax, kmax + 1, dtype=float) * spacing
-        grids = np.meshgrid(*([axis] * m), indexing="ij")
-        coords = np.stack([g.ravel() for g in grids], axis=1)
-        coords = coords[np.sqrt(np.sum(coords * coords, axis=1)) <= s]
+        coords = _plane_grid(m, spacing, s)
         return coords, np.full(coords.shape[0], spacing ** m)
 
     def plane_distance(frame, target, grid_coords, grid_w, warm):

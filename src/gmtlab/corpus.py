@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, require_positive_finite
 from .measures import DiscreteMeasure, EllipseField, HalfSpace, restrict
 from .cones import FlatMeasureSpec, sample_flat
 
@@ -37,15 +37,6 @@ class CorpusEntry:
     @property
     def spacing(self):
         return float(self.params.get("h", 0.0))
-
-
-def _positive_finite(**values):
-    """Reject a spacing, extent, radius or exponent that is not positive and
-    finite."""
-    for name, value in values.items():
-        if not 0 < value < np.inf:
-            raise ContractError(f"{name} must be positive and finite, "
-                                f"got {value}")
 
 
 def gen_flat(n, m, c, radius, h, frame=None, name=None):
@@ -88,7 +79,8 @@ def gen_graph(f, lip_bound, domain, h, grad=None, name="graph"):
     difference unless ``grad`` is supplied).
     """
     a, b = float(domain[0]), float(domain[1])
-    _positive_finite(h=h, domain_width=b - a)
+    require_positive_finite("h", h)
+    require_positive_finite("domain_width", b - a)
     t = np.arange(a, b + h / 2, h)
     ft = np.asarray([f(v) for v in t], dtype=float)
     if grad is not None:
@@ -162,7 +154,8 @@ def cantor_construction_corners(level):
 
 def gen_cross(h, extent=1.0):
     """Union of the two axes' H^1 samples: symmetric at 0, never flat there."""
-    _positive_finite(h=h, extent=extent)
+    require_positive_finite("h", h)
+    require_positive_finite("extent", extent)
     t = np.arange(-round(extent / h), round(extent / h) + 1) * h
     xs = np.column_stack([t, np.zeros_like(t)])
     ys = np.column_stack([np.zeros_like(t), t])
@@ -179,7 +172,8 @@ def gen_cross(h, extent=1.0):
 
 def gen_circle(h, radius=1.0):
     """Arc-length sample of the circle of the given radius about the origin."""
-    _positive_finite(h=h, radius=radius)
+    require_positive_finite("h", h)
+    require_positive_finite("radius", radius)
     count = int(round(2 * np.pi * radius / h))
     if count < 8:
         raise ContractError("spacing too coarse for the circle")
@@ -252,7 +246,7 @@ def gen_lambda_field(kind, **kw):
         m2 = np.asarray(kw["m2"], dtype=float)
         cell = float(kw.get("cell", 1.0))
         _finite(m1=m1, m2=m2)
-        _positive_finite(cell=cell)
+        require_positive_finite("cell", cell)
 
         def evaluate(pts):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -269,7 +263,7 @@ def gen_lambda_field(kind, **kw):
         alpha = float(kw.get("alpha", 0.5))
         base = float(kw.get("base", 1.0))
         n = int(kw.get("n", 2))
-        _positive_finite(alpha=alpha)
+        require_positive_finite("alpha", alpha)
         _finite(base=base)
 
         def evaluate(pts):

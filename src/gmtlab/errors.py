@@ -42,5 +42,13 @@ class SolverError(GuardError):
     or failed its optimality audit."""
 
 
+def require_positive_finite(what, value):
+    """Reject a radius, scale, spacing or exponent that is not positive and
+    finite (NaN included), naming it by ``what``."""
+    if not 0 < value < float("inf"):
+        raise ContractError(
+            f"{what} must be positive and finite, got {value}")
+
+
 class DiniDivergenceWarning(UserWarning):
     """The small-scale Dini integrand has not decayed at the lower cutoff."""

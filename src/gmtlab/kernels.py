@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DimensionMismatchError, ResolutionGuardError
+from .errors import (ContractError, DimensionMismatchError,
+                     ResolutionGuardError, require_positive_finite)
 from .measures import (BALL_GRID, TIE_TOL, EllipseField, ball_midpoints,
                        lambda_distances)
 from .reports import ScanReport
@@ -316,8 +317,7 @@ def frozen_discrepancy(field, a, r):
     n = a.size
     if field.dim != n:
         raise DimensionMismatchError("field/center dimension mismatch")
-    if not 0 < r < np.inf:
-        raise ContractError(f"radius must be positive and finite, got {r}")
+    require_positive_finite("radius", r)
 
     avg = ball_average(field, a, 1.5 * r)
     avg = 0.5 * (avg + avg.T)

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ContractError, DimensionMismatchError, LpSizeError,
-                     SolverError)
+                     SolverError, require_positive_finite)
 from .measures import TIE_TOL, AffineMap, pushforward
 from .transport import lipschitz_dual_value, lipschitz_potential
 
@@ -99,9 +99,7 @@ def assemble_ball_lp(mu, nu, r):
         raise DimensionMismatchError(
             f"measures in R^{mu.dim} and R^{nu.dim}"
         )
-    if not 0.0 < r < np.inf:
-        raise ContractError(f"ball radius must be positive and finite, "
-                            f"got {r}")
+    require_positive_finite("ball radius", r)
     pts = np.vstack([mu.points, nu.points])
     mass = np.concatenate([mu.weights, -nu.weights])
     if pts.shape[0]:

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DiniDivergenceWarning
+from .errors import (ContractError, DiniDivergenceWarning,
+                     require_positive_finite)
 from .measures import BALL_GRID, ball_midpoints
 
 # Log-spaced quadrature resolution for the Dini integrals.
@@ -68,7 +69,8 @@ class OscillationProfile:
 
         Below the ladder the profile is extended by the power law fitted to
         the two smallest radii (clipped to nonnegative exponents) so that
-        Holder-type decay is preserved; above it is flat-extended.
+        Holder-type decay is preserved; above it is flat-extended.  A
+        one-radius profile is flat-extended on both sides.
         """
         radii = np.asarray(self.radii, dtype=float)
         omega = np.asarray(self.omega, dtype=float)
@@ -77,7 +79,7 @@ class OscillationProfile:
         log_r = np.log(radii)
         lo_r, lo_w = radii[0], omega[0]
         hi_w = omega[-1]
-        if lo_w > 0 and omega[1] > 0 and radii[1] > lo_r:
+        if lo_w > 0 and omega.size > 1 and omega[1] > 0 and radii[1] > lo_r:
             beta = (np.log(omega[1]) - np.log(lo_w)) / (np.log(radii[1]) - np.log(lo_r))
             beta = float(np.clip(beta, 0.0, 8.0))
         else:
@@ -93,11 +95,6 @@ class OscillationProfile:
             return out
 
         return theta
-
-
-def _check_radius(r):
-    if not 0 < r < np.inf:
-        raise ContractError(f"radius must be positive and finite, got {r}")
 
 
 def seeded_probes(dim, count=64, seed=0):
@@ -136,7 +133,7 @@ def omega_profile(field, probe_centers, radii):
     if probes.shape[1] != field.dim:
         raise ContractError("probe dimension does not match the field")
     for r in radii:
-        _check_radius(r)
+        require_positive_finite("radius", r)
     omega = np.zeros(radii.size)
     errs = np.zeros(radii.size)
     for k, r in enumerate(radii):
@@ -172,7 +169,7 @@ def dini_small(theta, r):
     warns when theta has not decayed at t_min relative to its maximum on the
     quadrature grid (the integral is then suspected divergent).
     """
-    _check_radius(r)
+    require_positive_finite("radius", r)
     value, vals = _log_quadrature(theta, T_MIN_FACTOR * r, r)
     peak = vals.max(initial=0.0)
     if peak > 0 and vals[0] > 1e-3 * peak:
@@ -193,7 +190,7 @@ def dini_large(theta, d, r):
     """
     if d < 1:
         raise ContractError("d must be >= 1")
-    _check_radius(r)
+    require_positive_finite("radius", r)
     tail_level = float(np.asarray(theta(np.array([T_MAX])), dtype=float)[0])
     if tail_level < -1e-14:
         raise ContractError("theta must be nonnegative")
@@ -226,7 +223,7 @@ def tau_moduli(field, probes, r):
     the Dini quadratures of `dini_small` / `dini_large`.  A radius so small
     that T_MAX / (r/100) is not finite is rejected with `ContractError`.
     """
-    _check_radius(r)
+    require_positive_finite("radius", r)
     with np.errstate(divide="ignore", over="ignore"):
         octaves = np.log2(np.float64(T_MAX) / (r / 100.0))
     if not octaves < np.inf:

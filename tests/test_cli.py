@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,30 @@ def test_dmo_constant_field_zeros(tmp_path):
         r, omega, tau, tau_hat, kappa, warn = row.split(",")
         assert float(omega) == 0.0 and float(tau) == 0.0
         assert float(kappa) == 1.0 and float(warn) == 0.0
+
+
+def test_dmo_with_one_radius_prints_one_row(tmp_path):
+    # One radius has no power law to fit below it: the modulus is
+    # flat-extended on both sides, so the small-scale Dini integrand never
+    # decays and the warning column reads 1; no warning escapes the command.
+    cfg = write_cfg(tmp_path, """
+[dmo]
+radii = 0.5
+probes = 4
+[field]
+kind = rotating
+""")
+    out = tmp_path / "dmo.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["dmo", "--config", cfg, "--out", str(out)]) == 0
+    assert caught == []
+    rows = [l for l in out.read_text().splitlines()
+            if l and not l.startswith("#")][1:]
+    assert len(rows) == 1
+    r, omega, tau, tau_hat, kappa, warn = map(float, rows[0].split(","))
+    assert r == 0.5 and omega > 0 and tau == tau_hat > 0
+    assert kappa == 1.0 and warn == 1.0
 
 
 def test_generate_cantor_row_count(tmp_path):

@@ -1,8 +1,9 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and none imports a
+thread or process pool.
 
 A stdlib-`ast` check, so it needs no linter: a deleted routine may not leave
-behind an import that only it used.  ``__init__.py`` is skipped, since its
-imports are the package's re-exports.
+behind an import that only it used.  ``__init__.py`` is skipped by the first
+rule, since its imports are the package's re-exports.
 """
 
 import ast
@@ -41,3 +42,36 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_keeps_an_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Commands run serially, so no output can depend on a worker count; the
+# numerical work holds the GIL, which defeats a thread pool anyway.
+CONCURRENCY = {"concurrent", "threading", "multiprocessing"}
+
+
+def concurrency_imports(source):
+    """Top-level names of the concurrency modules the module imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found |= {n.split(".")[0] for n in names} & CONCURRENCY
+    return sorted(found)
+
+
+def test_the_check_finds_a_concurrency_import():
+    source = ("import threading\nfrom concurrent.futures import Executor\n"
+              "import multiprocessing.pool as mp\nfrom . import threads\n"
+              "import numpy\n")
+    assert concurrency_imports(source) == ["concurrent", "multiprocessing",
+                                           "threading"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_a_thread_or_process_pool(path):
+    assert concurrency_imports(path.read_text()) == []

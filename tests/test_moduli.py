@@ -112,6 +112,14 @@ def test_doubling_zero_handling():
     assert doubling_constant(lad, vals) == np.inf
 
 
+def test_one_radius_profile_is_flat_extended_on_both_sides():
+    prof = omega_profile(gen_lambda_field("rotating"), PROBES[:4], [0.5])
+    assert prof.omega[0] > 0 and prof.kappa_hat == 1.0
+    theta = prof.interpolator()
+    t = np.array([1e-6, 0.1, 0.5, 2.0, 50.0])
+    assert np.array_equal(theta(t), np.full(t.size, prof.omega[0]))
+
+
 def test_tau_constant_field_exactly_zero():
     field = gen_lambda_field("constant", matrix=np.diag([3.0, 1.0]))
     tau, tau_hat = tau_moduli(field, PROBES, 0.1)
