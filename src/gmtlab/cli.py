@@ -7,13 +7,14 @@ output, so results are traceable to their inputs.  Outputs are byte-identical
 across reruns; commands run serially, so output cannot depend on
 ``--threads``, which is accepted and ignored.
 
-Exit codes: 0 success, 2 config or I/O error, 3 numerical guard refusal
-(resolution guard, LP size cap).
+Exit codes: 0 success, 2 config or I/O error (unread keys included), 3
+numerical guard refusal (resolution guard, LP size cap, sample cap).
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import sys
 import warnings
@@ -38,10 +39,12 @@ class ConfigError(ContractError):
 # ---------------------------------------------------------------------------
 
 class RunConfig:
-    """Sectioned key=value configuration; reproducibility unit of a run."""
+    """Sectioned key=value configuration; reproducibility unit of a run.
+    Every lookup is recorded: the keys a command reads are its schema."""
 
     def __init__(self, sections):
         self.sections = sections
+        self._read = set()
 
     @classmethod
     def parse(cls, text):
@@ -79,6 +82,7 @@ class RunConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
     def get(self, section, key, default=None, required=False):
+        self._read |= {(section, key), (section, None)}
         value = self.sections.get(section, {}).get(key)
         if value is None:
             if required:
@@ -95,6 +99,19 @@ class RunConfig:
             return convert(value)
         except ValueError:
             raise ConfigError(f"[{section}] {key} = {value!r} is not {what}")
+
+    def require_all_read(self):
+        """Raise `ConfigError` for the first section or key, in canonical
+        order, that no lookup read, naming the closest key that was read."""
+        read = sorted(f"[{s}] {k}" for s, k in self._read if k is not None)
+        for section in sorted(self.sections):
+            for key in sorted(self.sections[section]) or [None]:
+                if (section, key) not in self._read:
+                    name = f"[{section}]" + ("" if key is None else f" {key}")
+                    close = difflib.get_close_matches(name, read, n=1)
+                    hint = f"; did you mean {close[0]}?" if close else ""
+                    raise ConfigError(
+                        f"{name} is not read by this command{hint}")
 
     def get_float(self, section, key, default=None):
         return self._parse(section, key, default, float, "a number")
@@ -198,7 +215,8 @@ def point_from_config(cfg, dim, section, key="center"):
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _emit(path, lines):
+def _emit(cfg, path, lines):
+    cfg.require_all_read()
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -239,7 +257,7 @@ def cmd_density(cfg, out, seed):
     threshold = cfg.get_float("density", "threshold", 0.05)
     report = blowup.density_scan(entry.measure, a, field, m, ladder)
     report.verdict = blowup.density_gap_verdict(report, threshold)
-    _emit(out, report_lines(report, cfg))
+    _emit(cfg, out, report_lines(report, cfg))
 
 
 def cmd_pv(cfg, out, seed):
@@ -255,7 +273,7 @@ def cmd_pv(cfg, out, seed):
     report = kernels.pv_convergence_scan(
         spec, entry.measure, x, ladder, spacing=entry.spacing, R=outer)
     report.columns["verdict"] = [report.verdict] * len(report)
-    _emit(out, report_lines(report, cfg))
+    _emit(cfg, out, report_lines(report, cfg))
 
 
 def cmd_blowup(cfg, out, seed):
@@ -286,7 +304,7 @@ def cmd_blowup(cfg, out, seed):
         },
         verdict=sandwich.verdict,
     )
-    _emit(out, report_lines(report, cfg) + [
+    _emit(cfg, out, report_lines(report, cfg) + [
         f"# meta.flatness_verdict={profile.verdict}",
         f"# meta.flatness_floor={_fmt(profile.meta['floor'])}",
     ])
@@ -294,6 +312,10 @@ def cmd_blowup(cfg, out, seed):
 
 def cmd_metric(cfg, out, seed):
     mode = cfg.get("metric", "mode", "fr")
+    r = cfg.get_float("metric", "r", 2.0 if mode == "scaling" else 1.0)
+    terms = cfg.get_int("metric", "max_terms", 20)
+    m = cfg.get_int("metric", "m", 1)
+    s = cfg.get_float("metric", "s", 1.0)
     entry = measure_from_config(cfg)
     lines = [f"# config_sha256={cfg.sha256()}"]
     if mode in ("fr", "series", "scaling"):
@@ -302,25 +324,20 @@ def cmd_metric(cfg, out, seed):
         else:
             other = DiscreteMeasure.empty(entry.measure.dim)
         if mode == "fr":
-            r = cfg.get_float("metric", "r", 1.0)
             value = lipmetric.f_ball(entry.measure, other, r)
             lines.append(_fmt(value))
         elif mode == "series":
-            terms = cfg.get_int("metric", "max_terms", 20)
             res = lipmetric.f_series(entry.measure, other, terms)
             lines.append(_fmt(res.value) + "," + _fmt(res.tail_bound))
         else:
-            r = cfg.get_float("metric", "r", 2.0)
             value = lipmetric.f_scaling_residual(entry.measure, other, r)
             lines.append(_fmt(value))
     elif mode == "dcone":
-        m = cfg.get_int("metric", "m", 1)
-        s = cfg.get_float("metric", "s", 1.0)
         value = cones.d_cone_flat(entry.measure, m, s, seed=seed)
         lines.append(_fmt(value))
     else:
         raise ConfigError(f"unknown metric mode {mode!r}")
-    _emit(out, lines)
+    _emit(cfg, out, lines)
 
 
 def cmd_dmo(cfg, out, seed):
@@ -354,16 +371,17 @@ def cmd_dmo(cfg, out, seed):
             "divergence_warning": warned,
         },
     )
-    _emit(out, report_lines(report, cfg))
+    _emit(cfg, out, report_lines(report, cfg))
 
 
 def cmd_generate(cfg, out, seed):
     if out is None:
         raise ConfigError("generate requires --out PATH for the measure CSV")
     entry = measure_from_config(cfg)
+    manifest_path = cfg.get("generate", "manifest")
+    cfg.require_all_read()
     save_measure_csv(entry.measure, out,
                      header_comment=f"config_sha256={cfg.sha256()}")
-    manifest_path = cfg.get("generate", "manifest")
     if manifest_path:
         corpus.write_manifest([entry], manifest_path)
 
@@ -400,10 +418,7 @@ def main(argv=None):
     except GuardError as exc:
         print(f"gmt-lab: guard refused: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ContractError, OSError) as exc:
-        print(f"gmt-lab: {exc}", file=sys.stderr)
-        return 2
-    except GmtLabError as exc:
+    except (GmtLabError, OSError) as exc:
         print(f"gmt-lab: {exc}", file=sys.stderr)
         return 2
     return 0

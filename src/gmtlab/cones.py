@@ -33,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (ContractError, DimensionMismatchError,
-                     require_positive_finite)
+                     require_atom_count, require_positive_finite)
 from .lipmetric import SITE_CAP, _merge_duplicates, f_ball
 from .measures import TIE_TOL, DiscreteMeasure, lambda_distances
 from .transport import WarmStart
@@ -82,10 +82,8 @@ class FlatMeasureSpec:
         gram = fr.T @ fr
         if np.abs(gram - np.eye(m)).max() > 1e-12:
             raise ContractError("frame is not orthonormal to 1e-12")
-        if not self.constant > 0:
-            raise ContractError("flat-measure constant must be positive")
-        if not self.spacing > 0:
-            raise ContractError("grid spacing must be positive")
+        require_positive_finite("flat-measure constant", self.constant)
+        require_positive_finite("grid spacing", self.spacing)
         fr = np.ascontiguousarray(fr)
         fr.setflags(write=False)
         object.__setattr__(self, "frame", fr)
@@ -102,7 +100,9 @@ class FlatMeasureSpec:
 def _plane_grid(m, h, radius):
     """Points of the grid h * Z^m inside the closed ball B(0, radius) in R^m,
     in lexicographic order; each coordinate is the single product k * h."""
-    kmax = int(np.floor(radius / h))
+    side = require_atom_count(2 * np.floor(float(radius) / float(h)) + 1)
+    require_atom_count(side ** m)
+    kmax = side // 2
     axis = np.arange(-kmax, kmax + 1, dtype=float) * h
     grids = np.meshgrid(*([axis] * m), indexing="ij")
     coords = np.stack([g.ravel() for g in grids], axis=1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, require_positive_finite
+from .errors import ContractError, require_atom_count, require_positive_finite
 from .measures import DiscreteMeasure, EllipseField, HalfSpace, restrict
 from .cones import FlatMeasureSpec, sample_flat
 
@@ -28,7 +28,6 @@ class CorpusEntry:
     measure: DiscreteMeasure
     label: str
     params: dict = field(default_factory=dict)
-    truth: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.label not in LABELS:
@@ -41,6 +40,8 @@ class CorpusEntry:
 
 def gen_flat(n, m, c, radius, h, frame=None, name=None):
     """Grid sample of c * H^m restricted to an m-plane; label rectifiable."""
+    if not 1 <= m <= n:
+        raise ContractError(f"plane dimension m={m} invalid in R^{n}")
     if frame is None:
         frame = np.eye(n)[:, :m]
     spec = FlatMeasureSpec(np.asarray(frame, dtype=float), c, h)
@@ -50,7 +51,6 @@ def gen_flat(n, m, c, radius, h, frame=None, name=None):
         measure=measure,
         label="rectifiable",
         params={"n": n, "m": m, "c": c, "radius": radius, "h": h},
-        truth={"density": c * 2.0 if m == 1 else None, "flat": True},
     )
 
 
@@ -58,8 +58,7 @@ def gen_line(h, extent=1.0):
     """H^1 on the x-axis segment [-extent, extent] in the plane."""
     entry = gen_flat(2, 1, 1.0, extent, h, name="line")
     return CorpusEntry(name="line", measure=entry.measure, label="rectifiable",
-                       params={"h": h, "extent": extent},
-                       truth={"density": 2.0, "flat": True})
+                       params={"h": h, "extent": extent})
 
 
 def gen_half_line(h, extent=1.0):
@@ -68,8 +67,7 @@ def gen_half_line(h, extent=1.0):
     line = gen_line(h, extent).measure
     measure = restrict(line, HalfSpace(np.array([-1.0, 0.0]), 0.0))
     return CorpusEntry(name="half_line", measure=measure, label="rectifiable",
-                       params={"h": h, "extent": extent},
-                       truth={"pv_at_origin": "log divergence"})
+                       params={"h": h, "extent": extent})
 
 
 def gen_graph(f, lip_bound, domain, h, grad=None, name="graph"):
@@ -81,27 +79,31 @@ def gen_graph(f, lip_bound, domain, h, grad=None, name="graph"):
     a, b = float(domain[0]), float(domain[1])
     require_positive_finite("h", h)
     require_positive_finite("domain_width", b - a)
+    require_atom_count(np.ceil((b + h / 2 - a) / h))
     t = np.arange(a, b + h / 2, h)
-    ft = np.asarray([f(v) for v in t], dtype=float)
-    if grad is not None:
-        df = np.asarray([grad(v) for v in t], dtype=float)
-    else:
-        df = np.gradient(ft, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ft = np.asarray([f(v) for v in t], dtype=float)
+        if grad is not None:
+            df = np.asarray([grad(v) for v in t], dtype=float)
+        else:
+            df = np.gradient(ft, t)
+        w = h * np.sqrt(1.0 + df * df)
+    if not (np.isfinite(ft).all() and np.isfinite(w).all()):
+        raise ContractError(f"{name} has a non-finite sample or weight")
     if np.abs(df).max() > lip_bound * (1 + 1e-9):
         raise ContractError("sampled gradient exceeds the declared bound")
     pts = np.column_stack([t, ft])
-    w = h * np.sqrt(1.0 + df * df)
     return CorpusEntry(
         name=name,
         measure=DiscreteMeasure(pts, w, dim=2),
         label="rectifiable",
         params={"h": h, "domain": (a, b), "lip_bound": lip_bound},
-        truth={"flat_blowups": True},
     )
 
 
 def gen_sine_graph(h, amplitude=0.1, frequency=1.0, extent=2.0):
     """The bounded-slope graph t |-> amplitude * sin(frequency * t)."""
+    _finite(amplitude=amplitude, frequency=frequency)
     entry = gen_graph(
         lambda t: amplitude * np.sin(frequency * t),
         lip_bound=abs(amplitude * frequency),
@@ -113,8 +115,7 @@ def gen_sine_graph(h, amplitude=0.1, frequency=1.0, extent=2.0):
     return CorpusEntry(name="sine_graph", measure=entry.measure,
                        label="rectifiable",
                        params={"h": h, "amplitude": amplitude,
-                               "frequency": frequency, "extent": extent},
-                       truth={"flat_blowups": True})
+                               "frequency": frequency, "extent": extent})
 
 
 def gen_four_corner_cantor(depth):
@@ -135,7 +136,6 @@ def gen_four_corner_cantor(depth):
         measure=DiscreteMeasure(centers, weights, dim=2),
         label="purely-unrectifiable",
         params={"depth": depth, "h": 4.0 ** (-depth)},
-        truth={"mass": 1.0, "density_exists": False},
     )
 
 
@@ -156,7 +156,8 @@ def gen_cross(h, extent=1.0):
     """Union of the two axes' H^1 samples: symmetric at 0, never flat there."""
     require_positive_finite("h", h)
     require_positive_finite("extent", extent)
-    t = np.arange(-round(extent / h), round(extent / h) + 1) * h
+    kmax = require_atom_count(4 * np.round(extent / h) + 1) // 4
+    t = np.arange(-kmax, kmax + 1) * h
     xs = np.column_stack([t, np.zeros_like(t)])
     ys = np.column_stack([np.zeros_like(t), t])
     ys = ys[np.abs(t) > 0]  # origin kept once
@@ -166,7 +167,6 @@ def gen_cross(h, extent=1.0):
         measure=DiscreteMeasure(pts, np.full(pts.shape[0], h), dim=2),
         label="mixed",
         params={"h": h, "extent": extent},
-        truth={"symmetric_at_origin": True, "flat": False},
     )
 
 
@@ -174,7 +174,7 @@ def gen_circle(h, radius=1.0):
     """Arc-length sample of the circle of the given radius about the origin."""
     require_positive_finite("h", h)
     require_positive_finite("radius", radius)
-    count = int(round(2 * np.pi * radius / h))
+    count = require_atom_count(np.round(2 * np.pi * radius / h))
     if count < 8:
         raise ContractError("spacing too coarse for the circle")
     theta = np.arange(count) * (2 * np.pi / count)
@@ -185,7 +185,6 @@ def gen_circle(h, radius=1.0):
         measure=DiscreteMeasure(pts, w, dim=2),
         label="rectifiable",
         params={"h": h, "radius": radius},
-        truth={"mass": 2 * np.pi * radius, "density": 2.0},
     )
 
 

@@ -50,5 +50,19 @@ def require_positive_finite(what, value):
             f"{what} must be positive and finite, got {value}")
 
 
+# Largest generated sample, in points: admits the unit 2-disc grid at
+# h = 0.001 (2001^2 points), refuses one whose coordinates take gigabytes.
+MAX_ATOMS = 2 ** 22
+
+
+def require_atom_count(count):
+    """``count`` as an int; refuses, before a sample is allocated, a count
+    above `MAX_ATOMS` or one that is not finite."""
+    if not count <= MAX_ATOMS:
+        raise GuardError(f"generated sample needs {count} points, "
+                         f"above the cap of {MAX_ATOMS}")
+    return int(count)
+
+
 class DiniDivergenceWarning(UserWarning):
     """The small-scale Dini integrand has not decayed at the lower cutoff."""

@@ -105,11 +105,16 @@ def seeded_probes(dim, count=64, seed=0):
 
 def _oscillations(field, probes, r, grid):
     """Mean over B(p, r) of |A - mean(A)| in Frobenius norm for every probe
-    p, in order, from one `field.matrices` call per batch of probes."""
+    p, in order, from one `field.matrices` call per batch of probes; a ball
+    left without nodes by overflowing distances is rejected."""
     batch = max(1, BALL_GRID ** 4 // grid ** probes.shape[1])
     out = []
-    for start in range(0, len(probes), batch):
-        nodes, counts = ball_midpoints(probes[start:start + batch], r, grid)
+    for k in range(0, len(probes), batch):
+        with np.errstate(over="ignore"):
+            nodes, counts = ball_midpoints(probes[k:k + batch], r, grid)
+        if not counts.all():
+            raise ContractError(f"radius {r} leaves a probe ball without "
+                                f"quadrature nodes")
         mats = field.matrices(nodes)
         ends = np.cumsum(counts).tolist()
         for lo, hi in zip([0] + ends[:-1], ends):
@@ -170,6 +175,8 @@ def dini_small(theta, r):
     quadrature grid (the integral is then suspected divergent).
     """
     require_positive_finite("radius", r)
+    if not T_MIN_FACTOR * r > 0:
+        raise ContractError(f"radius {r} is too small for its lower cutoff")
     value, vals = _log_quadrature(theta, T_MIN_FACTOR * r, r)
     peak = vals.max(initial=0.0)
     if peak > 0 and vals[0] > 1e-3 * peak:

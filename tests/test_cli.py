@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from gmtlab import transport
-from gmtlab.cli import RunConfig, _fmt, main
+from gmtlab.cli import ConfigError, RunConfig, _fmt, main
 from gmtlab.cones import cone_floor
 from gmtlab.errors import SolverError
 from gmtlab.corpus import gen_half_line
 from gmtlab.measures import lambda_rescale, save_measure_csv
 from gmtlab.simplex import simplex_max_bounded
+from test_acceptance import CLI_CONFIGS
 
 LINE_DENSITY_CFG = """
 [measure]
@@ -625,3 +626,178 @@ def test_config_hash_is_canonical():
 def test_config_parse_errors():
     with pytest.raises(Exception):
         RunConfig.parse("key = value outside section\n")
+
+
+# ---------------------------------------------------------------------------
+# Hostile configs: every run exits 0, 2 or 3 without a warning
+# ---------------------------------------------------------------------------
+
+_HOSTILE_FLOATS = ("0", "-1", "-0.0", "1e-300", "5e-324", "1e200", "1e300",
+                   "nan", "inf", "1e-9", "2")
+_HOSTILE_INTS = ("0", "-1", "1", "3", "40")
+
+# Each generated kind with its keys at the defaults the CLI reads.
+GENERATE_CONFIGS = {
+    "line": "h = 0.001\nextent = 1.0",
+    "halfline": "h = 0.001\nextent = 1.0",
+    "cross": "h = 0.001\nextent = 1.0",
+    "circle": "h = 0.001\nradius = 1.0",
+    "cantor": "depth = 7",
+    "graph": "h = 0.001\namplitude = 0.1\nfrequency = 1.0\nextent = 2.0",
+    "flat": "n = 2\nm = 1\nc = 1.0\nradius = 1.0\nh = 0.001",
+}
+
+
+def _hostile_values(value):
+    """Integers for an integer value, numbers for a number or a list of
+    numbers (a list is replaced by one value), nothing for a name."""
+    try:
+        [float(v) for v in value.split(",")]
+    except ValueError:
+        return ()
+    return _HOSTILE_INTS if value.isdigit() else _HOSTILE_FLOATS
+
+
+def _hostile_cases(command, cfg_text, label):
+    """The config with each numeric value replaced, one at a time."""
+    lines = cfg_text.strip().splitlines()
+    for i, line in enumerate(lines):
+        key, eq, value = (part.strip() for part in line.partition("="))
+        for hostile in _hostile_values(value) if eq else ():
+            text = lines[:i] + [f"{key} = {hostile}"] + lines[i + 1:]
+            yield pytest.param(command, "\n".join(text) + "\n",
+                               id=f"{label}-{key}={hostile}")
+
+
+def _cells_not_finite(command, text):
+    """Empty, nan and inf cells of an output, apart from pv's first
+    successive difference, which has no predecessor."""
+    rows = [line.split(",") for line in text.splitlines()
+            if line and not line.startswith("#")]
+    return [(i, rows[0][j], cell) for i, row in enumerate(rows)
+            for j, cell in enumerate(row)
+            if cell in ("", "nan", "inf", "-inf")
+            and not (command == "pv" and i == 1
+                     and rows[0][j] == "successive_diff")]
+
+
+@pytest.mark.parametrize("command,cfg_text", [
+    *(case for command, text in CLI_CONFIGS.items()
+      for case in _hostile_cases(command, text, command)),
+    *(case for kind, keys in GENERATE_CONFIGS.items()
+      for case in _hostile_cases("generate",
+                                 f"[measure]\nkind = {kind}\n{keys}",
+                                 f"generate-{kind}")),
+])
+def test_hostile_config_exits_0_2_or_3(tmp_path, capsys, command, cfg_text):
+    cfg = write_cfg(tmp_path, cfg_text)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli([command, "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    if code == 0:
+        assert _cells_not_finite(command, out.read_text()) == []
+    else:
+        assert err.startswith("gmt-lab: ") and not out.exists()
+
+
+TYPO_BLOWUP_CFG = """
+[measure]
+kind = line
+h = 0.001
+[field]
+kind = identity
+[ladder]
+r0 = 0.4
+rho = 0.5
+cuont = 3
+[blowup]
+center = 0,0
+[blowupp]
+m = 2
+"""
+
+
+def test_a_key_no_command_reads_exits_2_by_name(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TYPO_BLOWUP_CFG)
+    out = tmp_path / "blowup.csv"
+    assert run_cli(["blowup", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "gmt-lab: [blowupp] m is not read by this command; "
+        "did you mean [blowup] m?\n")
+    assert not out.exists()
+    cfg = write_cfg(tmp_path, TYPO_BLOWUP_CFG.split("[blowupp]")[0])
+    assert run_cli(["blowup", "--config", cfg, "--out", str(out)]) == 2
+    assert "[ladder] cuont is not read by this command; did you mean " \
+           "[ladder] count?" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unread_keys_are_found_in_canonical_order():
+    cfg = RunConfig.parse("[b]\nx = 1\n[a]\ny = 2\nz = 3\n[c]\n")
+    cfg.get("a", "y")
+    with pytest.raises(ConfigError, match=r"^\[a\] z is not read"):
+        cfg.require_all_read()
+    cfg.get("a", "z")
+    with pytest.raises(ConfigError, match=r"^\[b\] x is not read"):
+        cfg.require_all_read()
+    cfg.get("b", "x")
+    with pytest.raises(ConfigError, match=r"^\[c\] is not read"):
+        cfg.require_all_read()
+    cfg.get("c", "anything")
+    cfg.require_all_read()
+
+
+def test_generate_reads_the_manifest_key_before_writing(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[measure]\nkind = cantor\ndepth = 2\n"
+                              "[generate]\nmanfest = x.txt\n")
+    out = tmp_path / "cantor.csv"
+    assert run_cli(["generate", "--config", cfg, "--out", str(out)]) == 2
+    assert "did you mean [generate] manifest?" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n,m", [(3, -1), (3, 40), (1, 2), (-1, 1)])
+def test_generate_flat_with_a_bad_plane_dimension_exits_2(tmp_path, capsys,
+                                                         n, m):
+    cfg = write_cfg(tmp_path, f"[measure]\nkind = flat\nn = {n}\nm = {m}\n")
+    out = tmp_path / "flat.csv"
+    assert run_cli(["generate", "--config", cfg, "--out", str(out)]) == 2
+    assert f"plane dimension m={m} invalid in R^{n}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radii,message", [
+    ("5e-324", "radius 5e-324 is too small"),
+    ("1e300,0.5", "radius 1e+300 leaves a probe ball without quadrature"),
+])
+def test_dmo_radius_that_underflows_or_overflows_exits_2(tmp_path, capsys,
+                                                         radii, message):
+    cfg = write_cfg(tmp_path, DMO_CFG.replace("radii = 0.8,0.4,0.2,0.1",
+                                              f"radii = {radii}"))
+    out = tmp_path / "dmo.csv"
+    assert run_cli(["dmo", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_line_with_nan_spacing_names_the_spacing(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, LINE_DENSITY_CFG.replace("h = 0.001", "h = nan"))
+    assert run_cli(["density", "--config", cfg]) == 2
+    assert ("grid spacing must be positive and finite, got nan"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("kind,key", [("line", "h = 1e-9"),
+                                      ("cross", "extent = 1e300"),
+                                      ("circle", "radius = 1e200"),
+                                      ("graph", "h = 1e-9"),
+                                      ("flat", "n = 3\nm = 3")])
+def test_generate_above_the_atom_cap_exits_3(tmp_path, capsys, kind, key):
+    cfg = write_cfg(tmp_path, f"[measure]\nkind = {kind}\n{key}\n")
+    out = tmp_path / "measure.csv"
+    assert run_cli(["generate", "--config", cfg, "--out", str(out)]) == 3
+    assert "above the cap of 4194304" in capsys.readouterr().err
+    assert not out.exists()

@@ -44,6 +44,16 @@ def test_sample_flat_rejects_coarse_spacing():
         sample_flat(spec, 1.0)
 
 
+@pytest.mark.parametrize("constant,spacing,message", [
+    (np.nan, 0.01, "flat-measure constant must be positive and finite"),
+    (1.0, np.nan, "grid spacing must be positive and finite, got nan"),
+    (1.0, np.inf, "grid spacing must be positive and finite, got inf")])
+def test_flat_spec_names_a_non_finite_constant_or_spacing(constant, spacing,
+                                                          message):
+    with pytest.raises(ContractError, match=message):
+        FlatMeasureSpec(np.array([[1.0], [0.0]]), constant, spacing)
+
+
 def test_frame_orthonormality_enforced():
     frame = np.array([[1.0], [1e-6]])
     with pytest.raises(ContractError):

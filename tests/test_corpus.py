@@ -7,7 +7,7 @@ from gmtlab.corpus import (cantor_construction_corners, gen_circle, gen_cross,
                            gen_four_corner_cantor, gen_flat, gen_graph,
                            gen_lambda_field, gen_line, gen_sine_graph,
                            write_manifest)
-from gmtlab.errors import ContractError
+from gmtlab.errors import MAX_ATOMS, ContractError, GuardError
 from gmtlab.measures import EllipseField, HalfSpace, restrict
 
 
@@ -135,6 +135,31 @@ def test_generators_reject_a_bad_spacing(make, h):
 def test_generators_reject_a_non_finite_extent(make, size):
     with pytest.raises(ContractError, match="must be positive and finite"):
         make(size)
+
+
+@pytest.mark.parametrize("n,m", [(3, -1), (3, 4), (1, 2), (-1, 1)])
+def test_flat_rejects_a_plane_dimension_outside_1_to_n(n, m):
+    with pytest.raises(ContractError, match=f"m={m} invalid in R\\^{n}"):
+        gen_flat(n, m, 1.0, 1.0, 0.01)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_line(1e-9), lambda: gen_cross(0.01, extent=1e300),
+    lambda: gen_circle(1e-300), lambda: gen_sine_graph(1e-9),
+    lambda: gen_flat(3, 3, 1.0, 1.0, 0.001),
+    lambda: gen_flat(60, 50, 1.0, 1.0, 0.1)],
+    ids=["line", "cross", "circle", "sine_graph", "flat-3", "flat-50"])
+def test_generators_refuse_a_sample_above_the_atom_cap(make):
+    with pytest.raises(GuardError, match=f"above the cap of {MAX_ATOMS}"):
+        make()
+
+
+@pytest.mark.parametrize("amplitude,frequency", [
+    (np.inf, 1.0), (0.1, np.nan), (1e200, 1.0), (0.1, 1e300)])
+def test_sine_graph_rejects_what_makes_a_sample_or_weight_non_finite(
+        amplitude, frequency):
+    with pytest.raises(ContractError, match="finite"):
+        gen_sine_graph(0.01, amplitude, frequency)
 
 
 def test_cross_mass_and_origin(cross_entry):

@@ -195,6 +195,16 @@ def test_tau_moduli_rejects_a_radius_too_small_for_its_ladder(r):
         tau_moduli(_sin_field(), PROBES, r)
 
 
+def test_dini_small_rejects_a_radius_whose_cutoff_underflows():
+    with pytest.raises(ContractError, match="radius 5e-324 is too small"):
+        dini_small(lambda t: t, 5e-324)
+
+
+def test_omega_profile_rejects_a_radius_that_leaves_a_ball_without_nodes():
+    with pytest.raises(ContractError, match="radius 1e\\+300 leaves a probe"):
+        omega_profile(_sin_field(), PROBES, [1e300, 0.5])
+
+
 def test_omega_profile_bounds_each_field_call():
     # n = 4 at full resolution has 16^4 grid nodes per probe: one probe per
     # field call, never all probes' matrices at once.
