@@ -112,7 +112,9 @@ def density_scan(mu, a, anisotropy, m, ladder):
 
 
 def density_gap_verdict(report, threshold):
-    """``small-gap`` when (max/min - 1) < threshold, else ``large-gap``.
+    """``zero-density`` when every density of the scan is 0 (a center off
+    the support), else ``small-gap`` when (max/min - 1) < threshold, else
+    ``large-gap``.
 
     The threshold is a required input: it stands in for the dimensional
     constant of the density-gap rectifiability criterion, whose numeric value
@@ -120,6 +122,8 @@ def density_gap_verdict(report, threshold):
     """
     if not 0 < threshold < np.inf:
         raise ContractError(f"need 0 < threshold < inf, got {threshold}")
+    if report.meta["all_zero"]:
+        return "zero-density"
     ratio = report.meta["gap_ratio"]
     return "small-gap" if ratio - 1.0 < threshold else "large-gap"
 

@@ -7,15 +7,21 @@ measure to the cone of m-dimensional flat measures,
     d_s(nu, M_{n,m}) = inf { F_s(nu / F_s(nu), mu) :
                              mu = c H^m|V,  F_s(mu) = 1 },
 
-by a coarse search over frames followed by a compass search on the frame
-parameters; the normalizing constant per plane is fixed in closed form since
-F_s is linear in the weights.  The result is the smallest value seen, an
-upper bound on the infimum; it is not certified.  Each of the two stages
-warm-starts its chain of F_s programs through its own
-`gmtlab.transport.WarmStart` holder, keyed by the frame parameters, so each
-solve starts from the basis of the nearest frame solved before it in that
-stage; no solver state outlives the call.  Values are clamped to [0, 1], and
-1 is returned when F_s(nu) = 0.
+with the normalizing constant per plane fixed in closed form since F_s is
+linear in the weights.  The principal frame is tried first: the top-m
+eigenvectors of the second moment sum_i w_i x_i x_i^T of the target, the
+plane of the L^2 beta-numbers.  Its value U is an upper bound on the
+infimum, and cone distances are >= 0, so U <= floor/2 (half the
+discretization floor below) is certified by the bracket [0, U] and is
+returned after at most one transport solve.  Otherwise a coarse search over
+frames is followed by a compass search on the frame parameters; the result
+is the smallest value that search sees, an upper bound that is not
+certified.  The principal solve has a `gmtlab.transport.WarmStart` holder of
+its own, and each search stage warm-starts its chain of F_s programs through
+another, keyed by the frame parameters, so each solve starts from the basis
+of the nearest frame solved before it in that stage; no solver state
+outlives the call.  Values are clamped to [0, 1], and 1 is returned when
+F_s(nu) = 0.
 
 ``symmetry_defect`` evaluates the annulus moment whose vanishing at every
 window characterizes points of symmetry.
@@ -231,6 +237,28 @@ def _params_to_frame(n, m, params):
     return _orthonormalize(params.reshape(n, m))
 
 
+def _principal_frame(measure, m):
+    """The top-m eigenvectors of the second moment sum_i w_i x_i x_i^T, as
+    an (n, m) frame: the best L^2 m-plane through the origin.
+
+    For n = 2 the axis is the closed-form angle
+    theta = atan2(2 S_xy, S_xx - S_yy) / 2; no eigensolver is loaded.  For
+    n >= 3 the columns come from `np.linalg.eigh` in descending eigenvalue
+    order, each signed so its entry of largest magnitude (the first, on a
+    tie) is positive.
+    """
+    pts, w = measure.points, measure.weights
+    moment = (pts * w[:, None]).T @ pts
+    n = moment.shape[0]
+    if n == 2:
+        theta = 0.5 * np.arctan2(2.0 * moment[0, 1],
+                                 moment[0, 0] - moment[1, 1])
+        return _params_to_frame(2, 1, [theta])
+    frame = np.linalg.eigh(moment)[1][:, ::-1][:, :m]
+    lead = frame[np.argmax(np.abs(frame), axis=0), np.arange(m)]
+    return frame * np.where(lead < 0, -1.0, 1.0)
+
+
 def _compass_search(fun, x, fx):
     """Smallest value of ``fun`` found by a compass search from ``x``.
 
@@ -261,15 +289,20 @@ def d_cone_flat(nu, m, s, seed=0):
 
     Returns 1 when F_s(nu) = 0 (discrete measures never reach the infinite
     branch of the convention).  Minimizes over planes with the per-plane
-    constant fixed by F_s-normalization in closed form: the coarse frame grid
-    at half resolution picks the best frame, and `_compass_search` refines
-    it on the frame parameters at full resolution, starting from that
-    frame's full-resolution value (first step pi/72, at most 60 further
-    evaluations).  Each stage warm-starts its transport solves through its
-    own holder, keyed by `_frame_to_params`: a solve starts from the stored
-    basis of the nearest frame of that stage (ties to the most recent), so
-    on the n = 2 coarse grid that is the previous angle, and in the compass
-    search x + h/2 starts from x + h.  ``s`` must be positive and finite.
+    constant fixed by F_s-normalization in closed form.  The principal frame
+    (`_principal_frame` of the full-resolution target) is evaluated first,
+    at full resolution; a value within ``cone_floor(s, m) / 2`` is returned
+    as it is, certified by the bracket [0, value].  Otherwise the coarse
+    frame grid at half resolution picks the best frame, and
+    `_compass_search` refines it on the frame parameters at full
+    resolution, starting from that frame's full-resolution value (first
+    step pi/72, at most 60 further evaluations); the principal value plays
+    no part in that search.  Each stage warm-starts its transport solves
+    through its own holder, keyed by `_frame_to_params`: a solve starts from
+    the stored basis of the nearest frame of that stage (ties to the most
+    recent), so on the n = 2 coarse grid that is the previous angle, and in
+    the compass search x + h/2 starts from x + h.  ``s`` must be positive
+    and finite.
     """
     n = nu.dim
     if not 1 <= m <= n - 1:
@@ -307,12 +340,25 @@ def d_cone_flat(nu, m, s, seed=0):
         cand = DiscreteMeasure(pts, grid_w / norm, dim=n)
         return f_ball(target, cand, s, warm=warm)
 
-    # Coarse stage at half resolution locates the basin; refinement and the
-    # reported value use the full grid (whose floor is the quoted one).
-    # Each stage chains its LPs through one warm-start holder: the target is
-    # fixed and every candidate atom carries the same weight, so the
-    # transport problems of a stage usually share their marginals exactly,
-    # and every optimal basis kept is a feasible start for the next.
+    # The principal frame first, at full resolution and with its own holder.
+    # Cone distances are >= 0 and every reported value carries the floor,
+    # so a value within half the floor is certified by the bracket [0, U].
+    target = normalized_target(nu, step)
+    if target is None:
+        return 1.0
+    coords, base_w = plane_grid(step)
+    principal = plane_distance(_principal_frame(target, m), target, coords,
+                               base_w, WarmStart())
+    if principal <= cone_floor(s, m) / 2:
+        return float(np.clip(principal, 0.0, 1.0))
+
+    # Otherwise the coarse stage at half resolution locates the basin;
+    # refinement and the reported value use the full grid (whose floor is
+    # the quoted one).  Each stage chains its LPs through one warm-start
+    # holder: the target is fixed and every candidate atom carries the same
+    # weight, so the transport problems of a stage usually share their
+    # marginals exactly, and every optimal basis kept is a feasible start
+    # for the next.
     coarse_target = normalized_target(nu, 2 * step)
     if coarse_target is None:
         return 1.0
@@ -325,10 +371,6 @@ def d_cone_flat(nu, m, s, seed=0):
         if val < best_val - 1e-15:
             best_frame, best_val = frame, val
 
-    target = normalized_target(nu, step)
-    if target is None:
-        return 1.0
-    coords, base_w = plane_grid(step)
     # A fresh holder: no full-resolution problem has the coarse marginals,
     # so the coarse bases are released here.
     warm = WarmStart()

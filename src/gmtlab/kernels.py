@@ -39,7 +39,7 @@ import numpy as np
 from .errors import (ContractError, DimensionMismatchError,
                      ResolutionGuardError, require_positive_finite)
 from .measures import (BALL_GRID, TIE_TOL, EllipseField, ball_midpoints,
-                       lambda_distances)
+                       lambda_distances, require_finite_distances)
 from .reports import ScanReport
 
 _SQRT_RESIDUAL_TOL = 1e-10
@@ -167,10 +167,12 @@ def _window_sums(spec, mu, x, eps_list, R):
     if mu.dim != spec.dim:
         raise DimensionMismatchError("measure dimension mismatch")
     x = np.asarray(x, dtype=float).reshape(-1)
-    vals, t = _kernel_rows(spec, x, mu.points)
     # An atom at x has a non-finite kernel value; no window reads its term.
+    # A base point whose distances overflow is refused by name.
     with np.errstate(over="ignore", invalid="ignore"):
+        vals, t = _kernel_rows(spec, x, mu.points)
         terms = np.ascontiguousarray((mu.weights[:, None] * vals).T)
+    require_finite_distances(t, x)
     # Tie-tolerant half-open window [eps, R): mirror-symmetric samples whose
     # float distances straddle a cut by an ulp must land on the same side, or
     # odd-kernel cancellation breaks at the boundary spheres.

@@ -330,6 +330,16 @@ def lambda_distances(points, center, inv=None):
     return u, np.sqrt(np.sum(u * u, axis=-1))
 
 
+def require_finite_distances(dist, center):
+    """Refuse a base point whose distances to the sample overflowed (numpy
+    computed them under ``np.errstate(over="ignore", invalid="ignore")``).
+    Scans check once per base point, never per window."""
+    if not np.isfinite(dist).all():
+        raise ContractError(
+            f"center {tuple(float(c) for c in center)} is too far from the "
+            "sample: its distances overflow")
+
+
 def mass_in(mu, ball):
     """Total mass of ``mu`` inside a closed (euclidean or ellipse) ball."""
     return ball_masses(mu, ball, [ball.radius])[0]
@@ -343,7 +353,9 @@ def ball_masses(mu, ball, radii):
         raise DimensionMismatchError(
             f"ball in R^{ball.dim} but measure in R^{mu.dim}"
         )
-    dist = lambda_distances(mu.points, ball.center, ball._inv)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = lambda_distances(mu.points, ball.center, ball._inv)[1]
+    require_finite_distances(dist, ball.center)
     return [float(mu.weights[dist <= r * (1.0 + TIE_TOL)].sum())
             for r in radii]
 

@@ -51,6 +51,7 @@ def test_density_scan_flags_empty(identity2):
     lad = ScaleLadder(r0=0.5, rho=0.5, count=3, spacing=0.0)
     rep = density_scan(atom, np.zeros(2), identity2, 1, lad)
     assert rep.meta["all_zero"]
+    assert density_gap_verdict(rep, 0.05) == "zero-density"
 
 
 def test_density_gap_verdicts(line_entry, cantor7_entry, identity2):

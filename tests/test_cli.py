@@ -420,6 +420,34 @@ def test_pv_center_inf_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("far", ["1e200", "1e300"])
+@pytest.mark.parametrize("command,cfg_text", [("density", LINE_DENSITY_CFG),
+                                              ("pv", HALFLINE_PV_CFG),
+                                              ("blowup", BLOWUP_CFG)],
+                         ids=["density", "pv", "blowup"])
+def test_center_whose_distances_overflow_exits_2(tmp_path, capsys, command,
+                                                 cfg_text, far):
+    cfg = write_cfg(tmp_path, cfg_text.replace("center = 0,0",
+                                               f"center = {far},0"))
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    assert (f"center ({float(far)!r}, 0.0) is too far from the sample"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_density_center_off_the_support_is_zero_density(tmp_path):
+    cfg = write_cfg(tmp_path, LINE_DENSITY_CFG.replace("center = 0,0",
+                                                       "center = 2,0"))
+    out = tmp_path / "density.csv"
+    assert run_cli(["density", "--config", cfg, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[-1] == "# verdict=zero-density"
+    assert all(row.split(",")[1] == "0" for row in lines[2:-1])
+
+
 def test_dmo_boundary_probe_nan_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, DMO_CFG.replace(
         "probes = 16", "probes = 16\nboundary_probe = nan, 0"))

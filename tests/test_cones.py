@@ -2,15 +2,19 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_cloud
 from gmtlab import cones, corpus, transport
 from gmtlab.blowup import ScaleLadder, blowup_sequence
 from gmtlab.cones import (OPTIMIZER_TOL, FlatMeasureSpec, _compass_search,
-                          d_cone_flat, sample_flat, symmetry_defect)
+                          cone_floor, d_cone_flat, sample_flat,
+                          symmetry_defect)
 from gmtlab.errors import ContractError
 from gmtlab.lipmetric import f_ball
 from gmtlab.measures import (AffineMap, Ball, DiscreteMeasure, EllipseField,
@@ -175,7 +179,11 @@ def test_flatness_outputs_are_pinned(monkeypatch):
     # The four flatness benchmark inputs: the three rungs of the heavy line
     # blowup (h = 0.001, r0 = 0.4, rho = 0.5, count = 3) and the cross.  A
     # change to the work around the transport pivots must keep every value
-    # bit for bit, and the f_ball calls, solves and pivots that reach it.
+    # bit for bit, and the f_ball calls, solves and pivots that reach it; a
+    # change to the search itself keeps the values and pins its new counts.
+    # The line rungs stop at the principal frame (3 f_ball calls: F_s(nu),
+    # the target's norm and that frame); the cross, whose principal axis is
+    # an arm, pays that one solve and then runs the full search.
     ladder = ScaleLadder(r0=0.4, rho=0.5, count=3, spacing=0.001)
     rungs = blowup_sequence(corpus.gen_line(0.001).measure, np.zeros(2),
                             EllipseField.identity(2), ladder, mode="power",
@@ -198,10 +206,122 @@ def test_flatness_outputs_are_pinned(monkeypatch):
         value = d_cone_flat(nu, 1, 1.0)
         got.append((repr(value), counts["f_ball"], counts["solves"],
                     counts["pivots"]))
-    assert got == [("-0.0", 52, 48, 766),
-                   ("0.0024999999999999988", 52, 48, 581),
-                   ("0.007500000000000014", 52, 49, 916),
-                   ("0.4141883688394247", 52, 49, 4592)]
+    assert got == [("-0.0", 3, 0, 0),
+                   ("0.0024999999999999988", 3, 1, 107),
+                   ("0.007500000000000014", 3, 1, 195),
+                   ("0.4141883688394247", 53, 50, 4725)]
+
+
+def _value_and_solves(nu, m=1):
+    """d_cone_flat(nu, m, 1) and the number of transport solves it made."""
+    with mock.patch.object(transport, "transport_simplex",
+                           wraps=transport.transport_simplex) as solve:
+        return d_cone_flat(nu, m, 1.0), solve.call_count
+
+
+def test_search_fallback_values_are_pinned():
+    # The inputs of the plane-grid oracle test, pinned at the search without
+    # the principal frame step.  No principal-frame value of theirs is within
+    # floor/2, so each runs the coarse grid and compass search, and its value
+    # must be that search's, bit for bit.
+    rng = np.random.default_rng(12)
+    clouds = [DiscreteMeasure.dirac(np.zeros(2))]
+    clouds += [random_cloud(rng, 12) for _ in range(6)]
+    got = []
+    for nu in clouds:
+        with mock.patch.object(cones, "f_ball", wraps=f_ball) as calls:
+            got.append(repr(d_cone_flat(nu, 1, 1.0)))
+        assert calls.call_count > 3
+    assert got == ["0.4999999999999999", "0.6651344088750023",
+                   "0.585840256424631", "1.0", "0.4879303988541191",
+                   "0.5279170444281175", "0.4858951528181738"]
+
+
+def _rotated(nu, theta):
+    rot = np.array([[np.cos(theta), -np.sin(theta)],
+                    [np.sin(theta), np.cos(theta)]])
+    return DiscreteMeasure(nu.points @ rot.T, nu.weights)
+
+
+def _line(spacing=0.02):
+    t = np.arange(-50, 51) * spacing
+    return DiscreteMeasure(np.column_stack([t, np.zeros_like(t)]),
+                           np.full(t.size, spacing))
+
+
+def _hostile_clouds():
+    """Inputs where a principal frame is ill-defined, wrong or at the wrap
+    of atan2; all stay below the rebinning threshold."""
+    rng = np.random.default_rng(4)
+    arm = np.arange(-25, 26) * 0.04
+    grid = np.stack(np.meshgrid(np.arange(-5, 6) * 0.15,
+                                np.arange(-5, 6) * 0.15), axis=-1)
+    seg = np.arange(-10, 11) * 0.01
+    line = _line()
+    clouds = {
+        "near-isotropic": DiscreteMeasure(rng.normal(size=(40, 2)) * 0.5,
+                                          np.full(40, 0.05)),
+        "cross": DiscreteMeasure(
+            np.vstack([np.column_stack([arm, 0 * arm]),
+                       np.column_stack([0 * arm[arm != 0], arm[arm != 0]])]),
+            np.full(2 * arm.size - 1, 0.04)),
+        "square-grid": DiscreteMeasure(grid.reshape(-1, 2),
+                                       np.full(grid.size // 2, 0.02)),
+        "segment-far-outliers": DiscreteMeasure(
+            np.vstack([np.column_stack([seg, 0 * seg]),
+                       [[0.0, 5.0], [0.0, -5.0], [3.0, 3.0]]]),
+            np.concatenate([np.full(seg.size, 0.01), [1.0, 1.0, 1.0]])),
+        "duplicate-atoms": DiscreteMeasure(np.vstack([line.points] * 2),
+                                           np.tile(line.weights, 2) / 2),
+    }
+    for theta in (0.0, 1e-9, -1e-9, np.pi / 2 - 1e-9, np.pi / 2,
+                  np.pi / 2 + 1e-9, np.pi - 1e-9, np.pi):
+        clouds[f"line-at-{theta:.10f}"] = _rotated(line, theta)
+    return clouds
+
+
+HOSTILE_CLOUDS = _hostile_clouds()
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_CLOUDS))
+def test_principal_frame_shortcut_on_hostile_clouds(name):
+    half_floor = cone_floor(1.0, 1) / 2
+    values = []
+    for theta in (0.0, 0.3, 1.1, 2.5):
+        value, solves = _value_and_solves(
+            _rotated(HOSTILE_CLOUDS[name], theta))
+        assert 0.0 <= value <= 1.0
+        if solves < 3:
+            assert value <= half_floor
+        values.append(value)
+    assert max(values) - min(values) <= half_floor
+
+
+angles = st.one_of(st.sampled_from([0.0, np.pi / 2]), st.floats(0.0, np.pi))
+
+
+@settings(max_examples=12)
+@given(amplitude=st.floats(0.003, 0.008), first=angles, second=angles)
+def test_rotated_dense_copies_agree_within_half_the_floor(amplitude, first,
+                                                          second):
+    # 1001 atoms 0.002 apart, jittered across the line by up to 0.003-0.008:
+    # above the site budget, so each copy is rebinned onto the axis grid and
+    # the copies' principal values differ.  One copy may stop at its
+    # principal frame while the other runs the search (one of the twelve
+    # examples does); they still agree within floor/2.
+    half_floor = cone_floor(1.0, 1) / 2
+    t = np.arange(-500, 501) * 0.002
+    jitter = np.random.default_rng(5).uniform(-1.0, 1.0, t.size)
+    nu = DiscreteMeasure(np.column_stack([t, amplitude * jitter]),
+                         np.full(t.size, 0.002))
+    values = []
+    for theta in (first, second):
+        value, solves = _value_and_solves(_rotated(nu, theta))
+        assert 0.0 <= value <= 1.0
+        if solves < 3:
+            assert value <= half_floor
+        values.append(value)
+    assert abs(values[0] - values[1]) <= half_floor
 
 
 def test_d_cone_scale_identity():
@@ -237,6 +357,25 @@ def test_d_cone_three_dimensional_smoke():
     cloud = DiscreteMeasure(rng.normal(size=(30, 3)) * 0.4,
                             rng.uniform(0.5, 1, 30))
     assert 0.0 <= d_cone_flat(cloud, 2, 1.0) <= 1.0
+
+
+def test_principal_frame_shortcut_above_the_plane():
+    # Each input stops at its principal frame (eigh, n >= 3) after at most
+    # one transport solve.  line3's atoms sit two grid steps apart, so its
+    # principal value is floor/2 itself up to rounding.
+    t = np.arange(-40, 41) * 0.025
+    line3 = DiscreteMeasure(
+        np.column_stack([t, np.zeros_like(t), np.zeros_like(t)]),
+        np.full(t.size, 0.025))
+    plane = sample_flat(FlatMeasureSpec(np.eye(3)[:, :2], 1.0, 0.05), 1.0)
+    u = np.arange(-100, 101) * 0.01
+    direction = np.array([1.0, 2.0, -2.0, 0.5]) / np.linalg.norm(
+        [1.0, 2.0, -2.0, 0.5])
+    line4 = DiscreteMeasure(u[:, None] * direction, np.full(u.size, 0.01))
+    for nu, m in ((line3, 1), (plane, 2), (line4, 1)):
+        value, solves = _value_and_solves(nu, m)
+        assert solves <= 1
+        assert 0.0 <= value <= cone_floor(1.0, m) / 2
 
 
 def test_compass_search_stop_rules():
