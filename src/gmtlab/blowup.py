@@ -93,7 +93,9 @@ def density_scan(mu, a, anisotropy, m, ladder):
     """Per-scale ellipse densities with the running gap ratio.
 
     A point outside the support neighborhood yields all-zero densities; the
-    report flags that rather than failing.
+    report flags that rather than failing.  The running ratio max/min is
+    nan while every density so far is 0 (no ratio exists) and inf once a
+    positive density has met a zero one.
     """
     radii = ladder.radii
     masses = _ellipse_masses(mu, a, anisotropy, radii)
@@ -102,7 +104,7 @@ def density_scan(mu, a, anisotropy, m, ladder):
     top, bot = -np.inf, np.inf
     for v in dens:
         top, bot = max(top, v), min(bot, v)
-        running.append(top / bot if bot > 0 else np.inf)
+        running.append(top / bot if bot > 0 else np.inf if top > 0 else np.nan)
     meta = {"gap_ratio": running[-1], "all_zero": bool(np.all(dens == 0.0))}
     return ScanReport(
         columns={"r": radii.tolist(), "density": dens.tolist(),

@@ -8,7 +8,9 @@ across reruns; commands run serially, so output cannot depend on
 ``--threads``, which is accepted and ignored.
 
 Exit codes: 0 success, 2 config or I/O error (unread keys included), 3
-numerical guard refusal (resolution guard, LP size cap, sample cap).
+numerical guard refusal (resolution guard, LP size cap, sample cap).  Each
+command checks for unread keys right after its last lookup, before any
+scan, LP or cone search runs.
 """
 
 from __future__ import annotations
@@ -215,8 +217,7 @@ def point_from_config(cfg, dim, section, key="center"):
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _emit(cfg, path, lines):
-    cfg.require_all_read()
+def _emit(path, lines):
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -255,9 +256,10 @@ def cmd_density(cfg, out, seed):
     a = point_from_config(cfg, entry.measure.dim, "density")
     m = cfg.get_int("density", "m", 1)
     threshold = cfg.get_float("density", "threshold", 0.05)
+    cfg.require_all_read()
     report = blowup.density_scan(entry.measure, a, field, m, ladder)
     report.verdict = blowup.density_gap_verdict(report, threshold)
-    _emit(cfg, out, report_lines(report, cfg))
+    _emit(out, report_lines(report, cfg))
 
 
 def cmd_pv(cfg, out, seed):
@@ -270,10 +272,11 @@ def cmd_pv(cfg, out, seed):
     rungs = cfg.get_int("pv", "rungs", 6)
     outer = cfg.get_float("pv", "R")
     ladder = [eps0 * 0.5 ** k for k in range(rungs)]
+    cfg.require_all_read()
     report = kernels.pv_convergence_scan(
         spec, entry.measure, x, ladder, spacing=entry.spacing, R=outer)
     report.columns["verdict"] = [report.verdict] * len(report)
-    _emit(cfg, out, report_lines(report, cfg))
+    _emit(out, report_lines(report, cfg))
 
 
 def cmd_blowup(cfg, out, seed):
@@ -283,6 +286,7 @@ def cmd_blowup(cfg, out, seed):
     a = point_from_config(cfg, entry.measure.dim, "blowup")
     m = cfg.get_int("blowup", "m", 1)
     r_list = cfg.get_floats("blowup", "sandwich_R", [0.5, 1.0, 2.0])
+    cfg.require_all_read()
     seq = blowup.blowup_sequence(entry.measure, a, field, ladder,
                                  mode="power", m=m)
     sandwich = blowup.sandwich_check(entry.measure, a, field, m, ladder, r_list)
@@ -304,7 +308,7 @@ def cmd_blowup(cfg, out, seed):
         },
         verdict=sandwich.verdict,
     )
-    _emit(cfg, out, report_lines(report, cfg) + [
+    _emit(out, report_lines(report, cfg) + [
         f"# meta.flatness_verdict={profile.verdict}",
         f"# meta.flatness_floor={_fmt(profile.meta['floor'])}",
     ])
@@ -317,27 +321,24 @@ def cmd_metric(cfg, out, seed):
     m = cfg.get_int("metric", "m", 1)
     s = cfg.get_float("metric", "s", 1.0)
     entry = measure_from_config(cfg)
-    lines = [f"# config_sha256={cfg.sha256()}"]
-    if mode in ("fr", "series", "scaling"):
+    if mode not in ("fr", "series", "scaling", "dcone"):
+        raise ConfigError(f"unknown metric mode {mode!r}")
+    if mode != "dcone":
         if "measure2" in cfg.sections:
             other = measure_from_config(cfg, "measure2").measure
         else:
             other = DiscreteMeasure.empty(entry.measure.dim)
-        if mode == "fr":
-            value = lipmetric.f_ball(entry.measure, other, r)
-            lines.append(_fmt(value))
-        elif mode == "series":
-            res = lipmetric.f_series(entry.measure, other, terms)
-            lines.append(_fmt(res.value) + "," + _fmt(res.tail_bound))
-        else:
-            value = lipmetric.f_scaling_residual(entry.measure, other, r)
-            lines.append(_fmt(value))
-    elif mode == "dcone":
-        value = cones.d_cone_flat(entry.measure, m, s, seed=seed)
-        lines.append(_fmt(value))
+    cfg.require_all_read()
+    if mode == "fr":
+        value = _fmt(lipmetric.f_ball(entry.measure, other, r))
+    elif mode == "series":
+        res = lipmetric.f_series(entry.measure, other, terms)
+        value = _fmt(res.value) + "," + _fmt(res.tail_bound)
+    elif mode == "scaling":
+        value = _fmt(lipmetric.f_scaling_residual(entry.measure, other, r))
     else:
-        raise ConfigError(f"unknown metric mode {mode!r}")
-    _emit(cfg, out, lines)
+        value = _fmt(cones.d_cone_flat(entry.measure, m, s, seed=seed))
+    _emit(out, [f"# config_sha256={cfg.sha256()}", value])
 
 
 def cmd_dmo(cfg, out, seed):
@@ -352,6 +353,7 @@ def cmd_dmo(cfg, out, seed):
     if cfg.get("dmo", "boundary_probe") is not None:
         extra = point_from_config(cfg, dim, "dmo", "boundary_probe")
         probes = np.vstack([probes, extra[None, :]])
+    cfg.require_all_read()
     profile = moduli.omega_profile(field, probes, radii)
     theta = profile.interpolator()
 
@@ -371,7 +373,7 @@ def cmd_dmo(cfg, out, seed):
             "divergence_warning": warned,
         },
     )
-    _emit(cfg, out, report_lines(report, cfg))
+    _emit(out, report_lines(report, cfg))
 
 
 def cmd_generate(cfg, out, seed):

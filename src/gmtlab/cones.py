@@ -15,12 +15,14 @@ infimum, and cone distances are >= 0, so U <= floor/2 (half the
 discretization floor below) is certified by the bracket [0, U] and is
 returned after at most one transport solve.  Otherwise a coarse search over
 frames is followed by a compass search on the frame parameters; the result
-is the smallest value that search sees, an upper bound that is not
-certified.  The principal solve has a `gmtlab.transport.WarmStart` holder of
-its own, and each search stage warm-starts its chain of F_s programs through
-another, keyed by the frame parameters, so each solve starts from the basis
-of the nearest frame solved before it in that stage; no solver state
-outlives the call.  Values are clamped to [0, 1], and 1 is returned when
+is the smallest value seen, the principal frame's included, an upper bound
+that is not certified.  The principal solve has a
+`gmtlab.transport.WarmStart` holder of its own, and each search stage
+warm-starts its chain of F_s programs through another, keyed by the frame
+parameters, so each solve starts from the basis of the nearest frame solved
+before it in that stage (the compass search takes over the principal holder
+when the coarse stage picks the principal frame); no solver state outlives
+the call.  Values are clamped to [0, 1], and 1 is returned when
 F_s(nu) = 0.
 
 ``symmetry_defect`` evaluates the annulus moment whose vanishing at every
@@ -296,8 +298,10 @@ def d_cone_flat(nu, m, s, seed=0):
     frame grid at half resolution picks the best frame, and
     `_compass_search` refines it on the frame parameters at full
     resolution, starting from that frame's full-resolution value (first
-    step pi/72, at most 60 further evaluations); the principal value plays
-    no part in that search.  Each stage warm-starts its transport solves
+    step pi/72, at most 60 further evaluations); the smaller of its result
+    and the principal value is returned.  When the coarse stage picks the
+    principal frame itself, the principal solve and its holder are the
+    search's start.  Each stage warm-starts its transport solves
     through its own holder, keyed by `_frame_to_params`: a solve starts from
     the stored basis of the nearest frame of that stage (ties to the most
     recent), so on the n = 2 coarse grid that is the previous angle, and in
@@ -347,8 +351,9 @@ def d_cone_flat(nu, m, s, seed=0):
     if target is None:
         return 1.0
     coords, base_w = plane_grid(step)
-    principal = plane_distance(_principal_frame(target, m), target, coords,
-                               base_w, WarmStart())
+    principal_frame, principal_warm = _principal_frame(target, m), WarmStart()
+    principal = plane_distance(principal_frame, target, coords, base_w,
+                               principal_warm)
     if principal <= cone_floor(s, m) / 2:
         return float(np.clip(principal, 0.0, 1.0))
 
@@ -371,9 +376,16 @@ def d_cone_flat(nu, m, s, seed=0):
         if val < best_val - 1e-15:
             best_frame, best_val = frame, val
 
-    # A fresh holder: no full-resolution problem has the coarse marginals,
-    # so the coarse bases are released here.
-    warm = WarmStart()
+    # A full-resolution holder: no full-resolution problem has the coarse
+    # marginals, so the coarse bases are released here.  When the coarse
+    # stage picked the principal frame itself, its solve is the compass
+    # start, and its holder (that one basis under that frame's key) is the
+    # state a fresh solve of it would leave.
+    if np.array_equal(best_frame, principal_frame):
+        warm, start = principal_warm, principal
+    else:
+        warm = WarmStart()
+        start = plane_distance(best_frame, target, coords, base_w, warm)
 
     def objective(params):
         q = _params_to_frame(n, m, params)
@@ -381,9 +393,9 @@ def d_cone_flat(nu, m, s, seed=0):
             return 2.0
         return plane_distance(q, target, coords, base_w, warm)
 
-    start = plane_distance(best_frame, target, coords, base_w, warm)
     best = _compass_search(objective, _frame_to_params(n, m, best_frame), start)
-    return float(np.clip(best, 0.0, 1.0))
+    # Never report more than the principal frame already evaluated.
+    return float(np.clip(min(principal, best), 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,13 @@ continuum supremum for discrete measures.
 
 The metric series F(mu, nu) = sum over integer radii l of 2^{-l} min(1, F_l)
 is truncated after ``max_terms`` terms with the rigorous tail bound
-2^{-max_terms} reported separately.
+2^{-max_terms} reported separately.  It solves only the terms whose answer
+is not already known.  A term saturates when its value, or the closed-form
+lower bound |sum(mass * caps)| (the potentials +-caps are feasible), clears
+the bar 1 + SOLVER_TOL * (1 + sum(|mass| * caps)); such a term would solve
+to >= 1, so min(1, F_l) is exactly 1.  F_l is nondecreasing in l, so every
+term after a saturated one is 1 too and is neither assembled nor solved.
+The sum is bit for bit the one with every term solved.
 
 Mixed-sign programs are solved by one exact solver, the transportation
 simplex on the boundary form of the LP dual (`gmtlab.transport`), whose duals
@@ -184,12 +190,35 @@ def f_series(mu, nu, max_terms):
 
     Returns the partial sum through ``l = max_terms`` and the rigorous tail
     bound 2^{-max_terms} as a `SeriesResult`.
+
+    A term whose answer is already known is not solved.  Its bar is
+    ``1 + SOLVER_TOL * (1 + sum(|mass| * caps))``: a term whose value, or a
+    lower bound on it, clears the bar would solve to >= 1, so ``min(1, .)``
+    gives exactly 1.  The potentials +-caps are feasible, so
+    F_l >= |sum(mass * caps)|, and a term whose bound clears its bar
+    saturates without a solve.  F_l is nondecreasing in l (a potential
+    feasible in B(0, l), extended by 0, is feasible in every larger ball),
+    so once a term saturates, each later one adds exactly 2^{-l} and is not
+    assembled: a later ball over ``SITE_CAP`` sites raises no
+    `LpSizeError`.  A term solved to a value in [1, bar] counts as 1 and
+    does not carry forward.  The value is bit for bit the sum with every
+    term solved.
     """
     if max_terms < 1:
         raise ContractError("max_terms must be >= 1")
-    total = 0.0
+    total, saturated = 0.0, False
     for ell in range(1, max_terms + 1):
-        total += 2.0 ** (-ell) * min(1.0, f_ball(mu, nu, float(ell)))
+        term = 1.0
+        if not saturated:
+            lp = assemble_ball_lp(mu, nu, float(ell))
+            bar = 1.0 + SOLVER_TOL * (
+                1.0 + float(np.abs(lp.signed_mass) @ lp.caps))
+            value = abs(float(lp.signed_mass @ lp.caps))
+            if value <= bar:
+                value = solve_ball_lp(lp)
+                term = min(1.0, value)
+            saturated = value > bar
+        total += 2.0 ** (-ell) * term
     return SeriesResult(total, 2.0 ** (-max_terms))
 
 

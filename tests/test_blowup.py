@@ -52,6 +52,18 @@ def test_density_scan_flags_empty(identity2):
     rep = density_scan(atom, np.zeros(2), identity2, 1, lad)
     assert rep.meta["all_zero"]
     assert density_gap_verdict(rep, 0.05) == "zero-density"
+    assert np.all(np.isnan(rep.columns["gap_ratio_so_far"]))
+
+
+def test_density_gap_ratio_is_inf_once_a_positive_density_meets_zero(
+        identity2):
+    # The atom lies in the ball of radius 0.5 only.
+    atom = DiscreteMeasure.dirac(np.array([0.3, 0.0]))
+    lad = ScaleLadder(r0=0.5, rho=0.5, count=3, spacing=0.0)
+    rep = density_scan(atom, np.zeros(2), identity2, 1, lad)
+    assert rep.columns["gap_ratio_so_far"] == [1.0, np.inf, np.inf]
+    assert not rep.meta["all_zero"]
+    assert density_gap_verdict(rep, 0.05) == "large-gap"
 
 
 def test_density_gap_verdicts(line_entry, cantor7_entry, identity2):

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -445,7 +446,8 @@ def test_density_center_off_the_support_is_zero_density(tmp_path):
     assert run_cli(["density", "--config", cfg, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[-1] == "# verdict=zero-density"
-    assert all(row.split(",")[1] == "0" for row in lines[2:-1])
+    # Every density is 0, so no gap ratio exists: the column is empty.
+    assert all(row.split(",")[1:] == ["0", ""] for row in lines[2:-1])
 
 
 def test_dmo_boundary_probe_nan_exits_2(tmp_path, capsys):
@@ -491,15 +493,16 @@ def test_singular_field_or_bad_radius_exits_2(tmp_path, capsys, command,
     assert not out.exists()
 
 
+# The generated half-line's keys, replaced by a CSV measure's: a csv
+# measure reads no extent, and an unread key is reported first.
+_HALFLINE = "kind = halfline\nh = 0.001\nextent = 1.5"
 _CSV_HALFLINE = "kind = csv\npath = {csv}\nh = "
 
 
 @pytest.mark.parametrize("command,cfg_text,message", [
-    ("pv", HALFLINE_PV_CFG.replace("kind = halfline\nh = 0.001",
-                                   _CSV_HALFLINE + "nan"),
+    ("pv", HALFLINE_PV_CFG.replace(_HALFLINE, _CSV_HALFLINE + "nan"),
      "spacing must be nonnegative and finite, got nan"),
-    ("pv", HALFLINE_PV_CFG.replace("kind = halfline\nh = 0.001",
-                                   _CSV_HALFLINE + "-1"),
+    ("pv", HALFLINE_PV_CFG.replace(_HALFLINE, _CSV_HALFLINE + "-1"),
      "spacing must be nonnegative and finite, got -1.0"),
     ("dmo", DMO_CFG.replace("probes = 16", "probes = -1"),
      "[dmo] probes = -1 must be at least 1"),
@@ -760,6 +763,19 @@ def test_a_key_no_command_reads_exits_2_by_name(tmp_path, capsys):
     assert run_cli(["blowup", "--config", cfg, "--out", str(out)]) == 2
     assert "[ladder] cuont is not read by this command; did you mean " \
            "[ladder] count?" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_typo_exits_2_before_the_blowup_is_computed(tmp_path, capsys):
+    from gmtlab import blowup, cones
+    cfg = write_cfg(tmp_path, TYPO_BLOWUP_CFG.split("[blowupp]")[0])
+    out = tmp_path / "blowup.csv"
+    with mock.patch.object(blowup, "blowup_sequence") as sequence, \
+            mock.patch.object(cones, "d_cone_flat") as flat:
+        assert run_cli(["blowup", "--config", cfg, "--out", str(out)]) == 2
+    assert "[ladder] cuont is not read by this command" \
+        in capsys.readouterr().err
+    assert sequence.call_count == flat.call_count == 0
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -360,6 +361,72 @@ def test_hostile_scaling_identity(seed, n_mu, n_nu, r, dup, sphere, cancel):
     mu, nu = _hostile_pair(rng, n_mu, n_nu, r, dup, sphere, cancel)
     value = f_ball(mu, nu, r)
     assert f_scaling_residual(mu, nu, r) <= 1e-12 * (1 + value)
+
+
+def _series_by_every_term(mu, nu, max_terms):
+    """The metric series with every term solved: the reference f_series
+    must equal bit for bit."""
+    return sum(2.0 ** (-ell) * min(1.0, f_ball(mu, nu, float(ell)))
+               for ell in range(1, max_terms + 1))
+
+
+def _scaled(measure, factor):
+    return DiscreteMeasure(measure.points, measure.weights * factor)
+
+
+@settings(max_examples=120)
+@given(max_terms=st.integers(1, 6), mass=st.sampled_from([0.25, 1.0, 4.0]),
+       near_one=st.booleans(), offset=st.floats(-1e-12, 1e-12), **_HOSTILE)
+def test_series_equals_every_term_solved(seed, n_mu, n_nu, r, dup, sphere,
+                                         cancel, max_terms, mass, near_one,
+                                         offset):
+    # Plain and adversarial pairs at three mass scales, and pairs scaled so
+    # that F_1 lands within 1e-12 of 1, where a skipped term is closest to
+    # one that would have been solved.
+    rng = np.random.default_rng(seed)
+    mu, nu = _hostile_pair(rng, n_mu, n_nu, r, dup, sphere, cancel)
+    mu, nu = _scaled(mu, mass), _scaled(nu, mass)
+    # A cancelling pair's F_1 is a difference of masses 1e-9 apart, which a
+    # rescale of the masses moves by about 1e-7: it is not scaled to 1.
+    if near_one and not cancel and f_ball(mu, nu, 1.0) > 0.0:
+        factor = (1.0 + offset) / f_ball(mu, nu, 1.0)
+        mu, nu = _scaled(mu, factor), _scaled(nu, factor)
+        assert abs(f_ball(mu, nu, 1.0) - 1.0) <= 2e-12
+    res = f_series(mu, nu, max_terms)
+    assert res.value == _series_by_every_term(mu, nu, max_terms)
+    assert res.tail_bound == 2.0 ** (-max_terms)
+
+
+def _saturated_at_one():
+    """A pair with F_1 = 2 that only a solve finds: the closed-form bound
+    sum(mass * caps) is 0 at every radius."""
+    return (DiscreteMeasure.dirac(np.array([-0.5, 0.0]), 2.0),
+            DiscreteMeasure.dirac(np.array([0.5, 0.0]), 2.0))
+
+
+def test_series_stops_solving_once_a_term_saturates():
+    mu, nu = _saturated_at_one()
+    with mock.patch.object(transport, "transport_simplex",
+                           wraps=transport.transport_simplex) as solve:
+        res = f_series(mu, nu, 20)
+    assert solve.call_count <= 1
+    assert res.value == _series_by_every_term(mu, nu, 20) == 1.0 - 2.0 ** -20
+
+
+def test_series_saturated_before_a_ball_over_the_site_cap():
+    # 300 atoms of each sign on the circle of radius 1.5: outside B(0, 1),
+    # inside B(0, 2), where they are more than SITE_CAP sites.  The series
+    # saturates at l = 1 and never assembles l = 2.
+    mu, nu = _saturated_at_one()
+    t = np.linspace(0.0, 2.0 * np.pi, 600, endpoint=False)
+    ring = 1.5 * np.column_stack([np.cos(t), np.sin(t)])
+    mu = DiscreteMeasure(np.vstack([mu.points, ring[::2]]),
+                         np.concatenate([mu.weights, np.full(300, 0.01)]))
+    nu = DiscreteMeasure(np.vstack([nu.points, ring[1::2]]),
+                         np.concatenate([nu.weights, np.full(300, 0.01)]))
+    with pytest.raises(LpSizeError):
+        f_ball(mu, nu, 2.0)
+    assert f_series(mu, nu, 3).value == 1.0 - 2.0 ** -3
 
 
 def _merge_by_unique(pts, mass):
