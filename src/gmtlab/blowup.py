@@ -32,8 +32,8 @@ import numpy as np
 from .cones import cone_floor, symmetry_defect
 from .errors import (ContractError, ResolutionGuardError,
                      require_positive_finite)
-from .measures import (Ball, ball_masses, ellipse_ball, lambda_rescale,
-                       restrict)
+from .measures import (Ball, DiscreteMeasure, ball_masses, ellipse_ball,
+                       lambda_rescale)
 from .reports import ScanReport
 
 # Each ellipse must contain at least this many sample cells per tangent
@@ -174,7 +174,10 @@ def blowup_sequence(mu, a, anisotropy, ladder, mode="power", m=None):
             skipped.append(i)
             continue
         resc = lambda_rescale(mu, a, float(r), anisotropy)
-        measures.append(restrict(resc, window).scaled(factor))
+        keep = window.contains(resc.points)
+        measures.append(DiscreteMeasure(resc.points[keep],
+                                        resc.weights[keep] * factor,
+                                        dim=mu.dim))
     densities = (np.full(radii.size, np.nan) if m is None else
                  np.array([mass / r ** m for mass, r in zip(masses, radii)]))
     return BlowupSequence(radii=radii, measures=measures, densities=densities,

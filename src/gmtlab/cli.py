@@ -337,7 +337,7 @@ def cmd_metric(cfg, out, seed):
     elif mode == "scaling":
         value = _fmt(lipmetric.f_scaling_residual(entry.measure, other, r))
     else:
-        value = _fmt(cones.d_cone_flat(entry.measure, m, s, seed=seed))
+        value = _fmt(cones.d_cone_flat(entry.measure, m, s))
     _emit(out, [f"# config_sha256={cfg.sha256()}", value])
 
 
@@ -408,7 +408,8 @@ def build_parser():
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored: commands run serially")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the dmo probes")
     return parser
 
 

@@ -13,17 +13,20 @@ eigenvectors of the second moment sum_i w_i x_i x_i^T of the target, the
 plane of the L^2 beta-numbers.  Its value U is an upper bound on the
 infimum, and cone distances are >= 0, so U <= floor/2 (half the
 discretization floor below) is certified by the bracket [0, U] and is
-returned after at most one transport solve.  Otherwise a coarse search over
-frames is followed by a compass search on the frame parameters; the result
-is the smallest value seen, the principal frame's included, an upper bound
-that is not certified.  The principal solve has a
-`gmtlab.transport.WarmStart` holder of its own, and each search stage
-warm-starts its chain of F_s programs through another, keyed by the frame
-parameters, so each solve starts from the basis of the nearest frame solved
-before it in that stage (the compass search takes over the principal holder
-when the coarse stage picks the principal frame); no solver state outlives
-the call.  Values are clamped to [0, 1], and 1 is returned when
-F_s(nu) = 0.
+returned after at most one transport solve.  Otherwise a fixed coarse set
+of frames is followed by a compass search in local coordinates around the
+best of them: for n = 2, 36 angles and the angle; above the plane, the axis
+frames plus fixed-seed Gaussian frames, and the m(n - m) coordinates of the
+graph chart X -> qr(F + C X) of G(n, m).  The result is the smallest value
+seen, the principal frame's included, an upper bound that is not
+certified.  The principal solve has a `gmtlab.transport.WarmStart` holder
+of its own, and each search stage warm-starts its chain of F_s programs
+through another, so each solve starts from the basis of the nearest frame
+solved before it in that stage: coarse frames are keyed by their angle
+(n = 2) or their projector F F^T, chart frames by their coordinates (the
+compass search takes over the principal holder when the coarse stage picks
+the principal frame); no solver state outlives the call.  Values are
+clamped to [0, 1], and 1 is returned when F_s(nu) = 0.
 
 ``symmetry_defect`` evaluates the annulus moment whose vanishing at every
 window characterizes points of symmetry.
@@ -55,8 +58,14 @@ _GRID_DIV = {1: 80, 2: 8, 3: 4}
 OPTIMIZER_TOL = 1e-3
 _SEARCH_EVALS = 60
 
-# First compass step: half the spacing of the 36-angle coarse grid for n = 2.
+# First compass step: half the spacing of the 36-angle coarse grid for n = 2;
+# above the plane, a step of one graph coordinate turns the plane by about
+# as much.
 _SEARCH_STEP = np.pi / 72
+
+# Fixed-seed Gaussian frames the coarse stage adds to the axis frames for
+# n >= 3.
+_RANDOM_FRAMES = 64
 
 
 def cone_grid_step(s, m):
@@ -162,81 +171,56 @@ def _flat_mass_norm(points, weights, s):
     return float(weights @ np.maximum(caps, 0.0))
 
 
-def _coarse_frames(n, m, seed=0):
-    """Deterministic list of candidate frames covering G(n, m)."""
-    if n == 2:  # m == 1; the angle grid already holds both axes
-        angles = np.pi * np.arange(36) / 36
-        return [np.array([[np.cos(th)], [np.sin(th)]]) for th in angles]
-    eye = np.eye(n)
-    frames = [eye[:, list(combo)] for combo in combinations(range(n), m)]
-    if n == 3:
-        dirs = _hemisphere_grid(64)
-        if m == 1:
-            frames.extend(d[:, None] for d in dirs)
-        else:  # m == 2: parametrize by the normal
-            frames.extend(_plane_from_normal(d) for d in dirs)
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(200):
-            q = _orthonormalize(rng.normal(size=(n, m)))
-            if q is not None:
-                frames.append(q)
-    return frames
+def _line_frame(theta):
+    """The frame (cos theta, sin theta) of a line in R^2."""
+    return np.array([[np.cos(theta)], [np.sin(theta)]])
 
 
-def _hemisphere_grid(count):
-    """Golden-angle spiral on the upper hemisphere (deterministic)."""
-    k = np.arange(count)
-    z = (k + 0.5) / count
-    phi = k * np.pi * (3.0 - np.sqrt(5.0))
-    rho = np.sqrt(1.0 - z * z)
-    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-
-
-def _plane_from_normal(v):
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(v)))] = 1.0
-    u1 = axis - (axis @ v) * v
-    u1 /= np.linalg.norm(u1)
-    u2 = np.cross(v, u1)
-    return np.column_stack([u1, u2])
+def _signed(frame):
+    """``frame`` with each column signed so its entry of largest magnitude
+    (the first, on a tie) is positive."""
+    lead = frame[np.argmax(np.abs(frame), axis=0), np.arange(frame.shape[1])]
+    return frame * np.where(lead < 0, -1.0, 1.0)
 
 
 def _orthonormalize(mat):
+    """The Q factor of a full-rank ``mat`` whose R has a positive diagonal:
+    the Gram-Schmidt frame of its columns."""
     q, r = np.linalg.qr(mat)
-    diag = np.diag(r)
-    if np.min(np.abs(diag)) < 1e-8:
-        return None
-    return q * np.sign(diag)
+    return q * np.sign(np.diag(r))
 
 
-def _frame_to_params(n, m, frame):
-    """Minimal refinement coordinates: angles for n <= 3, raw entries above."""
+def _coarse_frames(n, m):
+    """Deterministic list of candidate frames covering G(n, m): 36 angles
+    for n = 2; above the plane, the axis frames and then `_RANDOM_FRAMES`
+    `_signed` frames of Gaussian n x m matrices drawn from seed 0."""
+    if n == 2:  # m == 1; the angle grid already holds both axes
+        return [_line_frame(th) for th in np.pi * np.arange(36) / 36]
+    eye = np.eye(n)
+    frames = [eye[:, list(combo)] for combo in combinations(range(n), m)]
+    rng = np.random.default_rng(0)
+    frames += [_signed(np.linalg.qr(rng.normal(size=(n, m)))[0])
+               for _ in range(_RANDOM_FRAMES)]
+    return frames
+
+
+def _chart(frame):
+    """Coordinates of G(n, m) around ``frame`` for the compass search: the
+    point of ``frame`` and the map from a point to its frame.
+
+    For n = 2 the coordinate is the line's angle.  Above the plane it is
+    X in R^{(n-m) x m}, raveled, mapped to `_orthonormalize(F + C X)` with F
+    the frame and C an orthonormal basis of its complement: the graph chart
+    of G(n, m) (Absil, Mahony & Sepulchre 2008, ch. 3), whose m(n - m)
+    coordinates are the Grassmannian's dimension and whose origin spans F.
+    """
+    n, m = frame.shape
     if n == 2:
-        return np.array([np.arctan2(frame[1, 0], frame[0, 0])])
-    if n == 3:
-        v = frame[:, 0] if m == 1 else np.cross(frame[:, 0], frame[:, 1])
-        v = v / np.linalg.norm(v)
-        return np.array([np.arccos(np.clip(v[2], -1, 1)),
-                         np.arctan2(v[1], v[0])])
-    return frame.ravel()
-
-
-def _params_to_frame(n, m, params):
-    if n == 2:
-        th = params[0]
-        return np.array([[np.cos(th)], [np.sin(th)]])
-    if n == 3:
-        pol, az = params
-        v = np.array([np.sin(pol) * np.cos(az),
-                      np.sin(pol) * np.sin(az),
-                      np.cos(pol)])
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
-            return None
-        v = v / nv
-        return v[:, None] if m == 1 else _plane_from_normal(v)
-    return _orthonormalize(params.reshape(n, m))
+        return (np.array([np.arctan2(frame[1, 0], frame[0, 0])]),
+                lambda x: _line_frame(x[0]))
+    perp = np.linalg.qr(frame, mode="complete")[0][:, m:]
+    return (np.zeros((n - m) * m),
+            lambda x: _orthonormalize(frame + perp @ x.reshape(n - m, m)))
 
 
 def _principal_frame(measure, m):
@@ -246,8 +230,7 @@ def _principal_frame(measure, m):
     For n = 2 the axis is the closed-form angle
     theta = atan2(2 S_xy, S_xx - S_yy) / 2; no eigensolver is loaded.  For
     n >= 3 the columns come from `np.linalg.eigh` in descending eigenvalue
-    order, each signed so its entry of largest magnitude (the first, on a
-    tie) is positive.
+    order, `_signed`.
     """
     pts, w = measure.points, measure.weights
     moment = (pts * w[:, None]).T @ pts
@@ -255,10 +238,8 @@ def _principal_frame(measure, m):
     if n == 2:
         theta = 0.5 * np.arctan2(2.0 * moment[0, 1],
                                  moment[0, 0] - moment[1, 1])
-        return _params_to_frame(2, 1, [theta])
-    frame = np.linalg.eigh(moment)[1][:, ::-1][:, :m]
-    lead = frame[np.argmax(np.abs(frame), axis=0), np.arange(m)]
-    return frame * np.where(lead < 0, -1.0, 1.0)
+        return _line_frame(theta)
+    return _signed(np.linalg.eigh(moment)[1][:, ::-1][:, :m])
 
 
 def _compass_search(fun, x, fx):
@@ -286,7 +267,7 @@ def _compass_search(fun, x, fx):
     return fx
 
 
-def d_cone_flat(nu, m, s, seed=0):
+def d_cone_flat(nu, m, s):
     """Distance in [0, 1] from ``nu`` to the m-flat cone at scale ``s``.
 
     Returns 1 when F_s(nu) = 0 (discrete measures never reach the infinite
@@ -294,19 +275,22 @@ def d_cone_flat(nu, m, s, seed=0):
     constant fixed by F_s-normalization in closed form.  The principal frame
     (`_principal_frame` of the full-resolution target) is evaluated first,
     at full resolution; a value within ``cone_floor(s, m) / 2`` is returned
-    as it is, certified by the bracket [0, value].  Otherwise the coarse
-    frame grid at half resolution picks the best frame, and
-    `_compass_search` refines it on the frame parameters at full
-    resolution, starting from that frame's full-resolution value (first
+    as it is, certified by the bracket [0, value].  Otherwise the
+    `_coarse_frames` at half resolution pick the best frame, and
+    `_compass_search` refines it in the coordinates of its `_chart` at full
+    resolution (the angle for n = 2, the m(n - m) graph coordinates above
+    the plane), starting from that frame's full-resolution value (first
     step pi/72, at most 60 further evaluations); the smaller of its result
     and the principal value is returned.  When the coarse stage picks the
     principal frame itself, the principal solve and its holder are the
-    search's start.  Each stage warm-starts its transport solves
-    through its own holder, keyed by `_frame_to_params`: a solve starts from
-    the stored basis of the nearest frame of that stage (ties to the most
-    recent), so on the n = 2 coarse grid that is the previous angle, and in
-    the compass search x + h/2 starts from x + h.  ``s`` must be positive
-    and finite.
+    search's start.  Each stage warm-starts its transport solves through its
+    own holder: a solve starts from the stored basis of the nearest key of
+    that stage (ties to the most recent).  Coarse frames are keyed by their
+    angle for n = 2, so a solve starts from the previous angle, and above
+    the plane by their projector F F^T, which depends on neither basis nor
+    sign; the principal frame and the compass search are keyed by chart
+    coordinates, so x + h/2 starts from x + h.  ``s`` must be positive and
+    finite.
     """
     n = nu.dim
     if not 1 <= m <= n - 1:
@@ -335,8 +319,8 @@ def d_cone_flat(nu, m, s, seed=0):
         coords = _plane_grid(m, spacing, s)
         return coords, np.full(coords.shape[0], spacing ** m)
 
-    def plane_distance(frame, target, grid_coords, grid_w, warm):
-        warm.key = _frame_to_params(n, m, frame)
+    def plane_distance(frame, key, target, grid_coords, grid_w, warm):
+        warm.key = key
         pts = grid_coords @ frame.T
         norm = _flat_mass_norm(pts, grid_w, s)
         if norm <= 0.0:
@@ -352,8 +336,8 @@ def d_cone_flat(nu, m, s, seed=0):
         return 1.0
     coords, base_w = plane_grid(step)
     principal_frame, principal_warm = _principal_frame(target, m), WarmStart()
-    principal = plane_distance(principal_frame, target, coords, base_w,
-                               principal_warm)
+    principal = plane_distance(principal_frame, _chart(principal_frame)[0],
+                               target, coords, base_w, principal_warm)
     if principal <= cone_floor(s, m) / 2:
         return float(np.clip(principal, 0.0, 1.0))
 
@@ -370,9 +354,10 @@ def d_cone_flat(nu, m, s, seed=0):
     coarse_coords, coarse_w = plane_grid(2 * step)
     warm = WarmStart()
     best_frame, best_val = None, np.inf
-    for frame in _coarse_frames(n, m, seed=seed):
-        val = plane_distance(frame, coarse_target, coarse_coords, coarse_w,
-                             warm)
+    for frame in _coarse_frames(n, m):
+        key = _chart(frame)[0] if n == 2 else (frame @ frame.T).ravel()
+        val = plane_distance(frame, key, coarse_target, coarse_coords,
+                             coarse_w, warm)
         if val < best_val - 1e-15:
             best_frame, best_val = frame, val
 
@@ -381,19 +366,18 @@ def d_cone_flat(nu, m, s, seed=0):
     # stage picked the principal frame itself, its solve is the compass
     # start, and its holder (that one basis under that frame's key) is the
     # state a fresh solve of it would leave.
+    origin, frame_at = _chart(best_frame)
     if np.array_equal(best_frame, principal_frame):
         warm, start = principal_warm, principal
     else:
         warm = WarmStart()
-        start = plane_distance(best_frame, target, coords, base_w, warm)
+        start = plane_distance(best_frame, origin, target, coords, base_w,
+                               warm)
 
-    def objective(params):
-        q = _params_to_frame(n, m, params)
-        if q is None:
-            return 2.0
-        return plane_distance(q, target, coords, base_w, warm)
+    def objective(x):
+        return plane_distance(frame_at(x), x, target, coords, base_w, warm)
 
-    best = _compass_search(objective, _frame_to_params(n, m, best_frame), start)
+    best = _compass_search(objective, origin, start)
     # Never report more than the principal frame already evaluated.
     return float(np.clip(min(principal, best), 0.0, 1.0))
 

@@ -226,11 +226,15 @@ def f_scaling_residual(mu, nu, r):
     """| F_r(mu, nu) - r * F_1(mu/r, nu/r) | for the rescaling y -> y/r.
 
     The two sides are the same program up to an exact change of variables, so
-    the residual is solver noise: <= 1e-7 * (1 + F_r).
+    the residual is solver noise: <= 1e-7 * (1 + F_r).  At r = 1 the
+    rescaling is the identity, whose pushforward has the same bits, so the
+    one solve serves both sides and the residual is exactly 0.0.
     """
     if not r > 0.0:
         raise ContractError("scale must be positive")
     direct = f_ball(mu, nu, r)
+    if r == 1.0:
+        return 0.0
     scale = AffineMap.translate_scale(np.zeros(mu.dim), r)
     rescaled = r * f_ball(pushforward(mu, scale), pushforward(nu, scale), 1.0)
     return abs(direct - rescaled)

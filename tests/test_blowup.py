@@ -111,6 +111,26 @@ def test_blowup_mass_mode_skips_empty(identity2):
     assert all(nu is None for nu in seq.measures)
 
 
+@pytest.mark.parametrize("mode", ["power", "mass"])
+def test_blowup_rungs_are_the_scaled_window_restrictions(line_entry, identity2,
+                                                         mode):
+    # Each rung is one mask and one measure; its bits are those of
+    # restricting the rescaled measure to the window and scaling it.
+    from gmtlab.blowup import WINDOW_RADIUS, _ellipse_masses
+    from gmtlab.measures import lambda_rescale, restrict
+    mu, a = line_entry.measure, np.array([0.1, 0.0])
+    seq = blowup_sequence(mu, a, identity2, ScaleLadder(**LINE_LADDER),
+                          mode=mode, m=1)
+    masses = _ellipse_masses(mu, a, identity2, seq.radii)
+    window = Ball(np.zeros(2), WINDOW_RADIUS)
+    for r, mass, nu in zip(seq.radii, masses, seq.measures):
+        factor = float(r) ** -1 if mode == "power" else 1.0 / mass
+        want = restrict(lambda_rescale(mu, a, float(r), identity2),
+                        window).scaled(factor)
+        assert np.array_equal(nu.points, want.points)
+        assert np.array_equal(nu.weights, want.weights)
+
+
 def test_blowup_composition_dyadic_exact(line_entry, identity2):
     from gmtlab.measures import AffineMap, lambda_rescale, pushforward
     mu = line_entry.measure

@@ -9,7 +9,8 @@ from gmtlab.cli import ConfigError, RunConfig, _fmt, main
 from gmtlab.cones import cone_floor
 from gmtlab.errors import SolverError
 from gmtlab.corpus import gen_half_line
-from gmtlab.measures import lambda_rescale, save_measure_csv
+from gmtlab.measures import (DiscreteMeasure, lambda_rescale,
+                             save_measure_csv)
 from gmtlab.simplex import simplex_max_bounded
 from test_acceptance import CLI_CONFIGS
 
@@ -195,6 +196,33 @@ s = 1.0
     out = tmp_path / "dcone.txt"
     assert run_cli(["metric", "--config", cfg, "--out", str(out)]) == 0
     assert float(out.read_text().strip().splitlines()[1]) <= 0.02
+
+
+def test_metric_dcone_ignores_the_seed(tmp_path):
+    # A 4-D cloud whose principal value is above floor/2, so the cone search
+    # runs; its frames are fixed, and --seed seeds only the dmo probes.
+    rng = np.random.default_rng(1)
+    cloud = DiscreteMeasure(rng.normal(size=(25, 4)) * 0.4,
+                            rng.uniform(0.5, 1, 25))
+    save_measure_csv(cloud, tmp_path / "cloud.csv")
+    cfg = write_cfg(tmp_path, f"""
+[measure]
+kind = csv
+path = {tmp_path / "cloud.csv"}
+dim = 4
+[metric]
+mode = dcone
+m = 1
+s = 1.0
+""")
+    texts = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"dcone{seed}.txt"
+        assert run_cli(["metric", "--config", cfg, "--out", str(out),
+                        "--seed", seed]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    assert float(texts[0].decode().splitlines()[1]) > cone_floor(1.0, 1) / 2
 
 
 def test_dmo_constant_field_zeros(tmp_path):

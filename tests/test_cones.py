@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
@@ -381,9 +382,10 @@ def test_principal_frame_shortcut_above_the_plane():
 
 def test_search_never_reports_more_than_the_principal_frame():
     # 81 atoms 0.025 apart on a line in R^4: along (1, 2, -2, 0.5) the
-    # principal value is just above floor/2, so the search runs, and its 200
-    # random frames find nothing as good; the axis-aligned copy stops at its
-    # principal frame.  The two copies agree within floor/2.
+    # principal value is just above floor/2, so the search runs, and neither
+    # its coarse frames nor its chart refinement finds anything as good; the
+    # axis-aligned copy stops at its principal frame.  The two copies agree
+    # within floor/2.
     t = np.arange(-40, 41) * 0.025
     direction = np.array([1.0, 2.0, -2.0, 0.5])
     direction /= np.linalg.norm(direction)
@@ -392,6 +394,64 @@ def test_search_never_reports_more_than_the_principal_frame():
     values = [d_cone_flat(nu, 1, 1.0) for nu in (tilted, axis)]
     assert abs(values[0] - values[1]) <= cone_floor(1.0, 1) / 2
     assert repr(values[0]) == "0.012500000000000068"
+
+
+@pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+def test_chart_frames_are_orthonormal_and_centred(n, m):
+    # The coarse frames are orthonormal and sign-canonical.  The chart
+    # around each maps X to an orthonormal frame of the plane spanned by
+    # F + C X (C an orthonormal basis of the complement of F), and X = 0
+    # spans F itself.
+    rng = np.random.default_rng(9)
+    frames = cones._coarse_frames(n, m)
+    assert len(frames) == len(list(combinations(range(n), m))) + 64
+    for frame in frames:
+        assert np.abs(frame.T @ frame - np.eye(m)).max() <= 1e-12
+        assert np.array_equal(cones._signed(frame), frame)
+        origin, frame_at = cones._chart(frame)
+        assert np.array_equal(origin, np.zeros((n - m) * m))
+        centre = frame_at(origin)
+        assert np.abs(centre @ centre.T - frame @ frame.T).max() <= 1e-12
+        perp = np.linalg.qr(frame, mode="complete")[0][:, m:]
+        for scale in (1e-3, 0.1, 1.0, 10.0):
+            x = rng.normal(size=origin.size) * scale
+            q = frame_at(x)
+            assert np.abs(q.T @ q - np.eye(m)).max() <= 1e-12
+            graph = frame + perp @ x.reshape(n - m, m)
+            assert np.abs(q @ (q.T @ graph) - graph).max() <= 1e-12 * (
+                1.0 + scale)
+
+
+def _cross3():
+    """Three arms of 41 atoms 0.05 apart along the axes of R^3, sharing the
+    origin."""
+    arm = np.arange(-20, 21) * 0.05
+    tail = arm[arm != 0]
+    axes = np.eye(3)
+    pts = np.vstack([np.outer(arm, axes[0]), np.outer(tail, axes[1]),
+                     np.outer(tail, axes[2])])
+    return DiscreteMeasure(pts, np.full(pts.shape[0], 0.05))
+
+
+def test_chart_search_values_are_pinned():
+    # Three inputs above the plane whose principal value is above floor/2,
+    # so each runs the coarse frames and the chart search; values and
+    # transport solves are pinned.  The smoke cloud of
+    # test_d_cone_three_dimensional_smoke as a 2-plane problem, the
+    # three-axis cross for lines, and the second of two 25-atom clouds in R^4
+    # (four clouds in R^3 are drawn first) for 2-planes.
+    rng = np.random.default_rng(8)
+    smoke = DiscreteMeasure(rng.normal(size=(30, 3)) * 0.4,
+                            rng.uniform(0.5, 1, 30))
+    rng = np.random.default_rng(1)
+    clouds = [DiscreteMeasure(rng.normal(size=(25, n)) * 0.4,
+                              rng.uniform(0.5, 1, 25))
+              for n in (3, 3, 3, 3, 4, 4, 4, 4)]
+    got = [_value_and_solves(nu, m)
+           for nu, m in ((smoke, 2), (_cross3(), 1), (clouds[7], 2))]
+    assert [(repr(value), solves) for value, solves in got] == [
+        ("0.7802817936200723", 129), ("0.5577549960255839", 93),
+        ("0.931940580610303", 132)]
 
 
 def test_compass_search_stop_rules():

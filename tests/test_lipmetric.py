@@ -227,10 +227,15 @@ def test_scaling_residual_small(r):
 
 
 def test_scaling_residual_exact_at_unit():
+    # At r = 1 the rescaled program is the direct one, bit for bit, so a
+    # mixed pair costs one transport solve.
     rng = np.random.default_rng(37)
     mu = random_cloud(rng, 6)
     nu = random_cloud(rng, 6)
-    assert f_scaling_residual(mu, nu, 1.0) == 0.0
+    with mock.patch.object(transport, "transport_simplex",
+                           wraps=transport.transport_simplex) as solve:
+        assert f_scaling_residual(mu, nu, 1.0) == 0.0
+    assert solve.call_count == 1
 
 
 def test_corrupted_duals_fail_the_potential_gap_audit(monkeypatch):
