@@ -17,10 +17,10 @@ Three kernel flavors act on pairs (x, y), all singular at y = x:
 Truncated sums integrate a kernel against a discrete measure over the
 ellipse window eps <= |L(x)^{-1}(y-x)| < R.  The convergence scan
 masks one pass of kernel rows and window distances per eps, as `truncated_pv`
-does, and classifies the ladder as converged / oscillating / diverging,
-and ``frozen_discrepancy`` measures how far the kernel frozen at a ball
-average drifts from the kernel frozen at the center, the engine of the
-variable-coefficient comparison.
+does, and classifies the ladder as converged / oscillating / diverging.
+``frozen_discrepancy``, the engine of the variable-coefficient comparison,
+measures how far the theta kernel frozen at a ball average drifts from the
+one frozen at the center; theta is homogeneous, so unit directions suffice.
 
 Summation order: each window sum adds its weighted kernel terms in atom
 order, one after another from +0.0; the terms are stored as contiguous
@@ -285,53 +285,59 @@ def ball_average(field, center, r):
 
 
 @functools.cache
-def _annulus_grid(n):
-    """Unit-scale sample of the annulus 1/2 <= |y| <= 2: 8 radii times 96
-    directions.  Built once per dimension and read-only."""
-    radii = np.linspace(0.5, 2.0, 8)
-    angular = 96
+def _directions(n):
+    """96 unit directions, read-only and built once per n: equal angles for
+    n = 2, a Fibonacci sphere for n = 3; any other n is refused by name."""
+    k = np.arange(96)
     if n == 2:
-        th = np.arange(angular) * (2 * np.pi / angular)
+        th = k * (2 * np.pi / 96)
         dirs = np.column_stack([np.cos(th), np.sin(th)])
     elif n == 3:
-        k = np.arange(angular)
-        z = -1.0 + 2.0 * (k + 0.5) / angular
+        z = -1.0 + 2.0 * (k + 0.5) / 96
         phi = k * np.pi * (3.0 - np.sqrt(5.0))
         rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         dirs = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
     else:
-        raise ContractError("annulus grids implemented for dim <= 3 only")
-    grid = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    grid.flags.writeable = False
-    return grid
+        raise ContractError(f"frozen discrepancy needs dim 2 or 3, got {n}")
+    dirs.flags.writeable = False
+    return dirs
+
+
+def _theta_rows(stack, dirs):
+    """theta_M(g) = M^{-1} g / (det(M)^{1/2} <M^{-1} g, g>^{n/2}) for each M
+    of the (k, n, n) SPD ``stack`` and each row g of ``dirs``: (k, D, n)."""
+    w = dirs @ np.linalg.inv(stack).transpose(0, 2, 1)
+    q = np.sum(w * dirs, axis=2) ** (0.5 * dirs.shape[1])
+    return w / (np.sqrt(np.linalg.det(stack))[:, None] * q)[:, :, None]
 
 
 def frozen_discrepancy(field, a, r):
-    """Sup over the annulus of the frozen-kernel drift, scale-normalized:
+    """Sup over y != a of the scale-normalized frozen-kernel drift
 
-        sup  | grad_theta(a, y; avg of A over B(a, 1.5 r))
-               - grad_theta(a, y; A(a)) | * |y - a|^{n-1}
+        | theta(y - a; avg of A over B(a, 1.5 r)) - theta(y - a; A(a)) |
+            * |y - a|^{n-1}
 
-    over r/2 <= |y - a| <= 2 r.  Zero for constant fields; decreasing
-    in r wherever the field is continuous at ``a`` (trend check only).
+    (theta as in `theta_kernel`, n = 2 or 3).  theta is homogeneous of
+    degree 1 - n, so the drift is constant along each ray from a: the sup is
+    taken over the 96 unit directions of `_directions`, and r enters only
+    through the ball average.  Zero for constant fields; decreasing in r
+    wherever the field is continuous at ``a`` (trend check only).
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     n = a.size
     if field.dim != n:
         raise DimensionMismatchError("field/center dimension mismatch")
     require_positive_finite("radius", r)
+    dirs = _directions(n)
 
     avg = ball_average(field, a, 1.5 * r)
     avg = 0.5 * (avg + avg.T)
-    if np.linalg.eigvalsh(avg).min() <= 0:
-        raise ContractError("ball average of the field is not SPD")
     local = np.asarray(field.matrix(a), dtype=float)
-
-    ys = a + r * _annulus_grid(n)
-    k_avg = theta_kernel(avg)
-    k_loc = theta_kernel(local)
-    v_avg, _ = _kernel_rows(k_avg, a, ys)
-    v_loc, _ = _kernel_rows(k_loc, a, ys)
-    dist = lambda_distances(ys, a)[1]
-    gap = np.sqrt(np.sum((v_avg - v_loc) ** 2, axis=1)) * dist ** (n - 1)
-    return float(gap.max())
+    stack = np.stack([avg, local])
+    low = np.linalg.eigvalsh(stack).min(axis=1)
+    if low[0] <= 0:
+        raise ContractError("ball average of the field is not SPD")
+    if low[1] <= 0 or not np.array_equal(local, local.T):
+        spd_sqrt(local)  # its refusals: asymmetric beyond 1e-10, not PD
+    theta = _theta_rows(stack, dirs)
+    return float(np.sqrt(np.sum((theta[0] - theta[1]) ** 2, axis=1)).max())

@@ -407,11 +407,16 @@ def ball_midpoints(centers, r, k):
     around each ball that lie in it, from one offsets grid and one distance
     pass.  Returns the (M, n) nodes, center after center, and the (P,) node
     count of each center; each center's nodes are those it would get alone.
+    A ball left without nodes (non-finite center, overflow) is refused.
     """
-    offsets = (np.arange(k) + 0.5) / k * (2 * r) - r
-    grids = np.meshgrid(*([offsets] * centers.shape[1]), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1) + centers[:, None, :]
-    inside = lambda_distances(pts, centers[:, None, :])[1] <= r
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = (np.arange(k) + 0.5) / k * (2 * r) - r
+        index = np.indices((k,) * centers.shape[1])
+        pts = offsets[index.reshape(len(index), -1).T] + centers[:, None, :]
+        inside = lambda_distances(pts, centers[:, None, :])[1] <= r
+    if not inside.any(axis=1).all():
+        raise ContractError(f"radius {r} leaves a probe ball without "
+                            f"quadrature nodes")
     return pts[inside], inside.sum(axis=1)
 
 

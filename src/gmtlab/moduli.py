@@ -65,36 +65,40 @@ class OscillationProfile:
             raise ContractError("doubling constant must be >= 1")
 
     def interpolator(self):
-        """theta(t): log-linear interpolation of the profile.
+        return _interpolator(self.radii, self.omega)
 
-        Below the ladder the profile is extended by the power law fitted to
-        the two smallest radii (clipped to nonnegative exponents) so that
-        Holder-type decay is preserved; above it is flat-extended.  A
-        one-radius profile is flat-extended on both sides.
-        """
-        radii = np.asarray(self.radii, dtype=float)
-        omega = np.asarray(self.omega, dtype=float)
-        order = np.argsort(radii)
-        radii, omega = radii[order], omega[order]
-        log_r = np.log(radii)
-        lo_r, lo_w = radii[0], omega[0]
-        hi_w = omega[-1]
-        if lo_w > 0 and omega.size > 1 and omega[1] > 0 and radii[1] > lo_r:
-            beta = (np.log(omega[1]) - np.log(lo_w)) / (np.log(radii[1]) - np.log(lo_r))
-            beta = float(np.clip(beta, 0.0, 8.0))
-        else:
-            beta = 0.0 if lo_w > 0 else 1.0
 
-        def theta(t):
-            t = np.asarray(t, dtype=float)
-            out = np.interp(np.log(np.maximum(t, 1e-300)), log_r, omega,
-                            left=np.nan, right=hi_w)
-            below = t < lo_r
-            if np.any(below):
-                out = np.where(below, lo_w * (t / lo_r) ** beta, out)
-            return out
+def _interpolator(radii, omega):
+    """theta(t): log-linear interpolation of a profile omega on ``radii``.
 
-        return theta
+    Below the ladder the profile is extended by the power law fitted to
+    the two smallest radii (clipped to nonnegative exponents) so that
+    Holder-type decay is preserved; above it is flat-extended.  A
+    one-radius profile is flat-extended on both sides.
+    """
+    radii = np.asarray(radii, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    order = np.argsort(radii)
+    radii, omega = radii[order], omega[order]
+    log_r = np.log(radii)
+    lo_r, lo_w = radii[0], omega[0]
+    hi_w = omega[-1]
+    if lo_w > 0 and omega.size > 1 and omega[1] > 0 and radii[1] > lo_r:
+        beta = (np.log(omega[1]) - np.log(lo_w)) / (np.log(radii[1]) - np.log(lo_r))
+        beta = float(np.clip(beta, 0.0, 8.0))
+    else:
+        beta = 0.0 if lo_w > 0 else 1.0
+
+    def theta(t):
+        t = np.asarray(t, dtype=float)
+        out = np.interp(np.log(np.maximum(t, 1e-300)), log_r, omega,
+                        left=np.nan, right=hi_w)
+        below = t < lo_r
+        if np.any(below):
+            out = np.where(below, lo_w * (t / lo_r) ** beta, out)
+        return out
+
+    return theta
 
 
 def seeded_probes(dim, count=64, seed=0):
@@ -103,25 +107,31 @@ def seeded_probes(dim, count=64, seed=0):
     return rng.uniform(-PROBE_BOX, PROBE_BOX, size=(count, dim))
 
 
-def _oscillations(field, probes, r, grid):
-    """Mean over B(p, r) of |A - mean(A)| in Frobenius norm for every probe
-    p, in order, from one `field.matrices` call per batch of probes; a ball
-    left without nodes by overflowing distances is rejected."""
+def _omega_maxima(field, probe_centers, radii, grid=BALL_GRID):
+    """The sorted radii and, per radius r, the largest over the probes p of
+    the mean over B(p, r) of |A - mean(A)|_F at ``grid`` midpoints per axis."""
+    probes = np.asarray(probe_centers, dtype=float)
+    radii = np.asarray(sorted(float(r) for r in radii))
+    if probes.ndim != 2 or probes.shape[0] == 0 or radii.size == 0:
+        raise ContractError("need nonempty probes and radii")
+    if probes.shape[1] != field.dim:
+        raise ContractError("probe dimension does not match the field")
+    for r in radii:
+        require_positive_finite("radius", r)
     batch = max(1, BALL_GRID ** 4 // grid ** probes.shape[1])
-    out = []
-    for k in range(0, len(probes), batch):
-        with np.errstate(over="ignore"):
+    omega = np.zeros(radii.size)
+    for i, r in enumerate(radii):
+        out = []
+        for k in range(0, len(probes), batch):
             nodes, counts = ball_midpoints(probes[k:k + batch], r, grid)
-        if not counts.all():
-            raise ContractError(f"radius {r} leaves a probe ball without "
-                                f"quadrature nodes")
-        mats = field.matrices(nodes)
-        ends = np.cumsum(counts).tolist()
-        for lo, hi in zip([0] + ends[:-1], ends):
-            ball = mats[lo:hi]
-            dev = ball - ball.mean(axis=0)
-            out.append(float(np.sqrt(np.sum(dev * dev, axis=(1, 2))).mean()))
-    return out
+            mats = field.matrices(nodes)
+            ends = np.cumsum(counts).tolist()
+            for lo, hi in zip([0] + ends[:-1], ends):
+                dev = mats[lo:hi] - mats[lo:hi].mean(axis=0)
+                norms = np.sqrt(np.sum(dev * dev, axis=(1, 2)))
+                out.append(float(norms.mean()))
+        omega[i] = max(out)
+    return radii, omega
 
 
 def omega_profile(field, probe_centers, radii):
@@ -131,23 +141,11 @@ def omega_profile(field, probe_centers, radii):
     profile is a lower bound on the true modulus.  Ball means use `BALL_GRID`
     midpoints per axis; error bars compare them with half that resolution.
     """
-    probes = np.asarray(probe_centers, dtype=float)
-    radii = np.asarray(sorted(float(r) for r in radii))
-    if probes.ndim != 2 or probes.shape[0] == 0 or radii.size == 0:
-        raise ContractError("need nonempty probes and radii")
-    if probes.shape[1] != field.dim:
-        raise ContractError("probe dimension does not match the field")
-    for r in radii:
-        require_positive_finite("radius", r)
-    omega = np.zeros(radii.size)
-    errs = np.zeros(radii.size)
-    for k, r in enumerate(radii):
-        full = max(_oscillations(field, probes, r, BALL_GRID))
-        half = max(_oscillations(field, probes, r, BALL_GRID // 2))
-        omega[k] = full
-        errs[k] = abs(full - half)
+    radii, omega = _omega_maxima(field, probe_centers, radii)
+    half = _omega_maxima(field, probe_centers, radii, BALL_GRID // 2)[1]
     kappa = doubling_constant(radii, omega) if radii.size >= 2 else 1.0
-    return OscillationProfile(radii=radii, omega=omega, errors=errs,
+    return OscillationProfile(radii=radii, omega=omega,
+                              errors=np.abs(omega - half),
                               kappa_hat=max(kappa, 1.0))
 
 
@@ -225,10 +223,12 @@ def tau_moduli(field, probes, r):
     """tau(r) = I_omega(r) + L^{n-1}_omega(r) and the companion
     tau_hat(r) = I_omega(r) + L^{n-2}_omega(r).
 
-    The oscillation profile is measured on a dyadic ladder spanning two
-    decades below r up to T_MAX and interpolated; both moduli reuse exactly
-    the Dini quadratures of `dini_small` / `dini_large`.  A radius so small
-    that T_MAX / (r/100) is not finite is rejected with `ContractError`.
+    The oscillation maxima are measured at full resolution only (no error
+    bars, no doubling constant) on a dyadic ladder spanning two decades below
+    r up to T_MAX and interpolated as `OscillationProfile.interpolator` does;
+    both moduli reuse exactly the Dini quadratures of `dini_small` /
+    `dini_large`.  A radius so small that T_MAX / (r/100) is not finite is
+    rejected with `ContractError`.
     """
     require_positive_finite("radius", r)
     with np.errstate(divide="ignore", over="ignore"):
@@ -242,8 +242,8 @@ def tau_moduli(field, probes, r):
         raise ContractError("oscillation ladder too short (need >= 4 radii)")
     assert ladder[0] <= r / 10 and ladder[-1] == T_MAX
 
-    profile = omega_profile(field, probes, ladder)
-    return tau_of_modulus(profile.interpolator(), field.dim, r)
+    theta = _interpolator(*_omega_maxima(field, probes, ladder))
+    return tau_of_modulus(theta, field.dim, r)
 
 
 def tau_of_modulus(theta, n, r):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,3 +270,40 @@ def test_frozen_discrepancy_rejects_singular_phase():
                              m2=np.zeros((2, 2)), cell=0.5)
     with pytest.raises(SingularMatrixError):
         frozen_discrepancy(field, np.array([0.1, 0.1]), 0.3)
+
+
+@pytest.mark.parametrize("field,a,message", [
+    # The ball average symmetrizes to I; the local matrix is not symmetric.
+    (EllipseField.constant([[1.0, 0.5], [-0.5, 1.0]]), (0.0, 0.0),
+     "matrix must be symmetric"),
+    # The ball average has eigenvalues 0.25 and 1; the local matrix
+    # diag(1, -0.5) is indefinite.
+    (gen_lambda_field("checkerboard", m1=np.eye(2), m2=np.diag([1.0, -0.5]),
+                      cell=1.0), (1.01, 0.5),
+     "matrix must be positive definite"),
+], ids=["non-symmetric", "indefinite"])
+def test_frozen_discrepancy_refuses_a_local_matrix_that_is_not_spd(
+        field, a, message):
+    with pytest.raises(ContractError, match=message):
+        frozen_discrepancy(field, np.array(a), 0.3)
+
+
+@pytest.mark.parametrize("a,r,named", [
+    ((np.nan, 0.0), 0.1, 1.5 * 0.1),
+    ((np.inf, 0.0), 0.1, 1.5 * 0.1),
+    ((0.3, 0.1), 1e308, 1.5e308),  # the cube edge 2 * 1.5 r overflows
+])
+def test_frozen_discrepancy_refuses_a_ball_without_nodes(a, r, named):
+    field = gen_lambda_field("rotating", eccentricity=2.0, rate=1.0)
+    with pytest.raises(ContractError, match=re.escape(
+            f"radius {named} leaves a probe ball without quadrature nodes")):
+        frozen_discrepancy(field, np.array(a), r)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_frozen_discrepancy_refuses_other_dimensions_before_averaging(n):
+    def evaluate(pts):
+        raise AssertionError("the field was evaluated")
+
+    with pytest.raises(ContractError, match=f"needs dim 2 or 3, got {n}"):
+        frozen_discrepancy(EllipseField(evaluate, n), np.zeros(n), 0.1)

@@ -5,7 +5,7 @@ from gmtlab.cones import FlatMeasureSpec, sample_flat
 from gmtlab.corpus import gen_lambda_field
 from gmtlab.errors import ContractError, DiniDivergenceWarning
 from gmtlab.kernels import frozen_discrepancy
-from gmtlab.measures import BALL_GRID, EllipseField
+from gmtlab.measures import BALL_GRID, EllipseField, ball_midpoints
 from gmtlab.moduli import (dini_large, dini_small, doubling_constant,
                            omega_profile, seeded_probes, tau_moduli,
                            tau_of_modulus)
@@ -220,3 +220,24 @@ def test_omega_profile_bounds_each_field_call():
     assert max(sizes) <= BALL_GRID ** 4
     # five one-probe calls at full resolution, one five-probe call at half
     assert len(sizes) == 6 and sizes[:5] == [sizes[0]] * 5
+
+
+def test_tau_moduli_reads_full_resolution_maxima_only(monkeypatch):
+    # tau reads omega alone: no half-resolution error bars are computed,
+    # and the moduli equal those of the full profile on the same ladder.
+    import gmtlab.moduli as moduli
+    calls = []
+
+    def recording(centers, r, k):
+        calls.append((float(r), k))
+        return ball_midpoints(centers, r, k)
+
+    field = _sin_field()
+    monkeypatch.setattr(moduli, "ball_midpoints", recording)
+    got = tau_moduli(field, PROBES, 0.1)
+    monkeypatch.undo()
+    assert {k for _, k in calls} == {BALL_GRID}
+    ladder = sorted({r for r, _ in calls})
+    want = tau_of_modulus(omega_profile(field, PROBES, ladder).interpolator(),
+                          2, 0.1)
+    assert tuple(got) == tuple(want)

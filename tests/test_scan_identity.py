@@ -15,8 +15,11 @@ distance routine.  Equality is exact, never approximate.
 The batched routines are held to the expressions they replaced, written out
 here as references, down to the sign of zero: each principal-value window
 against the row-by-row sum ``(w[k, None] * vals[k]).sum(axis=0)``, and
-`omega_profile` against one midpoint quadrature per probe.  A pinned set of
-scan outputs catches a change of summation order without the benchmark.
+`omega_profile` against one midpoint quadrature per probe.  The frozen
+drift, a sup over unit directions, is held to the 768-node annulus formula
+it equals in exact arithmetic: within 1e-12 relative, and exactly where that
+formula gives 0.  A pinned set of scan outputs catches a change of summation
+order without the benchmark.
 """
 
 import numpy as np
@@ -28,7 +31,8 @@ from gmtlab import corpus
 from gmtlab.blowup import (WINDOW_RADIUS, ScaleLadder, blowup_sequence,
                            density_scan, sandwich_check)
 from gmtlab.corpus import gen_lambda_field
-from gmtlab.kernels import (_kernel_rows, _window_sums, finsler_kernel,
+from gmtlab.kernels import (_directions, _kernel_rows, _theta_rows,
+                            _window_sums, ball_average, finsler_kernel,
                             frozen_discrepancy, pv_convergence_scan,
                             riesz_kernel, theta_kernel, truncated_pv)
 from gmtlab.measures import (BALL_GRID, Ball, DiscreteMeasure, EllipseField,
@@ -384,6 +388,87 @@ def test_omega_profile_equals_per_probe_quadratures(n, kind):
 
 
 # ---------------------------------------------------------------------------
+# Frozen discrepancy
+# ---------------------------------------------------------------------------
+
+def _annulus_frozen(field, a, r):
+    """The frozen drift on the annulus: both kernels through
+    `_kernel_rows` at the 768 nodes a + r t g of the annulus r/2 <= |y - a|
+    <= 2r (8 radii t, the 96 directions g), scaled by |y - a|^{n-1}."""
+    n = a.size
+    avg = ball_average(field, a, 1.5 * r)
+    avg = 0.5 * (avg + avg.T)
+    grid = np.linspace(0.5, 2.0, 8)[:, None, None] * _directions(n)
+    ys = a + r * grid.reshape(-1, n)
+    v_avg = _kernel_rows(theta_kernel(avg), a, ys)[0]
+    v_loc = _kernel_rows(theta_kernel(field.matrix(a)), a, ys)[0]
+    dist = _distances(ys, a)[1]
+    return float((np.sqrt(np.sum((v_avg - v_loc) ** 2, axis=1))
+                  * dist ** (n - 1)).max())
+
+
+# Cell edges, a cell corner and cell interiors of the checkerboard (cell
+# 0.5), generic points of the smooth fields, and the origin of the radial
+# ones, where they are least regular.
+FROZEN_PANEL = [
+    ("rotating", [(0.3, 0.1), (-0.7, 0.45), (0.0, 0.0), (1.2, -0.8)]),
+    ("checkerboard", [(0.5, 0.25), (0.5, 0.5), (0.0, 0.3), (-0.5, -0.1),
+                      (0.25, 0.25), (0.3, 0.1), (0.45, 0.2)]),
+]
+FROZEN_RADIAL = [(2, (0.0, 0.0)), (2, (0.3, -0.2)), (3, (0.0, 0.0, 0.0)),
+                 (3, (0.2, -0.1, 0.3))]
+
+
+@pytest.mark.parametrize("r", [0.1, 0.05])
+def test_frozen_discrepancy_equals_the_annulus_sup(r):
+    # theta is homogeneous of degree 1 - n: on each ray the scaled drift is
+    # one value, so the sup over the annulus is the sup over directions.
+    cases = [(gen_lambda_field(**FIELDS[name]), a)
+             for name, points in FROZEN_PANEL for a in points]
+    cases += [(gen_lambda_field("radial_holder", alpha=0.5, n=n), a)
+              for n, a in FROZEN_RADIAL]
+    for field, a in cases:
+        a = np.array(a)
+        want = _annulus_frozen(field, a, r)
+        got = frozen_discrepancy(field, a, r)
+        assert abs(got - want) <= 1e-12 * want, (a, got, want)
+
+
+@pytest.mark.parametrize("field,a", [
+    (EllipseField.constant([[2.0, 0.5], [0.5, 1.0]]), (0.3, -1.2)),
+    (EllipseField.constant(np.diag([3.0, 2.0, 1.0])), (0.1, 0.2, 0.3)),
+    (gen_lambda_field(**FIELDS["checkerboard"]), (0.25, 0.25)),
+    (gen_lambda_field(**FIELDS["checkerboard"]), (0.8, 0.3)),
+], ids=["constant-2", "constant-3", "cell-m1", "cell-m2"])
+def test_frozen_discrepancy_is_exactly_zero_for_one_matrix(field, a):
+    # Inside one checkerboard cell the ball B(a, 1.5 r) meets one phase.
+    for r in (0.1, 0.05):
+        assert frozen_discrepancy(field, np.array(a), r) == 0.0
+
+
+def test_frozen_discrepancy_at_a_tiny_radius_is_finite():
+    # The annulus a + r g collapses onto a at r = 1e-300; the directions
+    # do not.
+    field = gen_lambda_field(**FIELDS["rotating"])
+    value = frozen_discrepancy(field, np.array([0.3, 0.1]), 1e-300)
+    assert np.isfinite(value) and value >= 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_theta_rows_equal_the_theta_kernel(n):
+    rng = np.random.default_rng(n)
+    dirs = _directions(n)
+    mats = []
+    for _ in range(6):
+        b = rng.normal(size=(n, n))
+        mats.append(b @ b.T + 0.1 * np.eye(n))
+    got = _theta_rows(np.stack(mats), dirs)
+    for mat, rows in zip(mats, got):
+        want = _kernel_rows(theta_kernel(mat), np.zeros(n), dirs)[0]
+        assert np.abs(rows - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# ---------------------------------------------------------------------------
 # Pinned scan outputs
 # ---------------------------------------------------------------------------
 
@@ -435,4 +520,4 @@ def test_scan_outputs_are_pinned():
     assert repr(prof.kappa_hat) == "2.0000621764562467"
     assert repr(tuple(tau_moduli(field, probes, 0.1))) == (
         "(0.2733832750258295, 0.2733832750258295)")
-    assert repr(frozen_discrepancy(field, a, 0.05)) == "0.000976739772421006"
+    assert repr(frozen_discrepancy(field, a, 0.05)) == "0.0009767397724208219"
