@@ -8,25 +8,22 @@ measure to the cone of m-dimensional flat measures,
                              mu = c H^m|V,  F_s(mu) = 1 },
 
 with the normalizing constant per plane fixed in closed form since F_s is
-linear in the weights.  The principal frame is tried first: the top-m
-eigenvectors of the second moment sum_i w_i x_i x_i^T of the target, the
-plane of the L^2 beta-numbers.  Its value U is an upper bound on the
-infimum, and cone distances are >= 0, so U <= floor/2 (half the
-discretization floor below) is certified by the bracket [0, U] and is
-returned after at most one transport solve.  Otherwise a fixed coarse set
-of frames is followed by a compass search in local coordinates around the
-best of them: for n = 2, 36 angles and the angle; above the plane, the axis
-frames plus fixed-seed Gaussian frames, and the m(n - m) coordinates of the
-graph chart X -> qr(F + C X) of G(n, m).  The result is the smallest value
-seen, the principal frame's included, an upper bound that is not
-certified.  The principal solve has a `gmtlab.transport.WarmStart` holder
-of its own, and each search stage warm-starts its chain of F_s programs
-through another, so each solve starts from the basis of the nearest frame
-solved before it in that stage: coarse frames are keyed by their angle
-(n = 2) or their projector F F^T, chart frames by their coordinates (the
-compass search takes over the principal holder when the coarse stage picks
-the principal frame); no solver state outlives the call.  Values are
-clamped to [0, 1], and 1 is returned when F_s(nu) = 0.
+linear in the weights.  The target is nu restricted to B(0, s), the only
+mass F_s sees.  The principal frame is tried first: the top-m eigenvectors
+of the target's second moment sum_i w_i x_i x_i^T, the plane of the L^2
+beta-numbers.  Its value U bounds the infimum above, and cone distances are
+>= 0, so U <= floor/2 (half the discretization floor below) is certified by
+the bracket [0, U] and returned after at most one transport solve.
+Otherwise a fixed coarse set of frames (36 angles for n = 2; above the
+plane, the axis frames and fixed-seed Gaussian frames) is followed by a
+compass search around the best of them in a chart of G(n, m): the angle for
+n = 2, the m(n - m) coordinates of the graph chart X -> qr(F + C X) above.
+The result is the smallest value seen, the principal frame's included, an
+upper bound that is not certified.  All solves of a call share one
+`gmtlab.transport.WarmStart` holder keyed by the projector F F^T of their
+frame, so each starts from the basis of the nearest frame solved before it
+with the same marginals.  Values are clamped to [0, 1], and 1 is returned
+when F_s(nu) = 0.
 
 ``symmetry_defect`` evaluates the annulus moment whose vanishing at every
 window characterizes points of symmetry.
@@ -45,8 +42,9 @@ import numpy as np
 
 from .errors import (ContractError, DimensionMismatchError,
                      require_atom_count, require_positive_finite)
-from .lipmetric import SITE_CAP, _merge_duplicates, f_ball
-from .measures import TIE_TOL, DiscreteMeasure, lambda_distances
+from .lipmetric import SITE_CAP, _merge_duplicates, ball_mask, f_ball
+from .measures import (TIE_TOL, DiscreteMeasure, lambda_distances,
+                       require_finite_distances)
 from .transport import WarmStart
 
 # Candidate-plane grid spacing relative to the scale s, per dimension m of
@@ -148,22 +146,6 @@ def sample_flat(spec, radius):
 # ---------------------------------------------------------------------------
 # Distance to the flat cone
 # ---------------------------------------------------------------------------
-
-def _rebin(measure, step, radius):
-    """Snap points inside B(0, radius) to a grid of the given step.
-
-    Mass-preserving; moves each point by at most step * sqrt(n) / 2, so the
-    effect on normalized cone distances is inside the reported floor.  The
-    atoms of a cell merge as in `gmtlab.lipmetric._merge_duplicates`: cells
-    in lexicographic order, masses summed in input order, and cells whose
-    mass sums to zero dropped.
-    """
-    pts = measure.points
-    keep = np.sqrt(np.sum(pts * pts, axis=1)) <= radius * (1 + TIE_TOL)
-    pts, w = pts[keep], measure.weights[keep]
-    keys, agg = _merge_duplicates(np.round(pts / step), w)
-    return DiscreteMeasure(keys * step, agg, dim=measure.dim)
-
 
 def _flat_mass_norm(points, weights, s):
     """F_s of a nonnegative measure in closed form: sum w_i (s - |x_i|)."""
@@ -267,117 +249,95 @@ def _compass_search(fun, x, fx):
     return fx
 
 
+def _level(target, m, s, step):
+    """The F_s-normalized ``target``, the plane-grid coordinates and their
+    weights at grid step ``step``; None when the target has no F_s mass.
+
+    A target of more than ``SITE_CAP // 2`` atoms is first snapped to the
+    grid of ``step``, each atom moving by at most step * sqrt(n) / 2, inside
+    the floor; a cell's atoms merge as in `gmtlab.lipmetric._merge_duplicates`.
+    """
+    if target.points.shape[0] > SITE_CAP // 2:
+        cells, mass = _merge_duplicates(np.round(target.points / step),
+                                        target.weights)
+        target = DiscreteMeasure(cells * step, mass, dim=target.dim)
+    norm = f_ball(target, DiscreteMeasure.empty(target.dim), s)
+    if norm <= 0.0:
+        # All mass sits within a bin of the sphere; nothing to normalize.
+        return None
+    coords = _plane_grid(m, step, s)
+    return (DiscreteMeasure(target.points, target.weights / norm,
+                            dim=target.dim),
+            coords, np.full(coords.shape[0], step ** m))
+
+
 def d_cone_flat(nu, m, s):
     """Distance in [0, 1] from ``nu`` to the m-flat cone at scale ``s``.
 
     Returns 1 when F_s(nu) = 0 (discrete measures never reach the infinite
-    branch of the convention).  Minimizes over planes with the per-plane
-    constant fixed by F_s-normalization in closed form.  The principal frame
-    (`_principal_frame` of the full-resolution target) is evaluated first,
-    at full resolution; a value within ``cone_floor(s, m) / 2`` is returned
-    as it is, certified by the bracket [0, value].  Otherwise the
-    `_coarse_frames` at half resolution pick the best frame, and
-    `_compass_search` refines it in the coordinates of its `_chart` at full
-    resolution (the angle for n = 2, the m(n - m) graph coordinates above
-    the plane), starting from that frame's full-resolution value (first
-    step pi/72, at most 60 further evaluations); the smaller of its result
-    and the principal value is returned.  When the coarse stage picks the
-    principal frame itself, the principal solve and its holder are the
-    search's start.  Each stage warm-starts its transport solves through its
-    own holder: a solve starts from the stored basis of the nearest key of
-    that stage (ties to the most recent).  Coarse frames are keyed by their
-    angle for n = 2, so a solve starts from the previous angle, and above
-    the plane by their projector F F^T, which depends on neither basis nor
-    sign; the principal frame and the compass search are keyed by chart
-    coordinates, so x + h/2 starts from x + h.  ``s`` must be positive and
-    finite.
+    branch of the convention).  ``nu`` is restricted to B(0, s) once, with
+    the LP's membership test (`gmtlab.lipmetric.ball_mask`).  The principal
+    frame's full-resolution value is returned when it is within
+    ``cone_floor(s, m) / 2``.  Otherwise the `_coarse_frames` at half
+    resolution pick a frame, `_compass_search` refines it in its `_chart` at
+    full resolution from that frame's value (the principal value when the
+    coarse stage picks the principal frame), and the smaller of its result
+    and the principal value is returned.  The one `WarmStart` of the call
+    keys each solve by its frame's projector F F^T, which depends on
+    neither basis nor sign, so coarse and full-resolution bases, whose
+    marginals differ, never mix.  ``s`` must be positive and finite.
     """
     n = nu.dim
     if not 1 <= m <= n - 1:
         raise ContractError(f"flat dimension m={m} must lie in 1..{n - 1}")
     require_positive_finite("scale s", s)
 
-    fs_nu = f_ball(nu, DiscreteMeasure.empty(n), s)
-    if fs_nu <= 0.0:
+    if f_ball(nu, DiscreteMeasure.empty(n), s) <= 0.0:
         return 1.0
-
+    inside = ball_mask(nu.points, s)
+    inball = DiscreteMeasure(nu.points[inside], nu.weights[inside], dim=n)
     step = cone_grid_step(s, m)
+    warm = WarmStart()
 
-    def normalized_target(source, bin_step):
-        tgt = source
-        inside = (np.sqrt(np.sum(source.points ** 2, axis=1))
-                  <= s * (1 + TIE_TOL))
-        if int(inside.sum()) > SITE_CAP // 2:
-            tgt = _rebin(source, bin_step, s)
-        norm = f_ball(tgt, DiscreteMeasure.empty(n), s)
-        if norm <= 0.0:
-            # All mass sits within a bin of the sphere; nothing to normalize.
-            return None
-        return DiscreteMeasure(tgt.points, tgt.weights / norm, dim=n)
-
-    def plane_grid(spacing):
-        coords = _plane_grid(m, spacing, s)
-        return coords, np.full(coords.shape[0], spacing ** m)
-
-    def plane_distance(frame, key, target, grid_coords, grid_w, warm):
-        warm.key = key
-        pts = grid_coords @ frame.T
-        norm = _flat_mass_norm(pts, grid_w, s)
+    def plane_distance(frame, level):
+        target, coords, weights = level
+        warm.key = (frame @ frame.T).ravel()
+        pts = coords @ frame.T
+        norm = _flat_mass_norm(pts, weights, s)
         if norm <= 0.0:
             return 1.0
-        cand = DiscreteMeasure(pts, grid_w / norm, dim=n)
+        cand = DiscreteMeasure(pts, weights / norm, dim=n)
         return f_ball(target, cand, s, warm=warm)
 
-    # The principal frame first, at full resolution and with its own holder.
-    # Cone distances are >= 0 and every reported value carries the floor,
-    # so a value within half the floor is certified by the bracket [0, U].
-    target = normalized_target(nu, step)
-    if target is None:
+    # The principal frame first, at full resolution.  Cone distances are
+    # >= 0 and every reported value carries the floor, so a value within
+    # half the floor is certified by the bracket [0, U].
+    fine = _level(inball, m, s, step)
+    if fine is None:
         return 1.0
-    coords, base_w = plane_grid(step)
-    principal_frame, principal_warm = _principal_frame(target, m), WarmStart()
-    principal = plane_distance(principal_frame, _chart(principal_frame)[0],
-                               target, coords, base_w, principal_warm)
+    principal_frame = _principal_frame(fine[0], m)
+    principal = plane_distance(principal_frame, fine)
     if principal <= cone_floor(s, m) / 2:
         return float(np.clip(principal, 0.0, 1.0))
 
     # Otherwise the coarse stage at half resolution locates the basin;
     # refinement and the reported value use the full grid (whose floor is
-    # the quoted one).  Each stage chains its LPs through one warm-start
-    # holder: the target is fixed and every candidate atom carries the same
-    # weight, so the transport problems of a stage usually share their
-    # marginals exactly, and every optimal basis kept is a feasible start
-    # for the next.
-    coarse_target = normalized_target(nu, 2 * step)
-    if coarse_target is None:
+    # the quoted one).  A level's problems usually share their marginals
+    # exactly, so every basis kept is a feasible start for the next.
+    coarse = _level(inball, m, s, 2 * step)
+    if coarse is None:
         return 1.0
-    coarse_coords, coarse_w = plane_grid(2 * step)
-    warm = WarmStart()
     best_frame, best_val = None, np.inf
     for frame in _coarse_frames(n, m):
-        key = _chart(frame)[0] if n == 2 else (frame @ frame.T).ravel()
-        val = plane_distance(frame, key, coarse_target, coarse_coords,
-                             coarse_w, warm)
+        val = plane_distance(frame, coarse)
         if val < best_val - 1e-15:
             best_frame, best_val = frame, val
 
-    # A full-resolution holder: no full-resolution problem has the coarse
-    # marginals, so the coarse bases are released here.  When the coarse
-    # stage picked the principal frame itself, its solve is the compass
-    # start, and its holder (that one basis under that frame's key) is the
-    # state a fresh solve of it would leave.
     origin, frame_at = _chart(best_frame)
-    if np.array_equal(best_frame, principal_frame):
-        warm, start = principal_warm, principal
-    else:
-        warm = WarmStart()
-        start = plane_distance(best_frame, origin, target, coords, base_w,
-                               warm)
-
-    def objective(x):
-        return plane_distance(frame_at(x), x, target, coords, base_w, warm)
-
-    best = _compass_search(objective, origin, start)
+    start = (principal if np.array_equal(best_frame, principal_frame)
+             else plane_distance(best_frame, fine))
+    best = _compass_search(lambda x: plane_distance(frame_at(x), fine),
+                           origin, start)
     # Never report more than the principal frame already evaluated.
     return float(np.clip(min(principal, best), 0.0, 1.0))
 
@@ -390,14 +350,17 @@ def symmetry_defect(nu, x, r, R, m):
     """Norm of the annulus moment sum_{r <= |x - z| <= R} (x - z)/|x - z|^{m+1}.
 
     Vanishing for every window characterizes x as a point of symmetry; the
-    returned norm quantifies the failure over this window.
+    returned norm quantifies the failure over this window.  A center that
+    is not finite, or whose distances to the atoms overflow, is refused.
     """
     if not 0 < r < R:
         raise ContractError(f"need 0 < r < R, got ({r}, {R})")
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != nu.dim:
         raise DimensionMismatchError("defect center dimension mismatch")
-    u, dist = lambda_distances(nu.points, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, dist = lambda_distances(nu.points, x)
+    require_finite_distances(dist, x)
     # Closed annulus with the same relative tie tolerance as ball membership,
     # so mirror pairs straddling a cut by an ulp stay paired.
     mask = (dist >= r * (1.0 - TIE_TOL)) & (dist <= R * (1.0 + TIE_TOL))

@@ -99,6 +99,14 @@ def _merge_duplicates(pts, mass):
     return pts[first][keep], merged[keep]
 
 
+def ball_mask(pts, r):
+    """Rows of ``pts`` in the closed ball B(0, r), with the relative tie
+    tolerance of ball membership; a row whose |x|^2 overflows is outside,
+    without a warning."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.sum(pts * pts, axis=1)) <= r * (1.0 + TIE_TOL)
+
+
 def assemble_ball_lp(mu, nu, r):
     """Build the F_r program for a pair of measures (nu may be the zero measure)."""
     if mu.dim != nu.dim:
@@ -109,7 +117,7 @@ def assemble_ball_lp(mu, nu, r):
     pts = np.vstack([mu.points, nu.points])
     mass = np.concatenate([mu.weights, -nu.weights])
     if pts.shape[0]:
-        inside = np.sqrt(np.sum(pts * pts, axis=1)) <= r * (1.0 + TIE_TOL)
+        inside = ball_mask(pts, r)
         pts, mass = pts[inside], mass[inside]
     if pts.shape[0]:
         pts, mass = _merge_duplicates(pts, mass)

@@ -20,6 +20,7 @@ base point and mask it per radius, so their masses equal `mass_in` exactly.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,8 @@ from .errors import ContractError, DimensionMismatchError, SingularMatrixError
 # Relative tolerance for closed-ball membership: |y - a| <= r * (1 + TIE_TOL).
 TIE_TOL = 1e-12
 
-# |det| floor below which an affine map is rejected as singular.
+# Relative |det| floor below which an affine map or an ellipse matrix is
+# rejected as singular (see `_require_invertible`).
 _AFFINE_DET_FLOOR = 1e-12
 
 # |det| floor below which a field matrix is rejected as singular.
@@ -131,6 +133,18 @@ class DiscreteMeasure:
         )
 
 
+def _require_invertible(matrix, message):
+    """Refuse a square ``matrix`` whose |det| is zero, nan, or below
+    ``_AFFINE_DET_FLOOR`` times the product of its column norms.  That
+    product bounds |det| (Hadamard), so the ratio is 1 for a scaled
+    orthogonal matrix and 0 for a singular one, whatever the scale."""
+    with np.errstate(invalid="ignore"):
+        det = abs(np.linalg.det(matrix))
+    norms = map(math.hypot, *matrix.tolist())  # column norms, no overflow
+    if not (det > 0.0 and det >= _AFFINE_DET_FLOOR * math.prod(norms)):
+        raise SingularMatrixError(message)
+
+
 # ---------------------------------------------------------------------------
 # Predicate regions
 # ---------------------------------------------------------------------------
@@ -159,9 +173,7 @@ class Ball:
             m = np.asarray(self.matrix, dtype=float)
             if m.shape != (c.size, c.size):
                 raise ContractError("ellipse matrix shape must match center")
-            det = np.linalg.det(m)
-            if abs(det) < _AFFINE_DET_FLOOR:
-                raise SingularMatrixError("ellipse matrix is singular")
+            _require_invertible(m, "ellipse matrix is singular")
             object.__setattr__(self, "matrix", _freeze(m))
             object.__setattr__(self, "_inv", _freeze(np.linalg.inv(m)))
 
@@ -209,8 +221,7 @@ class AffineMap:
         b = np.asarray(self.offset, dtype=float).reshape(-1)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != b.size:
             raise ContractError("affine map needs square matrix and matching offset")
-        if abs(np.linalg.det(m)) < _AFFINE_DET_FLOOR:
-            raise SingularMatrixError("affine map has singular linear part")
+        _require_invertible(m, "affine map has singular linear part")
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "offset", _freeze(b))
 
@@ -331,9 +342,13 @@ def lambda_distances(points, center, inv=None):
 
 
 def require_finite_distances(dist, center):
-    """Refuse a base point whose distances to the sample overflowed (numpy
-    computed them under ``np.errstate(over="ignore", invalid="ignore")``).
-    Scans check once per base point, never per window."""
+    """Refuse a base point that is not finite, or whose distances to the
+    sample overflowed (numpy computed them under ``np.errstate(over="ignore",
+    invalid="ignore")``).  Scans check once per base point, never per
+    window."""
+    if not np.isfinite(center).all():
+        raise ContractError(
+            f"center {tuple(float(c) for c in center)} is not finite")
     if not np.isfinite(dist).all():
         raise ContractError(
             f"center {tuple(float(c) for c in center)} is too far from the "

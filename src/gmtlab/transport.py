@@ -60,9 +60,8 @@ The boundary cost matrix is filled in place one coordinate at a time
 Warm starts.  A `WarmStart` holder passed as ``warm`` keeps the optimal
 basis (cells, flows and tree links) of every solve made with it, each under
 the holder's ``key`` at the time, a point the caller sets before each solve
-(`gmtlab.cones.d_cone_flat` uses a frame's angle, projector or chart
-coordinates).  A basis whose
-problem had exactly the same supply and demand vectors is still primal
+(`gmtlab.cones.d_cone_flat` uses the projector F F^T of a frame).  A basis
+whose problem had exactly the same supply and demand vectors is still primal
 feasible for the next problem.  `WarmStart.basis_for` is the one lookup: it
 returns a copy of the matching ``(cells, flows, tree)`` whose key is nearest
 to the current key in the max-norm, the most recent on ties, and the solve
@@ -392,9 +391,8 @@ def transport_simplex(cost, supply, demand, max_iter=None, warm=None):
         col_slots = [pslot[x] for x in up_col]
         path = row_slots + col_slots[::-1]
         minus = path[0::2]
-        theta = min(flows[k] for k in minus)
-        leave = min((k for k in minus if flows[k] <= theta),
-                    key=lambda k: cells[k])
+        leave = min(minus, key=lambda k: (flows[k], cells[k]))
+        theta = flows[leave]
         for k, slot in enumerate(path):
             flows[slot] += -theta if k % 2 == 0 else theta
 

@@ -225,6 +225,43 @@ s = 1.0
     assert float(texts[0].decode().splitlines()[1]) > cone_floor(1.0, 1) / 2
 
 
+def test_metric_dcone_ignores_an_atom_far_outside_the_ball(tmp_path):
+    # An atom at (1e200, 1e200) is outside B(0, s); its second moment would
+    # overflow, and the cone distance is the line's.
+    t = np.arange(-50, 51) * 0.02
+    cloud = DiscreteMeasure(
+        np.vstack([np.column_stack([t, 0 * t]), [[1e200, 1e200]]]),
+        np.append(np.full(t.size, 0.02), 1.0))
+    save_measure_csv(cloud, tmp_path / "cloud.csv")
+    cfg = write_cfg(tmp_path, f"""
+[measure]
+kind = csv
+path = {tmp_path / "cloud.csv"}
+[metric]
+mode = dcone
+m = 1
+s = 1.0
+""")
+    out = tmp_path / "dcone.txt"
+    assert run_cli(["metric", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == _fmt(0.011249999999999996)
+
+
+@pytest.mark.parametrize("command,cfg_text", [
+    ("metric", METRIC_CFG.replace("mode = fr\nr = 1.0",
+                                  "mode = scaling\nr = 1e7")),
+    ("blowup", BLOWUP_CFG.replace("kind = identity",
+                                  "kind = constant\nmatrix = 1e7,0,0,1e7"))],
+    ids=["scaling-r-1e7", "blowup-field-1e7"])
+def test_large_scale_maps_are_not_singular(tmp_path, command, cfg_text):
+    # y -> y / 1e7 and M = 1e7 I are invertible; a scale-free |det| check
+    # lets both run.
+    assert "1e7" in cfg_text
+    cfg = write_cfg(tmp_path, cfg_text)
+    out = tmp_path / "out.txt"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 0
+
+
 def test_dmo_constant_field_zeros(tmp_path):
     cfg = write_cfg(tmp_path, DMO_CFG)
     out = tmp_path / "dmo.csv"

@@ -234,9 +234,9 @@ def test_search_fallback_values_are_pinned():
         with mock.patch.object(cones, "f_ball", wraps=f_ball) as calls:
             got.append(repr(d_cone_flat(nu, 1, 1.0)))
         assert calls.call_count > 3
-    assert got == ["0.4999999999999999", "0.6651344088750023",
-                   "0.585840256424631", "1.0", "0.4879303988541191",
-                   "0.5279170444281175", "0.4858951528181738"]
+    assert got == ["0.4999999999999999", "0.6651344088750024",
+                   "0.5858402564246308", "1.0", "0.4879303988541191",
+                   "0.5279170444281174", "0.48589515281817397"]
 
 
 def _rotated(nu, theta):
@@ -451,7 +451,61 @@ def test_chart_search_values_are_pinned():
            for nu, m in ((smoke, 2), (_cross3(), 1), (clouds[7], 2))]
     assert [(repr(value), solves) for value, solves in got] == [
         ("0.7802817936200723", 129), ("0.5577549960255839", 93),
-        ("0.931940580610303", 132)]
+        ("0.9319405806103037", 132)]
+
+
+class _RecordingStart(cones.WarmStart):
+    """A holder that records itself and every key its lookups read."""
+
+    made = []
+
+    def __init__(self):
+        super().__init__()
+        self.keys = []
+        _RecordingStart.made.append(self)
+
+    def basis_for(self, supply, demand):
+        self.keys.append(np.array(self.key))
+        return super().basis_for(supply, demand)
+
+
+@pytest.mark.parametrize("case", ["cross", "cloud3"])
+def test_one_holder_keyed_by_projectors(monkeypatch, cross_entry, case):
+    # One WarmStart per call, shared by the principal, coarse and compass
+    # solves; every key a lookup reads is the flattened projector F F^T of an
+    # orthonormal n x m frame: symmetric, idempotent and of trace m.
+    if case == "cross":
+        nu, m = cross_entry.measure, 1
+    else:
+        rng = np.random.default_rng(1)
+        nu, m = DiscreteMeasure(rng.normal(size=(25, 3)) * 0.4,
+                                rng.uniform(0.5, 1, 25)), 2
+    n = nu.dim
+    monkeypatch.setattr(_RecordingStart, "made", [])
+    monkeypatch.setattr(cones, "WarmStart", _RecordingStart)
+    value = d_cone_flat(nu, m, 1.0)
+    assert value > cone_floor(1.0, m) / 2  # the search ran
+    (holder,) = _RecordingStart.made
+    assert len(holder.keys) > len(cones._coarse_frames(n, m))
+    for key in holder.keys:
+        proj = key.reshape(n, n)
+        assert np.abs(proj - proj.T).max() <= 1e-15
+        assert np.abs(proj @ proj - proj).max() <= 1e-12
+        assert np.trace(proj) == pytest.approx(m, abs=1e-12)
+
+
+@pytest.mark.parametrize("far", [[0.0, 3.0], [1e200, 1e200]])
+def test_mass_outside_the_ball_does_not_steer_the_search(far):
+    # The line alone stops at its principal frame.  A heavy atom outside
+    # B(0, s), which F_s never sees, leaves that frame, the solve count and
+    # the value as they are; at 1e200 its second moment would overflow.
+    line = _line()
+    padded = DiscreteMeasure(np.vstack([line.points, far]),
+                             np.append(line.weights, 1.0))
+    expected = d_cone_flat(line, 1, 1.0)
+    value, solves = _value_and_solves(padded)
+    assert repr(value) == repr(expected) == "0.011249999999999996"
+    assert solves <= 1
 
 
 def test_compass_search_stop_rules():
@@ -514,6 +568,16 @@ def test_symmetry_defect_ignores_mass_outside_annulus(line_entry):
         np.concatenate([mu.weights, [3.0, 5.0]]),
     )
     assert symmetry_defect(padded, np.zeros(2), 0.2, 0.5, 1) == base
+
+
+@pytest.mark.parametrize("center,message", [
+    ((1e200, 0.0), r"center \(1e\+200, 0.0\) is too far from the sample"),
+    ((np.nan, 0.0), r"center \(nan, 0.0\) is not finite")])
+def test_symmetry_defect_refuses_a_far_or_nan_center(line_entry, center,
+                                                     message):
+    # Both would read 0.0, "symmetric"; the far one also warned.
+    with pytest.raises(ContractError, match=message):
+        symmetry_defect(line_entry.measure, np.array(center), 0.1, 1.0, 1)
 
 
 def test_symmetry_defect_window_validation(line_entry):

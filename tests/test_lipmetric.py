@@ -226,6 +226,25 @@ def test_scaling_residual_small(r):
     assert f_scaling_residual(mu, nu, r) <= 1e-7 * (1 + fr)
 
 
+def test_scaling_residual_at_a_large_scale():
+    # y -> y / 1e7 has det 1e-14 in the plane; it is invertible, and the
+    # residual is solver noise like at any other scale.
+    rng = np.random.default_rng(31)
+    mu = random_cloud(rng, 10, spread=0.5)
+    nu = random_cloud(rng, 8, spread=0.5)
+    fr = f_ball(mu, nu, 1e7)
+    assert f_scaling_residual(mu, nu, 1e7) <= 1e-7 * (1 + fr)
+
+
+def test_ball_membership_of_an_overflowing_atom_does_not_warn():
+    # |x|^2 overflows for an atom at (1e200, 1e200); it is outside every
+    # finite ball, and the suite turns any warning into an error.
+    mu = DiscreteMeasure(np.array([[0.5, 0.0], [1e200, 1e200]]), [1.0, 2.0])
+    lp = assemble_ball_lp(mu, DiscreteMeasure.empty(2), 1.0)
+    assert lp.sites.tolist() == [[0.5, 0.0]]
+    assert f_ball(mu, DiscreteMeasure.empty(2), 1.0) == 0.5
+
+
 def test_scaling_residual_exact_at_unit():
     # At r = 1 the rescaled program is the direct one, bit for bit, so a
     # mixed pair costs one transport solve.

@@ -107,6 +107,28 @@ def _compose(t, s):
     return AffineMap(t.matrix @ s.matrix, t.matrix @ s.offset + t.offset)
 
 
+@pytest.mark.parametrize("matrix", [
+    [[1e7, 0.0], [0.0, 1e7]], [[1e-7, 0.0], [0.0, 1e-7]],
+    [[0.0, -3e-9], [3e-9, 0.0]], [[1e7, 1.0], [0.0, 1e-7]]])
+def test_invertible_maps_are_accepted_at_any_scale(matrix):
+    # The singularity floor is relative to the column norms, so a scaled
+    # orthogonal map (or a well-conditioned one) passes at any scale.
+    m = np.array(matrix)
+    assert np.array_equal(AffineMap.linear(m).matrix, m)
+    assert np.array_equal(Ball(np.zeros(2), 1.0, matrix=m).matrix, m)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1e7, 0.0], [2e7, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
+    [[1.0, 1.0], [1.0, 1.0 + 1e-14]], [[np.nan, 0.0], [0.0, 1.0]]])
+def test_singular_or_nan_maps_are_refused(matrix):
+    m = np.array(matrix)
+    with pytest.raises(SingularMatrixError, match="singular linear part"):
+        AffineMap.linear(m)
+    with pytest.raises(SingularMatrixError, match="ellipse matrix"):
+        Ball(np.zeros(2), 1.0, matrix=m)
+
+
 def test_pushforward_composition_dyadic_exact():
     rng = np.random.default_rng(0)
     mu = DiscreteMeasure(rng.normal(size=(40, 2)), rng.uniform(0.1, 1, 40))
@@ -165,6 +187,18 @@ def test_lambda_rescale_factorization_bitwise():
                            AffineMap.translate_scale(inv @ a, 0.5))
     assert np.array_equal(direct.points, factored.points)
     assert np.array_equal(direct.weights, factored.weights)
+
+
+def test_lambda_rescale_by_a_large_constant_field():
+    # M = 1e7 I: the rescaling is (y - a) / (1e7 r), up to rounding.
+    rng = np.random.default_rng(9)
+    mu = DiscreteMeasure(rng.normal(size=(50, 2)), rng.uniform(0.1, 1, 50))
+    a, r = np.array([0.3, 0.4]), 0.5
+    out = lambda_rescale(mu, a, r, EllipseField.constant(1e7 * np.eye(2)))
+    expected = (mu.points - a) / (1e7 * r)
+    assert np.abs(out.points - expected).max() <= 1e-15 * np.abs(
+        mu.points).max() / (1e7 * r)
+    assert np.array_equal(out.weights, mu.weights)
 
 
 def test_lambda_rescale_rejects_bad_radius(line_entry, identity2):
