@@ -7,23 +7,21 @@ measure to the cone of m-dimensional flat measures,
     d_s(nu, M_{n,m}) = inf { F_s(nu / F_s(nu), mu) :
                              mu = c H^m|V,  F_s(mu) = 1 },
 
-with the normalizing constant per plane fixed in closed form since F_s is
-linear in the weights.  The target is nu restricted to B(0, s), the only
-mass F_s sees.  The principal frame is tried first: the top-m eigenvectors
-of the target's second moment sum_i w_i x_i x_i^T, the plane of the L^2
-beta-numbers.  Its value U bounds the infimum above, and cone distances are
->= 0, so U <= floor/2 (half the discretization floor below) is certified by
-the bracket [0, U] and returned after at most one transport solve.
-Otherwise a fixed coarse set of frames (36 angles for n = 2; above the
-plane, the axis frames and fixed-seed Gaussian frames) is followed by a
-compass search around the best of them in a chart of G(n, m): the angle for
-n = 2, the m(n - m) coordinates of the graph chart X -> qr(F + C X) above.
-The result is the smallest value seen, the principal frame's included, an
-upper bound that is not certified.  All solves of a call share one
-`gmtlab.transport.WarmStart` holder keyed by the projector F F^T of their
-frame, so each starts from the basis of the nearest frame solved before it
-with the same marginals.  Values are clamped to [0, 1], and 1 is returned
-when F_s(nu) = 0.
+on nu restricted to B(0, s), the only mass F_s sees.  F_s of a nonnegative
+measure is sum_i w_i (s - |x_i|)_+ in closed form, and no frame moves a
+candidate's distance to the origin, so the target and one candidate grid
+are normalized once per grid step.  The principal frame (the top-m
+eigenvectors of the target's second moment, the plane of the L^2
+beta-numbers) is tried first.  Its value U bounds the infimum above, and
+cone distances are >= 0, so U <= floor/2 (half the discretization floor
+below) is certified by the bracket [0, U] and returned.  Otherwise a fixed
+coarse set of frames is followed by a compass search around the best of
+them in a chart of G(n, m).  The result is the smallest value seen, the
+principal frame's included, an upper bound that is not certified.  The
+solves at one grid step share one `gmtlab.transport.WarmStart` holder keyed
+by the projector F F^T of their frame, so each starts from the basis of the
+nearest frame solved before it at that step.  Values are clamped to
+[0, 1], and 1 is returned when F_s(nu) = 0.
 
 ``symmetry_defect`` evaluates the annulus moment whose vanishing at every
 window characterizes points of symmetry.
@@ -148,7 +146,7 @@ def sample_flat(spec, radius):
 # ---------------------------------------------------------------------------
 
 def _flat_mass_norm(points, weights, s):
-    """F_s of a nonnegative measure in closed form: sum w_i (s - |x_i|)."""
+    """F_s of a nonnegative measure in closed form: sum w_i (s - |x_i|)_+."""
     caps = s - np.sqrt(np.sum(points * points, axis=1))
     return float(weights @ np.maximum(caps, 0.0))
 
@@ -250,8 +248,10 @@ def _compass_search(fun, x, fx):
 
 
 def _level(target, m, s, step):
-    """The F_s-normalized ``target``, the plane-grid coordinates and their
-    weights at grid step ``step``; None when the target has no F_s mass.
+    """What every solve at grid step ``step`` shares: the F_s-normalized
+    ``target``, the plane-grid coordinates, their weights normalized once
+    for every frame F (|coords @ F^T| = |coords|, so every solve sees the
+    same bits) and one `WarmStart`; None when the target has no F_s mass.
 
     A target of more than ``SITE_CAP // 2`` atoms is first snapped to the
     grid of ``step``, each atom moving by at most step * sqrt(n) / 2, inside
@@ -261,14 +261,15 @@ def _level(target, m, s, step):
         cells, mass = _merge_duplicates(np.round(target.points / step),
                                         target.weights)
         target = DiscreteMeasure(cells * step, mass, dim=target.dim)
-    norm = f_ball(target, DiscreteMeasure.empty(target.dim), s)
+    norm = _flat_mass_norm(target.points, target.weights, s)
     if norm <= 0.0:
         # All mass sits within a bin of the sphere; nothing to normalize.
         return None
     coords = _plane_grid(m, step, s)
+    weights = np.full(coords.shape[0], step ** m)
     return (DiscreteMeasure(target.points, target.weights / norm,
                             dim=target.dim),
-            coords, np.full(coords.shape[0], step ** m))
+            coords, weights / _flat_mass_norm(coords, weights, s), WarmStart())
 
 
 def d_cone_flat(nu, m, s):
@@ -276,37 +277,32 @@ def d_cone_flat(nu, m, s):
 
     Returns 1 when F_s(nu) = 0 (discrete measures never reach the infinite
     branch of the convention).  ``nu`` is restricted to B(0, s) once, with
-    the LP's membership test (`gmtlab.lipmetric.ball_mask`).  The principal
-    frame's full-resolution value is returned when it is within
-    ``cone_floor(s, m) / 2``.  Otherwise the `_coarse_frames` at half
-    resolution pick a frame, `_compass_search` refines it in its `_chart` at
-    full resolution from that frame's value (the principal value when the
-    coarse stage picks the principal frame), and the smaller of its result
-    and the principal value is returned.  The one `WarmStart` of the call
-    keys each solve by its frame's projector F F^T, which depends on
-    neither basis nor sign, so coarse and full-resolution bases, whose
-    marginals differ, never mix.  ``s`` must be positive and finite.
+    the LP's membership test (`gmtlab.lipmetric.ball_mask`), and `f_ball`
+    runs only for plane solves.  The principal frame's full-resolution value
+    is returned when it is within ``cone_floor(s, m) / 2``.  Otherwise the
+    `_coarse_frames` at half resolution pick a frame, `_compass_search`
+    refines it in its `_chart` at full resolution from that frame's value
+    (the principal value when the coarse stage picks the principal frame),
+    and the smaller of its result and the principal value is returned.  Each
+    `_level` owns one holder, keyed by the frame's projector F F^T, which
+    depends on neither basis nor sign; the coarse one and its bases are
+    dropped before the compass starts.  ``s`` must be positive and finite.
     """
     n = nu.dim
     if not 1 <= m <= n - 1:
         raise ContractError(f"flat dimension m={m} must lie in 1..{n - 1}")
     require_positive_finite("scale s", s)
 
-    if f_ball(nu, DiscreteMeasure.empty(n), s) <= 0.0:
-        return 1.0
     inside = ball_mask(nu.points, s)
     inball = DiscreteMeasure(nu.points[inside], nu.weights[inside], dim=n)
+    if _flat_mass_norm(inball.points, inball.weights, s) <= 0.0:
+        return 1.0
     step = cone_grid_step(s, m)
-    warm = WarmStart()
 
     def plane_distance(frame, level):
-        target, coords, weights = level
+        target, coords, weights, warm = level
         warm.key = (frame @ frame.T).ravel()
-        pts = coords @ frame.T
-        norm = _flat_mass_norm(pts, weights, s)
-        if norm <= 0.0:
-            return 1.0
-        cand = DiscreteMeasure(pts, weights / norm, dim=n)
+        cand = DiscreteMeasure(coords @ frame.T, weights, dim=n)
         return f_ball(target, cand, s, warm=warm)
 
     # The principal frame first, at full resolution.  Cone distances are
@@ -322,8 +318,7 @@ def d_cone_flat(nu, m, s):
 
     # Otherwise the coarse stage at half resolution locates the basin;
     # refinement and the reported value use the full grid (whose floor is
-    # the quoted one).  A level's problems usually share their marginals
-    # exactly, so every basis kept is a feasible start for the next.
+    # the quoted one).
     coarse = _level(inball, m, s, 2 * step)
     if coarse is None:
         return 1.0
@@ -332,6 +327,7 @@ def d_cone_flat(nu, m, s):
         val = plane_distance(frame, coarse)
         if val < best_val - 1e-15:
             best_frame, best_val = frame, val
+    del coarse  # no full-resolution problem has its marginals
 
     origin, frame_at = _chart(best_frame)
     start = (principal if np.array_equal(best_frame, principal_frame)

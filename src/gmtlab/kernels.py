@@ -281,7 +281,9 @@ def ball_average(field, center, r):
     if center.size > 3:
         raise ContractError("ball averages implemented for dim <= 3 only")
     nodes, _ = ball_midpoints(center[None, :], r, BALL_GRID)
-    return field.matrices(nodes).mean(axis=0)
+    mats = field.matrices(nodes)
+    # The mean of N copies of one matrix need not be that matrix.
+    return mats[0] if (mats == mats[0]).all() else mats.mean(axis=0)
 
 
 @functools.cache

@@ -132,25 +132,30 @@ def assemble_ball_lp(mu, nu, r):
     return LipschitzBallLP(pts, mass, caps)
 
 
+def _one_signed(lp):
+    """Value and maximizing potential of a program whose masses share one
+    sign (an empty one counts as nonnegative), else None.  The caps are a
+    feasible potential (distance to the ball complement is 1-Lipschitz) and
+    dominate every other, so sign * caps attains sum(|mass| * caps)."""
+    for sign in (1.0, -1.0):
+        if np.all(sign * lp.signed_mass >= 0.0):
+            return float(sign * (lp.signed_mass @ lp.caps)), sign * lp.caps
+    return None
+
+
 def solve_ball_lp(lp, warm=None):
     """Optimal value of an assembled F_r program.
 
-    One-signed mass is solved in closed form: the caps themselves form a
-    feasible potential (distance to the ball complement is 1-Lipschitz) and
-    dominate every other, so the optimum is sum(|mass| * caps).  Mixed signs
+    One-signed mass is solved in closed form (`_one_signed`).  Mixed signs
     go through the transportation form of the dual; ``warm`` is an optional
     `gmtlab.transport.WarmStart` holder for a chain of such solves: the
     solve starts from the kept basis whose marginals match and whose key
     (set by the caller) is nearest, and adds its own optimal basis under the
     current key.
     """
-    k = lp.size
-    if k == 0:
-        return 0.0
-    if np.all(lp.signed_mass >= 0.0):
-        return float(lp.signed_mass @ lp.caps)
-    if np.all(lp.signed_mass <= 0.0):
-        return float(-(lp.signed_mass @ lp.caps))
+    closed = _one_signed(lp)
+    if closed is not None:
+        return closed[0]
     return lipschitz_dual_value(lp.sites, lp.signed_mass, lp.caps, warm=warm)
 
 
@@ -160,17 +165,12 @@ def solve_ball_lp_potential(lp):
     Solves the transportation problem of `solve_ball_lp`, so the value is
     bit-identical, and reads the potential off its duals by one c-transform
     (`gmtlab.transport.lipschitz_potential`).  One-signed programs return
-    the closed form with the caps (or their negation) as the potential.
-    Raises `SolverError` when ``sum(mass * f)`` misses the value by more than
-    ``SOLVER_TOL``.
+    the closed form of `_one_signed`.  Raises `SolverError` when
+    ``sum(mass * f)`` misses the value by more than ``SOLVER_TOL``.
     """
-    k = lp.size
-    if k == 0:
-        return 0.0, np.zeros(0)
-    if np.all(lp.signed_mass >= 0.0):
-        return float(lp.signed_mass @ lp.caps), lp.caps.copy()
-    if np.all(lp.signed_mass <= 0.0):
-        return float(-(lp.signed_mass @ lp.caps)), -lp.caps
+    closed = _one_signed(lp)
+    if closed is not None:
+        return closed
     value, f = lipschitz_potential(lp.sites, lp.signed_mass, lp.caps)
     scale = 1.0 + float(np.abs(lp.signed_mass) @ lp.caps)
     if abs(float(lp.signed_mass @ f) - value) > SOLVER_TOL * scale:

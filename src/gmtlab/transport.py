@@ -60,7 +60,7 @@ The boundary cost matrix is filled in place one coordinate at a time
 Warm starts.  A `WarmStart` holder passed as ``warm`` keeps the optimal
 basis (cells, flows and tree links) of every solve made with it, each under
 the holder's ``key`` at the time, a point the caller sets before each solve
-(`gmtlab.cones.d_cone_flat` uses the projector F F^T of a frame).  A basis
+(`gmtlab.cones.d_cone_flat` keys by F F^T, one holder per grid step).  A basis
 whose problem had exactly the same supply and demand vectors is still primal
 feasible for the next problem.  `WarmStart.basis_for` is the one lookup: it
 returns a copy of the matching ``(cells, flows, tree)`` whose key is nearest

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -182,10 +183,11 @@ def test_flatness_outputs_are_pinned(monkeypatch):
     # change to the work around the transport pivots must keep every value
     # bit for bit, and the f_ball calls, solves and pivots that reach it; a
     # change to the search itself keeps the values and pins its new counts.
-    # The line rungs stop at the principal frame (3 f_ball calls: F_s(nu),
-    # the target's norm and that frame); the cross, whose principal axis is
-    # an arm, pays that one solve and then runs the search, whose coarse
-    # stage picks that same frame, so the compass starts from that solve.
+    # F_s of the positive target is taken in closed form, so every f_ball
+    # call is a plane solve.  The line rungs stop at the principal frame
+    # (1 f_ball call); the cross, whose principal axis is an arm, pays that
+    # one solve and then runs the search, whose coarse stage picks that same
+    # frame, so the compass starts from that solve.
     ladder = ScaleLadder(r0=0.4, rho=0.5, count=3, spacing=0.001)
     rungs = blowup_sequence(corpus.gen_line(0.001).measure, np.zeros(2),
                             EllipseField.identity(2), ladder, mode="power",
@@ -208,10 +210,10 @@ def test_flatness_outputs_are_pinned(monkeypatch):
         value = d_cone_flat(nu, 1, 1.0)
         got.append((repr(value), counts["f_ball"], counts["solves"],
                     counts["pivots"]))
-    assert got == [("-0.0", 3, 0, 0),
-                   ("0.0024999999999999988", 3, 1, 107),
-                   ("0.007500000000000014", 3, 1, 195),
-                   ("0.4141883688394247", 52, 49, 4592)]
+    assert got == [("-0.0", 1, 0, 0),
+                   ("0.0024999999999999988", 1, 1, 107),
+                   ("0.007500000000000014", 1, 1, 195),
+                   ("0.4141883688394247", 49, 49, 4592)]
 
 
 def _value_and_solves(nu, m=1):
@@ -236,7 +238,7 @@ def test_search_fallback_values_are_pinned():
         assert calls.call_count > 3
     assert got == ["0.4999999999999999", "0.6651344088750024",
                    "0.5858402564246308", "1.0", "0.4879303988541191",
-                   "0.5279170444281174", "0.48589515281817397"]
+                   "0.5279170444281173", "0.48589515281817397"]
 
 
 def _rotated(nu, theta):
@@ -450,48 +452,85 @@ def test_chart_search_values_are_pinned():
     got = [_value_and_solves(nu, m)
            for nu, m in ((smoke, 2), (_cross3(), 1), (clouds[7], 2))]
     assert [(repr(value), solves) for value, solves in got] == [
-        ("0.7802817936200723", 129), ("0.5577549960255839", 93),
-        ("0.9319405806103037", 132)]
+        ("0.7802817936200728", 129), ("0.5577549960255836", 93),
+        ("0.9319405806103026", 132)]
 
 
 class _RecordingStart(cones.WarmStart):
-    """A holder that records itself and every key its lookups read."""
+    """A holder that records, in order of creation, a weak reference to
+    itself and the list of keys its lookups read."""
 
     made = []
 
     def __init__(self):
         super().__init__()
         self.keys = []
-        _RecordingStart.made.append(self)
+        _RecordingStart.made.append((weakref.ref(self), self.keys))
 
     def basis_for(self, supply, demand):
         self.keys.append(np.array(self.key))
         return super().basis_for(supply, demand)
 
 
+def _cloud3():
+    rng = np.random.default_rng(1)
+    return DiscreteMeasure(rng.normal(size=(25, 3)) * 0.4,
+                           rng.uniform(0.5, 1, 25))
+
+
 @pytest.mark.parametrize("case", ["cross", "cloud3"])
 def test_one_holder_keyed_by_projectors(monkeypatch, cross_entry, case):
-    # One WarmStart per call, shared by the principal, coarse and compass
-    # solves; every key a lookup reads is the flattened projector F F^T of an
-    # orthonormal n x m frame: symmetric, idempotent and of trace m.
-    if case == "cross":
-        nu, m = cross_entry.measure, 1
-    else:
-        rng = np.random.default_rng(1)
-        nu, m = DiscreteMeasure(rng.normal(size=(25, 3)) * 0.4,
-                                rng.uniform(0.5, 1, 25)), 2
+    # One WarmStart per level: the full-resolution one serves the principal
+    # and compass solves, the half-resolution one the coarse frames.  No
+    # full-resolution problem has the coarse marginals, so the coarse holder
+    # is gone when the compass makes its first evaluation.  Every key a
+    # lookup reads is the flattened projector F F^T of an orthonormal n x m
+    # frame: symmetric, idempotent and of trace m.
+    nu, m = (cross_entry.measure, 1) if case == "cross" else (_cloud3(), 2)
     n = nu.dim
+    alive = []
+    search = cones._compass_search
+
+    def watched(fun, x, fx):
+        def first(y):
+            if not alive:
+                alive.extend(ref() is not None
+                             for ref, _ in _RecordingStart.made)
+            return fun(y)
+        return search(first, x, fx)
     monkeypatch.setattr(_RecordingStart, "made", [])
     monkeypatch.setattr(cones, "WarmStart", _RecordingStart)
+    monkeypatch.setattr(cones, "_compass_search", watched)
     value = d_cone_flat(nu, m, 1.0)
     assert value > cone_floor(1.0, m) / 2  # the search ran
-    (holder,) = _RecordingStart.made
-    assert len(holder.keys) > len(cones._coarse_frames(n, m))
-    for key in holder.keys:
+    (_, fine_keys), (_, coarse_keys) = _RecordingStart.made
+    assert alive == [True, False]
+    assert len(coarse_keys) == len(cones._coarse_frames(n, m))
+    assert len(fine_keys) > 1
+    for key in fine_keys + coarse_keys:
         proj = key.reshape(n, n)
         assert np.abs(proj - proj.T).max() <= 1e-15
         assert np.abs(proj @ proj - proj).max() <= 1e-12
         assert np.trace(proj) == pytest.approx(m, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["cross", "cloud3-m1", "cloud3-m2"])
+def test_a_level_gives_every_solve_the_same_candidate_masses(
+        monkeypatch, cross_entry, case):
+    # Frames are orthonormal, so F_s of the turned candidate grid is F_s of
+    # the grid: its masses are normalized once per level and every solve of
+    # the level sees the same bytes, which lets warm starts match.
+    nu, m = ((cross_entry.measure, 1) if case == "cross"
+             else (_cloud3(), int(case[-1])))
+    seen = {}
+
+    def recorded(mu, cand, s, warm=None):
+        seen.setdefault(id(warm), (warm, set()))[1].add(
+            cand.weights.tobytes())
+        return f_ball(mu, cand, s, warm=warm)
+    monkeypatch.setattr(cones, "f_ball", recorded)
+    assert d_cone_flat(nu, m, 1.0) > cone_floor(1.0, m) / 2
+    assert [len(masses) for _, masses in seen.values()] == [1, 1]
 
 
 @pytest.mark.parametrize("far", [[0.0, 3.0], [1e200, 1e200]])

@@ -439,9 +439,15 @@ def test_frozen_discrepancy_equals_the_annulus_sup(r):
     (EllipseField.constant(np.diag([3.0, 2.0, 1.0])), (0.1, 0.2, 0.3)),
     (gen_lambda_field(**FIELDS["checkerboard"]), (0.25, 0.25)),
     (gen_lambda_field(**FIELDS["checkerboard"]), (0.8, 0.3)),
-], ids=["constant-2", "constant-3", "cell-m1", "cell-m2"])
+    (EllipseField.constant([[0.3, 0.1], [0.1, 0.7]]), (0.3, 0.1)),
+    (EllipseField.constant([[1.3, 0.2], [0.2, 0.9]]), (-0.4, 0.6)),
+    (EllipseField.constant([[0.7, -0.3], [-0.3, 1.1]]), (0.0, 0.0)),
+], ids=["constant-2", "constant-3", "cell-m1", "cell-m2", "constant-a",
+        "constant-b", "constant-c"])
 def test_frozen_discrepancy_is_exactly_zero_for_one_matrix(field, a):
     # Inside one checkerboard cell the ball B(a, 1.5 r) meets one phase.
+    # The mean of the equal node matrices of the last three fields is not
+    # that matrix bit for bit; the ball average must be.
     for r in (0.1, 0.05):
         assert frozen_discrepancy(field, np.array(a), r) == 0.0
 
