@@ -31,7 +31,7 @@ import numpy as np
 
 from .cones import cone_floor, symmetry_defect
 from .errors import (ContractError, ResolutionGuardError,
-                     require_positive_finite)
+                     require_nonnegative_finite, require_positive_finite)
 from .measures import (Ball, DiscreteMeasure, ball_masses, ellipse_ball,
                        lambda_rescale)
 from .reports import ScanReport
@@ -65,9 +65,7 @@ class ScaleLadder:
             raise ContractError("ladder ratio must lie in (0, 1)")
         if self.count < 1:
             raise ContractError("ladder needs at least one radius")
-        if not 0 <= self.spacing < np.inf:
-            raise ContractError(
-                f"spacing must be nonnegative and finite, got {self.spacing}")
+        require_nonnegative_finite("spacing", self.spacing)
         if self.r_min < RESOLUTION_GUARD * self.spacing:
             raise ResolutionGuardError(
                 f"smallest ladder radius {self.r_min:.4g} is below "
@@ -122,8 +120,7 @@ def density_gap_verdict(report, threshold):
     constant of the density-gap rectifiability criterion, whose numeric value
     is not pinned down.
     """
-    if not 0 < threshold < np.inf:
-        raise ContractError(f"need 0 < threshold < inf, got {threshold}")
+    require_positive_finite("threshold", threshold)
     if report.meta["all_zero"]:
         return "zero-density"
     ratio = report.meta["gap_ratio"]

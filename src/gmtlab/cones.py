@@ -39,10 +39,10 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (ContractError, DimensionMismatchError,
-                     require_atom_count, require_positive_finite)
+                     require_atom_count, require_finite_distances,
+                     require_positive_finite)
 from .lipmetric import SITE_CAP, _merge_duplicates, ball_mask, f_ball
-from .measures import (TIE_TOL, DiscreteMeasure, lambda_distances,
-                       require_finite_distances)
+from .measures import TIE_TOL, DiscreteMeasure, lambda_distances
 from .transport import WarmStart
 
 # Candidate-plane grid spacing relative to the scale s, per dimension m of
@@ -93,7 +93,7 @@ class FlatMeasureSpec:
         if not 1 <= m <= n:
             raise ContractError(f"plane dimension m={m} invalid in R^{n}")
         gram = fr.T @ fr
-        if np.abs(gram - np.eye(m)).max() > 1e-12:
+        if not np.abs(gram - np.eye(m)).max() <= 1e-12:  # nan fails too
             raise ContractError("frame is not orthonormal to 1e-12")
         require_positive_finite("flat-measure constant", self.constant)
         require_positive_finite("grid spacing", self.spacing)
@@ -228,19 +228,22 @@ def _compass_search(fun, x, fx):
     ``fx`` is ``fun(x)``.  A sweep tries x + step e_1, ..., x + step e_d, then
     x - step e_1, ..., x - step e_d, and moves to the first strict
     improvement; a sweep without one halves the step.  The search stops once
-    the step is below OPTIMIZER_TOL or after _SEARCH_EVALS calls of ``fun``.
+    the step is below OPTIMIZER_TOL or after _SEARCH_EVALS trials; a trial
+    point seen before counts but reuses its value instead of calling ``fun``.
     """
     moves = np.concatenate([np.eye(x.size), -np.eye(x.size)])
-    step, calls = _SEARCH_STEP, 0
+    step, calls, seen = _SEARCH_STEP, 0, {}
     while step >= OPTIMIZER_TOL:
         for move in moves:
             if calls >= _SEARCH_EVALS:
                 return fx
             trial = x + step * move
-            value = fun(trial)
+            key = trial.tobytes()
+            if key not in seen:
+                seen[key] = fun(trial)
             calls += 1
-            if value < fx:
-                x, fx = trial, value
+            if seen[key] < fx:
+                x, fx = trial, seen[key]
                 break
         else:
             step /= 2
@@ -314,7 +317,7 @@ def d_cone_flat(nu, m, s):
     principal_frame = _principal_frame(fine[0], m)
     principal = plane_distance(principal_frame, fine)
     if principal <= cone_floor(s, m) / 2:
-        return float(np.clip(principal, 0.0, 1.0))
+        return float(np.clip(principal, 0.0, 1.0)) + 0.0  # never -0.0
 
     # Otherwise the coarse stage at half resolution locates the basin;
     # refinement and the reported value use the full grid (whose floor is
@@ -335,7 +338,7 @@ def d_cone_flat(nu, m, s):
     best = _compass_search(lambda x: plane_distance(frame_at(x), fine),
                            origin, start)
     # Never report more than the principal frame already evaluated.
-    return float(np.clip(min(principal, best), 0.0, 1.0))
+    return float(np.clip(min(principal, best), 0.0, 1.0)) + 0.0
 
 
 # ---------------------------------------------------------------------------

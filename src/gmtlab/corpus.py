@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, require_atom_count, require_positive_finite
+from .errors import (ContractError, require_atom_count, require_finite,
+                     require_positive_finite)
 from .measures import DiscreteMeasure, EllipseField, HalfSpace, restrict
 from .cones import FlatMeasureSpec, sample_flat
 
@@ -103,7 +104,7 @@ def gen_graph(f, lip_bound, domain, h, grad=None, name="graph"):
 
 def gen_sine_graph(h, amplitude=0.1, frequency=1.0, extent=2.0):
     """The bounded-slope graph t |-> amplitude * sin(frequency * t)."""
-    _finite(amplitude=amplitude, frequency=frequency)
+    require_finite(amplitude=amplitude, frequency=frequency)
     entry = gen_graph(
         lambda t: amplitude * np.sin(frequency * t),
         lip_bound=abs(amplitude * frequency),
@@ -198,13 +199,6 @@ def gen_circle(h, radius=1.0):
 _libm_pow = np.frompyfunc(math.pow, 2, 1)
 
 
-def _finite(**values):
-    """Reject a field parameter or matrix with a non-finite entry."""
-    for name, value in values.items():
-        if not np.all(np.isfinite(value)):
-            raise ContractError(f"{name} must be finite, got {value}")
-
-
 def gen_lambda_field(kind, **kw):
     """Coefficient fields exercising the diagnostics.
 
@@ -223,13 +217,13 @@ def gen_lambda_field(kind, **kw):
     """
     if kind == "constant":
         matrix = np.asarray(kw["matrix"], dtype=float)
-        _finite(matrix=matrix)
+        require_finite(matrix=matrix)
         return EllipseField.constant(matrix)
 
     if kind == "rotating":
         ecc = float(kw.get("eccentricity", 2.0))
         rate = float(kw.get("rate", 1.0))
-        _finite(eccentricity=ecc, rate=rate)
+        require_finite(eccentricity=ecc, rate=rate)
         diag = np.diag([ecc, 1.0])
 
         def evaluate(pts):
@@ -244,7 +238,7 @@ def gen_lambda_field(kind, **kw):
         m1 = np.asarray(kw["m1"], dtype=float)
         m2 = np.asarray(kw["m2"], dtype=float)
         cell = float(kw.get("cell", 1.0))
-        _finite(m1=m1, m2=m2)
+        require_finite(m1=m1, m2=m2)
         require_positive_finite("cell", cell)
 
         def evaluate(pts):
@@ -263,7 +257,7 @@ def gen_lambda_field(kind, **kw):
         base = float(kw.get("base", 1.0))
         n = int(kw.get("n", 2))
         require_positive_finite("alpha", alpha)
-        _finite(base=base)
+        require_finite(base=base)
 
         def evaluate(pts):
             # |x| summed as np.linalg.norm sums it; an overflow clips to 1.

@@ -5,8 +5,11 @@ raise `ContractError` subclasses; refusals of numerically unsafe requests
 (resolution guards, LP size caps, solvers that cannot certify an optimum)
 raise `GuardError` subclasses so callers can distinguish "you asked for
 something wrong" from "this instance is too coarse or too large to answer
-honestly".
+honestly".  Each refusal rule has its one routine here: `require_finite`,
+`require_positive_finite` and `require_nonnegative_finite`.
 """
+
+import numpy as np
 
 
 class GmtLabError(Exception):
@@ -42,12 +45,40 @@ class SolverError(GuardError):
     or failed its optimality audit."""
 
 
+def require_finite(**values):
+    """Reject, by keyword name, the first value with a nan or infinite entry."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ContractError(f"{name} must be finite")
+
+
 def require_positive_finite(what, value):
     """Reject a radius, scale, spacing or exponent that is not positive and
     finite (NaN included), naming it by ``what``."""
     if not 0 < value < float("inf"):
         raise ContractError(
             f"{what} must be positive and finite, got {value}")
+
+
+def require_nonnegative_finite(what, value):
+    """`require_positive_finite` that also admits 0."""
+    if not 0 <= value < float("inf"):
+        raise ContractError(
+            f"{what} must be nonnegative and finite, got {value}")
+
+
+def require_finite_distances(dist, center):
+    """Refuse a base point that is not finite, or whose distances to the
+    sample overflowed (numpy computed them under ``np.errstate(over="ignore",
+    invalid="ignore")``).  Scans check once per base point, never per
+    window."""
+    if not np.isfinite(center).all():
+        raise ContractError(
+            f"center {tuple(float(c) for c in center)} is not finite")
+    if not np.isfinite(dist).all():
+        raise ContractError(
+            f"center {tuple(float(c) for c in center)} is too far from the "
+            "sample: its distances overflow")
 
 
 # Largest generated sample, in points: admits the unit 2-disc grid at

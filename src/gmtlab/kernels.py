@@ -32,14 +32,16 @@ printed principal values.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ContractError, DimensionMismatchError,
-                     ResolutionGuardError, require_positive_finite)
+                     ResolutionGuardError, require_finite,
+                     require_finite_distances, require_nonnegative_finite,
+                     require_positive_finite)
 from .measures import (BALL_GRID, TIE_TOL, EllipseField, ball_midpoints,
-                       lambda_distances, require_finite_distances)
+                       lambda_distances)
 from .reports import ScanReport
 
 _SQRT_RESIDUAL_TOL = 1e-10
@@ -54,6 +56,7 @@ def spd_sqrt(matrix):
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractError("matrix must be square")
+    require_finite(matrix=a)
     if np.abs(a - a.T).max() > 1e-10 * (1 + np.abs(a).max()):
         raise ContractError("matrix must be symmetric")
     evals, evecs = np.linalg.eigh(a)
@@ -80,9 +83,7 @@ class KernelSpec:
     m: int | None = None
     anisotropy: EllipseField | None = None
     matrix: np.ndarray | None = None
-    _sqrt_inv: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _inv: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _det_root: float | None = field(default=None, repr=False, compare=False)
+    _sqrt_inv = _inv = _det_root = None  # theta/finsler: set by __post_init__
 
     def __post_init__(self):
         if self.flavor not in ("riesz", "theta", "finsler"):
@@ -205,9 +206,7 @@ def pv_convergence_scan(spec, mu, x, eps_ladder, spacing, R=None):
     each below 1e-2 * (1 + |last value|); ``diverging`` when the norms grow
     monotonically with per-rung ratio >= 1.2; ``oscillating`` otherwise.
     """
-    if not 0 <= spacing < np.inf:
-        raise ContractError(
-            f"spacing must be nonnegative and finite, got {spacing}")
+    require_nonnegative_finite("spacing", spacing)
     ladder = [float(e) for e in eps_ladder]
     if len(ladder) < 4:
         raise ContractError("eps ladder needs at least 4 rungs")

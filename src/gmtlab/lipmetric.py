@@ -238,8 +238,7 @@ def f_scaling_residual(mu, nu, r):
     rescaling is the identity, whose pushforward has the same bits, so the
     one solve serves both sides and the residual is exactly 0.0.
     """
-    if not r > 0.0:
-        raise ContractError("scale must be positive")
+    require_positive_finite("scale", r)
     direct = f_ball(mu, nu, r)
     if r == 1.0:
         return 0.0

@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionMismatchError, SingularMatrixError
+from .errors import (ContractError, DimensionMismatchError,
+                     SingularMatrixError, require_finite,
+                     require_finite_distances, require_nonnegative_finite,
+                     require_positive_finite)
 
 # Relative tolerance for closed-ball membership: |y - a| <= r * (1 + TIE_TOL).
 TIE_TOL = 1e-12
@@ -92,10 +95,7 @@ class DiscreteMeasure:
             raise ContractError(
                 f"{pts.shape[0]} points but {w.shape[0]} weights"
             )
-        if not np.all(np.isfinite(pts)):
-            raise ContractError("points must be finite")
-        if not np.all(np.isfinite(w)):
-            raise ContractError("weights must be finite")
+        require_finite(points=pts, weights=w)
         if w.size and w.min() < 0.0:
             raise ContractError("weights must be nonnegative")
         self.points = _freeze(pts)
@@ -122,8 +122,7 @@ class DiscreteMeasure:
 
     def scaled(self, factor):
         """Measure with all weights multiplied by ``factor`` (>= 0)."""
-        if factor < 0:
-            raise ContractError("scaling factor must be nonnegative")
+        require_nonnegative_finite("scaling factor", factor)
         return DiscreteMeasure(self.points, self.weights * factor, dim=self.dim)
 
     def __repr__(self):
@@ -162,13 +161,12 @@ class Ball:
     center: np.ndarray
     radius: float
     matrix: np.ndarray | None = None
-    _inv: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _inv = None  # matrix^{-1}, set by __post_init__ only; None if euclidean
 
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float).reshape(-1)
         object.__setattr__(self, "center", _freeze(c))
-        if not self.radius > 0.0:
-            raise ContractError(f"ball radius must be positive, got {self.radius}")
+        require_positive_finite("ball radius", self.radius)
         if self.matrix is not None:
             m = np.asarray(self.matrix, dtype=float)
             if m.shape != (c.size, c.size):
@@ -196,6 +194,7 @@ class HalfSpace:
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float).reshape(-1)
+        require_finite(normal=n, offset=self.offset)
         if np.linalg.norm(n) == 0.0:
             raise ContractError("half-space normal must be nonzero")
         object.__setattr__(self, "normal", _freeze(n))
@@ -234,8 +233,7 @@ class AffineMap:
     def translate_scale(cls, a, r):
         """The rescaling y |-> (y - a) / r about the point ``a``."""
         a = np.asarray(a, dtype=float).reshape(-1)
-        if not r > 0.0:
-            raise ContractError("scale must be positive")
+        require_positive_finite("scale", r)
         return cls(np.eye(a.size) / r, -a / r)
 
     @property
@@ -341,20 +339,6 @@ def lambda_distances(points, center, inv=None):
     return u, np.sqrt(np.sum(u * u, axis=-1))
 
 
-def require_finite_distances(dist, center):
-    """Refuse a base point that is not finite, or whose distances to the
-    sample overflowed (numpy computed them under ``np.errstate(over="ignore",
-    invalid="ignore")``).  Scans check once per base point, never per
-    window."""
-    if not np.isfinite(center).all():
-        raise ContractError(
-            f"center {tuple(float(c) for c in center)} is not finite")
-    if not np.isfinite(dist).all():
-        raise ContractError(
-            f"center {tuple(float(c) for c in center)} is too far from the "
-            "sample: its distances overflow")
-
-
 def mass_in(mu, ball):
     """Total mass of ``mu`` inside a closed (euclidean or ellipse) ball."""
     return ball_masses(mu, ball, [ball.radius])[0]
@@ -400,8 +384,7 @@ def lambda_rescale(mu, a, r, field):
         lambda_rescale(mu, a, r, field)  of  B(0, 1)
             ==  mass of mu in the ellipse  a + M(a) B(0, r).
     """
-    if not r > 0.0:
-        raise ContractError("rescaling radius must be positive")
+    require_positive_finite("rescaling radius", r)
     a = np.asarray(a, dtype=float).reshape(-1)
     if a.size != mu.dim:
         raise DimensionMismatchError("center dimension mismatch")

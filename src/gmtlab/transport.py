@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, SolverError
+from .errors import ContractError, SolverError, require_finite
 
 _TOL_RC = 1e-9
 _STALL_SWITCH = 200
@@ -299,13 +299,6 @@ class _BasisTree:
         return nodes
 
 
-def _require_finite(**arrays):
-    """Raise `ContractError` naming the first argument that is not finite."""
-    for name, arr in arrays.items():
-        if not np.isfinite(arr).all():
-            raise ContractError(f"{name} must be finite")
-
-
 def _cell_costs(cost_flat, cells, q):
     """Costs of the basis cells, slot by slot, as Python floats."""
     return cost_flat[[a * q + b for a, b in cells]].tolist()
@@ -324,7 +317,7 @@ def transport_simplex(cost, supply, demand, max_iter=None, warm=None):
     cost = np.asarray(cost, dtype=float)
     supply = np.asarray(supply, dtype=float).copy()
     demand = np.asarray(demand, dtype=float).copy()
-    _require_finite(cost=cost, supply=supply, demand=demand)
+    require_finite(cost=cost, supply=supply, demand=demand)
     p, q = cost.shape
     if supply.shape != (p,) or demand.shape != (q,):
         raise ContractError("supply/demand shapes do not match the cost matrix")
@@ -462,7 +455,7 @@ def _solve_boundary(sites, signed_mass, caps, warm):
     Rows are the positive sites plus the boundary B, columns the negative
     sites plus B; the boundary row and column carry the caps.
     """
-    _require_finite(sites=sites, signed_mass=signed_mass, caps=caps)
+    require_finite(sites=sites, signed_mass=signed_mass, caps=caps)
     pos = np.flatnonzero(signed_mass > 0)
     neg = np.flatnonzero(signed_mass < 0)
     if pos.size == 0 or neg.size == 0:

@@ -210,7 +210,7 @@ def test_flatness_outputs_are_pinned(monkeypatch):
         value = d_cone_flat(nu, 1, 1.0)
         got.append((repr(value), counts["f_ball"], counts["solves"],
                     counts["pivots"]))
-    assert got == [("-0.0", 1, 0, 0),
+    assert got == [("0.0", 1, 0, 0),
                    ("0.0024999999999999988", 1, 1, 107),
                    ("0.007500000000000014", 1, 1, 195),
                    ("0.4141883688394247", 49, 49, 4592)]
@@ -452,8 +452,8 @@ def test_chart_search_values_are_pinned():
     got = [_value_and_solves(nu, m)
            for nu, m in ((smoke, 2), (_cross3(), 1), (clouds[7], 2))]
     assert [(repr(value), solves) for value, solves in got] == [
-        ("0.7802817936200728", 129), ("0.5577549960255836", 93),
-        ("0.9319405806103026", 132)]
+        ("0.7802817936200728", 116), ("0.5577549960255836", 93),
+        ("0.9319405806103026", 126)]
 
 
 class _RecordingStart(cones.WarmStart):
@@ -567,6 +567,27 @@ def test_compass_search_stop_rules():
     value = _compass_search(lambda x: float(np.abs(x - target).sum()),
                             np.zeros(2), 0.3)
     assert value <= 2 * OPTIMIZER_TOL
+
+
+def test_compass_search_solves_a_repeated_point_once(monkeypatch):
+    # From 0 with step 1 toward 1.5 (dyadic, so every trial is exact): moves
+    # to 1, tries 2 and 0, halves, moves to 1.5, then meets 2 and 1 again.
+    # Those two repeats reuse their values but count toward the budget.
+    monkeypatch.setattr(cones, "_SEARCH_STEP", 1.0)
+    calls = []
+
+    def fun(x):
+        calls.append(float(x[0]))
+        return abs(float(x[0]) - 1.5)
+
+    assert _compass_search(fun, np.zeros(1), 1.5) == 0.0
+    assert calls[:4] == [1.0, 2.0, 0.0, 1.5]
+    # Four calls, two repeats, then two calls per step 1/4, ..., 1/512.
+    assert len(calls) == len(set(calls)) == 4 + 2 * 8
+    calls.clear()
+    monkeypatch.setattr(cones, "_SEARCH_EVALS", 6)
+    assert _compass_search(fun, np.zeros(1), 1.5) == 0.0
+    assert calls == [1.0, 2.0, 0.0, 1.5]
 
 
 def test_import_loads_no_scipy():
