@@ -32,8 +32,7 @@ import numpy as np
 from .cones import cone_floor, symmetry_defect
 from .errors import (ContractError, ResolutionGuardError,
                      require_nonnegative_finite, require_positive_finite)
-from .measures import (Ball, DiscreteMeasure, ball_masses, ellipse_ball,
-                       lambda_rescale)
+from .measures import TIE_TOL, DiscreteMeasure, ball_masses, lambda_pass
 from .reports import ScanReport
 
 # Each ellipse must contain at least this many sample cells per tangent
@@ -84,7 +83,8 @@ class ScaleLadder:
 
 def _ellipse_masses(mu, a, anisotropy, radii):
     """The ellipse masses mu(B_M(a, r)), r in radii, from one distance pass."""
-    return ball_masses(mu, ellipse_ball(a, min(radii), anisotropy), radii)
+    dist = lambda_pass(mu, a, anisotropy.inverse(a))[1]
+    return ball_masses(mu.weights, dist, radii)
 
 
 def density_scan(mu, a, anisotropy, m, ladder):
@@ -149,17 +149,19 @@ class BlowupSequence:
 def blowup_sequence(mu, a, anisotropy, ladder, mode="power", m=None):
     """Blowups c_i . T^M_{a, r_i}[mu] restricted to the window ball.
 
-    ``power`` mode uses c_i = r_i^{-m} (needs m); ``mass`` mode uses
-    c_i = 1/mu(B_M(a, r_i)), unit mass on B(0, 1), and skips the scales
-    where that ellipse carries no mass before rescaling them.
+    Rung i holds the atoms of mu(B_M(a, WINDOW_RADIUS r_i)) at u / r_i, with
+    u and the masses from one Lambda(a)-distance pass.  ``power`` mode uses
+    c_i = r_i^{-m} (needs m); ``mass`` mode uses c_i = 1/mu(B_M(a, r_i)),
+    unit mass on B(0, 1), and skips the scales where that ellipse carries
+    no mass.
     """
     if mode not in ("power", "mass"):
         raise ContractError(f"unknown normalization mode {mode!r}")
     if mode == "power" and m is None:
         raise ContractError("power mode needs the dimension parameter m")
     radii = ladder.radii
-    masses = _ellipse_masses(mu, a, anisotropy, radii)
-    window = Ball(np.zeros(mu.dim), WINDOW_RADIUS)
+    u, dist = lambda_pass(mu, a, anisotropy.inverse(a))
+    masses = ball_masses(mu.weights, dist, radii)
     measures, skipped = [], []
     for i, (r, mass) in enumerate(zip(radii, masses)):
         if mode == "power":
@@ -170,10 +172,9 @@ def blowup_sequence(mu, a, anisotropy, ladder, mode="power", m=None):
             measures.append(None)
             skipped.append(i)
             continue
-        resc = lambda_rescale(mu, a, float(r), anisotropy)
-        keep = window.contains(resc.points)
-        measures.append(DiscreteMeasure(resc.points[keep],
-                                        resc.weights[keep] * factor,
+        keep = dist <= WINDOW_RADIUS * r * (1.0 + TIE_TOL)
+        measures.append(DiscreteMeasure(u[keep] / r,
+                                        mu.weights[keep] * factor,
                                         dim=mu.dim))
     densities = (np.full(radii.size, np.nan) if m is None else
                  np.array([mass / r ** m for mass, r in zip(masses, radii)]))

@@ -38,11 +38,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (ContractError, DimensionMismatchError,
-                     require_atom_count, require_finite_distances,
+from .errors import (ContractError, require_atom_count,
                      require_positive_finite)
 from .lipmetric import SITE_CAP, _merge_duplicates, ball_mask, f_ball
-from .measures import TIE_TOL, DiscreteMeasure, lambda_distances
+from .measures import TIE_TOL, DiscreteMeasure, lambda_pass
 from .transport import WarmStart
 
 # Candidate-plane grid spacing relative to the scale s, per dimension m of
@@ -354,12 +353,7 @@ def symmetry_defect(nu, x, r, R, m):
     """
     if not 0 < r < R:
         raise ContractError(f"need 0 < r < R, got ({r}, {R})")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != nu.dim:
-        raise DimensionMismatchError("defect center dimension mismatch")
-    with np.errstate(over="ignore", invalid="ignore"):
-        u, dist = lambda_distances(nu.points, x)
-    require_finite_distances(dist, x)
+    u, dist = lambda_pass(nu, x)
     # Closed annulus with the same relative tie tolerance as ball membership,
     # so mirror pairs straddling a cut by an ulp stay paired.
     mask = (dist >= r * (1.0 - TIE_TOL)) & (dist <= R * (1.0 + TIE_TOL))

@@ -13,14 +13,14 @@ driven by a matrix field a |-> M(a).
 All objects are immutable values; every operation returns a new measure.
 Ball membership is closed with a tie tolerance of ``TIE_TOL`` relative to the
 radius so floating-point boundary ties resolve deterministically.  Every
-Lambda(a)-distance comes from `lambda_distances`; scans compute it once per
-base point and mask it per radius, so their masses equal `mass_in` exactly.
+Lambda(a)-distance comes from `lambda_distances`; scans take it once per
+base point through `lambda_pass` and mask it per radius, so their masses
+equal `mass_in` exactly.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,14 +133,14 @@ class DiscreteMeasure:
 
 
 def _require_invertible(matrix, message):
-    """Refuse a square ``matrix`` whose |det| is zero, nan, or below
-    ``_AFFINE_DET_FLOOR`` times the product of its column norms.  That
-    product bounds |det| (Hadamard), so the ratio is 1 for a scaled
-    orthogonal matrix and 0 for a singular one, whatever the scale."""
-    with np.errstate(invalid="ignore"):
-        det = abs(np.linalg.det(matrix))
-    norms = map(math.hypot, *matrix.tolist())  # column norms, no overflow
-    if not (det > 0.0 and det >= _AFFINE_DET_FLOOR * math.prod(norms)):
+    """Refuse a square ``matrix`` with a non-finite entry, a zero column, or
+    |det| below ``_AFFINE_DET_FLOOR`` times the product of its column norms.
+    That product bounds |det| (Hadamard); the ratio is taken as the |det| of
+    the column-normalized matrix, so it is 1 for a scaled orthogonal matrix
+    and 0 for a singular one at any scale, with no over- or underflow."""
+    norms = np.hypot.reduce(matrix, axis=0)  # column norms, no overflow
+    if not (np.isfinite(norms).all() and norms.all()
+            and abs(np.linalg.det(matrix / norms)) >= _AFFINE_DET_FLOOR):
         raise SingularMatrixError(message)
 
 
@@ -172,16 +172,21 @@ class Ball:
             if m.shape != (c.size, c.size):
                 raise ContractError("ellipse matrix shape must match center")
             _require_invertible(m, "ellipse matrix is singular")
+            inv = np.linalg.inv(m)
+            if not np.isfinite(inv).all():
+                raise SingularMatrixError("ellipse matrix is singular")
             object.__setattr__(self, "matrix", _freeze(m))
-            object.__setattr__(self, "_inv", _freeze(np.linalg.inv(m)))
+            object.__setattr__(self, "_inv", _freeze(inv))
 
     @property
     def dim(self):
         return self.center.size
 
     def contains(self, points):
-        """Boolean mask of points inside the closed ball (tie-tolerant)."""
-        dist = lambda_distances(points, self.center, self._inv)[1]
+        """Boolean mask of points inside the closed ball (tie-tolerant); a
+        point whose distance overflows is outside."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = lambda_distances(points, self.center, self._inv)[1]
         return dist <= self.radius * (1.0 + TIE_TOL)
 
 
@@ -339,24 +344,32 @@ def lambda_distances(points, center, inv=None):
     return u, np.sqrt(np.sum(u * u, axis=-1))
 
 
+def lambda_pass(mu, center, inv=None):
+    """The Lambda(a)-distance pass of ``mu`` about ``center``: the rows
+    u = inv (y - center) and their norms, from `lambda_distances`.  A center
+    of the wrong dimension, one that is not finite, or one whose distances
+    overflow is refused here, once per base point."""
+    center = np.asarray(center, dtype=float).reshape(-1)
+    if center.size != mu.dim:
+        raise DimensionMismatchError(
+            f"center in R^{center.size} but measure in R^{mu.dim}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, dist = lambda_distances(mu.points, center, inv)
+    require_finite_distances(dist, center)
+    return u, dist
+
+
 def mass_in(mu, ball):
     """Total mass of ``mu`` inside a closed (euclidean or ellipse) ball."""
-    return ball_masses(mu, ball, [ball.radius])[0]
+    dist = lambda_pass(mu, ball.center, ball._inv)[1]
+    return ball_masses(mu.weights, dist, [ball.radius])[0]
 
 
-def ball_masses(mu, ball, radii):
-    """Masses of ``mu`` in the closed balls with the center and matrix of
-    ``ball`` and each radius in ``radii``, from one distance pass; entry i
-    equals `mass_in` of the ball of radius ``radii[i]`` bit for bit."""
-    if ball.dim != mu.dim:
-        raise DimensionMismatchError(
-            f"ball in R^{ball.dim} but measure in R^{mu.dim}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        dist = lambda_distances(mu.points, ball.center, ball._inv)[1]
-    require_finite_distances(dist, ball.center)
-    return [float(mu.weights[dist <= r * (1.0 + TIE_TOL)].sum())
-            for r in radii]
+def ball_masses(weights, dist, radii):
+    """Masses of the closed balls of each radius in ``radii`` about the
+    center of one distance pass ``dist`` (`lambda_pass`); entry i equals
+    `mass_in` of the ball of radius ``radii[i]`` bit for bit."""
+    return [float(weights[dist <= r * (1.0 + TIE_TOL)].sum()) for r in radii]
 
 
 def restrict(mu, region):
@@ -375,22 +388,16 @@ def pushforward(mu, amap):
 
 
 def lambda_rescale(mu, a, r, field):
-    """Anisotropic rescaling y |-> M(a)^{-1}((y - a)/r) as an image measure.
-
-    Implemented as the exact factorization: linear pushforward by M(a)^{-1}
-    followed by the plain rescaling about M(a)^{-1} a, so the two routes
-    agree point-by-point.  Satisfies
+    """Anisotropic rescaling y |-> M(a)^{-1}(y - a) / r as an image measure:
+    the rows u of the Lambda(a)-distance pass divided by r, the bits of a
+    blowup rung's points.  Satisfies
 
         lambda_rescale(mu, a, r, field)  of  B(0, 1)
             ==  mass of mu in the ellipse  a + M(a) B(0, r).
     """
     require_positive_finite("rescaling radius", r)
-    a = np.asarray(a, dtype=float).reshape(-1)
-    if a.size != mu.dim:
-        raise DimensionMismatchError("center dimension mismatch")
-    inv = field.inverse(a)
-    linear = pushforward(mu, AffineMap.linear(inv))
-    return pushforward(linear, AffineMap.translate_scale(inv @ a, r))
+    u = lambda_pass(mu, a, field.inverse(a))[0]
+    return DiscreteMeasure(u / r, mu.weights, dim=mu.dim)
 
 
 def ellipse_ball(a, r, field):

@@ -1,3 +1,4 @@
+import sys
 import warnings
 from unittest import mock
 
@@ -9,8 +10,7 @@ from gmtlab.cli import ConfigError, RunConfig, _fmt, main
 from gmtlab.cones import cone_floor
 from gmtlab.errors import SolverError
 from gmtlab.corpus import gen_half_line
-from gmtlab.measures import (DiscreteMeasure, lambda_rescale,
-                             save_measure_csv)
+from gmtlab.measures import DiscreteMeasure, lambda_pass, save_measure_csv
 from gmtlab.simplex import simplex_max_bounded
 from test_acceptance import CLI_CONFIGS
 
@@ -410,18 +410,35 @@ def test_generate_without_out_exits_2_before_building(tmp_path, monkeypatch,
 
 
 def test_blowup_builds_one_rescaling_per_rung(tmp_path, monkeypatch):
+    # Every rung reads its call's one Lambda(a)-distance pass: the command
+    # makes one pass in blowup_sequence and one in sandwich_check (through
+    # _ellipse_masses), none per rung.
     from gmtlab import blowup
     calls = []
 
-    def counted(mu, a, r, field):
-        calls.append(r)
-        return lambda_rescale(mu, a, r, field)
+    def counted(mu, center, inv=None):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return lambda_pass(mu, center, inv)
 
-    monkeypatch.setattr(blowup, "lambda_rescale", counted)
+    monkeypatch.setattr(blowup, "lambda_pass", counted)
     cfg = write_cfg(tmp_path, BLOWUP_CFG)
     assert run_cli(["blowup", "--config", cfg, "--out",
                     str(tmp_path / "blowup.csv")]) == 0
-    assert calls == [0.5, 0.25]  # r0 = 0.5, rho = 0.5, count = 2
+    assert calls == ["blowup_sequence", "_ellipse_masses"]
+
+
+@pytest.mark.parametrize("matrix", ["1e7,1e7,0,1e-7", "1e7,0,1e7,1e-7"])
+@pytest.mark.parametrize("command, text", [
+    ("density", LINE_DENSITY_CFG), ("pv", HALFLINE_PV_CFG),
+    ("blowup", BLOWUP_CFG)], ids=["density", "pv", "blowup"])
+def test_a_field_that_passes_the_field_check_runs_every_scan(
+        tmp_path, command, text, matrix):
+    # Both matrices have det 1.  Lambda(a) meets the field's check alone:
+    # no ellipse ball or affine map built from it may refuse it again.
+    cfg = write_cfg(tmp_path, text.replace(
+        "kind = identity", f"kind = constant\nmatrix = {matrix}"))
+    assert run_cli([command, "--config", cfg, "--out",
+                    str(tmp_path / "out.csv")]) == 0
 
 
 def test_blowup_sandwich_R_nan_exits_2(tmp_path, capsys):

@@ -212,7 +212,7 @@ def test_flatness_outputs_are_pinned(monkeypatch):
                     counts["pivots"]))
     assert got == [("0.0", 1, 0, 0),
                    ("0.0024999999999999988", 1, 1, 107),
-                   ("0.007500000000000014", 1, 1, 195),
+                   ("0.007500000000000012", 1, 1, 188),
                    ("0.4141883688394247", 49, 49, 4592)]
 
 

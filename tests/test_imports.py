@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and none imports a
-thread or process pool.
+"""Every module of the package uses each name it imports, none imports a
+thread or process pool, and the scan modules meet Lambda(a) only through
+the field.
 
 A stdlib-`ast` check, so it needs no linter: a deleted routine may not leave
 behind an import that only it used.  ``__init__.py`` is skipped by the first
@@ -75,3 +76,33 @@ def test_the_check_finds_a_concurrency_import():
                          ids=lambda p: p.name)
 def test_no_module_imports_a_thread_or_process_pool(path):
     assert concurrency_imports(path.read_text()) == []
+
+
+# Lambda(a) reaches the scans only through the field, so the field's check is
+# the only one it meets: no ellipse ball, affine map or rescaled measure is
+# built from it there.
+SCAN_MODULES = ("blowup.py", "cones.py", "kernels.py")
+BYPASSES = {"Ball", "AffineMap", "ellipse_ball", "lambda_rescale",
+            "pushforward"}
+
+
+def bypass_names(source):
+    """The names of `BYPASSES` the module imports or reads as attributes."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return sorted(found & BYPASSES)
+
+
+def test_the_check_finds_a_bypass_of_the_field():
+    source = ("from .measures import Ball, lambda_pass\n"
+              "from . import measures\nmeasures.pushforward(mu, m)\n")
+    assert bypass_names(source) == ["Ball", "pushforward"]
+
+
+@pytest.mark.parametrize("name", SCAN_MODULES)
+def test_scan_modules_meet_lambda_only_through_the_field(name):
+    assert bypass_names((PACKAGE / name).read_text()) == []

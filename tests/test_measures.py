@@ -129,6 +129,47 @@ def test_singular_or_nan_maps_are_refused(matrix):
         Ball(np.zeros(2), 1.0, matrix=m)
 
 
+INF = float("inf")
+
+
+@pytest.mark.parametrize("matrix, ball_ok, map_ok", [
+    # An infinite entry: the inverse would be finite but degenerate, a strip
+    # ([[inf, 0], [0, 1]]) or all zeros ([[inf, 1], [1, inf]]).
+    ([[INF, 0.0], [0.0, 1.0]], False, False),
+    ([[INF, 1.0], [1.0, INF]], False, False),
+    # Scaled identities, whose det under- or overflows.
+    ([[1e-200, 0.0], [0.0, 1e-200]], True, True),
+    ([[1e200, 0.0], [0.0, 1e200]], True, True),
+    # A subnormal column: invertible as a map, but its inverse is not finite.
+    ([[1e-320, 0.0], [0.0, 1.0]], False, True)],
+    ids=["inf-entry", "inf-diagonal", "1e-200-I", "1e200-I", "subnormal"])
+def test_matrices_are_refused_when_not_finite_and_judged_at_any_scale(
+        matrix, ball_ok, map_ok):
+    m = np.array(matrix)
+    if map_ok:
+        assert np.array_equal(AffineMap.linear(m).matrix, m)
+    else:
+        with pytest.raises(SingularMatrixError, match="singular linear part"):
+            AffineMap.linear(m)
+    if ball_ok:
+        ball = Ball(np.zeros(2), 1.0, matrix=m)
+        assert np.array_equal(ball.matrix, m)
+        assert ball.contains(np.zeros((1, 2))).tolist() == [True]
+    else:
+        with pytest.raises(SingularMatrixError, match="ellipse matrix"):
+            Ball(np.zeros(2), 1.0, matrix=m)
+
+
+def test_ball_membership_reads_an_overflowing_distance_as_outside():
+    mu = DiscreteMeasure(np.array([[1e200, 0.0], [0.5, 0.0]]), [1.0, 2.0])
+    for ball in (Ball(np.zeros(2), 1.0),
+                 Ball(np.zeros(2), 1.0, matrix=np.diag([0.5, 1.0]))):
+        assert restrict(mu, ball).points.tolist() == [[0.5, 0.0]]
+    # The mass of one ball still refuses the center by name.
+    with pytest.raises(ContractError, match="too far from the sample"):
+        mass_in(mu, Ball(np.zeros(2), 1.0))
+
+
 def test_pushforward_composition_dyadic_exact():
     rng = np.random.default_rng(0)
     mu = DiscreteMeasure(rng.normal(size=(40, 2)), rng.uniform(0.1, 1, 40))
@@ -181,12 +222,12 @@ def test_lambda_rescale_factorization_bitwise():
     field = EllipseField.constant(np.array([[2.0, 0.5], [0.1, 1.0]]))
     mu = DiscreteMeasure(rng.normal(size=(50, 2)), rng.uniform(0.1, 1, 50))
     a = np.array([0.3, 0.4])
-    inv = field.inverse(a)
+    # The rescaling factors as u = M(a)^{-1}(y - a), then u / r: the rows of
+    # the distance pass a blowup rung divides by its radius.
     direct = lambda_rescale(mu, a, 0.5, field)
-    factored = pushforward(pushforward(mu, AffineMap.linear(inv)),
-                           AffineMap.translate_scale(inv @ a, 0.5))
-    assert np.array_equal(direct.points, factored.points)
-    assert np.array_equal(direct.weights, factored.weights)
+    factored = ((mu.points - a) @ field.inverse(a).T) / 0.5
+    assert np.array_equal(direct.points, factored)
+    assert np.array_equal(direct.weights, mu.weights)
 
 
 def test_lambda_rescale_by_a_large_constant_field():

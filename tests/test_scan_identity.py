@@ -35,8 +35,8 @@ from gmtlab.kernels import (_directions, _kernel_rows, _theta_rows,
                             _window_sums, ball_average, finsler_kernel,
                             frozen_discrepancy, pv_convergence_scan,
                             riesz_kernel, theta_kernel, truncated_pv)
-from gmtlab.measures import (BALL_GRID, Ball, DiscreteMeasure, EllipseField,
-                             ellipse_ball, lambda_rescale, mass_in, restrict)
+from gmtlab.measures import (BALL_GRID, DiscreteMeasure, EllipseField,
+                             ellipse_ball, mass_in)
 from gmtlab.moduli import (doubling_constant, omega_profile, seeded_probes,
                            tau_moduli)
 
@@ -180,26 +180,29 @@ def test_sandwich_violations_equal_per_R_masses(scene, m):
 @given(scene=scenes(), hole=st.integers(0, 6))
 def test_mass_mode_skips_exactly_the_empty_ellipses(scene, hole):
     """Mass mode drops the rungs whose ellipse holds no mass (here some are
-    emptied by clearing the ellipse of one ladder radius) and scales the
-    window-restricted rescaling of every other rung by 1 / that mass."""
+    emptied by clearing the ellipse of one ladder radius).  Every other rung
+    holds exactly the atoms of mu(B_M(a, WINDOW_RADIUS r)), that is those
+    with |u| <= WINDOW_RADIUS r (1 + TIE) for u = M(a)^{-1}(y - a), at
+    u / r and scaled by 1 / that mass."""
     field, a, ladder, mu = scene
     radii = [float(r) for r in ladder.radii]
+    inv = np.linalg.inv(field.matrix(a))
     if hole:
-        dist = _distances(mu.points, a, np.linalg.inv(field.matrix(a)))[1]
+        dist = _distances(mu.points, a, inv)[1]
         keep = dist > radii[min(hole, len(radii)) - 1]
         mu = DiscreteMeasure(mu.points[keep], mu.weights[keep], dim=2)
     seq = blowup_sequence(mu, a, field, ladder, mode="mass")
     masses = [mass_in(mu, ellipse_ball(a, r, field)) for r in radii]
     assert seq.skipped == [i for i, mass in enumerate(masses) if mass == 0.0]
     assert np.isnan(seq.densities).all()
-    window = Ball(np.zeros(2), WINDOW_RADIUS)
+    u, dist = _distances(mu.points, a, inv)
     for r, mass, nu in zip(radii, masses, seq.measures):
         if mass == 0.0:
             assert nu is None
             continue
-        kept = restrict(lambda_rescale(mu, a, r, field), window)
-        assert np.array_equal(nu.points, kept.points)
-        assert np.array_equal(nu.weights, kept.weights * (1.0 / mass))
+        keep = dist <= WINDOW_RADIUS * r * (1.0 + TIE)
+        assert np.array_equal(nu.points, u[keep] / r)
+        assert np.array_equal(nu.weights, mu.weights[keep] * (1.0 / mass))
 
 
 # ---------------------------------------------------------------------------
