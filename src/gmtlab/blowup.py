@@ -18,7 +18,8 @@ A scale ladder drives three intertwined diagnostics at a base point a:
                       that holds up to discretization slack whenever the
                       density exists.
 
-Distances are computed once per base point and masked per scale.  A
+Distances are computed once per base point and masked per scale.  Every
+density comes from `_densities`, which refuses an exponent m outside 1..n.  A
 resolution guard refuses ladders whose smallest radius does not dominate the
 sample spacing; refusing beats reporting noise.
 """
@@ -87,6 +88,14 @@ def _ellipse_masses(mu, a, anisotropy, radii):
     return ball_masses(mu.weights, dist, radii)
 
 
+def _densities(masses, radii, m, n):
+    """The densities mass / r^m at the exponent m, which must lie in 1..n
+    for a measure in R^n."""
+    if not 1 <= m <= n:
+        raise ContractError(f"density exponent m = {m} must lie in 1..{n}")
+    return np.array([mass / r ** m for mass, r in zip(masses, radii)])
+
+
 def density_scan(mu, a, anisotropy, m, ladder):
     """Per-scale ellipse densities with the running gap ratio.
 
@@ -96,8 +105,8 @@ def density_scan(mu, a, anisotropy, m, ladder):
     positive density has met a zero one.
     """
     radii = ladder.radii
-    masses = _ellipse_masses(mu, a, anisotropy, radii)
-    dens = np.array([mass / r ** m for mass, r in zip(masses, radii)])
+    dens = _densities(_ellipse_masses(mu, a, anisotropy, radii), radii, m,
+                      mu.dim)
     running = []
     top, bot = -np.inf, np.inf
     for v in dens:
@@ -162,6 +171,8 @@ def blowup_sequence(mu, a, anisotropy, ladder, mode="power", m=None):
     radii = ladder.radii
     u, dist = lambda_pass(mu, a, anisotropy.inverse(a))
     masses = ball_masses(mu.weights, dist, radii)
+    densities = (np.full(radii.size, np.nan) if m is None else
+                 _densities(masses, radii, m, mu.dim))
     measures, skipped = [], []
     for i, (r, mass) in enumerate(zip(radii, masses)):
         if mode == "power":
@@ -176,8 +187,6 @@ def blowup_sequence(mu, a, anisotropy, ladder, mode="power", m=None):
         measures.append(DiscreteMeasure(u[keep] / r,
                                         mu.weights[keep] * factor,
                                         dim=mu.dim))
-    densities = (np.full(radii.size, np.nan) if m is None else
-                 np.array([mass / r ** m for mass, r in zip(masses, radii)]))
     return BlowupSequence(radii=radii, measures=measures, densities=densities,
                           mode=mode, m=m, skipped=skipped)
 
@@ -235,7 +244,7 @@ def sandwich_check(mu, a, anisotropy, m, ladder, R_list):
     radii = ladder.radii
     masses = _ellipse_masses(mu, a, anisotropy, list(radii) + [
         r * R for r in radii for R in R_list])
-    dens = np.array([mass / r ** m for mass, r in zip(masses, radii)])
+    dens = _densities(masses, radii, m, mu.dim)
     if np.min(dens) <= 0.0:
         raise ContractError("sandwich needs positive densities on the window")
     dmin, dmax = float(dens.min()), float(dens.max())

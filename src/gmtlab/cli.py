@@ -132,7 +132,8 @@ class RunConfig:
 
 def measure_from_config(cfg, section="measure"):
     kind = cfg.get(section, "kind", required=True)
-    h = cfg.get_float(section, "h", 0.001)
+    # The Cantor spacing comes from its depth: h is read only where it is used.
+    h = None if kind == "cantor" else cfg.get_float(section, "h", 0.001)
     if kind == "line":
         entry = corpus.gen_line(h, cfg.get_float(section, "extent", 1.0))
     elif kind == "halfline":

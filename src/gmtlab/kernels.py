@@ -40,8 +40,7 @@ from .errors import (ContractError, DimensionMismatchError,
                      ResolutionGuardError, require_finite,
                      require_finite_distances, require_nonnegative_finite,
                      require_positive_finite)
-from .measures import (BALL_GRID, TIE_TOL, EllipseField, ball_midpoints,
-                       lambda_distances)
+from .measures import TIE_TOL, EllipseField, ball_means, lambda_distances
 from .reports import ScanReport
 
 _SQRT_RESIDUAL_TOL = 1e-10
@@ -274,15 +273,13 @@ def layer_potential_identity_residual(A, mu, x, eps):
 
 def ball_average(field, center, r):
     """Midpoint-grid average of a matrix field over the ball B(center, r),
-    on `BALL_GRID` midpoints per axis.  Supported for dim <= 3.
+    the mean of `ball_means` on `BALL_GRID` midpoints per axis.  Supported
+    for dim <= 3.
     """
     center = np.asarray(center, dtype=float).reshape(-1)
     if center.size > 3:
         raise ContractError("ball averages implemented for dim <= 3 only")
-    nodes, _ = ball_midpoints(center[None, :], r, BALL_GRID)
-    mats = field.matrices(nodes)
-    # The mean of N copies of one matrix need not be that matrix.
-    return mats[0] if (mats == mats[0]).all() else mats.mean(axis=0)
+    return next(ball_means(field, center[None, :], r))[1]
 
 
 @functools.cache

@@ -35,6 +35,7 @@ order and merged masses of ``np.unique(axis=0)`` with ``np.add.at``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -197,7 +198,9 @@ def f_series(mu, nu, max_terms):
     """Truncated metric series sum_l 2^{-l} min(1, F_l(mu, nu)).
 
     Returns the partial sum through ``l = max_terms`` and the rigorous tail
-    bound 2^{-max_terms} as a `SeriesResult`.
+    bound 2^{-max_terms} as a `SeriesResult`.  The weight 2^{-l} of a term
+    past l = 1074 rounds to 0.0, so the sum stops there with every bit kept
+    and a huge ``max_terms`` costs no more than 1074 terms.
 
     A term whose answer is already known is not solved.  Its bar is
     ``1 + SOLVER_TOL * (1 + sum(|mass| * caps))``: a term whose value, or a
@@ -215,7 +218,7 @@ def f_series(mu, nu, max_terms):
     if max_terms < 1:
         raise ContractError("max_terms must be >= 1")
     total, saturated = 0.0, False
-    for ell in range(1, max_terms + 1):
+    for ell in range(1, min(max_terms, 1074) + 1):
         term = 1.0
         if not saturated:
             lp = assemble_ball_lp(mu, nu, float(ell))
@@ -227,7 +230,7 @@ def f_series(mu, nu, max_terms):
                 term = min(1.0, value)
             saturated = value > bar
         total += 2.0 ** (-ell) * term
-    return SeriesResult(total, 2.0 ** (-max_terms))
+    return SeriesResult(total, math.ldexp(1.0, -max_terms))
 
 
 def f_scaling_residual(mu, nu, r):

@@ -44,7 +44,7 @@ _FIELD_DET_FLOOR = 1e-9
 _FIELD_CACHE_CAP = 4096
 
 # Midpoints per axis of the ball quadrature behind field averages and
-# oscillations (`ball_midpoints`).
+# oscillations (`ball_means`).
 BALL_GRID = 16
 
 
@@ -406,23 +406,34 @@ def ellipse_ball(a, r, field):
     return Ball(a, r, matrix=field.matrix(a))
 
 
-def ball_midpoints(centers, r, k):
-    """Nodes of the midpoint ball quadrature on B(c, r) for every row c of
-    the (P, n) array ``centers``: the midpoints of the k^n grid on the cube
-    around each ball that lie in it, from one offsets grid and one distance
-    pass.  Returns the (M, n) nodes, center after center, and the (P,) node
-    count of each center; each center's nodes are those it would get alone.
-    A ball left without nodes (non-finite center, overflow) is refused.
+def ball_means(field, centers, r, grid=BALL_GRID):
+    """Midpoint ball quadrature of ``field`` on B(c, r) for every row c of
+    the (P, n) array ``centers``: yields, center after center, the matrices
+    at the midpoints of the grid^n grid on the cube around the ball that lie
+    in it, and their mean (the matrix itself when all of them are equal, as
+    the mean of N copies of one matrix need not be that matrix).
+
+    The nodes of a batch of centers, at most ``BALL_GRID ** 4`` grid points,
+    come from one distance pass and go to the field in one call; each
+    center's matrices are its own contiguous slice of the result, so they
+    have the bits of a quadrature of that center alone.  A ball left without
+    nodes (non-finite center, overflow) is refused.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        offsets = (np.arange(k) + 0.5) / k * (2 * r) - r
-        index = np.indices((k,) * centers.shape[1])
-        pts = offsets[index.reshape(len(index), -1).T] + centers[:, None, :]
-        inside = lambda_distances(pts, centers[:, None, :])[1] <= r
-    if not inside.any(axis=1).all():
-        raise ContractError(f"radius {r} leaves a probe ball without "
-                            f"quadrature nodes")
-    return pts[inside], inside.sum(axis=1)
+    n = centers.shape[1]
+    batch = max(1, BALL_GRID ** 4 // grid ** n)
+    index = np.indices((grid,) * n).reshape(n, -1).T
+    for k in range(0, len(centers), batch):
+        ball = centers[k:k + batch, None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            pts = ((np.arange(grid) + 0.5) / grid * (2 * r) - r)[index] + ball
+            inside = lambda_distances(pts, ball)[1] <= r
+        if not inside.any(axis=1).all():
+            raise ContractError(f"radius {r} leaves a probe ball without "
+                                f"quadrature nodes")
+        mats = field.matrices(pts[inside])
+        for block in np.split(mats, np.cumsum(inside.sum(axis=1))[:-1]):
+            yield block, (block[0] if (block == block[0]).all()
+                          else block.mean(axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,8 @@
     omega(r) = sup_x  mean over B(x, r) of |A(z) - (mean of A over B(x, r))|
 
 with the sup over a finite probe set (a documented lower bound on the true
-sup) and ball means by midpoint quadrature with half-resolution error bars.
-The quadrature nodes of many probes go to the field in one call (at most
-``BALL_GRID ** 4`` grid nodes per call); each probe's mean and deviations
-are then taken over its own contiguous slice of the matrices, in node order,
-so every value has the bits of a quadrature of that probe alone.
+sup) and ball means by the midpoint quadrature of `measures.ball_means`,
+with half-resolution error bars.  A constant field reads exactly 0.
 
 ``dini_small`` and ``dini_large`` are the weighted tail integrals
 
@@ -33,7 +30,7 @@ import numpy as np
 
 from .errors import (ContractError, DiniDivergenceWarning,
                      require_positive_finite)
-from .measures import BALL_GRID, ball_midpoints
+from .measures import BALL_GRID, ball_means
 
 # Log-spaced quadrature resolution for the Dini integrals.
 NODES_PER_DECADE = 200
@@ -118,20 +115,10 @@ def _omega_maxima(field, probe_centers, radii, grid=BALL_GRID):
         raise ContractError("probe dimension does not match the field")
     for r in radii:
         require_positive_finite("radius", r)
-    batch = max(1, BALL_GRID ** 4 // grid ** probes.shape[1])
-    omega = np.zeros(radii.size)
-    for i, r in enumerate(radii):
-        out = []
-        for k in range(0, len(probes), batch):
-            nodes, counts = ball_midpoints(probes[k:k + batch], r, grid)
-            mats = field.matrices(nodes)
-            ends = np.cumsum(counts).tolist()
-            for lo, hi in zip([0] + ends[:-1], ends):
-                dev = mats[lo:hi] - mats[lo:hi].mean(axis=0)
-                norms = np.sqrt(np.sum(dev * dev, axis=(1, 2)))
-                out.append(float(norms.mean()))
-        omega[i] = max(out)
-    return radii, omega
+    omega = [max(float(np.sqrt(np.sum((m - mean) ** 2, axis=(1, 2))).mean())
+                 for m, mean in ball_means(field, probes, r, grid))
+             for r in radii]
+    return radii, np.array(omega)
 
 
 def omega_profile(field, probe_centers, radii):

@@ -323,3 +323,27 @@ def test_sandwich_agrees_with_the_blowup_route(request, identity2, case):
         assert abs(new - v) <= 1e-12 * (1 + abs(v))
     assert rep.verdict == ("ok" if max(old) <= rep.meta["slack"]
                            else "inconclusive")
+
+
+# The three scans that read densities, each called with exponent m on the
+# line in R^2.
+DENSITY_SCANS = {
+    "density_scan": lambda mu, lad, m: density_scan(
+        mu, np.zeros(2), EllipseField.identity(2), m, lad),
+    "blowup_sequence": lambda mu, lad, m: blowup_sequence(
+        mu, np.zeros(2), EllipseField.identity(2), lad, m=m),
+    "sandwich_check": lambda mu, lad, m: sandwich_check(
+        mu, np.zeros(2), EllipseField.identity(2), m, lad, [1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSITY_SCANS))
+def test_scans_refuse_a_density_exponent_outside_1_to_n(line_entry, name):
+    scan = DENSITY_SCANS[name]
+    lad = ScaleLadder(**LINE_LADDER)
+    for m in (-3, 0, 3, 7):
+        with pytest.raises(ContractError,
+                           match=f"density exponent m = {m} must lie in 1..2"):
+            scan(line_entry.measure, lad, m)
+    for m in (1, 2):
+        scan(line_entry.measure, lad, m)

@@ -262,8 +262,9 @@ def test_large_scale_maps_are_not_singular(tmp_path, command, cfg_text):
     assert run_cli([command, "--config", cfg, "--out", str(out)]) == 0
 
 
-def test_dmo_constant_field_zeros(tmp_path):
-    cfg = write_cfg(tmp_path, DMO_CFG)
+@pytest.mark.parametrize("matrix", ["2,0,0,1", "0.3,0.1,0.1,0.7"])
+def test_dmo_constant_field_zeros(tmp_path, matrix):
+    cfg = write_cfg(tmp_path, DMO_CFG.replace("2,0,0,1", matrix))
     out = tmp_path / "dmo.csv"
     assert run_cli(["dmo", "--config", cfg, "--out", str(out)]) == 0
     rows = [l for l in out.read_text().splitlines()
@@ -846,6 +847,42 @@ def test_a_key_no_command_reads_exits_2_by_name(tmp_path, capsys):
     assert "[ladder] cuont is not read by this command; did you mean " \
            "[ladder] count?" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "density"])
+@pytest.mark.parametrize("h", ["0.5", "1e-9"])
+def test_a_cantor_measure_reads_no_spacing(tmp_path, capsys, command, h):
+    # The Cantor spacing comes from its depth, so an h key is a key no
+    # command reads.
+    text = CANTOR_DENSITY_CFG if command == "density" else GENERATE_CFG
+    cfg = write_cfg(tmp_path, text.replace("depth = 7", f"depth = 7\nh = {h}")
+                    .format(manifest=tmp_path / "manifest.json"))
+    out = tmp_path / "out.csv"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "[measure] h is not read by this command" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_density_refuses_an_exponent_above_the_dimension(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, LINE_DENSITY_CFG.replace("m = 1", "m = 7"))
+    out = tmp_path / "density.csv"
+    assert run_cli(["density", "--config", cfg, "--out", str(out)]) == 2
+    assert "density exponent m = 7 must lie in 1..2" in capsys.readouterr().err
+
+
+def test_metric_series_with_a_huge_max_terms_returns(tmp_path):
+    cfg = write_cfg(tmp_path, """
+[measure]
+kind = line
+h = 0.01
+[metric]
+mode = series
+max_terms = 1000000000000000000000000000000
+""")
+    out = tmp_path / "series.txt"
+    assert run_cli(["metric", "--config", cfg, "--out", str(out)]) == 0
+    value, tail = out.read_text().strip().splitlines()[1].split(",")
+    assert 0.0 < float(value) <= 1.0 and float(tail) == 0.0
 
 
 def test_a_typo_exits_2_before_the_blowup_is_computed(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, none imports a
-thread or process pool, and the scan modules meet Lambda(a) only through
-the field.
+thread or process pool, the scan modules meet Lambda(a) only through the
+field, and only `measures` evaluates a field at a batch of points.
 
 A stdlib-`ast` check, so it needs no linter: a deleted routine may not leave
 behind an import that only it used.  ``__init__.py`` is skipped by the first
@@ -106,3 +106,27 @@ def test_the_check_finds_a_bypass_of_the_field():
 @pytest.mark.parametrize("name", SCAN_MODULES)
 def test_scan_modules_meet_lambda_only_through_the_field(name):
     assert bypass_names((PACKAGE / name).read_text()) == []
+
+
+# Ball means of the field come from `measures.ball_means` alone, so one
+# quadrature (with its constant-field mean) serves omega, tau and the frozen
+# drift.
+def matrices_calls(source):
+    """Line numbers of the calls to an attribute named `matrices`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "matrices"]
+
+
+def test_the_check_finds_a_field_evaluation():
+    source = ("mats = field.matrices(nodes)\nfield.matrix(a)\n"
+              "f = field.matrices\nx = self.matrices(p[None, :])[0]\n")
+    assert matrices_calls(source) == [1, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "measures.py"],
+                         ids=lambda p: p.name)
+def test_only_measures_evaluates_the_field_at_a_batch(path):
+    assert matrices_calls(path.read_text()) == []

@@ -437,6 +437,16 @@ def test_series_stops_solving_once_a_term_saturates():
     assert res.value == _series_by_every_term(mu, nu, 20) == 1.0 - 2.0 ** -20
 
 
+def test_series_with_a_huge_max_terms_stops_where_the_weights_vanish():
+    # 2.0 ** -l is 0.0 from l = 1075 on, so the sum of 10^30 terms is that
+    # of 1074 terms, bit for bit, and the tail bound 2^{-10^30} is 0.0.
+    mu, nu = _saturated_at_one()
+    res = f_series(mu, nu, 10 ** 30)
+    assert res == (f_series(mu, nu, 1074).value, 0.0)
+    assert res.value == sum(2.0 ** -ell for ell in range(1, 1200))
+    assert f_series(mu, nu, 1074).tail_bound == 2.0 ** -1074 > 0.0
+
+
 def test_series_saturated_before_a_ball_over_the_site_cap():
     # 300 atoms of each sign on the circle of radius 1.5: outside B(0, 1),
     # inside B(0, 2), where they are more than SITE_CAP sites.  The series

@@ -5,7 +5,7 @@ from gmtlab.cones import FlatMeasureSpec, sample_flat
 from gmtlab.corpus import gen_lambda_field
 from gmtlab.errors import ContractError, DiniDivergenceWarning
 from gmtlab.kernels import frozen_discrepancy
-from gmtlab.measures import BALL_GRID, EllipseField, ball_midpoints
+from gmtlab.measures import BALL_GRID, EllipseField, ball_means
 from gmtlab.moduli import (dini_large, dini_small, doubling_constant,
                            omega_profile, seeded_probes, tau_moduli,
                            tau_of_modulus)
@@ -25,6 +25,22 @@ def test_omega_constant_field_identically_zero():
     prof = omega_profile(field, PROBES, [0.8, 0.4, 0.2, 0.1])
     assert np.all(prof.omega == 0.0)
     assert prof.kappa_hat == 1.0
+
+
+# The mean of many copies of each of these matrices is not the matrix itself
+# in the last bit, so a mean taken by summation reads omega ~ 1e-16 for them.
+CONSTANT_MATRICES = [[[0.3, 0.1], [0.1, 0.7]], [[1.3, 0.2], [0.2, 0.9]],
+                     [[0.7, -0.3], [-0.3, 1.1]]]
+
+
+@pytest.mark.parametrize("matrix", CONSTANT_MATRICES)
+def test_a_constant_field_reads_exactly_zero_oscillation(matrix):
+    # omega, its error bars, tau and tau_hat are exactly 0, and the Dini
+    # integrand raises no divergence warning.
+    field = EllipseField.constant(matrix)
+    prof = omega_profile(field, PROBES, [0.8, 0.4, 0.2, 0.1])
+    assert prof.omega.tolist() == prof.errors.tolist() == [0.0] * 4
+    assert tuple(tau_moduli(field, PROBES, 0.1)) == (0.0, 0.0)
 
 
 def test_omega_sin_field_decays_to_zero():
@@ -228,12 +244,12 @@ def test_tau_moduli_reads_full_resolution_maxima_only(monkeypatch):
     import gmtlab.moduli as moduli
     calls = []
 
-    def recording(centers, r, k):
-        calls.append((float(r), k))
-        return ball_midpoints(centers, r, k)
+    def recording(field, centers, r, grid=BALL_GRID):
+        calls.append((float(r), grid))
+        return ball_means(field, centers, r, grid)
 
     field = _sin_field()
-    monkeypatch.setattr(moduli, "ball_midpoints", recording)
+    monkeypatch.setattr(moduli, "ball_means", recording)
     got = tau_moduli(field, PROBES, 0.1)
     monkeypatch.undo()
     assert {k for _, k in calls} == {BALL_GRID}
