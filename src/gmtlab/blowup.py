@@ -19,21 +19,22 @@ A scale ladder drives three intertwined diagnostics at a base point a:
                       density exists.
 
 Distances are computed once per base point and masked per scale.  Every
-density comes from `_densities`, which refuses an exponent m outside 1..n.  A
+density comes from `_densities`, which refuses an exponent m outside 1..n and
+a radius whose r^m, r^-m or density leaves the floating-point range.  A
 resolution guard refuses ladders whose smallest radius does not dominate the
 sample spacing; refusing beats reporting noise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cones import cone_floor, symmetry_defect
 from .errors import (ContractError, ResolutionGuardError,
                      require_nonnegative_finite, require_positive_finite)
-from .measures import TIE_TOL, DiscreteMeasure, ball_masses, lambda_pass
+from .measures import DiscreteMeasure, ball_masses, lambda_pass, within
 from .reports import ScanReport
 
 # Each ellipse must contain at least this many sample cells per tangent
@@ -84,16 +85,26 @@ class ScaleLadder:
 
 def _ellipse_masses(mu, a, anisotropy, radii):
     """The ellipse masses mu(B_M(a, r)), r in radii, from one distance pass."""
-    dist = lambda_pass(mu, a, anisotropy.inverse(a))[1]
+    dist = lambda_pass(mu.points, a, anisotropy.inverse(a))[1]
     return ball_masses(mu.weights, dist, radii)
 
 
 def _densities(masses, radii, m, n):
     """The densities mass / r^m at the exponent m, which must lie in 1..n
-    for a measure in R^n."""
+    for a measure in R^n.  A radius whose r^m, r^-m (a power blowup's
+    normalization) or density is not finite is refused: its density would
+    read inf, nan or a false 0.  (A finite r^-m means that r^m has not
+    underflowed to 0.)"""
     if not 1 <= m <= n:
         raise ContractError(f"density exponent m = {m} must lie in 1..{n}")
-    return np.array([mass / r ** m for mass, r in zip(masses, radii)])
+    with np.errstate(all="ignore"):
+        dens = np.array([mass / r ** m for mass, r in zip(masses, radii)])
+        for r, d in zip(radii, dens):
+            if not (r ** m < np.inf and r ** -m < np.inf and d < np.inf):
+                raise ResolutionGuardError(
+                    f"radius {r:.4g} at density exponent m = {m} puts r^m, "
+                    f"r^-m or the density out of floating-point range")
+    return dens
 
 
 def density_scan(mu, a, anisotropy, m, ladder):
@@ -149,10 +160,7 @@ class BlowupSequence:
     radii: np.ndarray
     measures: list
     densities: np.ndarray
-    mode: str
-    m: int | None
-    skipped: list = field(default_factory=list)
-    window_radius: float = WINDOW_RADIUS
+    skipped: list
 
 
 def blowup_sequence(mu, a, anisotropy, ladder, mode="power", m=None):
@@ -169,7 +177,7 @@ def blowup_sequence(mu, a, anisotropy, ladder, mode="power", m=None):
     if mode == "power" and m is None:
         raise ContractError("power mode needs the dimension parameter m")
     radii = ladder.radii
-    u, dist = lambda_pass(mu, a, anisotropy.inverse(a))
+    u, dist = lambda_pass(mu.points, a, anisotropy.inverse(a))
     masses = ball_masses(mu.weights, dist, radii)
     densities = (np.full(radii.size, np.nan) if m is None else
                  _densities(masses, radii, m, mu.dim))
@@ -183,12 +191,12 @@ def blowup_sequence(mu, a, anisotropy, ladder, mode="power", m=None):
             measures.append(None)
             skipped.append(i)
             continue
-        keep = dist <= WINDOW_RADIUS * r * (1.0 + TIE_TOL)
+        keep = within(dist, WINDOW_RADIUS * r)
         measures.append(DiscreteMeasure(u[keep] / r,
                                         mu.weights[keep] * factor,
                                         dim=mu.dim))
     return BlowupSequence(radii=radii, measures=measures, densities=densities,
-                          mode=mode, m=m, skipped=skipped)
+                          skipped=skipped)
 
 
 def flatness_profile(radii, flatness, m):

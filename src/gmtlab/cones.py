@@ -41,7 +41,7 @@ import numpy as np
 from .errors import (ContractError, require_atom_count,
                      require_positive_finite)
 from .lipmetric import SITE_CAP, _merge_duplicates, ball_mask, f_ball
-from .measures import TIE_TOL, DiscreteMeasure, lambda_pass
+from .measures import DiscreteMeasure, beyond, lambda_pass, within
 from .transport import WarmStart
 
 # Candidate-plane grid spacing relative to the scale s, per dimension m of
@@ -353,10 +353,10 @@ def symmetry_defect(nu, x, r, R, m):
     """
     if not 0 < r < R:
         raise ContractError(f"need 0 < r < R, got ({r}, {R})")
-    u, dist = lambda_pass(nu, x)
-    # Closed annulus with the same relative tie tolerance as ball membership,
-    # so mirror pairs straddling a cut by an ulp stay paired.
-    mask = (dist >= r * (1.0 - TIE_TOL)) & (dist <= R * (1.0 + TIE_TOL))
+    u, dist = lambda_pass(nu.points, x)
+    # Closed annulus, tie-tolerant at both spheres, so mirror pairs
+    # straddling a cut by an ulp stay paired.
+    mask = beyond(dist, r) & within(dist, R)
     if not mask.any():
         return 0.0
     kern = -u[mask] / dist[mask, None] ** (m + 1)  # x - z, exactly

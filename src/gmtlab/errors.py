@@ -70,8 +70,8 @@ def require_nonnegative_finite(what, value):
 def require_finite_distances(dist, center):
     """Refuse a base point that is not finite, or whose distances to the
     sample overflowed (numpy computed them under ``np.errstate(over="ignore",
-    invalid="ignore")``).  Scans check once per base point, never per
-    window."""
+    invalid="ignore")``).  `measures.lambda_pass` checks once per base
+    point, never per window."""
     if not np.isfinite(center).all():
         raise ContractError(
             f"center {tuple(float(c) for c in center)} is not finite")

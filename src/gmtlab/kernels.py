@@ -38,9 +38,9 @@ import numpy as np
 
 from .errors import (ContractError, DimensionMismatchError,
                      ResolutionGuardError, require_finite,
-                     require_finite_distances, require_nonnegative_finite,
-                     require_positive_finite)
-from .measures import TIE_TOL, EllipseField, ball_means, lambda_distances
+                     require_nonnegative_finite, require_positive_finite)
+from .measures import (EllipseField, ball_means, beyond, lambda_distances,
+                       lambda_pass)
 from .reports import ScanReport
 
 _SQRT_RESIDUAL_TOL = 1e-10
@@ -127,16 +127,17 @@ def _kernel_rows(spec, x, targets):
     """Kernel vectors K(x, y) for all rows y of ``targets``, vectorized.
 
     Returns (values, window_radii): the truncation variable is the
-    Lambda-distance |L^{-1}(y - x)| (`lambda_distances`) with L the anisotropy
-    at x (riesz) or the SPD square root (theta/finsler).
+    Lambda-distance |L^{-1}(y - x)| of `lambda_pass`, which refuses a base
+    point that is not finite or whose distances overflow, with L the
+    anisotropy at x (riesz) or the SPD square root (theta/finsler).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if spec.flavor == "riesz":
-        w, t = lambda_distances(targets, x, spec.anisotropy.inverse(x))
+        w, t = lambda_pass(targets, x, spec.anisotropy.inverse(x))
     else:
-        t = lambda_distances(targets, x, spec._sqrt_inv)[1]
+        t = lambda_pass(targets, x, spec._sqrt_inv)[1]
         w = lambda_distances(targets, x, spec._inv)[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         denom = (spec._det_root * t ** spec.dim if spec.flavor == "theta"
                  else t ** (spec.m + 1))
         return w / denom[:, None], t
@@ -166,20 +167,18 @@ def _window_sums(spec, mu, x, eps_list, R):
             raise ContractError(f"need 0 < eps < R, got ({eps}, {outer})")
     if mu.dim != spec.dim:
         raise DimensionMismatchError("measure dimension mismatch")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    # An atom at x has a non-finite kernel value; no window reads its term.
-    # A base point whose distances overflow is refused by name.
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals, t = _kernel_rows(spec, x, mu.points)
+    vals, t = _kernel_rows(spec, x, mu.points)
+    # An atom at or next to x has a non-finite kernel value, and a zero
+    # weight times an infinite one is nan; no window reads its term.
+    with np.errstate(invalid="ignore", over="ignore"):
         terms = np.ascontiguousarray((mu.weights[:, None] * vals).T)
-    require_finite_distances(t, x)
     # Tie-tolerant half-open window [eps, R): mirror-symmetric samples whose
     # float distances straddle a cut by an ulp must land on the same side, or
     # odd-kernel cancellation breaks at the boundary spheres.
-    inner = t < outer * (1.0 - TIE_TOL)
+    inner = ~beyond(t, outer)
     sums = []
     for eps in eps_list:
-        part = np.compress((t >= eps * (1.0 - TIE_TOL)) & inner, terms, axis=1)
+        part = np.compress(beyond(t, eps) & inner, terms, axis=1)
         sums.append(np.add.accumulate(part, axis=1)[:, -1] + 0.0
                     if part.shape[1] else np.zeros(spec.dim))
     return sums

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import (ContractError, DimensionMismatchError, LpSizeError,
                      SolverError, require_positive_finite)
-from .measures import TIE_TOL, AffineMap, pushforward
+from .measures import AffineMap, pushforward, within
 from .transport import lipschitz_dual_value, lipschitz_potential
 
 # Largest Lipschitz LP this module will solve exactly.
@@ -101,11 +101,10 @@ def _merge_duplicates(pts, mass):
 
 
 def ball_mask(pts, r):
-    """Rows of ``pts`` in the closed ball B(0, r), with the relative tie
-    tolerance of ball membership; a row whose |x|^2 overflows is outside,
-    without a warning."""
+    """Rows of ``pts`` in the closed ball B(0, r) (`measures.within`); a row
+    whose |x|^2 overflows is outside, without a warning."""
     with np.errstate(over="ignore"):
-        return np.sqrt(np.sum(pts * pts, axis=1)) <= r * (1.0 + TIE_TOL)
+        return within(np.sqrt(np.sum(pts * pts, axis=1)), r)
 
 
 def assemble_ball_lp(mu, nu, r):

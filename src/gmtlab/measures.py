@@ -11,7 +11,9 @@ pushforward, and the anisotropic rescaling
 driven by a matrix field a |-> M(a).
 
 All objects are immutable values; every operation returns a new measure.
-Ball membership is closed with a tie tolerance of ``TIE_TOL`` relative to the
+One membership rule decides which atoms of a distance pass a ball, window or
+annulus holds: `within` (the closed ball) and `beyond` (the inner edge of a
+window or annulus), both with a tie tolerance of ``TIE_TOL`` relative to the
 radius so floating-point boundary ties resolve deterministically.  Every
 Lambda(a)-distance comes from `lambda_distances`; scans take it once per
 base point through `lambda_pass` and mask it per radius, so their masses
@@ -26,11 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ContractError, DimensionMismatchError,
-                     SingularMatrixError, require_finite,
+                     SingularMatrixError, require_atom_count, require_finite,
                      require_finite_distances, require_nonnegative_finite,
                      require_positive_finite)
 
-# Relative tolerance for closed-ball membership: |y - a| <= r * (1 + TIE_TOL).
+# Relative tolerance of `within` and `beyond`: |y - a| <= r * (1 + TIE_TOL)
+# and |y - a| >= r * (1 - TIE_TOL).
 TIE_TOL = 1e-12
 
 # Relative |det| floor below which an affine map or an ellipse matrix is
@@ -187,7 +190,7 @@ class Ball:
         point whose distance overflows is outside."""
         with np.errstate(over="ignore", invalid="ignore"):
             dist = lambda_distances(points, self.center, self._inv)[1]
-        return dist <= self.radius * (1.0 + TIE_TOL)
+        return within(dist, self.radius)
 
 
 @dataclass(frozen=True)
@@ -344,24 +347,37 @@ def lambda_distances(points, center, inv=None):
     return u, np.sqrt(np.sum(u * u, axis=-1))
 
 
-def lambda_pass(mu, center, inv=None):
-    """The Lambda(a)-distance pass of ``mu`` about ``center``: the rows
-    u = inv (y - center) and their norms, from `lambda_distances`.  A center
-    of the wrong dimension, one that is not finite, or one whose distances
-    overflow is refused here, once per base point."""
+def lambda_pass(points, center, inv=None):
+    """The Lambda(a)-distance pass of the (N, n) ``points`` about ``center``:
+    the rows u = inv (y - center) and their norms, from `lambda_distances`.
+    A center of the wrong dimension, one that is not finite, or one whose
+    distances overflow is refused here, once per base point."""
     center = np.asarray(center, dtype=float).reshape(-1)
-    if center.size != mu.dim:
+    if center.size != points.shape[1]:
         raise DimensionMismatchError(
-            f"center in R^{center.size} but measure in R^{mu.dim}")
+            f"center in R^{center.size} but measure in R^{points.shape[1]}")
     with np.errstate(over="ignore", invalid="ignore"):
-        u, dist = lambda_distances(mu.points, center, inv)
+        u, dist = lambda_distances(points, center, inv)
     require_finite_distances(dist, center)
     return u, dist
 
 
+def within(dist, r):
+    """Rows of a distance pass in the closed ball of radius ``r``."""
+    return dist <= r * (1.0 + TIE_TOL)
+
+
+def beyond(dist, r):
+    """Rows of a distance pass on or outside the sphere of radius ``r``, the
+    inner edge of a window or annulus; ``~beyond(dist, R)`` is the inside of
+    an open outer edge R.  An atom in the tie band of a sphere is both
+    `within` and `beyond` it."""
+    return dist >= r * (1.0 - TIE_TOL)
+
+
 def mass_in(mu, ball):
     """Total mass of ``mu`` inside a closed (euclidean or ellipse) ball."""
-    dist = lambda_pass(mu, ball.center, ball._inv)[1]
+    dist = lambda_pass(mu.points, ball.center, ball._inv)[1]
     return ball_masses(mu.weights, dist, [ball.radius])[0]
 
 
@@ -369,7 +385,7 @@ def ball_masses(weights, dist, radii):
     """Masses of the closed balls of each radius in ``radii`` about the
     center of one distance pass ``dist`` (`lambda_pass`); entry i equals
     `mass_in` of the ball of radius ``radii[i]`` bit for bit."""
-    return [float(weights[dist <= r * (1.0 + TIE_TOL)].sum()) for r in radii]
+    return [float(weights[within(dist, r)].sum()) for r in radii]
 
 
 def restrict(mu, region):
@@ -396,7 +412,7 @@ def lambda_rescale(mu, a, r, field):
             ==  mass of mu in the ellipse  a + M(a) B(0, r).
     """
     require_positive_finite("rescaling radius", r)
-    u = lambda_pass(mu, a, field.inverse(a))[0]
+    u = lambda_pass(mu.points, a, field.inverse(a))[0]
     return DiscreteMeasure(u / r, mu.weights, dim=mu.dim)
 
 
@@ -417,10 +433,11 @@ def ball_means(field, centers, r, grid=BALL_GRID):
     come from one distance pass and go to the field in one call; each
     center's matrices are its own contiguous slice of the result, so they
     have the bits of a quadrature of that center alone.  A ball left without
-    nodes (non-finite center, overflow) is refused.
+    nodes (non-finite center, overflow) is refused, and so is a grid^n grid
+    above the sample cap (`require_atom_count`), before it is allocated.
     """
     n = centers.shape[1]
-    batch = max(1, BALL_GRID ** 4 // grid ** n)
+    batch = max(1, BALL_GRID ** 4 // require_atom_count(grid ** n))
     index = np.indices((grid,) * n).reshape(n, -1).T
     for k in range(0, len(centers), batch):
         ball = centers[k:k + batch, None, :]

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ContractError, DiniDivergenceWarning,
+                     require_atom_count, require_nonnegative_finite,
                      require_positive_finite)
 from .measures import BALL_GRID, ball_means
 
@@ -99,9 +100,13 @@ def _interpolator(radii, omega):
 
 
 def seeded_probes(dim, count=64, seed=0):
-    """Deterministic probe centers filling [-PROBE_BOX, PROBE_BOX]^dim."""
+    """Deterministic probe centers filling [-PROBE_BOX, PROBE_BOX]^dim.  A
+    negative seed is refused by name, and a count above the sample cap
+    (`require_atom_count`) before the probes are allocated."""
+    require_nonnegative_finite("probe seed", seed)
     rng = np.random.default_rng(seed)
-    return rng.uniform(-PROBE_BOX, PROBE_BOX, size=(count, dim))
+    return rng.uniform(-PROBE_BOX, PROBE_BOX,
+                       size=(require_atom_count(count), dim))
 
 
 def _omega_maxima(field, probe_centers, radii, grid=BALL_GRID):

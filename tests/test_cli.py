@@ -428,6 +428,64 @@ def test_blowup_builds_one_rescaling_per_rung(tmp_path, monkeypatch):
     assert calls == ["blowup_sequence", "_ellipse_masses"]
 
 
+_LADDER = "r0 = 0.5\nrho = 0.5\ncount = 2"
+
+
+@pytest.mark.parametrize("command,ladder,m,radius", [
+    ("density", "r0 = 0.5\nrho = 0.5\ncount = 2000", 1, "5.563e-309"),
+    ("density", "r0 = 0.5\nrho = 1e-160\ncount = 3", 2, "5e-161"),
+    ("blowup", "r0 = 0.5\nrho = 0.5\ncount = 2000", 1, "5.563e-309"),
+], ids=["r^-1-overflows", "r^-2-overflows", "blowup"])
+def test_a_ladder_whose_densities_leave_the_float_range_exits_3(
+        tmp_path, capsys, monkeypatch, command, ladder, m, radius):
+    # With spacing 0 the resolution guard bounds no radius.  The densities
+    # refuse the first radius whose r^-m is not finite (at 0.5^1024 and at
+    # 5e-161 with m = 2), by r and m, before a blowup rung is built.
+    from gmtlab import blowup
+
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a rung was built")
+
+    monkeypatch.setattr(blowup, "DiscreteMeasure", no_rung)
+    text = BLOWUP_CFG.replace(_LADDER, f"{ladder}\nspacing = 0").replace(
+        "m = 1", f"m = {m}")
+    if command == "density":
+        text = text.replace("[blowup]", "[density]").replace(
+            "sandwich_R = 0.5,1,2\n", "")
+    out = tmp_path / "out.csv"
+    assert run_cli([command, "--config", write_cfg(tmp_path, text),
+                    "--out", str(out)]) == 3
+    assert (f"radius {radius} at density exponent m = {m} puts r^m, r^-m or "
+            "the density out of floating-point range"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_dmo_refuses_a_ball_grid_above_the_sample_cap(tmp_path, capsys,
+                                                      monkeypatch):
+    # A ball's quadrature grid has BALL_GRID ** n points, capped like a
+    # generated sample: n <= 5 runs and n = 6 is refused.  Under a cap
+    # lowered to BALL_GRID ** 3 - 1, n = 3 is refused before the grid is
+    # allocated and n = 2 still runs.
+    from gmtlab import errors
+    from gmtlab.measures import BALL_GRID
+    assert BALL_GRID ** 5 <= errors.MAX_ATOMS < BALL_GRID ** 6
+    monkeypatch.setattr(errors, "MAX_ATOMS", BALL_GRID ** 3 - 1)
+    for n, code in ((3, 3), (2, 0)):
+        cfg = write_cfg(tmp_path, f"[dmo]\nn = {n}\nprobes = 1\n"
+                        "radii = 0.5\n[field]\nkind = identity\n")
+        assert run_cli(["dmo", "--config", cfg]) == code
+    assert (f"needs {BALL_GRID ** 3} points, above the cap of "
+            f"{BALL_GRID ** 3 - 1}" in capsys.readouterr().err)
+
+
+def test_dmo_refuses_a_negative_seed(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, DMO_CFG)
+    assert run_cli(["dmo", "--config", cfg, "--seed", "-1"]) == 2
+    assert ("probe seed must be nonnegative and finite, got -1"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("matrix", ["1e7,1e7,0,1e-7", "1e7,0,1e7,1e-7"])
 @pytest.mark.parametrize("command, text", [
     ("density", LINE_DENSITY_CFG), ("pv", HALFLINE_PV_CFG),

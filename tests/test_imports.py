@@ -1,6 +1,8 @@
 """Every module of the package uses each name it imports, none imports a
 thread or process pool, the scan modules meet Lambda(a) only through the
-field, and only `measures` evaluates a field at a batch of points.
+field, only `measures` evaluates a field at a batch of points, and only
+`measures` decides which atoms of a distance pass a ball, window or annulus
+holds.
 
 A stdlib-`ast` check, so it needs no linter: a deleted routine may not leave
 behind an import that only it used.  ``__init__.py`` is skipped by the first
@@ -130,3 +132,39 @@ def test_the_check_finds_a_field_evaluation():
                          ids=lambda p: p.name)
 def test_only_measures_evaluates_the_field_at_a_batch(path):
     assert matrices_calls(path.read_text()) == []
+
+
+# One membership rule: the tie tolerance and the refusal of a distance pass
+# are read in `measures` alone (`errors` defines the refusal), so every
+# ball, window and annulus edge is decided by `within` and `beyond`.
+MEMBERSHIP = {"TIE_TOL", "require_finite_distances"}
+
+
+def membership_names(source):
+    """The names of `MEMBERSHIP` the module imports, reads or calls."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return sorted(found & MEMBERSHIP)
+
+
+def test_the_check_finds_a_membership_rule():
+    source = ("from .measures import TIE_TOL, within\n"
+              "from . import errors\n"
+              "errors.require_finite_distances(dist, x)\n"
+              "keep = dist <= r * (1.0 + TIE_TOL)\n")
+    assert membership_names(source) == ["TIE_TOL",
+                                        "require_finite_distances"]
+    assert membership_names("keep = within(dist, r)\n") == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in
+                                  ("measures.py", "errors.py")],
+                         ids=lambda p: p.name)
+def test_only_measures_reads_the_membership_rule(path):
+    assert membership_names(path.read_text()) == []

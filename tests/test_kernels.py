@@ -43,6 +43,35 @@ def test_kernel_singularity_rejected(identity2):
         kernel_eval(riesz_kernel(identity2, 1), np.ones(2), np.ones(2))
 
 
+@pytest.mark.parametrize("spec", [
+    riesz_kernel(EllipseField.identity(2), 1), theta_kernel(np.eye(2))],
+    ids=["riesz", "theta"])
+def test_kernel_eval_refuses_a_pair_whose_distance_overflows(spec):
+    # The window distance is `measures.lambda_pass`'s, refused by name
+    # rather than read through numpy's overflow warning.
+    with pytest.raises(ContractError, match=re.escape(
+            "center (0.0, 0.0) is too far from the sample: its distances "
+            "overflow")):
+        kernel_eval(spec, np.zeros(2), np.array([1e200, 1e200]))
+
+
+@pytest.mark.parametrize("points,weights,m,want", [
+    ([[1e-200, 0.0], [0.5, 0.0]], [0.0, 1.0], 1, [2.0, 0.0]),
+    ([[1e110, 0.0, 0.0], [0.5, 0.0, 0.0]], [1.0, 1.0], 2, [4.0, 0.0, 0.0]),
+], ids=["zero-weight-next-to-x", "far-atom"])
+def test_terms_outside_every_window_raise_no_warning(points, weights, m,
+                                                     want):
+    # Next to x, |u|^2 underflows to 0 and a zero weight times the infinite
+    # kernel value is nan, a term the window [0.1, inf) does not read.  Far
+    # out, |u|^3 overflows and the kernel value reads 0; its true value,
+    # 1e-220, is far below the last bit of the sum.  Neither may warn.
+    n = len(want)
+    spec = riesz_kernel(EllipseField.identity(n), m)
+    got = truncated_pv(spec, DiscreteMeasure(points, weights), np.zeros(n),
+                       0.1)
+    assert np.array_equal(got, want)
+
+
 def test_finsler_factorization_through_sqrt():
     # finsler kernel == sqrt(A)^{-1} applied to the riesz kernel of sqrt(A)
     rng = np.random.default_rng(6)

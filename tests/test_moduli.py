@@ -3,7 +3,8 @@ import pytest
 
 from gmtlab.cones import FlatMeasureSpec, sample_flat
 from gmtlab.corpus import gen_lambda_field
-from gmtlab.errors import ContractError, DiniDivergenceWarning
+from gmtlab.errors import (MAX_ATOMS, ContractError, DiniDivergenceWarning,
+                           GuardError)
 from gmtlab.kernels import frozen_discrepancy
 from gmtlab.measures import BALL_GRID, EllipseField, ball_means
 from gmtlab.moduli import (dini_large, dini_small, doubling_constant,
@@ -219,6 +220,11 @@ def test_dini_small_rejects_a_radius_whose_cutoff_underflows():
 def test_omega_profile_rejects_a_radius_that_leaves_a_ball_without_nodes():
     with pytest.raises(ContractError, match="radius 1e\\+300 leaves a probe"):
         omega_profile(_sin_field(), PROBES, [1e300, 0.5])
+
+
+def test_seeded_probes_refuse_a_count_above_the_sample_cap():
+    with pytest.raises(GuardError, match=f"needs {MAX_ATOMS + 1} points"):
+        seeded_probes(2, MAX_ATOMS + 1)
 
 
 def test_omega_profile_bounds_each_field_call():
