@@ -5,10 +5,9 @@ A scale ladder drives three intertwined diagnostics at a base point a:
 * ``density_scan``:   the ellipse densities mu(B_M(a, r_i)) / r_i^m per
                       scale, with running max/min as finite-scale stand-ins
                       for the upper and lower densities, and their gap ratio;
-* ``blowup_sequence``: the rescaled measures c_i . T^M_{a, r_i}[mu]
-                      restricted to a window ball, normalized either by the
-                      ellipse mass (c_i = 1/mu(B_M(a, r_i))) or by the power
-                      law (c_i = r_i^{-m});
+* ``blowup_sequence``: the rescaled measures r_i^{-m} T^M_{a, r_i}[mu]
+                      restricted to a window ball, normalized by the power
+                      law that the densities use;
 * ``flatness_profile`` and ``sandwich_check``: the trend of the blowups'
                       distances to the flat cone, and the finite-scale
                       density sandwich
@@ -17,6 +16,9 @@ A scale ladder drives three intertwined diagnostics at a base point a:
 
                       that holds up to discretization slack whenever the
                       density exists.
+
+``blowup_report`` is the ``blowup`` command's table: per rung the flatness,
+the symmetry defect and the worst sandwich violation, from one distance pass.
 
 Distances are computed once per base point and masked per scale.  Every
 density comes from `_densities`, which refuses an exponent m outside 1..n and
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import cone_floor, symmetry_defect
+from .cones import cone_floor, d_cone_flat, symmetry_defect
 from .errors import (ContractError, ResolutionGuardError,
                      require_nonnegative_finite, require_positive_finite)
 from .measures import DiscreteMeasure, ball_masses, lambda_pass, within
@@ -83,12 +85,6 @@ class ScaleLadder:
         return float(self.r0 * self.rho ** (self.count - 1))
 
 
-def _ellipse_masses(mu, a, anisotropy, radii):
-    """The ellipse masses mu(B_M(a, r)), r in radii, from one distance pass."""
-    dist = lambda_pass(mu.points, a, anisotropy.inverse(a))[1]
-    return ball_masses(mu.weights, dist, radii)
-
-
 def _densities(masses, radii, m, n):
     """The densities mass / r^m at the exponent m, which must lie in 1..n
     for a measure in R^n.  A radius whose r^m, r^-m (a power blowup's
@@ -116,8 +112,8 @@ def density_scan(mu, a, anisotropy, m, ladder):
     positive density has met a zero one.
     """
     radii = ladder.radii
-    dens = _densities(_ellipse_masses(mu, a, anisotropy, radii), radii, m,
-                      mu.dim)
+    dist = lambda_pass(mu.points, a, anisotropy.inverse(a))[1]
+    dens = _densities(ball_masses(mu.weights, dist, radii), radii, m, mu.dim)
     running = []
     top, bot = -np.inf, np.inf
     for v in dens:
@@ -149,54 +145,37 @@ def density_gap_verdict(report, threshold):
 
 @dataclass(frozen=True)
 class BlowupSequence:
-    """Normalized rescaled measures per ladder scale.
-
-    ``measures[i]`` is None when mass normalization hit an empty ellipse at
-    that scale (index also recorded in ``skipped``).  ``densities`` holds the
-    power-law density at each scale (NaN without m), from the very routine
-    `density_scan` uses.
-    """
+    """Power-normalized rescaled measures per ladder scale, with the density
+    at each scale from the very routine `density_scan` uses."""
 
     radii: np.ndarray
     measures: list
     densities: np.ndarray
-    skipped: list
+
+
+def _power_rungs(mu, u, dist, radii, m):
+    """Rung i holds the atoms of mu(B_M(a, WINDOW_RADIUS r_i)) at u / r_i
+    with mass scaled by r_i^{-m}, for ``u, dist`` of one `lambda_pass`."""
+    keeps = [within(dist, WINDOW_RADIUS * r) for r in radii]
+    return [DiscreteMeasure(u[keep] / r, mu.weights[keep] * float(r) ** (-m),
+                            dim=mu.dim) for r, keep in zip(radii, keeps)]
 
 
 def blowup_sequence(mu, a, anisotropy, ladder, mode="power", m=None):
-    """Blowups c_i . T^M_{a, r_i}[mu] restricted to the window ball.
+    """Blowups r_i^{-m} T^M_{a, r_i}[mu] restricted to the window ball, with
+    u and the masses from one Lambda(a)-distance pass.
 
-    Rung i holds the atoms of mu(B_M(a, WINDOW_RADIUS r_i)) at u / r_i, with
-    u and the masses from one Lambda(a)-distance pass.  ``power`` mode uses
-    c_i = r_i^{-m} (needs m); ``mass`` mode uses c_i = 1/mu(B_M(a, r_i)),
-    unit mass on B(0, 1), and skips the scales where that ellipse carries
-    no mass.
+    The exponent m is required.  ``mode`` admits only ``"power"``, the one
+    normalization; the keyword stays for callers that pass it.
     """
-    if mode not in ("power", "mass"):
-        raise ContractError(f"unknown normalization mode {mode!r}")
-    if mode == "power" and m is None:
-        raise ContractError("power mode needs the dimension parameter m")
+    if mode != "power" or m is None:
+        raise ContractError(f"no power blowup at mode = {mode!r}, m = {m}")
     radii = ladder.radii
     u, dist = lambda_pass(mu.points, a, anisotropy.inverse(a))
-    masses = ball_masses(mu.weights, dist, radii)
-    densities = (np.full(radii.size, np.nan) if m is None else
-                 _densities(masses, radii, m, mu.dim))
-    measures, skipped = [], []
-    for i, (r, mass) in enumerate(zip(radii, masses)):
-        if mode == "power":
-            factor = float(r) ** (-m)
-        elif mass > 0.0:
-            factor = 1.0 / mass
-        else:
-            measures.append(None)
-            skipped.append(i)
-            continue
-        keep = within(dist, WINDOW_RADIUS * r)
-        measures.append(DiscreteMeasure(u[keep] / r,
-                                        mu.weights[keep] * factor,
-                                        dim=mu.dim))
-    return BlowupSequence(radii=radii, measures=measures, densities=densities,
-                          skipped=skipped)
+    densities = _densities(ball_masses(mu.weights, dist, radii), radii, m,
+                           mu.dim)
+    return BlowupSequence(radii, _power_rungs(mu, u, dist, radii, m),
+                          densities)
 
 
 def flatness_profile(radii, flatness, m):
@@ -245,12 +224,18 @@ def sandwich_check(mu, a, anisotropy, m, ladder, R_list):
     against the slack 3 h / (r_min * rho); violations beyond it mean the
     density-existence hypothesis fails and the report says ``inconclusive``.
     """
+    dist = lambda_pass(mu.points, a, anisotropy.inverse(a))[1]
+    return _sandwich(mu, dist, m, ladder, R_list)
+
+
+def _sandwich(mu, dist, m, ladder, R_list):
+    """`sandwich_check` of mu read off its distance pass ``dist``."""
     R_list = [float(R) for R in R_list]
     if not R_list or not all(0 < R <= WINDOW_RADIUS for R in R_list):
         raise ContractError(f"R list must lie in (0, {WINDOW_RADIUS}], "
                             f"got {R_list}")
     radii = ladder.radii
-    masses = _ellipse_masses(mu, a, anisotropy, list(radii) + [
+    masses = ball_masses(mu.weights, dist, list(radii) + [
         r * R for r in radii for R in R_list])
     dens = _densities(masses, radii, m, mu.dim)
     if np.min(dens) <= 0.0:
@@ -272,6 +257,35 @@ def sandwich_check(mu, a, anisotropy, m, ladder, R_list):
         verdict="ok" if worst <= slack else "inconclusive",
         meta={"worst_violation": worst, "slack": slack,
               "density_window": (dmin, dmax)},
+    )
+
+
+def blowup_report(mu, a, field, m, ladder, R_list):
+    """The blowup table at a: per ladder radius r, the flatness
+    (``d_cone_flat`` at `FLATNESS_SCALE`) and the symmetry defect of the
+    power-normalized blowup, and its worst sandwich violation over R_list.
+
+    One Lambda(a)-distance pass gives the rungs and the sandwich masses.  The
+    verdict is the sandwich's; ``meta`` holds the `flatness_profile` trend
+    as ``flatness_verdict`` and its cone floor as ``flatness_floor``.
+    """
+    u, dist = lambda_pass(mu.points, a, field.inverse(a))
+    sandwich = _sandwich(mu, dist, m, ladder, R_list)
+    rungs = _power_rungs(mu, u, dist, ladder.radii, m)
+    radii = [float(r) for r in ladder.radii]
+    profile = flatness_profile(
+        radii, [d_cone_flat(nu, m, FLATNESS_SCALE) for nu in rungs], m)
+    viol = np.reshape(sandwich.columns["violation"], (len(rungs), -1))
+    return ScanReport(
+        columns={
+            "r": radii,
+            "flatness": profile.columns["flatness"],
+            "symmetry_defect": [blowup_symmetry_defect(nu, m) for nu in rungs],
+            "sandwich_violation": viol.max(axis=1).tolist(),
+        },
+        verdict=sandwich.verdict,
+        meta={"flatness_verdict": profile.verdict,
+              "flatness_floor": profile.meta["floor"]},
     )
 
 

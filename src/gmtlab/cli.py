@@ -1,11 +1,14 @@
 """Batch front end: generate measures, run scans, emit CSV tables and verdicts.
 
-Subcommands: density | pv | blowup | metric | dmo | generate.  Every run is
-driven by a line-oriented key=value config with [section] headers; the full
-canonical config is hashed and the hash embedded in a header comment of every
-output, so results are traceable to their inputs.  Outputs are byte-identical
-across reruns; commands run serially, so output cannot depend on
-``--threads``, which is accepted and ignored.
+Subcommands: density | pv | blowup | metric | dmo | generate.  A command
+reads its config, calls the library for its table (`blowup.blowup_report`,
+`moduli.dmo_report`, ...) and formats it with `report_lines`, the one rule
+that prints a report's verdict and the ``meta`` keys the command names.
+Every run is driven by a line-oriented key=value config with [section]
+headers; the full canonical config is hashed and the hash embedded in a
+header comment of every output, so results are traceable to their inputs.
+Outputs are byte-identical across reruns; commands run serially, so output
+cannot depend on ``--threads``, which is accepted and ignored.
 
 Exit codes: 0 success, 2 config or I/O error (unread keys included), 3
 numerical guard refusal (resolution guard, LP size cap, sample cap).  Each
@@ -19,7 +22,6 @@ import argparse
 import difflib
 import hashlib
 import sys
-import warnings
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from . import blowup, cones, corpus, kernels, lipmetric, moduli
 from .errors import ContractError, GmtLabError, GuardError
 from .measures import (DiscreteMeasure, EllipseField, load_measure_csv,
                        save_measure_csv)
-from .reports import ScanReport
 
 _FLOAT_FMT = "%.17g"
 
@@ -186,6 +187,8 @@ def field_from_config(cfg, dim, section="field"):
             rate=cfg.get_float(section, "rate", 1.0))
     if kind == "checkerboard":
         scale = cfg.get_float(section, "contrast", 2.0)
+        if not np.isfinite(scale):
+            raise ConfigError(f"[{section}] contrast = {scale} is not finite")
         return corpus.gen_lambda_field(
             "checkerboard", m1=np.eye(dim), m2=scale * np.eye(dim),
             cell=cfg.get_float(section, "cell", 0.5))
@@ -236,13 +239,16 @@ def _fmt(value):
     return str(value)
 
 
-def report_lines(report, cfg):
+def report_lines(report, cfg, meta=()):
+    """The header, the CSV table, the ``# verdict=`` line when the report has
+    a verdict, then one ``# meta.<key>=<value>`` line per key of ``meta``."""
     lines = [f"# config_sha256={cfg.sha256()}"]
     lines.append(",".join(report.names))
     for row in report.rows():
         lines.append(",".join(_fmt(v) for v in row))
     if report.verdict is not None:
         lines.append(f"# verdict={report.verdict}")
+    lines += [f"# meta.{key}={_fmt(report.meta[key])}" for key in meta]
     return lines
 
 
@@ -288,31 +294,9 @@ def cmd_blowup(cfg, out, seed):
     m = cfg.get_int("blowup", "m", 1)
     r_list = cfg.get_floats("blowup", "sandwich_R", [0.5, 1.0, 2.0])
     cfg.require_all_read()
-    seq = blowup.blowup_sequence(entry.measure, a, field, ladder,
-                                 mode="power", m=m)
-    sandwich = blowup.sandwich_check(entry.measure, a, field, m, ladder, r_list)
-    worst_by_scale = {}
-    for r, v in zip(sandwich.columns["r"], sandwich.columns["violation"]):
-        worst_by_scale[r] = max(worst_by_scale.get(r, 0.0), v)
-
-    radii = [float(r) for r in seq.radii]
-    flats = [cones.d_cone_flat(nu, m, blowup.FLATNESS_SCALE)
-             for nu in seq.measures]
-    defects = [blowup.blowup_symmetry_defect(nu, m=m) for nu in seq.measures]
-    profile = blowup.flatness_profile(radii, flats, m)
-    report = ScanReport(
-        columns={
-            "r": radii,
-            "flatness": profile.columns["flatness"],
-            "symmetry_defect": defects,
-            "sandwich_violation": [worst_by_scale[r] for r in radii],
-        },
-        verdict=sandwich.verdict,
-    )
-    _emit(out, report_lines(report, cfg) + [
-        f"# meta.flatness_verdict={profile.verdict}",
-        f"# meta.flatness_floor={_fmt(profile.meta['floor'])}",
-    ])
+    report = blowup.blowup_report(entry.measure, a, field, m, ladder, r_list)
+    _emit(out, report_lines(report, cfg,
+                            ("flatness_verdict", "flatness_floor")))
 
 
 def cmd_metric(cfg, out, seed):
@@ -355,26 +339,7 @@ def cmd_dmo(cfg, out, seed):
         extra = point_from_config(cfg, dim, "dmo", "boundary_probe")
         probes = np.vstack([probes, extra[None, :]])
     cfg.require_all_read()
-    profile = moduli.omega_profile(field, probes, radii)
-    theta = profile.interpolator()
-
-    taus, warned = [], []
-    for r in sorted(radii):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            taus.append(moduli.tau_of_modulus(theta, dim, r))
-        warned.append(1.0 if caught else 0.0)
-    report = ScanReport(
-        columns={
-            "r": sorted(radii),
-            "omega": profile.omega.tolist(),
-            "tau": [t.tau for t in taus],
-            "tau_hat": [t.tau_hat for t in taus],
-            "kappa_hat": [profile.kappa_hat] * len(radii),
-            "divergence_warning": warned,
-        },
-    )
-    _emit(out, report_lines(report, cfg))
+    _emit(out, report_lines(moduli.dmo_report(field, probes, radii), cfg))
 
 
 def cmd_generate(cfg, out, seed):

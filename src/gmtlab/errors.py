@@ -86,11 +86,12 @@ def require_finite_distances(dist, center):
 MAX_ATOMS = 2 ** 22
 
 
-def require_atom_count(count):
+def require_atom_count(count, what="generated sample"):
     """``count`` as an int; refuses, before a sample is allocated, a count
-    above `MAX_ATOMS` or one that is not finite."""
+    above `MAX_ATOMS` or one that is not finite, naming the sample by
+    ``what``."""
     if not count <= MAX_ATOMS:
-        raise GuardError(f"generated sample needs {count} points, "
+        raise GuardError(f"{what} needs {count} points, "
                          f"above the cap of {MAX_ATOMS}")
     return int(count)
 

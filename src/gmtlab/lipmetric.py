@@ -238,9 +238,12 @@ def f_scaling_residual(mu, nu, r):
     The two sides are the same program up to an exact change of variables, so
     the residual is solver noise: <= 1e-7 * (1 + F_r).  At r = 1 the
     rescaling is the identity, whose pushforward has the same bits, so the
-    one solve serves both sides and the residual is exactly 0.0.
+    one solve serves both sides and the residual is exactly 0.0.  A scale
+    whose 1/r overflows is refused before the first solve.
     """
     require_positive_finite("scale", r)
+    if not 1.0 / float(r) < np.inf:
+        raise ContractError(f"scale {r} is too small: 1/r is not finite")
     direct = f_ball(mu, nu, r)
     if r == 1.0:
         return 0.0

@@ -437,7 +437,8 @@ def ball_means(field, centers, r, grid=BALL_GRID):
     above the sample cap (`require_atom_count`), before it is allocated.
     """
     n = centers.shape[1]
-    batch = max(1, BALL_GRID ** 4 // require_atom_count(grid ** n))
+    batch = max(1, BALL_GRID ** 4 // require_atom_count(
+        grid ** n, f"per-ball grid of {grid}^n points in dimension n = {n}"))
     index = np.indices((grid,) * n).reshape(n, -1).T
     for k in range(0, len(centers), batch):
         ball = centers[k:k + batch, None, :]

@@ -17,8 +17,9 @@ by log-spaced midpoint quadrature; the small-scale integral warns when the
 integrand has not decayed at its lower cutoff (divergence suspected), and the
 large-scale one flat-extends theta beyond ``T_MAX`` where corpus fields are
 constant.  ``tau_moduli`` combines them into the composite moduli used by the
-frozen-coefficient comparison, and ``doubling_constant`` estimates the
-doubling constant of a sampled modulus on a dyadic ladder.
+frozen-coefficient comparison, ``doubling_constant`` estimates the
+doubling constant of a sampled modulus on a dyadic ladder, and
+``dmo_report`` tabulates omega, tau and the divergence warnings per radius.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import (ContractError, DiniDivergenceWarning,
                      require_atom_count, require_nonnegative_finite,
                      require_positive_finite)
 from .measures import BALL_GRID, ball_means
+from .reports import ScanReport
 
 # Log-spaced quadrature resolution for the Dini integrals.
 NODES_PER_DECADE = 200
@@ -106,7 +108,7 @@ def seeded_probes(dim, count=64, seed=0):
     require_nonnegative_finite("probe seed", seed)
     rng = np.random.default_rng(seed)
     return rng.uniform(-PROBE_BOX, PROBE_BOX,
-                       size=(require_atom_count(count), dim))
+                       size=(require_atom_count(count, "probe count"), dim))
 
 
 def _omega_maxima(field, probe_centers, radii, grid=BALL_GRID):
@@ -249,6 +251,31 @@ def tau_of_modulus(theta, n, r):
         tau=small + dini_large(theta, max(n - 1, 1), r),
         tau_hat=small + dini_large(theta, max(n - 2, 1), r),
     )
+
+
+def dmo_report(field, probes, radii):
+    """The ``dmo`` table: per radius r, ascending, the oscillation omega(r)
+    of `omega_profile`, tau(r) and tau_hat(r) of `tau_of_modulus` on its
+    interpolated profile, the doubling constant, and ``divergence_warning``,
+    1 where the Dini integral at r warned of divergence and 0 elsewhere.
+    The warnings are recorded in that column, not raised."""
+    profile = omega_profile(field, probes, radii)
+    theta = profile.interpolator()
+    radii = sorted(radii)
+    taus, warned = [], []
+    for r in radii:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            taus.append(tau_of_modulus(theta, field.dim, r))
+        warned.append(1.0 if caught else 0.0)
+    return ScanReport(columns={
+        "r": radii,
+        "omega": profile.omega.tolist(),
+        "tau": [t.tau for t in taus],
+        "tau_hat": [t.tau_hat for t in taus],
+        "kappa_hat": [profile.kappa_hat] * len(radii),
+        "divergence_warning": warned,
+    })
 
 
 def doubling_constant(radii, values):

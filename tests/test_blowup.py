@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gmtlab.blowup import (FLATNESS_SCALE, ScaleLadder, blowup_sequence,
+from gmtlab.blowup import (FLATNESS_SCALE, ScaleLadder, blowup_report,
+                           blowup_sequence, blowup_symmetry_defect,
                            density_gap_verdict, density_scan,
                            flatness_profile, sandwich_check)
 from gmtlab.cones import d_cone_flat
@@ -94,39 +95,31 @@ def test_blowup_power_mode_matches_density_scan(line_entry, identity2):
         assert mass_in(nu, Ball(np.zeros(2), 1.0)) == pytest.approx(d, rel=1e-12)
 
 
-def test_blowup_mass_mode_unit(line_entry, identity2):
+def test_blowup_sequence_is_power_normalized_only(line_entry, identity2):
+    # The one normalization is r^-m, which needs m; the mode keyword admits
+    # only "power".
     lad = ScaleLadder(**LINE_LADDER)
-    seq = blowup_sequence(line_entry.measure, np.zeros(2), identity2, lad,
-                          mode="mass")
-    for nu in seq.measures:
-        assert mass_in(nu, Ball(np.zeros(2), 1.0)) == pytest.approx(1.0,
-                                                                    abs=1e-12)
+    for kwargs in ({}, dict(mode="power"), dict(mode="mass"),
+                   dict(mode="mass", m=1)):
+        with pytest.raises(ContractError, match="no power blowup"):
+            blowup_sequence(line_entry.measure, np.zeros(2), identity2, lad,
+                            **kwargs)
 
 
-def test_blowup_mass_mode_skips_empty(identity2):
-    atom = DiscreteMeasure.dirac(np.array([3.0, 0.0]))
-    lad = ScaleLadder(r0=0.5, rho=0.5, count=3, spacing=0.0)
-    seq = blowup_sequence(atom, np.zeros(2), identity2, lad, mode="mass")
-    assert seq.skipped == [0, 1, 2]
-    assert all(nu is None for nu in seq.measures)
-
-
-@pytest.mark.parametrize("mode", ["power", "mass"])
+@pytest.mark.parametrize("mode", ["power"])
 def test_blowup_rungs_are_the_scaled_window_restrictions(line_entry, identity2,
                                                          mode):
     # Each rung is one mask and one measure; its bits are those of
-    # restricting the rescaled measure to the window and scaling it.
-    from gmtlab.blowup import WINDOW_RADIUS, _ellipse_masses
+    # restricting the rescaled measure to the window and scaling it by r^-m.
+    from gmtlab.blowup import WINDOW_RADIUS
     from gmtlab.measures import lambda_rescale, restrict
     mu, a = line_entry.measure, np.array([0.1, 0.0])
     seq = blowup_sequence(mu, a, identity2, ScaleLadder(**LINE_LADDER),
                           mode=mode, m=1)
-    masses = _ellipse_masses(mu, a, identity2, seq.radii)
     window = Ball(np.zeros(2), WINDOW_RADIUS)
-    for r, mass, nu in zip(seq.radii, masses, seq.measures):
-        factor = float(r) ** -1 if mode == "power" else 1.0 / mass
+    for r, nu in zip(seq.radii, seq.measures, strict=True):
         want = restrict(lambda_rescale(mu, a, float(r), identity2),
-                        window).scaled(factor)
+                        window).scaled(float(r) ** -1)
         assert np.array_equal(nu.points, want.points)
         assert np.array_equal(nu.weights, want.weights)
 
@@ -162,7 +155,7 @@ def test_eccentricity_density_sandwich(line_entry):
 
 def _profile(seq, m):
     """`flatness_profile` of the per-rung cone distances of a blowup sequence,
-    as `gmtlab.cli.cmd_blowup` computes them."""
+    as `blowup_report` computes them."""
     return flatness_profile(
         seq.radii, [d_cone_flat(nu, m, FLATNESS_SCALE) for nu in seq.measures],
         m)
@@ -347,3 +340,54 @@ def test_scans_refuse_a_density_exponent_outside_1_to_n(line_entry, name):
             scan(line_entry.measure, lad, m)
     for m in (1, 2):
         scan(line_entry.measure, lad, m)
+
+
+def _composed_blowup_table(mu, a, field, m, ladder, R_list):
+    """The `blowup` table as the command composed it before `blowup_report`:
+    a power blowup sequence and a sandwich check, each with its own distance
+    pass, then the cone distance and the symmetry defect per rung and the
+    worst violation per radius."""
+    seq = blowup_sequence(mu, a, field, ladder, mode="power", m=m)
+    sandwich = sandwich_check(mu, a, field, m, ladder, R_list)
+    worst = {}
+    for r, v in zip(sandwich.columns["r"], sandwich.columns["violation"]):
+        worst[r] = max(worst.get(r, 0.0), v)
+    radii = [float(r) for r in seq.radii]
+    profile = flatness_profile(
+        radii, [d_cone_flat(nu, m, FLATNESS_SCALE) for nu in seq.measures], m)
+    columns = {
+        "r": radii,
+        "flatness": profile.columns["flatness"],
+        "symmetry_defect": [blowup_symmetry_defect(nu, m=m)
+                            for nu in seq.measures],
+        "sandwich_violation": [worst[r] for r in radii],
+    }
+    meta = {"flatness_verdict": profile.verdict,
+            "flatness_floor": profile.meta["floor"]}
+    return columns, sandwich.verdict, meta
+
+
+BLOWUP_TABLE_CASES = {
+    "line": ("line_entry", lambda e: np.zeros(2), None,
+             dict(r0=0.4, rho=0.5, count=3, spacing=0.001), [0.5, 1.0, 2.0]),
+    "rotating-graph": ("sine_graph_entry", lambda e: _graph_point(e, 0.3),
+                       ROTATING, dict(r0=0.4, rho=0.5, count=3,
+                                      spacing=0.001), [0.5, 1.0, 2.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOWUP_TABLE_CASES))
+def test_blowup_report_is_the_composed_table_bit_for_bit(request, identity2,
+                                                         case):
+    fixture, point, params, ladder, R_list = BLOWUP_TABLE_CASES[case]
+    entry = request.getfixturevalue(fixture)
+    field = identity2 if params is None else gen_lambda_field(**params)
+    a, lad = point(entry), ScaleLadder(**ladder)
+    rep = blowup_report(entry.measure, a, field, 1, lad, R_list)
+    columns, verdict, meta = _composed_blowup_table(entry.measure, a, field,
+                                                    1, lad, R_list)
+    assert rep.names == list(columns)
+    for name, want in columns.items():
+        assert [float(v).hex() for v in rep.columns[name]] \
+            == [float(v).hex() for v in want], name
+    assert rep.verdict == verdict and rep.meta == meta

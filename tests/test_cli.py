@@ -411,9 +411,8 @@ def test_generate_without_out_exits_2_before_building(tmp_path, monkeypatch,
 
 
 def test_blowup_builds_one_rescaling_per_rung(tmp_path, monkeypatch):
-    # Every rung reads its call's one Lambda(a)-distance pass: the command
-    # makes one pass in blowup_sequence and one in sandwich_check (through
-    # _ellipse_masses), none per rung.
+    # Every rung and every sandwich mass reads the command's one
+    # Lambda(a)-distance pass, made in blowup_report; none is made per rung.
     from gmtlab import blowup
     calls = []
 
@@ -425,7 +424,7 @@ def test_blowup_builds_one_rescaling_per_rung(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, BLOWUP_CFG)
     assert run_cli(["blowup", "--config", cfg, "--out",
                     str(tmp_path / "blowup.csv")]) == 0
-    assert calls == ["blowup_sequence", "_ellipse_masses"]
+    assert calls == ["blowup_report"]
 
 
 _LADDER = "r0 = 0.5\nrho = 0.5\ncount = 2"
@@ -477,6 +476,20 @@ def test_dmo_refuses_a_ball_grid_above_the_sample_cap(tmp_path, capsys,
         assert run_cli(["dmo", "--config", cfg]) == code
     assert (f"needs {BALL_GRID ** 3} points, above the cap of "
             f"{BALL_GRID ** 3 - 1}" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("dmo,message", [
+    ("n = 6\nprobes = 4", f"per-ball grid of {16}^n points in dimension "
+     f"n = 6 needs {16 ** 6} points"),
+    ("n = 2\nprobes = 5000000", "probe count needs 5000000 points"),
+], ids=["grid", "probes"])
+def test_the_dmo_sample_cap_names_the_input_at_fault(tmp_path, capsys, dmo,
+                                                     message):
+    from gmtlab.measures import BALL_GRID
+    assert BALL_GRID == 16
+    cfg = write_cfg(tmp_path, f"[dmo]\n{dmo}\n[field]\nkind = identity\n")
+    assert run_cli(["dmo", "--config", cfg]) == 3
+    assert message + ", above the cap of 4194304" in capsys.readouterr().err
 
 
 def test_dmo_refuses_a_negative_seed(tmp_path, capsys):
@@ -632,6 +645,37 @@ def test_singular_field_or_bad_radius_exits_2(tmp_path, capsys, command,
     assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("contrast", ["inf", "-inf", "nan"])
+def test_a_non_finite_contrast_exits_2_by_name_without_a_warning(
+        tmp_path, capsys, contrast):
+    # The contrast is refused before it scales the identity, whose zeros
+    # times an infinite contrast would warn of an invalid value.
+    cfg = write_cfg(tmp_path, DMO_CFG.replace(
+        _CONSTANT_FIELD, f"kind = checkerboard\ncontrast = {contrast}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["dmo", "--config", cfg]) == 2
+    assert (f"[field] contrast = {float(contrast)} is not finite"
+            in capsys.readouterr().err)
+
+
+def test_a_scale_whose_inverse_overflows_exits_2_before_a_solve(
+        tmp_path, capsys, monkeypatch):
+    from gmtlab import lipmetric
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("F_r solved before the scale was checked")
+
+    monkeypatch.setattr(lipmetric, "f_ball", refuse)
+    cfg = write_cfg(tmp_path, METRIC_CFG.replace(
+        "mode = fr\nr = 1.0", "mode = scaling\nr = 1e-320"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["metric", "--config", cfg]) == 2
+    assert ("scale 1e-320 is too small: 1/r is not finite"
+            in capsys.readouterr().err)
 
 
 # The generated half-line's keys, replaced by a CSV measure's: a csv
@@ -944,15 +988,14 @@ max_terms = 1000000000000000000000000000000
 
 
 def test_a_typo_exits_2_before_the_blowup_is_computed(tmp_path, capsys):
-    from gmtlab import blowup, cones
+    from gmtlab import blowup
     cfg = write_cfg(tmp_path, TYPO_BLOWUP_CFG.split("[blowupp]")[0])
     out = tmp_path / "blowup.csv"
-    with mock.patch.object(blowup, "blowup_sequence") as sequence, \
-            mock.patch.object(cones, "d_cone_flat") as flat:
+    with mock.patch.object(blowup, "blowup_report") as report:
         assert run_cli(["blowup", "--config", cfg, "--out", str(out)]) == 2
     assert "[ladder] cuont is not read by this command" \
         in capsys.readouterr().err
-    assert sequence.call_count == flat.call_count == 0
+    assert report.call_count == 0
     assert not out.exists()
 
 

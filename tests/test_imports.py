@@ -1,8 +1,8 @@
 """Every module of the package uses each name it imports, none imports a
 thread or process pool, the scan modules meet Lambda(a) only through the
-field, only `measures` evaluates a field at a batch of points, and only
+field, only `measures` evaluates a field at a batch of points, only
 `measures` decides which atoms of a distance pass a ball, window or annulus
-holds.
+holds, and `cli` formats what the library computes.
 
 A stdlib-`ast` check, so it needs no linter: a deleted routine may not leave
 behind an import that only it used.  ``__init__.py`` is skipped by the first
@@ -168,3 +168,49 @@ def test_the_check_finds_a_membership_rule():
                          ids=lambda p: p.name)
 def test_only_measures_reads_the_membership_rule(path):
     assert membership_names(path.read_text()) == []
+
+
+# The CLI formats; the library computes.  `cli` records no warnings and
+# builds no report of its own, and its `# meta.*` lines come from the one
+# rule in `report_lines`.
+CLI_COMPUTES = {"warnings", "ScanReport"}
+
+
+def cli_faults(source):
+    """The names of `CLI_COMPUTES` the module imports, and the top-level
+    definitions other than `report_lines` that hold a `# meta.` string
+    literal; a bare string statement (a docstring) is not a literal here."""
+    tree = ast.parse(source)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {alias.name.split(".")[0]
+                      for alias in node.names} & CLI_COMPUTES
+    for top in tree.body:
+        bare = {id(node.value) for node in ast.walk(top)
+                if isinstance(node, ast.Expr)}
+        if any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and "# meta." in node.value and id(node) not in bare
+               for node in ast.walk(top)):
+            found.add(getattr(top, "name", "<module>"))
+    return sorted(found - {"report_lines"})
+
+
+def test_the_check_finds_a_command_that_computes():
+    source = ('"""Prints `# meta.key=value` lines."""\n'
+              "import warnings\nfrom .reports import ScanReport\n"
+              "def report_lines(report, keys):\n"
+              "    return [f'# meta.{k}={report.meta[k]}' for k in keys]\n"
+              "def cmd_blowup(cfg, out, seed):\n"
+              "    'Writes # meta.flatness_verdict by hand.'\n"
+              "    lines = [f'# meta.flatness_verdict={verdict}']\n")
+    assert cli_faults(source) == ["ScanReport", "cmd_blowup", "warnings"]
+    assert cli_faults("from .reports import ScanReport as Report\n") \
+        == ["ScanReport"]
+    assert cli_faults("lines = ['# meta.x=1']\n") == ["<module>"]
+    assert cli_faults("def report_lines(report, keys):\n"
+                      "    return [f'# meta.{k}=' for k in keys]\n") == []
+
+
+def test_the_cli_only_formats():
+    assert cli_faults((PACKAGE / "cli.py").read_text()) == []

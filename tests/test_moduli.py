@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ from gmtlab.errors import (MAX_ATOMS, ContractError, DiniDivergenceWarning,
                            GuardError)
 from gmtlab.kernels import frozen_discrepancy
 from gmtlab.measures import BALL_GRID, EllipseField, ball_means
-from gmtlab.moduli import (dini_large, dini_small, doubling_constant,
-                           omega_profile, seeded_probes, tau_moduli,
-                           tau_of_modulus)
+from gmtlab.moduli import (dini_large, dini_small, dmo_report,
+                           doubling_constant, omega_profile, seeded_probes,
+                           tau_moduli, tau_of_modulus)
 
 PROBES = seeded_probes(2, 16, seed=0)
 
@@ -263,3 +265,33 @@ def test_tau_moduli_reads_full_resolution_maxima_only(monkeypatch):
     want = tau_of_modulus(omega_profile(field, PROBES, ladder).interpolator(),
                           2, 0.1)
     assert tuple(got) == tuple(want)
+
+
+@pytest.mark.parametrize("params", [
+    dict(kind="rotating", eccentricity=2.0, rate=1.0),
+    dict(kind="checkerboard", m1=np.eye(2), m2=2.0 * np.eye(2), cell=0.5),
+    dict(kind="radial_holder", alpha=0.5, n=2),
+    dict(kind="constant", matrix=np.diag([2.0, 1.0])),
+], ids=lambda p: p["kind"])
+def test_dmo_report_records_where_tau_of_modulus_warns(params):
+    # The table's tau columns are tau_of_modulus on the omega profile's
+    # interpolator, radii ascending, and its warning column reads 1 exactly
+    # where that call warns of Dini divergence; a constant field never does.
+    field = gen_lambda_field(**params)
+    radii = [0.4, 0.1, 0.8, 0.2]
+    rep = dmo_report(field, PROBES, radii)
+    theta = omega_profile(field, PROBES, radii).interpolator()
+    assert rep.columns["r"] == sorted(radii)
+    warned = []
+    for r, tau, tau_hat in zip(sorted(radii), rep.columns["tau"],
+                               rep.columns["tau_hat"], strict=True):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert tuple(tau_of_modulus(theta, 2, r)) == (tau, tau_hat)
+        assert all(w.category is DiniDivergenceWarning for w in caught)
+        warned.append(1.0 if caught else 0.0)
+    assert rep.columns["divergence_warning"] == warned
+    if params["kind"] == "constant":
+        assert warned == [0.0] * 4
+    elif params["kind"] == "checkerboard":
+        assert warned == [1.0] * 4

@@ -177,32 +177,18 @@ def test_sandwich_violations_equal_per_R_masses(scene, m):
 
 
 @settings(max_examples=100)
-@given(scene=scenes(), hole=st.integers(0, 6))
-def test_mass_mode_skips_exactly_the_empty_ellipses(scene, hole):
-    """Mass mode drops the rungs whose ellipse holds no mass (here some are
-    emptied by clearing the ellipse of one ladder radius).  Every other rung
-    holds exactly the atoms of mu(B_M(a, WINDOW_RADIUS r)), that is those
-    with |u| <= WINDOW_RADIUS r (1 + TIE) for u = M(a)^{-1}(y - a), at
-    u / r and scaled by 1 / that mass."""
+@given(scene=scenes(), m=st.sampled_from([1, 2]))
+def test_power_rungs_hold_exactly_the_window_atoms(scene, m):
+    """Rung i holds exactly the atoms of mu(B_M(a, WINDOW_RADIUS r_i)), that
+    is those with |u| <= WINDOW_RADIUS r (1 + TIE) for u = M(a)^{-1}(y - a),
+    at u / r and scaled by r^-m, and an empty window gives an empty rung."""
     field, a, ladder, mu = scene
-    radii = [float(r) for r in ladder.radii]
-    inv = np.linalg.inv(field.matrix(a))
-    if hole:
-        dist = _distances(mu.points, a, inv)[1]
-        keep = dist > radii[min(hole, len(radii)) - 1]
-        mu = DiscreteMeasure(mu.points[keep], mu.weights[keep], dim=2)
-    seq = blowup_sequence(mu, a, field, ladder, mode="mass")
-    masses = [mass_in(mu, ellipse_ball(a, r, field)) for r in radii]
-    assert seq.skipped == [i for i, mass in enumerate(masses) if mass == 0.0]
-    assert np.isnan(seq.densities).all()
-    u, dist = _distances(mu.points, a, inv)
-    for r, mass, nu in zip(radii, masses, seq.measures):
-        if mass == 0.0:
-            assert nu is None
-            continue
+    seq = blowup_sequence(mu, a, field, ladder, m=m)
+    u, dist = _distances(mu.points, a, np.linalg.inv(field.matrix(a)))
+    for r, nu in zip(ladder.radii, seq.measures, strict=True):
         keep = dist <= WINDOW_RADIUS * r * (1.0 + TIE)
         assert np.array_equal(nu.points, u[keep] / r)
-        assert np.array_equal(nu.weights, mu.weights[keep] * (1.0 / mass))
+        assert np.array_equal(nu.weights, mu.weights[keep] * float(r) ** -m)
 
 
 # ---------------------------------------------------------------------------
