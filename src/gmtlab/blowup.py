@@ -223,6 +223,8 @@ def sandwich_check(mu, a, anisotropy, m, ladder, R_list):
     distance pass.  The worst signed violation (in density units) is compared
     against the slack 3 h / (r_min * rho); violations beyond it mean the
     density-existence hypothesis fails and the report says ``inconclusive``.
+    An R at which some nu_i(B_R) / R^m is not finite, such as an R whose R^m
+    underflows, raises `ResolutionGuardError`.
     """
     dist = lambda_pass(mu.points, a, anisotropy.inverse(a))[1]
     return _sandwich(mu, dist, m, ladder, R_list)
@@ -246,7 +248,12 @@ def _sandwich(mu, dist, m, ladder, R_list):
     shells = iter(masses[radii.size:])
     for r in radii:
         for R in R_list:
-            val = next(shells) * float(r) ** -m / R ** m
+            norm = R ** m
+            val = next(shells) * float(r) ** -m / norm if norm else np.inf
+            if not val < np.inf:
+                raise ResolutionGuardError(
+                    f"sandwich radius R = {R} at density exponent m = {m} "
+                    f"puts nu_i(B_R) / R^m out of floating-point range")
             rows_r.append(float(r))
             rows_R.append(R)
             viol.append(max(dmin - val, val - dmax, 0.0))

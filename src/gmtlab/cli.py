@@ -4,6 +4,10 @@ Subcommands: density | pv | blowup | metric | dmo | generate.  A command
 reads its config, calls the library for its table (`blowup.blowup_report`,
 `moduli.dmo_report`, ...) and formats it with `report_lines`, the one rule
 that prints a report's verdict and the ``meta`` keys the command names.
+Each measure kind, field kind and ``metric`` mode is one table entry
+(`_MEASURE_KINDS`, `_FIELD_KINDS`, `_METRIC_MODES`) naming its library call
+and its keys with their defaults, all read by `_read_keys`: the keys are the
+schema, so a key of another kind or mode is never read and exits 2.
 Every run is driven by a line-oriented key=value config with [section]
 headers; the full canonical config is hashed and the hash embedded in a
 header comment of every output, so results are traceable to their inputs.
@@ -131,40 +135,51 @@ class RunConfig:
 # Config-driven object construction
 # ---------------------------------------------------------------------------
 
+def _read_keys(cfg, section, keys):
+    """The value of each key of the ordered ``{key: default}`` mapping
+    ``keys``, read in order: an integer where the default is an int, else a
+    number."""
+    return {key: (cfg.get_int if isinstance(default, int) else cfg.get_float)(
+        section, key, default) for key, default in keys.items()}
+
+
+# Each generated measure kind: its `corpus` generator and its keys with
+# their defaults.  Every kind but cantor also reads the spacing h, first.
+# The tables name their library calls, which are looked up when made, so a
+# wrapper installed on the module (a tracer, a test double) sees them.
+_MEASURE_KINDS = {
+    "line": ("gen_line", {"extent": 1.0}),
+    "halfline": ("gen_half_line", {"extent": 1.0}),
+    "cross": ("gen_cross", {"extent": 1.0}),
+    "circle": ("gen_circle", {"radius": 1.0}),
+    "cantor": ("gen_four_corner_cantor", {"depth": 7}),
+    "graph": ("gen_sine_graph",
+              {"amplitude": 0.1, "frequency": 1.0, "extent": 2.0}),
+    "flat": ("gen_flat", {"n": 2, "m": 1, "c": 1.0, "radius": 1.0}),
+}
+
+# Each parametrized field kind and its keys; identity and constant are read
+# apart, since constant's matrix is a list.
+_FIELD_KINDS = {
+    "rotating": {"eccentricity": 2.0, "rate": 1.0},
+    "checkerboard": {"contrast": 2.0, "cell": 0.5},
+    "radial_holder": {"alpha": 0.5},
+}
+
+
 def measure_from_config(cfg, section="measure"):
     kind = cfg.get(section, "kind", required=True)
     # The Cantor spacing comes from its depth: h is read only where it is used.
-    h = None if kind == "cantor" else cfg.get_float(section, "h", 0.001)
-    if kind == "line":
-        entry = corpus.gen_line(h, cfg.get_float(section, "extent", 1.0))
-    elif kind == "halfline":
-        entry = corpus.gen_half_line(h, cfg.get_float(section, "extent", 1.0))
-    elif kind == "cross":
-        entry = corpus.gen_cross(h, cfg.get_float(section, "extent", 1.0))
-    elif kind == "circle":
-        entry = corpus.gen_circle(h, cfg.get_float(section, "radius", 1.0))
-    elif kind == "cantor":
-        entry = corpus.gen_four_corner_cantor(cfg.get_int(section, "depth", 7))
-    elif kind == "graph":
-        amp = cfg.get_float(section, "amplitude", 0.1)
-        freq = cfg.get_float(section, "frequency", 1.0)
-        entry = corpus.gen_sine_graph(h, amp, freq,
-                                      cfg.get_float(section, "extent", 2.0))
-    elif kind == "flat":
-        entry = corpus.gen_flat(
-            cfg.get_int(section, "n", 2), cfg.get_int(section, "m", 1),
-            cfg.get_float(section, "c", 1.0),
-            cfg.get_float(section, "radius", 1.0), h,
-        )
-    elif kind == "csv":
-        path = cfg.get(section, "path", required=True)
-        dim = cfg.get_int(section, "dim")
-        measure = load_measure_csv(path, dim=dim)
-        entry = corpus.CorpusEntry(name="csv", measure=measure, label="mixed",
-                                   params={"h": h})
-    else:
+    h = {} if kind == "cantor" else {"h": cfg.get_float(section, "h", 0.001)}
+    if kind == "csv":
+        measure = load_measure_csv(cfg.get(section, "path", required=True),
+                                   dim=cfg.get_int(section, "dim"))
+        return corpus.CorpusEntry(name="csv", measure=measure, label="mixed",
+                                  params=h)
+    if kind not in _MEASURE_KINDS:
         raise ConfigError(f"unknown measure kind {kind!r}")
-    return entry
+    generate, keys = _MEASURE_KINDS[kind]
+    return getattr(corpus, generate)(**h, **_read_keys(cfg, section, keys))
 
 
 def field_from_config(cfg, dim, section="field"):
@@ -180,32 +195,22 @@ def field_from_config(cfg, dim, section="field"):
             raise ConfigError(f"[{section}] matrix needs {dim * dim} entries")
         return corpus.gen_lambda_field(
             "constant", matrix=np.array(vals).reshape(dim, dim))
-    if kind == "rotating":
-        return corpus.gen_lambda_field(
-            "rotating",
-            eccentricity=cfg.get_float(section, "eccentricity", 2.0),
-            rate=cfg.get_float(section, "rate", 1.0))
+    if kind not in _FIELD_KINDS:
+        raise ConfigError(f"unknown field kind {kind!r}")
+    keys = _read_keys(cfg, section, _FIELD_KINDS[kind])
     if kind == "checkerboard":
-        scale = cfg.get_float(section, "contrast", 2.0)
+        scale = keys.pop("contrast")
         if not np.isfinite(scale):
             raise ConfigError(f"[{section}] contrast = {scale} is not finite")
-        return corpus.gen_lambda_field(
-            "checkerboard", m1=np.eye(dim), m2=scale * np.eye(dim),
-            cell=cfg.get_float(section, "cell", 0.5))
-    if kind == "radial_holder":
-        return corpus.gen_lambda_field(
-            "radial_holder", alpha=cfg.get_float(section, "alpha", 0.5),
-            n=dim)
-    raise ConfigError(f"unknown field kind {kind!r}")
+        keys.update(m1=np.eye(dim), m2=scale * np.eye(dim))
+    elif kind == "radial_holder":
+        keys["n"] = dim
+    return corpus.gen_lambda_field(kind, **keys)
 
 
 def ladder_from_config(cfg, spacing, section="ladder"):
-    return blowup.ScaleLadder(
-        r0=cfg.get_float(section, "r0", 0.5),
-        rho=cfg.get_float(section, "rho", 0.5),
-        count=cfg.get_int(section, "count", 4),
-        spacing=cfg.get_float(section, "spacing", spacing),
-    )
+    return blowup.ScaleLadder(**_read_keys(cfg, section, {
+        "r0": 0.5, "rho": 0.5, "count": 4, "spacing": spacing}))
 
 
 def point_from_config(cfg, dim, section, key="center"):
@@ -299,31 +304,32 @@ def cmd_blowup(cfg, out, seed):
                             ("flatness_verdict", "flatness_floor")))
 
 
+# Each metric mode: its library call and the [metric] keys it reads, with
+# their defaults.  Every mode but dcone compares [measure] with [measure2].
+_METRIC_MODES = {
+    "fr": (lipmetric, "f_ball", {"r": 1.0}),
+    "series": (lipmetric, "f_series", {"max_terms": 20}),
+    "scaling": (lipmetric, "f_scaling_residual", {"r": 2.0}),
+    "dcone": (cones, "d_cone_flat", {"m": 1, "s": 1.0}),
+}
+
+
 def cmd_metric(cfg, out, seed):
     mode = cfg.get("metric", "mode", "fr")
-    r = cfg.get_float("metric", "r", 2.0 if mode == "scaling" else 1.0)
-    terms = cfg.get_int("metric", "max_terms", 20)
-    m = cfg.get_int("metric", "m", 1)
-    s = cfg.get_float("metric", "s", 1.0)
-    entry = measure_from_config(cfg)
-    if mode not in ("fr", "series", "scaling", "dcone"):
+    if mode not in _METRIC_MODES:
         raise ConfigError(f"unknown metric mode {mode!r}")
+    module, call, keys = _METRIC_MODES[mode]
+    args = _read_keys(cfg, "metric", keys)
+    measures = [measure_from_config(cfg).measure]
     if mode != "dcone":
-        if "measure2" in cfg.sections:
-            other = measure_from_config(cfg, "measure2").measure
-        else:
-            other = DiscreteMeasure.empty(entry.measure.dim)
+        measures.append(measure_from_config(cfg, "measure2").measure
+                        if "measure2" in cfg.sections
+                        else DiscreteMeasure.empty(measures[0].dim))
     cfg.require_all_read()
-    if mode == "fr":
-        value = _fmt(lipmetric.f_ball(entry.measure, other, r))
-    elif mode == "series":
-        res = lipmetric.f_series(entry.measure, other, terms)
-        value = _fmt(res.value) + "," + _fmt(res.tail_bound)
-    elif mode == "scaling":
-        value = _fmt(lipmetric.f_scaling_residual(entry.measure, other, r))
-    else:
-        value = _fmt(cones.d_cone_flat(entry.measure, m, s))
-    _emit(out, [f"# config_sha256={cfg.sha256()}", value])
+    value = getattr(module, call)(*measures, **args)
+    values = (value.value, value.tail_bound) if mode == "series" else (value,)
+    _emit(out, [f"# config_sha256={cfg.sha256()}",
+                ",".join(_fmt(v) for v in values)])
 
 
 def cmd_dmo(cfg, out, seed):

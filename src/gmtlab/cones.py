@@ -288,12 +288,19 @@ def d_cone_flat(nu, m, s):
     and the smaller of its result and the principal value is returned.  Each
     `_level` owns one holder, keyed by the frame's projector F F^T, which
     depends on neither basis nor sign; the coarse one and its bases are
-    dropped before the compass starts.  ``s`` must be positive and finite.
+    dropped before the compass starts.  ``s`` must be positive and finite,
+    with s^(m+1) in the normal float range [2^-1022, 2^1023).
     """
     n = nu.dim
     if not 1 <= m <= n - 1:
         raise ContractError(f"flat dimension m={m} must lie in 1..{n - 1}")
     require_positive_finite("scale s", s)
+    # A flat candidate's F_s mass is about s^(m+1) and its coordinates reach
+    # s, so outside this range the candidate norm underflows to 0 or the
+    # squared coordinates overflow.
+    if not -1022 <= (m + 1) * np.log2(s) < 1023:
+        raise ContractError(f"scale s = {s} at flat dimension m = {m} puts "
+                            f"s^{m + 1} out of floating-point range")
 
     inside = ball_mask(nu.points, s)
     inball = DiscreteMeasure(nu.points[inside], nu.weights[inside], dim=n)

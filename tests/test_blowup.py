@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,30 @@ def test_sandwich_validates_window(line_entry, identity2):
         with pytest.raises(ContractError):
             sandwich_check(line_entry.measure, np.zeros(2), identity2, 1, lad,
                            R_list)
+
+
+@pytest.mark.parametrize("m,R", [(1, 5e-324), (2, 5e-324), (2, 1e-200)])
+def test_sandwich_refuses_a_shell_mass_out_of_float_range(line_entry,
+                                                          identity2, m, R):
+    # nu_i(B_R) / R^m overflows, or R^m underflows to 0.
+    lad = ScaleLadder(r0=0.5, rho=0.5, count=2, spacing=0.001)
+    with pytest.raises(ResolutionGuardError, match="^" + re.escape(
+            f"sandwich radius R = {R} at density exponent m = {m} puts "
+            "nu_i(B_R) / R^m out of floating-point range") + "$"):
+        sandwich_check(line_entry.measure, np.zeros(2), identity2, m, lad,
+                       [R])
+
+
+def test_sandwich_keeps_a_finite_shell_mass_at_a_tiny_R(line_entry,
+                                                         identity2):
+    lad = ScaleLadder(r0=0.5, rho=0.5, count=2, spacing=0.001)
+    rep = sandwich_check(line_entry.measure, np.zeros(2), identity2, 1, lad,
+                         [1e-300])
+    # Each shell holds the one atom at a, so nu_i(B_R) / R^m is far above
+    # every density and is the violation itself.
+    mass = float(line_entry.measure.weights[0])
+    assert rep.columns["violation"] == [mass * r ** -1 / 1e-300
+                                        for r in (0.5, 0.25)]
 
 
 def _blowup_route_violations(mu, a, field, m, ladder, R_list):

@@ -1,12 +1,15 @@
+import re
 import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from gmtlab import transport
-from gmtlab.cli import ConfigError, RunConfig, _fmt, main
+from gmtlab.cli import (_FIELD_KINDS, _MEASURE_KINDS, _METRIC_MODES,
+                        ConfigError, RunConfig, _fmt, main)
 from gmtlab.cones import cone_floor
 from gmtlab.errors import SolverError
 from gmtlab.corpus import gen_half_line
@@ -167,20 +170,53 @@ kind = cross
 h = 0.01
 [metric]
 mode = {mode}
-r = 2.0
-max_terms = 6
+{key}
 """
-    cfg = write_cfg(tmp_path, base.format(mode="series"), "series.cfg")
+    cfg = write_cfg(tmp_path, base.format(mode="series", key="max_terms = 6"),
+                    "series.cfg")
     out = tmp_path / "series.txt"
     assert run_cli(["metric", "--config", cfg, "--out", str(out)]) == 0
     value, tail = out.read_text().strip().splitlines()[1].split(",")
     assert 0.0 < float(value) <= 1.0
     assert float(tail) == 2.0 ** -6
 
-    cfg = write_cfg(tmp_path, base.format(mode="scaling"), "scaling.cfg")
+    cfg = write_cfg(tmp_path, base.format(mode="scaling", key="r = 2.0"),
+                    "scaling.cfg")
     out = tmp_path / "scaling.txt"
     assert run_cli(["metric", "--config", cfg, "--out", str(out)]) == 0
     assert float(out.read_text().strip().splitlines()[1]) <= 1e-7
+
+
+@pytest.mark.parametrize("mode,key", [("fr", "max_terms = 6"),
+                                      ("series", "r = 2.0"),
+                                      ("scaling", "s = 1.0"),
+                                      ("dcone", "r = 1.0")])
+def test_a_key_of_another_metric_mode_exits_2(tmp_path, capsys, mode, key):
+    cfg = write_cfg(tmp_path, "[measure]\nkind = line\nh = 0.01\n"
+                              f"[metric]\nmode = {mode}\n{key}\n")
+    out = tmp_path / "metric.txt"
+    assert run_cli(["metric", "--config", cfg, "--out", str(out)]) == 2
+    name = key.split(" = ")[0]
+    assert (f"gmt-lab: [metric] {name} is not read by this command"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_readme_lists_the_kinds_and_modes_of_the_tables():
+    text = README.read_text()
+    kinds = re.findall(r"^kind = \w+ +# (\S+)$", text, re.M)
+    assert [names.split("|") for names in kinds] == [
+        [*_MEASURE_KINDS, "csv"], ["identity", "constant", *_FIELD_KINDS]]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)\.(\w+)` \| (.+) \|$", text,
+                      re.M)
+    assert [(mode, module, call, re.findall(r"`(\w+) = ([^`]+)`", keys))
+            for mode, module, call, keys in rows] == [
+        (mode, module.__name__.split(".")[-1], call,
+         [(key, str(default)) for key, default in keys.items()])
+        for mode, (module, call, keys) in _METRIC_MODES.items()]
 
 
 def test_metric_dcone_mode(tmp_path):
@@ -738,7 +774,8 @@ def test_solver_refusal_exits_3(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise SolverError("transportation simplex exceeded 1 iterations")
     monkeypatch.setattr(transport, "transport_simplex", refuse)
-    cfg = write_cfg(tmp_path, METRIC_CFG.replace("mode = fr", "mode = dcone"))
+    cfg = write_cfg(tmp_path, METRIC_CFG.replace("mode = fr\nr = 1.0",
+                                                 "mode = dcone"))
     assert run_cli(["metric", "--config", cfg]) == 3
 
 
@@ -748,7 +785,8 @@ def test_simplex_iteration_limit_exits_3(tmp_path, monkeypatch):
                             np.array([1.0, 1.0]), np.zeros(2), np.ones(2),
                             max_iter=1)
     monkeypatch.setattr(transport, "transport_simplex", refuse)
-    cfg = write_cfg(tmp_path, METRIC_CFG.replace("mode = fr", "mode = dcone"))
+    cfg = write_cfg(tmp_path, METRIC_CFG.replace("mode = fr\nr = 1.0",
+                                                 "mode = dcone"))
     assert run_cli(["metric", "--config", cfg]) == 3
 
 
@@ -852,16 +890,27 @@ _HOSTILE_FLOATS = ("0", "-1", "-0.0", "1e-300", "5e-324", "1e200", "1e300",
                    "nan", "inf", "1e-9", "2")
 _HOSTILE_INTS = ("0", "-1", "1", "3", "40")
 
+
+def _key_lines(keys):
+    return "".join(f"{key} = {default}\n" for key, default in keys.items())
+
+
 # Each generated kind with its keys at the defaults the CLI reads.
 GENERATE_CONFIGS = {
-    "line": "h = 0.001\nextent = 1.0",
-    "halfline": "h = 0.001\nextent = 1.0",
-    "cross": "h = 0.001\nextent = 1.0",
-    "circle": "h = 0.001\nradius = 1.0",
-    "cantor": "depth = 7",
-    "graph": "h = 0.001\namplitude = 0.1\nfrequency = 1.0\nextent = 2.0",
-    "flat": "n = 2\nm = 1\nc = 1.0\nradius = 1.0\nh = 0.001",
-}
+    kind: _key_lines(({} if kind == "cantor" else {"h": 0.001}) | keys)
+    for kind, (_, keys) in _MEASURE_KINDS.items()}
+
+# Each metric mode on the line, and each field kind in the density config,
+# with its keys at their defaults; only the lines after the prefix are swept.
+METRIC_CONFIGS = {
+    mode: (f"[metric]\nmode = {mode}\n" + _key_lines(keys),
+           "[measure]\nkind = line\nh = 0.01\n")
+    for mode, (_, _, keys) in _METRIC_MODES.items()}
+FIELD_CONFIGS = {
+    kind: (f"[field]\nkind = {kind}\n" + _key_lines(keys),
+           CLI_CONFIGS["density"].replace("[field]\nkind = identity\n", ""))
+    for kind, keys in {"constant": {"matrix": "2,0,0,1"},
+                       **_FIELD_KINDS}.items()}
 
 
 def _hostile_values(value):
@@ -874,14 +923,15 @@ def _hostile_values(value):
     return _HOSTILE_INTS if value.isdigit() else _HOSTILE_FLOATS
 
 
-def _hostile_cases(command, cfg_text, label):
-    """The config with each numeric value replaced, one at a time."""
+def _hostile_cases(command, cfg_text, prefix, label):
+    """``prefix`` and the config with each numeric value replaced, one at a
+    time."""
     lines = cfg_text.strip().splitlines()
     for i, line in enumerate(lines):
         key, eq, value = (part.strip() for part in line.partition("="))
         for hostile in _hostile_values(value) if eq else ():
             text = lines[:i] + [f"{key} = {hostile}"] + lines[i + 1:]
-            yield pytest.param(command, "\n".join(text) + "\n",
+            yield pytest.param(command, prefix + "\n".join(text) + "\n",
                                id=f"{label}-{key}={hostile}")
 
 
@@ -899,11 +949,17 @@ def _cells_not_finite(command, text):
 
 @pytest.mark.parametrize("command,cfg_text", [
     *(case for command, text in CLI_CONFIGS.items()
-      for case in _hostile_cases(command, text, command)),
+      for case in _hostile_cases(command, text, "", command)),
     *(case for kind, keys in GENERATE_CONFIGS.items()
       for case in _hostile_cases("generate",
-                                 f"[measure]\nkind = {kind}\n{keys}",
+                                 f"[measure]\nkind = {kind}\n{keys}", "",
                                  f"generate-{kind}")),
+    *(case for mode, text in METRIC_CONFIGS.items()
+      for case in _hostile_cases("metric", *text, f"metric-{mode}")),
+    *(case for kind, text in FIELD_CONFIGS.items()
+      for case in _hostile_cases("density", *text, f"field-{kind}")),
+    *_hostile_cases("blowup", "sandwich_R = 0.5,1,2",
+                    CLI_CONFIGS["blowup"].lstrip(), "blowup"),
 ])
 def test_hostile_config_exits_0_2_or_3(tmp_path, capsys, command, cfg_text):
     cfg = write_cfg(tmp_path, cfg_text)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -94,6 +95,25 @@ def test_d_cone_rejects_bad_scale():
     for s in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ContractError):
             d_cone_flat(nu, 1, s)
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e200, 1e300])
+def test_d_cone_refuses_a_scale_out_of_float_range_by_name(s):
+    # The candidate plane's F_s mass s^2 underflows to 0, or its squared
+    # coordinates overflow: refused before the first solve, without a
+    # numpy warning.
+    with mock.patch.object(cones, "f_ball") as solve:
+        with pytest.raises(ContractError, match="^" + re.escape(
+                f"scale s = {s} at flat dimension m = 1 puts s^2 out of "
+                "floating-point range") + "$"):
+            d_cone_flat(corpus.gen_line(0.01).measure, 1, s)
+    assert solve.call_count == 0
+
+
+@pytest.mark.parametrize("s,value", [(1e-100, 0.5),
+                                     (1e100, 0.49999999999999994)])
+def test_d_cone_at_an_extreme_scale_in_float_range(s, value):
+    assert d_cone_flat(corpus.gen_line(0.01).measure, 1, s) == value
 
 
 def _line_oracle(nu, angles):
