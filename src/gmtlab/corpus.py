@@ -39,14 +39,12 @@ class CorpusEntry:
         return float(self.params.get("h", 0.0))
 
 
-def gen_flat(n, m, c, radius, h, frame=None, name=None):
-    """Grid sample of c * H^m restricted to an m-plane; label rectifiable."""
+def gen_flat(n, m, c, radius, h, name=None):
+    """Grid sample of c * H^m restricted to the plane of the first m axes;
+    label rectifiable.  Another m-plane is `sample_flat` of its frame."""
     if not 1 <= m <= n:
         raise ContractError(f"plane dimension m={m} invalid in R^{n}")
-    if frame is None:
-        frame = np.eye(n)[:, :m]
-    spec = FlatMeasureSpec(np.asarray(frame, dtype=float), c, h)
-    measure = sample_flat(spec, radius)
+    measure = sample_flat(FlatMeasureSpec(np.eye(n)[:, :m], c, h), radius)
     return CorpusEntry(
         name=name or f"flat_n{n}_m{m}",
         measure=measure,

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import (ContractError, DimensionMismatchError, LpSizeError,
                      SolverError, require_positive_finite)
-from .measures import AffineMap, pushforward, within
+from .measures import DiscreteMeasure, within
 from .transport import lipschitz_dual_value, lipschitz_potential
 
 # Largest Lipschitz LP this module will solve exactly.
@@ -236,17 +236,18 @@ def f_scaling_residual(mu, nu, r):
     """| F_r(mu, nu) - r * F_1(mu/r, nu/r) | for the rescaling y -> y/r.
 
     The two sides are the same program up to an exact change of variables, so
-    the residual is solver noise: <= 1e-7 * (1 + F_r).  At r = 1 the
-    rescaling is the identity, whose pushforward has the same bits, so the
+    the residual is solver noise: <= 1e-7 * (1 + F_r).  The points are
+    rescaled as ``points * (1 / r)``.  At r = 1 that is the identity, so the
     one solve serves both sides and the residual is exactly 0.0.  A scale
     whose 1/r overflows is refused before the first solve.
     """
     require_positive_finite("scale", r)
-    if not 1.0 / float(r) < np.inf:
+    inv = 1.0 / float(r)
+    if not inv < np.inf:
         raise ContractError(f"scale {r} is too small: 1/r is not finite")
     direct = f_ball(mu, nu, r)
     if r == 1.0:
         return 0.0
-    scale = AffineMap.translate_scale(np.zeros(mu.dim), r)
-    rescaled = r * f_ball(pushforward(mu, scale), pushforward(nu, scale), 1.0)
-    return abs(direct - rescaled)
+    mu_r = DiscreteMeasure(mu.points * inv, mu.weights, dim=mu.dim)
+    nu_r = DiscreteMeasure(nu.points * inv, nu.weights, dim=nu.dim)
+    return abs(direct - r * f_ball(mu_r, nu_r, 1.0))

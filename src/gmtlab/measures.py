@@ -43,9 +43,6 @@ _AFFINE_DET_FLOOR = 1e-12
 # |det| floor below which a field matrix is rejected as singular.
 _FIELD_DET_FLOOR = 1e-9
 
-# Most field evaluations an EllipseField keeps; the oldest is dropped first.
-_FIELD_CACHE_CAP = 4096
-
 # Midpoints per axis of the ball quadrature behind field averages and
 # oscillations (`ball_means`).
 BALL_GRID = 16
@@ -232,18 +229,6 @@ class AffineMap:
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "offset", _freeze(b))
 
-    @classmethod
-    def linear(cls, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        return cls(matrix, np.zeros(matrix.shape[0]))
-
-    @classmethod
-    def translate_scale(cls, a, r):
-        """The rescaling y |-> (y - a) / r about the point ``a``."""
-        a = np.asarray(a, dtype=float).reshape(-1)
-        require_positive_finite("scale", r)
-        return cls(np.eye(a.size) / r, -a / r)
-
     @property
     def dim(self):
         return self.offset.size
@@ -263,7 +248,9 @@ class EllipseField:
     One batch evaluator defines the field.  Every matrix it yields passes
     the shape check and the finite |det| >= ``_FIELD_DET_FLOOR`` check
     (numerics need quantitative nondegeneracy).  `matrix` and `inverse` are
-    the cached one-point case of `matrices`, so both paths give equal bits.
+    the one-point case of `matrices`, so both paths give equal bits; the
+    field remembers the last point asked for, as a scan reads one base point
+    at a time.
 
     Parameters
     ----------
@@ -278,7 +265,7 @@ class EllipseField:
             raise ContractError("dimension must be >= 1")
         self._evaluator = evaluator
         self.dim = int(dim)
-        self._cache = {}
+        self._last = (None, None, None)  # key bytes, M(a), M(a)^{-1}
 
     @classmethod
     def constant(cls, matrix):
@@ -315,22 +302,18 @@ class EllipseField:
     def _entry(self, a):
         a = np.asarray(a, dtype=float).reshape(-1)
         key = a.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
+        if key != self._last[0]:
             m = self.matrices(a[None, :])[0]
-            hit = (_freeze(m), _freeze(np.linalg.inv(m)))
-            if len(self._cache) >= _FIELD_CACHE_CAP:
-                del self._cache[next(iter(self._cache))]
-            self._cache[key] = hit
-        return hit
+            self._last = (key, _freeze(m), _freeze(np.linalg.inv(m)))
+        return self._last
 
     def matrix(self, a):
-        """M(a): the one-point case of `matrices`, cached."""
-        return self._entry(a)[0]
+        """M(a): the one-point case of `matrices`."""
+        return self._entry(a)[1]
 
     def inverse(self, a):
-        """Cached M(a)^{-1}."""
-        return self._entry(a)[1]
+        """M(a)^{-1}."""
+        return self._entry(a)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +450,7 @@ def save_measure_csv(mu, path, header_comment=None):
     with open(path, "w", newline="") as fh:
         if header_comment is not None:
             fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"x{i + 1}" for i in range(mu.dim)] + ["w"])
         for p, w in zip(mu.points, mu.weights):
             writer.writerow([f"{v:.17g}" for v in p] + [f"{w:.17g}"])

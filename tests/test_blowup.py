@@ -132,7 +132,7 @@ def test_blowup_composition_dyadic_exact(line_entry, identity2):
     a = np.zeros(2)
     one = lambda_rescale(mu, a, 0.25, identity2)
     two = pushforward(lambda_rescale(mu, a, 0.5, identity2),
-                      AffineMap.translate_scale(np.zeros(2), 0.5))
+                      AffineMap(np.eye(2) / 0.5, np.zeros(2)))
     assert np.array_equal(one.points, two.points)
     assert np.array_equal(one.weights, two.weights)
 

@@ -798,14 +798,17 @@ def test_fmt_never_prints_negative_zero():
     assert _fmt(7) == "7"
 
 
-@pytest.mark.parametrize("command,cfg_text", [
+COMMAND_CONFIGS = [
     ("density", LINE_DENSITY_CFG),
     ("pv", HALFLINE_PV_CFG),
     ("metric", METRIC_CFG),
     ("dmo", DMO_CFG),
     ("blowup", BLOWUP_CFG),
     ("generate", "[measure]\nkind = cantor\ndepth = 5\n"),
-])
+]
+
+
+@pytest.mark.parametrize("command,cfg_text", COMMAND_CONFIGS)
 def test_byte_identical_across_threads(tmp_path, command, cfg_text):
     cfg = write_cfg(tmp_path, cfg_text)
     out1 = tmp_path / "a.out"
@@ -815,6 +818,14 @@ def test_byte_identical_across_threads(tmp_path, command, cfg_text):
     assert run_cli([command, "--config", cfg, "--out", str(out2),
                     "--threads", "4"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command,cfg_text", COMMAND_CONFIGS)
+def test_no_out_file_holds_a_carriage_return(tmp_path, command, cfg_text):
+    out = tmp_path / "a.out"
+    assert run_cli([command, "--config", write_cfg(tmp_path, cfg_text),
+                    "--out", str(out)]) == 0
+    assert b"\r" not in out.read_bytes()
 
 
 CROSS_BLOWUP_CFG = """

@@ -353,7 +353,7 @@ def test_d_cone_scale_identity():
     nu = random_cloud(rng, 25, spread=0.8)
     for s in (0.5, 2.0):
         lhs = d_cone_flat(nu, 1, s)
-        scaled = pushforward(nu, AffineMap.translate_scale(np.zeros(2), s))
+        scaled = pushforward(nu, AffineMap(np.eye(2) / s, np.zeros(2)))
         rhs = d_cone_flat(scaled, 1, 1.0)
         assert lhs == pytest.approx(rhs, abs=1e-3)
 

@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, none imports a
-thread or process pool, the scan modules meet Lambda(a) only through the
-field, only `measures` evaluates a field at a batch of points, only
-`measures` decides which atoms of a distance pass a ball, window or annulus
-holds, and `cli` formats what the library computes.
+thread or process pool, only `measures` reaches the object path of balls and
+maps (so the scans meet Lambda(a) only through the field), only `measures`
+evaluates a field at a batch of points, only `measures` decides which atoms
+of a distance pass a ball, window or annulus holds, and `cli` formats what
+the library computes.
 
 A stdlib-`ast` check, so it needs no linter: a deleted routine may not leave
 behind an import that only it used.  ``__init__.py`` is skipped by the first
@@ -80,12 +81,12 @@ def test_no_module_imports_a_thread_or_process_pool(path):
     assert concurrency_imports(path.read_text()) == []
 
 
-# Lambda(a) reaches the scans only through the field, so the field's check is
-# the only one it meets: no ellipse ball, affine map or rescaled measure is
-# built from it there.
-SCAN_MODULES = ("blowup.py", "cones.py", "kernels.py")
+# The object path of balls and maps lives in `measures` alone (and its
+# re-exports in `__init__`).  So Lambda(a) reaches the scans only through the
+# field, whose check is the only one it meets, and deleting the path touches
+# only `measures`, `__init__` and the tests.
 BYPASSES = {"Ball", "AffineMap", "ellipse_ball", "lambda_rescale",
-            "pushforward"}
+            "mass_in", "pushforward"}
 
 
 def bypass_names(source):
@@ -101,13 +102,18 @@ def bypass_names(source):
 
 def test_the_check_finds_a_bypass_of_the_field():
     source = ("from .measures import Ball, lambda_pass\n"
-              "from . import measures\nmeasures.pushforward(mu, m)\n")
-    assert bypass_names(source) == ["Ball", "pushforward"]
+              "from . import measures\nmeasures.pushforward(mu, m)\n"
+              "total = measures.mass_in(mu, ball)\n")
+    assert bypass_names(source) == ["Ball", "mass_in", "pushforward"]
+    assert bypass_names("from .measures import DiscreteMeasure, within\n"
+                        "nu = DiscreteMeasure(mu.points * inv, w)\n") == []
 
 
-@pytest.mark.parametrize("name", SCAN_MODULES)
-def test_scan_modules_meet_lambda_only_through_the_field(name):
-    assert bypass_names((PACKAGE / name).read_text()) == []
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "measures.py"],
+                         ids=lambda p: p.name)
+def test_only_measures_reaches_the_object_path(path):
+    assert bypass_names(path.read_text()) == []
 
 
 # Ball means of the field come from `measures.ball_means` alone, so one

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from gmtlab.blowup import ScaleLadder, density_scan, sandwich_check
 from gmtlab.errors import (ContractError, DimensionMismatchError,
                            SingularMatrixError)
-from gmtlab import measures
+from gmtlab.kernels import frozen_discrepancy, pv_convergence_scan, riesz_kernel
 from gmtlab.measures import (AffineMap, Ball, DiscreteMeasure, EllipseField,
                              HalfSpace, ellipse_ball, lambda_rescale,
                              load_measure_csv, mass_in, pushforward, restrict,
@@ -74,23 +75,28 @@ def test_restrict_box(line_entry):
     assert got == pytest.approx(0.5, abs=2 * 0.001)
 
 
+def _scale(r, a=(0.0, 0.0)):
+    """The rescaling y |-> (y - a) / r about the point ``a``."""
+    return AffineMap(np.eye(2) / r, -np.asarray(a) / r)
+
+
 def test_pushforward_identity(line_entry):
     mu = line_entry.measure
-    out = pushforward(mu, AffineMap.linear(np.eye(2)))
+    out = pushforward(mu, AffineMap(np.eye(2), np.zeros(2)))
     assert np.array_equal(out.points, mu.points)
     assert np.array_equal(out.weights, mu.weights)
 
 
 def test_pushforward_moves_points_keeps_weights():
     mu = DiscreteMeasure(np.array([[1.0, 0.0]]), [0.7])
-    out = pushforward(mu, AffineMap.translate_scale(np.zeros(2), 2.0))
+    out = pushforward(mu, _scale(2.0))
     assert np.allclose(out.points, [[0.5, 0.0]])
     assert out.weights[0] == 0.7
 
 
 def test_pushforward_ball_preimage(line_entry):
     mu = line_entry.measure
-    out = pushforward(mu, AffineMap.translate_scale(np.zeros(2), 0.25))
+    out = pushforward(mu, _scale(0.25))
     assert mass_in(out, Ball(np.zeros(2), 1.0)) == pytest.approx(
         mass_in(mu, Ball(np.zeros(2), 0.25)))
 
@@ -114,7 +120,7 @@ def test_invertible_maps_are_accepted_at_any_scale(matrix):
     # The singularity floor is relative to the column norms, so a scaled
     # orthogonal map (or a well-conditioned one) passes at any scale.
     m = np.array(matrix)
-    assert np.array_equal(AffineMap.linear(m).matrix, m)
+    assert np.array_equal(AffineMap(m, np.zeros(2)).matrix, m)
     assert np.array_equal(Ball(np.zeros(2), 1.0, matrix=m).matrix, m)
 
 
@@ -124,7 +130,7 @@ def test_invertible_maps_are_accepted_at_any_scale(matrix):
 def test_singular_or_nan_maps_are_refused(matrix):
     m = np.array(matrix)
     with pytest.raises(SingularMatrixError, match="singular linear part"):
-        AffineMap.linear(m)
+        AffineMap(m, np.zeros(2))
     with pytest.raises(SingularMatrixError, match="ellipse matrix"):
         Ball(np.zeros(2), 1.0, matrix=m)
 
@@ -147,10 +153,10 @@ def test_matrices_are_refused_when_not_finite_and_judged_at_any_scale(
         matrix, ball_ok, map_ok):
     m = np.array(matrix)
     if map_ok:
-        assert np.array_equal(AffineMap.linear(m).matrix, m)
+        assert np.array_equal(AffineMap(m, np.zeros(2)).matrix, m)
     else:
         with pytest.raises(SingularMatrixError, match="singular linear part"):
-            AffineMap.linear(m)
+            AffineMap(m, np.zeros(2))
     if ball_ok:
         ball = Ball(np.zeros(2), 1.0, matrix=m)
         assert np.array_equal(ball.matrix, m)
@@ -173,8 +179,8 @@ def test_ball_membership_reads_an_overflowing_distance_as_outside():
 def test_pushforward_composition_dyadic_exact():
     rng = np.random.default_rng(0)
     mu = DiscreteMeasure(rng.normal(size=(40, 2)), rng.uniform(0.1, 1, 40))
-    s = AffineMap.translate_scale(np.array([0.5, -0.25]), 2.0)
-    t = AffineMap.translate_scale(np.zeros(2), 0.5)
+    s = _scale(2.0, [0.5, -0.25])
+    t = _scale(0.5)
     seq = pushforward(pushforward(mu, s), t)
     once = pushforward(mu, _compose(t, s))
     assert np.array_equal(seq.points, once.points)
@@ -193,8 +199,8 @@ def test_pushforward_composition_general_close():
 def test_lambda_rescale_identity_field_matches_plain(line_entry, identity2):
     mu = line_entry.measure
     out = lambda_rescale(mu, np.zeros(2), 2.0, identity2)
-    plain = pushforward(pushforward(mu, AffineMap.linear(np.eye(2))),
-                        AffineMap.translate_scale(np.zeros(2), 2.0))
+    plain = pushforward(pushforward(mu, AffineMap(np.eye(2), np.zeros(2))),
+                        _scale(2.0))
     assert np.array_equal(out.points, plain.points)
 
 
@@ -279,33 +285,52 @@ def test_ellipse_field_matrices_checks_shapes():
         EllipseField.identity(2).matrices(np.zeros((2, 3)))
 
 
-def test_ellipse_field_cache_is_bounded():
+def _counted_field():
+    """A smooth SPD field and the list of the point counts it was asked for."""
     calls = []
 
     def ev(P):
-        calls.append(1)
+        calls.append(len(P))
         out = np.zeros((len(P), 2, 2))
-        out[:, 0, 0] = 2.0 + P[:, 0]
-        out[:, 0, 1] = P[:, 1]
+        out[:, 0, 0] = 2.0 + 0.1 * P[:, 0]
+        out[:, 0, 1] = out[:, 1, 0] = 0.1 * P[:, 1]
         out[:, 1, 1] = 1.0
         return out
 
-    cap = measures._FIELD_CACHE_CAP
-    field = EllipseField(ev, 2)
-    centers = np.column_stack([np.arange(cap + 10) * 1e-3,
-                               np.full(cap + 10, 0.5)])
-    for a in centers:
-        field.matrix(a)
-    assert len(field._cache) == cap
-    assert len(calls) == cap + 10
-    # The newest entries stay cached; the oldest were dropped and are
-    # re-evaluated correctly on demand.
-    field.inverse(centers[-1])
-    assert len(calls) == cap + 10
-    first = field.matrix(centers[0])
-    assert len(calls) == cap + 11 and len(field._cache) == cap
-    assert np.array_equal(first, ev(centers[:1])[0])
-    assert np.allclose(field.inverse(centers[0]) @ first, np.eye(2))
+    return EllipseField(ev, 2), calls
+
+
+def test_ellipse_field_cache_is_bounded():
+    # The field remembers one point, the last one asked for.
+    field, calls = _counted_field()
+    a, b = np.array([0.1, 0.5]), np.array([0.2, 0.5])
+    first, first_inv = field.matrix(a), field.inverse(a)
+    field.inverse(a.copy())
+    assert calls == [1]
+    assert not (first.flags.writeable or first_inv.flags.writeable)
+    field.matrix(b)
+    assert calls == [1, 1]
+    # A point asked for earlier is evaluated again, to equal bits.
+    again, again_inv = field.matrix(a), field.inverse(a)
+    assert calls == [1, 1, 1]
+    assert np.array_equal(again, first) and np.array_equal(again_inv,
+                                                           first_inv)
+    assert np.allclose(first_inv @ first, np.eye(2))
+
+
+def test_the_scans_at_one_base_point_evaluate_the_field_there_once(
+        line_entry):
+    field, calls = _counted_field()
+    mu, a = line_entry.measure, np.array([0.25, 0.0])
+    ladder = ScaleLadder(r0=0.5, rho=0.5, count=4, spacing=0.001)
+    pv_convergence_scan(riesz_kernel(field, 1), mu, a,
+                        [0.08, 0.04, 0.02, 0.01], spacing=0.001, R=0.4)
+    density_scan(mu, a, field, 1, ladder)
+    sandwich_check(mu, a, field, 1, ladder, [0.5, 1.0])
+    frozen_discrepancy(field, a, 0.1)
+    # One one-point evaluation; the frozen drift's ball average is one
+    # quadrature batch.
+    assert calls.count(1) == 1 and len(calls) == 2
 
 
 def test_measure_invariants_enforced():

@@ -10,8 +10,9 @@ import pytest
 from gmtlab.cones import FlatMeasureSpec
 from gmtlab.errors import ContractError
 from gmtlab.kernels import KernelSpec, finsler_kernel, spd_sqrt, theta_kernel
-from gmtlab.measures import (AffineMap, Ball, DiscreteMeasure, EllipseField,
-                             HalfSpace, lambda_rescale, restrict)
+from gmtlab.lipmetric import f_scaling_residual
+from gmtlab.measures import (Ball, DiscreteMeasure, EllipseField, HalfSpace,
+                             lambda_rescale, restrict)
 
 NAN, INF = np.nan, np.inf
 MU = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
@@ -33,8 +34,8 @@ ROWS = {
                           ContractError, "offset must be finite"),
     "flat-frame-nan": (lambda: FlatMeasureSpec([[NAN], [0.0]], 1.0, 0.01),
                        ContractError, "frame is not orthonormal"),
-    "translate-scale-inf": (
-        lambda: AffineMap.translate_scale([0.0, 0.0], INF),
+    "scaling-residual-inf": (
+        lambda: f_scaling_residual(MU, MU, INF),
         ContractError, "scale must be positive and finite, got inf"),
     "lambda-rescale-inf": (
         lambda: lambda_rescale(MU, [0.0, 0.0], INF, EllipseField.identity(2)),
