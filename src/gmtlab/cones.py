@@ -23,6 +23,12 @@ by the projector F F^T of their frame, so each starts from the basis of the
 nearest frame solved before it at that step.  Values are clamped to
 [0, 1], and 1 is returned when F_s(nu) = 0.
 
+A solve also leaves a feasible potential, the c-transform of its duals,
+whose 1-Lipschitz extension bounds every frame's value at that step from
+below by weak duality (Kelley 1960).  A coarse frame or compass trial whose
+bound, less a scale-free margin, shows that its value could not have moved
+the search is not solved (`d_cone_flat` states the rules).
+
 ``symmetry_defect`` evaluates the annulus moment whose vanishing at every
 window characterizes points of symmetry.
 
@@ -42,7 +48,7 @@ from .errors import (ContractError, require_atom_count,
                      require_positive_finite)
 from .lipmetric import SITE_CAP, _merge_duplicates, ball_mask, f_ball
 from .measures import DiscreteMeasure, beyond, lambda_pass, within
-from .transport import WarmStart
+from .transport import WarmStart, _distances, c_transform
 
 # Candidate-plane grid spacing relative to the scale s, per dimension m of
 # the plane; chosen so flat samples stay within the LP site budget.
@@ -61,6 +67,13 @@ _SEARCH_STEP = np.pi / 72
 # Fixed-seed Gaussian frames the coarse stage adds to the axis frames for
 # n >= 3.
 _RANDOM_FRAMES = 64
+
+# A frame is skipped only when its dual lower bound clears the bar by
+# _BOUND_MARGIN times s * (total target + candidate mass); see `_lower_bound`.
+_BOUND_MARGIN = 1e-9
+
+# Largest (anchors, candidates, atoms) array one block of a bound builds.
+_BOUND_CELLS = 1 << 17
 
 
 def cone_grid_step(s, m):
@@ -224,11 +237,15 @@ def _principal_frame(measure, m):
 def _compass_search(fun, x, fx):
     """Smallest value of ``fun`` found by a compass search from ``x``.
 
-    ``fx`` is ``fun(x)``.  A sweep tries x + step e_1, ..., x + step e_d, then
-    x - step e_1, ..., x - step e_d, and moves to the first strict
-    improvement; a sweep without one halves the step.  The search stops once
-    the step is below OPTIMIZER_TOL or after _SEARCH_EVALS trials; a trial
-    point seen before counts but reuses its value instead of calling ``fun``.
+    ``fx`` is ``fun(x)``; ``fun(y, bar)`` is the value at y, or inf when
+    that value is known to be at least ``bar``.  A sweep tries
+    x + step e_1, ..., x + step e_d, then x - step e_1, ..., x - step e_d,
+    and moves to the first strict improvement; a sweep without one halves
+    the step.  The search stops once the step is below OPTIMIZER_TOL or
+    after _SEARCH_EVALS trials; a trial point seen before counts but reuses
+    its value instead of calling ``fun``.  Each trial passes the current
+    value as its bar, so an inf is a trial that could not improve, now or
+    at any later, smaller value.
     """
     moves = np.concatenate([np.eye(x.size), -np.eye(x.size)])
     step, calls, seen = _SEARCH_STEP, 0, {}
@@ -239,7 +256,7 @@ def _compass_search(fun, x, fx):
             trial = x + step * move
             key = trial.tobytes()
             if key not in seen:
-                seen[key] = fun(trial)
+                seen[key] = fun(trial, fx)
             calls += 1
             if seen[key] < fx:
                 x, fx = trial, seen[key]
@@ -249,11 +266,126 @@ def _compass_search(fun, x, fx):
     return fx
 
 
+class _Level:
+    """What every solve at one grid step shares, and the potentials its
+    solves leave behind.
+
+    ``target`` is the F_s-normalized target, ``coords`` the plane-grid
+    coordinates and ``weights`` their masses, normalized once for every
+    frame F (|coords @ F^T| = |coords|, so every solve sees the same bits);
+    ``warm`` is the level's one `WarmStart`.
+
+    A solve that reaches the transport simplex can add an anchor (see
+    `solve`): the c-transform f of its duals (`gmtlab.transport.c_transform`)
+    at the target atoms x_a, so f_a <= cap_a.  The extension
+    f-(y) = max(-cap(y), max_a f_a - |y - x_a|) is 1-Lipschitz, has
+    |f-| <= cap (cap is 1-Lipschitz) and f-(x_a) >= f_a, so it is feasible
+    in the program of every frame F and, the target being nonnegative, weak
+    duality gives the anchor's bound (`bounds`)
+
+        F_s(target - candidates(F)) >= sum_a t_a f_a - sum_j w_j f-(y_j(F)).
+
+    This needs no other property of f, so the audit tolerance of the solve
+    does not enter.  Since |y - x_a| <= |y| + |x_a| and |y_j(F)| = |coords_j|
+    for every F, the anchor's ``top``, its bound with f-(y_j) replaced by
+    max(-cap(y_j), max_a (f_a - |x_a|) - |y_j|), is at least its bound at
+    every frame; it is computed once.  An atom on or outside the sphere
+    (cap_a = 0) adds nothing to either side and is left out.
+    """
+
+    def __init__(self, target, coords, weights, s):
+        self.target, self.coords, self.weights, self.s = (target, coords,
+                                                          weights, s)
+        self.warm = WarmStart()
+        pts = target.points
+        radii = np.sqrt(np.sum(pts * pts, axis=1))
+        inner = radii < s
+        self.atoms, self.radii = pts[inner], radii[inner]
+        self.caps, self.mass = s - self.radii, target.weights[inner]
+        # |y_j| and -cap(y_j) at every frame's candidates y_j.
+        self.rho = np.sqrt(np.sum(coords * coords, axis=1))
+        self.floor = np.minimum(self.rho - s, 0.0)
+        self.margin = _BOUND_MARGIN * s * (target.weights.sum()
+                                           + weights.sum())
+        # Per anchor: f at the atoms, sum_a t_a f_a and its top; the
+        # largest top.
+        self.potentials, self.sums, self.tops = [], [], []
+        self.top = -np.inf
+
+    def solve(self, frame, bar=np.inf):
+        """F_s of the target against the candidates of ``frame``, solved
+        from the holder's nearest basis, keyed by the projector F F^T.
+        Returns inf without a solve when `_lower_bound` shows the value is
+        at least ``bar``.
+
+        A transport solve adds its anchor when ``bar`` is inf or some
+        anchor's top reached it.  When none did, the level's values lie too
+        close together for the bounds to separate (a Dirac mass ties at
+        every frame), and the anchor would cost its c-transform for
+        nothing.  Any set of anchors gives sound bounds; on the pinned
+        inputs and over a hundred seeded clouds and circles this one skips
+        exactly the frames that keeping every anchor skips.
+        """
+        cand = self.coords @ frame.T
+        reached = bar == np.inf or self.top - self.margin >= bar
+        if bar < np.inf and _lower_bound(self, cand, bar) >= bar:
+            return np.inf
+        warm = self.warm
+        warm.key = (frame @ frame.T).ravel()
+        warm.dual = None
+        value = f_ball(self.target,
+                       DiscreteMeasure(cand, self.weights, dim=cand.shape[1]),
+                       self.s, warm=warm)
+        if reached and warm.dual is not None:
+            f = c_transform(self.atoms, self.caps, warm.dual)
+            total = float(self.mass @ f)
+            far = np.maximum((f - self.radii).max() - self.rho, self.floor)
+            top = total - float(self.weights @ far)
+            self.potentials.append(f)
+            self.sums.append(total)
+            self.tops.append(top)
+            self.top = max(self.top, top)
+        return value
+
+    def bounds(self, cand, rows):
+        """The bounds of the anchors numbered ``rows`` at the frame whose
+        candidate atoms are ``cand`` (see the class doc), in one array
+        expression per block of anchors whose (anchors, candidates, atoms)
+        array stays within _BOUND_CELLS."""
+        reach = _distances(cand, self.atoms)
+        block = max(1, _BOUND_CELLS // reach.size)
+        out = []
+        for lo in range(0, len(rows), block):
+            part = rows[lo:lo + block]
+            ext = (np.array([self.potentials[k] for k in part])[:, None, :]
+                   - reach).max(axis=2)
+            np.maximum(ext, self.floor, out=ext)
+            out.append(np.array([self.sums[k] for k in part])
+                       - ext @ self.weights)
+        return np.concatenate(out)
+
+
+def _lower_bound(level, cand, bar):
+    """A value that F_s of the ``level`` target against the candidate atoms
+    ``cand`` does not fall below, as its solve computes it: the largest
+    anchor bound less the level's margin, over the anchors whose top less
+    the margin reaches ``bar`` (the others cannot reach it); -inf when there
+    is none.
+
+    The margin, ``_BOUND_MARGIN * s * (total target + candidate mass)``, is
+    scale-free: every term of a bound and of the solve's objective is at
+    most a few times s * (total mass) in size, and the rounding of either
+    sum is many orders of magnitude below 1e-9 of that."""
+    if level.top - level.margin < bar:
+        return -np.inf
+    rows = [k for k, top in enumerate(level.tops)
+            if top - level.margin >= bar]
+    return level.bounds(cand, rows).max() - level.margin
+
+
 def _level(target, m, s, step):
-    """What every solve at grid step ``step`` shares: the F_s-normalized
-    ``target``, the plane-grid coordinates, their weights normalized once
-    for every frame F (|coords @ F^T| = |coords|, so every solve sees the
-    same bits) and one `WarmStart`; None when the target has no F_s mass.
+    """The `_Level` of grid step ``step``; None when the target has no F_s
+    mass.
 
     A target of more than ``SITE_CAP // 2`` atoms is first snapped to the
     grid of ``step``, each atom moving by at most step * sqrt(n) / 2, inside
@@ -269,9 +401,9 @@ def _level(target, m, s, step):
         return None
     coords = _plane_grid(m, step, s)
     weights = np.full(coords.shape[0], step ** m)
-    return (DiscreteMeasure(target.points, target.weights / norm,
-                            dim=target.dim),
-            coords, weights / _flat_mass_norm(coords, weights, s), WarmStart())
+    return _Level(DiscreteMeasure(target.points, target.weights / norm,
+                                  dim=target.dim),
+                  coords, weights / _flat_mass_norm(coords, weights, s), s)
 
 
 def d_cone_flat(nu, m, s):
@@ -286,10 +418,27 @@ def d_cone_flat(nu, m, s):
     refines it in its `_chart` at full resolution from that frame's value
     (the principal value when the coarse stage picks the principal frame),
     and the smaller of its result and the principal value is returned.  Each
-    `_level` owns one holder, keyed by the frame's projector F F^T, which
+    `_Level` owns one holder, keyed by the frame's projector F F^T, which
     depends on neither basis nor sign; the coarse one and its bases are
-    dropped before the compass starts.  ``s`` must be positive and finite,
-    with s^(m+1) in the normal float range [2^-1022, 2^1023).
+    dropped before the compass starts.
+
+    A frame whose solve cannot change the answer is not solved.  Solves
+    leave anchors at their level (`_Level.solve`), and `_lower_bound`
+    gives a value the frame's solve cannot fall below: the best anchor
+    bound less a margin of
+    ``_BOUND_MARGIN * s * (total target + candidate mass)``, which covers
+    the rounding of the bound and of the solve.  The coarse stage skips a
+    frame whose lower bound is at least ``best_val - 1e-15``, its bar for a
+    new best, and the compass a trial whose lower bound is at least its
+    current value; neither could have moved the search.  So the search
+    visits the same frames in the same order, solving a subsequence of
+    them, and where every frame ties (a Dirac mass at the origin) nothing
+    is skipped.  It returns the value of the search that solves them all,
+    up to one effect: a skipped frame leaves no basis in the holder, so a
+    later solve may start from another basis and end at another optimal
+    one, a few ulps away (as a cold start may); seen only above the plane.
+    ``s`` must be positive and finite, with s^(m+1) in the normal float
+    range [2^-1022, 2^1023).
     """
     n = nu.dim
     if not 1 <= m <= n - 1:
@@ -308,20 +457,14 @@ def d_cone_flat(nu, m, s):
         return 1.0
     step = cone_grid_step(s, m)
 
-    def plane_distance(frame, level):
-        target, coords, weights, warm = level
-        warm.key = (frame @ frame.T).ravel()
-        cand = DiscreteMeasure(coords @ frame.T, weights, dim=n)
-        return f_ball(target, cand, s, warm=warm)
-
     # The principal frame first, at full resolution.  Cone distances are
     # >= 0 and every reported value carries the floor, so a value within
     # half the floor is certified by the bracket [0, U].
     fine = _level(inball, m, s, step)
     if fine is None:
         return 1.0
-    principal_frame = _principal_frame(fine[0], m)
-    principal = plane_distance(principal_frame, fine)
+    principal_frame = _principal_frame(fine.target, m)
+    principal = fine.solve(principal_frame)
     if principal <= cone_floor(s, m) / 2:
         return float(np.clip(principal, 0.0, 1.0)) + 0.0  # never -0.0
 
@@ -333,15 +476,16 @@ def d_cone_flat(nu, m, s):
         return 1.0
     best_frame, best_val = None, np.inf
     for frame in _coarse_frames(n, m):
-        val = plane_distance(frame, coarse)
+        # A frame whose value could not be a new best is not solved.
+        val = coarse.solve(frame, best_val - 1e-15)
         if val < best_val - 1e-15:
             best_frame, best_val = frame, val
     del coarse  # no full-resolution problem has its marginals
 
     origin, frame_at = _chart(best_frame)
     start = (principal if np.array_equal(best_frame, principal_frame)
-             else plane_distance(best_frame, fine))
-    best = _compass_search(lambda x: plane_distance(frame_at(x), fine),
+             else fine.solve(best_frame))
+    best = _compass_search(lambda x, bar: fine.solve(frame_at(x), bar),
                            origin, start)
     # Never report more than the principal frame already evaluated.
     return float(np.clip(min(principal, best), 0.0, 1.0)) + 0.0

@@ -323,11 +323,22 @@ class EllipseField:
 def lambda_distances(points, center, inv=None):
     """Rows u = inv (y - center) for the rows y of ``points`` (u = y - center
     when ``inv`` is None) and their norms |u|: the one place the package
-    computes a Lambda(a)-distance.  Scans compute it once per base point."""
+    computes a Lambda(a)-distance.  Scans compute it once per base point.
+
+    For n <= 7 the squares are added column by column, in coordinate order:
+    the bits of ``np.sum(u * u, axis=-1)``, which adds fewer than 8 terms in
+    sequence, without its per-row reduction cost.  For n >= 8 numpy sums
+    pairwise, so ``np.sum`` stays."""
     u = np.asarray(points, dtype=float) - center
     if inv is not None:
         u = u @ inv.T
-    return u, np.sqrt(np.sum(u * u, axis=-1))
+    sq = u * u
+    if u.shape[-1] >= 8:
+        return u, np.sqrt(np.sum(sq, axis=-1))
+    total = sq[..., 0]
+    for k in range(1, u.shape[-1]):
+        total = total + sq[..., k]
+    return u, np.sqrt(total)
 
 
 def lambda_pass(points, center, inv=None):

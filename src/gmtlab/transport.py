@@ -71,8 +71,11 @@ which rebuilding it from the cells would give too, and rebuilds the child
 lists from ``parent`` when it hands a basis out; only the order within a
 child list can differ, no pivot choice reads it, so every bit is the same.
 Either way the result is certified the same way, and the holder then adds
-the new optimal basis.  A failed solve adds nothing.  A holder is plain
-state for one chain of related solves; nothing is cached at module level.
+the new optimal basis.  A boundary solve also leaves its duals in the
+holder's ``dual``, from which `c_transform` gives a feasible potential
+anywhere (the cone search bounds other frames with it).
+A failed solve adds nothing.  A holder is plain state for one chain of
+related solves; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -96,13 +99,16 @@ class WarmStart:
     ``key`` is set by the caller before each solve and is stored with the
     basis that solve ends at; it says which stored basis is the nearest.
     Keys are points of one length per holder.  Left at ``()``, every key
-    ties, so the most recent matching basis wins.
+    ties, so the most recent matching basis wins.  ``dual`` holds the
+    ``(sites, neg, alpha, beta)`` of the last boundary solve made with the
+    holder (see `c_transform`), None before the first.
     """
 
-    __slots__ = ("key", "_bases")
+    __slots__ = ("key", "dual", "_bases")
 
     def __init__(self):
         self.key = ()
+        self.dual = None
         # (supply bytes, demand bytes) -> (keys, [(cells, flows, links), ...])
         # where links = (parent, pslot, depth) of the basis tree.
         self._bases = {}
@@ -450,7 +456,8 @@ def _distances(x, y, out=None):
 
 
 def _solve_boundary(sites, signed_mass, caps, warm):
-    """``(value, neg, alpha, beta)`` of the audited boundary problem.
+    """``(value, neg, alpha, beta)`` of the audited boundary problem; a
+    ``warm`` holder also keeps ``(sites, neg, alpha, beta)`` as ``dual``.
 
     Rows are the positive sites plus the boundary B, columns the negative
     sites plus B; the boundary row and column carry the caps.
@@ -475,6 +482,8 @@ def _solve_boundary(sites, signed_mass, caps, warm):
     slack -= beta
     if slack.min() < -1e-7 * (1.0 + float(np.abs(cost).max())):
         raise SolverError("transportation duals failed the optimality audit")
+    if warm is not None:
+        warm.dual = (sites, neg, alpha, beta)
     return value, neg, alpha, beta
 
 
@@ -503,7 +512,17 @@ def lipschitz_potential(sites, signed_mass, caps):
     optimality audit.
     """
     value, neg, alpha, beta = _solve_boundary(sites, signed_mass, caps, None)
-    g = -(beta[:-1] + alpha[-1])
-    reach = _distances(sites, sites[neg])
-    reach += g[None, :]
-    return value, np.minimum(caps, reach.min(axis=1))
+    return value, c_transform(sites, caps, (sites, neg, alpha, beta))
+
+
+def c_transform(points, caps, dual):
+    """``min(cap(x), min_b g_b + |x - y_b|)`` at each row x of ``points``,
+    with ``caps`` its cap(x), from the ``dual`` ``(sites, neg, alpha,
+    beta)`` of a boundary solve: the y_b are ``sites[neg]`` and
+    g_b = -(beta[b] + alpha[B]).  A 1-Lipschitz function of x, at most
+    cap(x).  `lipschitz_potential` reads the optimal potential of a solve
+    this way; a `WarmStart` keeps the last solve's ``dual``."""
+    sites, neg, alpha, beta = dual
+    reach = _distances(points, sites[neg])
+    reach -= beta[:-1] + alpha[-1]  # the bits of adding g_b
+    return np.minimum(caps, reach.min(axis=1))

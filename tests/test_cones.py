@@ -157,27 +157,31 @@ class _ColdStart(cones.WarmStart):
 
 
 def _evaluations(monkeypatch, nu, holder):
-    """d_cone_flat's value and every F_s value its search computed."""
-    values = []
+    """d_cone_flat's value and (target, candidates, s, value) of every plane
+    solve its search made."""
+    solves = []
 
-    def recorded(*args, **kwargs):
-        values.append(f_ball(*args, **kwargs))
-        return values[-1]
+    def recorded(mu, cand, s, warm=None):
+        solves.append((mu, cand, s, f_ball(mu, cand, s, warm=warm)))
+        return solves[-1][-1]
     with monkeypatch.context() as patch:
         patch.setattr(cones, "f_ball", recorded)
         patch.setattr(cones, "WarmStart", holder)
-        return d_cone_flat(nu, 1, 1.0), values
+        return d_cone_flat(nu, 1, 1.0), solves
 
 
 def test_d_cone_warm_starts_match_cold_solves(monkeypatch, cross_entry):
+    # Each run bounds frames with the duals of its own solves, so a warm and
+    # a cold run may skip different frames.  Their values agree, and every
+    # frame the warm run solves matches a cold solve of that frame.
     rng = np.random.default_rng(12)
     clouds = [random_cloud(rng, 12) for _ in range(6)]
     for nu in clouds + [cross_entry.measure]:
-        warm, warm_evals = _evaluations(monkeypatch, nu, cones.WarmStart)
-        cold, cold_evals = _evaluations(monkeypatch, nu, _ColdStart)
-        assert len(warm_evals) == len(cold_evals)
-        for a, b in zip(warm_evals + [warm], cold_evals + [cold]):
-            assert abs(a - b) <= 1e-12
+        warm, solves = _evaluations(monkeypatch, nu, cones.WarmStart)
+        cold, _ = _evaluations(monkeypatch, nu, _ColdStart)
+        assert abs(warm - cold) <= 1e-12
+        for mu, cand, s, value in solves:
+            assert abs(value - f_ball(mu, cand, s)) <= 1e-12
 
 
 def test_cold_holder_starts_every_solve_cold(monkeypatch):
@@ -197,21 +201,26 @@ def test_cold_holder_starts_every_solve_cold(monkeypatch):
     assert calls["cold"] == calls["solves"] > 1
 
 
+def _flatness_inputs():
+    """The four flatness benchmark inputs: the three rungs of the heavy line
+    blowup (h = 0.001, r0 = 0.4, rho = 0.5, count = 3) and the cross."""
+    ladder = ScaleLadder(r0=0.4, rho=0.5, count=3, spacing=0.001)
+    rungs = blowup_sequence(corpus.gen_line(0.001).measure, np.zeros(2),
+                            EllipseField.identity(2), ladder, mode="power",
+                            m=1).measures
+    return list(rungs) + [corpus.gen_cross(0.001).measure]
+
+
 def test_flatness_outputs_are_pinned(monkeypatch):
-    # The four flatness benchmark inputs: the three rungs of the heavy line
-    # blowup (h = 0.001, r0 = 0.4, rho = 0.5, count = 3) and the cross.  A
-    # change to the work around the transport pivots must keep every value
+    # A change to the work around the transport pivots must keep every value
     # bit for bit, and the f_ball calls, solves and pivots that reach it; a
     # change to the search itself keeps the values and pins its new counts.
     # F_s of the positive target is taken in closed form, so every f_ball
     # call is a plane solve.  The line rungs stop at the principal frame
     # (1 f_ball call); the cross, whose principal axis is an arm, pays that
     # one solve and then runs the search, whose coarse stage picks that same
-    # frame, so the compass starts from that solve.
-    ladder = ScaleLadder(r0=0.4, rho=0.5, count=3, spacing=0.001)
-    rungs = blowup_sequence(corpus.gen_line(0.001).measure, np.zeros(2),
-                            EllipseField.identity(2), ladder, mode="power",
-                            m=1).measures
+    # frame, so the compass starts from that solve.  The dual bounds skip 31
+    # of the 49 frames the search visits.
     counts = {}
 
     def counting(name, real):
@@ -225,7 +234,7 @@ def test_flatness_outputs_are_pinned(monkeypatch):
     monkeypatch.setattr(transport._BasisTree, "rehang",
                         counting("pivots", transport._BasisTree.rehang))
     got = []
-    for nu in list(rungs) + [corpus.gen_cross(0.001).measure]:
+    for nu in _flatness_inputs():
         counts.update(f_ball=0, solves=0, pivots=0)
         value = d_cone_flat(nu, 1, 1.0)
         got.append((repr(value), counts["f_ball"], counts["solves"],
@@ -233,14 +242,21 @@ def test_flatness_outputs_are_pinned(monkeypatch):
     assert got == [("0.0", 1, 0, 0),
                    ("0.0024999999999999988", 1, 1, 107),
                    ("0.007500000000000012", 1, 1, 188),
-                   ("0.4141883688394247", 49, 49, 4592)]
+                   ("0.4141883688394247", 18, 18, 2751)]
 
 
-def _value_and_solves(nu, m=1):
-    """d_cone_flat(nu, m, 1) and the number of transport solves it made."""
+def _value_and_solves(nu, m=1, s=1.0):
+    """d_cone_flat(nu, m, s) and the number of transport solves it made."""
     with mock.patch.object(transport, "transport_simplex",
                            wraps=transport.transport_simplex) as solve:
-        return d_cone_flat(nu, m, 1.0), solve.call_count
+        return d_cone_flat(nu, m, s), solve.call_count
+
+
+def _fallback_clouds():
+    """The Dirac mass at the origin and six 12-atom clouds from seed 12."""
+    rng = np.random.default_rng(12)
+    return [DiscreteMeasure.dirac(np.zeros(2))] + [random_cloud(rng, 12)
+                                                   for _ in range(6)]
 
 
 def test_search_fallback_values_are_pinned():
@@ -248,17 +264,118 @@ def test_search_fallback_values_are_pinned():
     # the principal frame step.  No principal-frame value of theirs is within
     # floor/2, so each runs the coarse grid and compass search, and its value
     # must be that search's, bit for bit.
-    rng = np.random.default_rng(12)
-    clouds = [DiscreteMeasure.dirac(np.zeros(2))]
-    clouds += [random_cloud(rng, 12) for _ in range(6)]
     got = []
-    for nu in clouds:
+    for nu in _fallback_clouds():
         with mock.patch.object(cones, "f_ball", wraps=f_ball) as calls:
             got.append(repr(d_cone_flat(nu, 1, 1.0)))
         assert calls.call_count > 3
     assert got == ["0.4999999999999999", "0.6651344088750024",
                    "0.5858402564246308", "1.0", "0.4879303988541191",
                    "0.5279170444281173", "0.48589515281817397"]
+
+
+def _random_frame(rng, n, m):
+    return cones._signed(np.linalg.qr(rng.normal(size=(n, m)))[0])
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2)])
+def test_dual_bounds_never_exceed_the_solved_value(n, m):
+    # Weak duality: at every frame, at both grid steps, each anchor's bound
+    # less the level's margin is at most F_s of the target against that
+    # frame's candidates as a cold solve computes it, and each bound is at
+    # most the anchor's top.  Four solved frames leave the anchors; at its
+    # own frame an anchor's bound is the solved value up to rounding.
+    rng = np.random.default_rng(30 + 3 * n + m)
+    step = cones.cone_grid_step(1.0, m)
+    for _ in range(3):
+        nu = random_cloud(rng, 15, dim=n)
+        inside = cones.ball_mask(nu.points, 1.0)
+        target = DiscreteMeasure(nu.points[inside], nu.weights[inside], dim=n)
+        for level_step in (step, 2 * step):
+            level = cones._level(target, m, 1.0, level_step)
+            solved = [_random_frame(rng, n, m) for _ in range(4)]
+            for frame in solved:
+                level.solve(frame)
+            rows = list(range(len(level.tops)))
+            assert len(rows) == 4
+            frames = solved + [_random_frame(rng, n, m) for _ in range(6)]
+            for k, frame in enumerate(frames):
+                cand = level.coords @ frame.T
+                value = f_ball(level.target,
+                               DiscreteMeasure(cand, level.weights, dim=n),
+                               1.0)
+                bounds = level.bounds(cand, rows)
+                assert (bounds - level.margin <= value).all()
+                assert (bounds <= level.tops).all()
+                if k < len(solved):
+                    assert abs(bounds[k] - value) <= 1e-12
+
+
+def _pinned_inputs():
+    """(measure, m, s) of every input whose cone distance a test here pins."""
+    t = np.arange(-40, 41) * 0.025
+    direction = np.array([1.0, 2.0, -2.0, 0.5])
+    direction /= np.linalg.norm(direction)
+    tilted = DiscreteMeasure(t[:, None] * direction, np.full(t.size, 0.025))
+    line = _line()
+    padded = [DiscreteMeasure(np.vstack([line.points, far]),
+                              np.append(line.weights, 1.0))
+              for far in ([0.0, 3.0], [1e200, 1e200])]
+    coarse_line = corpus.gen_line(0.01).measure
+    return ([(nu, 1, 1.0) for nu in _flatness_inputs() + _fallback_clouds()
+             + [tilted, line] + padded]
+            + [(coarse_line, 1, s) for s in (1e-100, 1e100)]
+            + [(nu, m, 1.0) for nu, m in _chart_inputs()])
+
+
+def _seeded_clouds():
+    """(measure, m) of 28 seeded clouds: 24 in the plane, 4 in R^3."""
+    rng = np.random.default_rng(21)
+    plane = [(random_cloud(rng, int(rng.integers(3, 30))), 1)
+             for _ in range(24)]
+    space = [(random_cloud(rng, int(rng.integers(5, 25)), dim=3), 1 + k % 2)
+             for k in range(4)]
+    return plane + space
+
+
+def _searched_frames(nu, m, s):
+    """d_cone_flat(nu, m, s) and the candidate bytes of its plane solves,
+    in order."""
+    frames = []
+
+    def recorded(mu, cand, r, warm=None):
+        frames.append(cand.points.tobytes())
+        return f_ball(mu, cand, r, warm=warm)
+    with mock.patch.object(cones, "f_ball", recorded):
+        return d_cone_flat(nu, m, s), frames
+
+
+def test_pruned_search_returns_the_unpruned_bits(monkeypatch):
+    # A frame is skipped only when its bound shows its solve could not move
+    # the search, so the search solves a subsequence of the frames that the
+    # search with every bound at -inf solves, and returns its value: bit for
+    # bit on every pinned input and every plane cloud.  A skipped frame also
+    # leaves no basis in the warm-start holder, so a later solve may start
+    # from another one and end a few ulps away, as a cold solve may; above
+    # the plane that moves some values by an ulp or two, within 1e-12.  The
+    # Dirac mass ties at every frame, so there nothing is skipped.
+    pinned = _pinned_inputs()
+    cases = pinned + [(nu, m, 1.0) for nu, m in _seeded_clouds()]
+    pruned = [_searched_frames(nu, m, s) for nu, m, s in cases]
+    monkeypatch.setattr(cones, "_lower_bound", lambda *args: -np.inf)
+    full = [_searched_frames(nu, m, s) for nu, m, s in cases]
+    for k, ((nu, _, _), (value, frames), (expected, every)) in enumerate(
+            zip(cases, pruned, full)):
+        remaining = iter(every)
+        assert all(frame in remaining for frame in frames)
+        if k < len(pinned) or nu.dim == 2:
+            assert repr(value) == repr(expected)
+        else:
+            assert abs(value - expected) <= 1e-12
+    assert sum(len(f) for _, f in pruned) < sum(len(f) for _, f in full)
+    dirac = 4  # the first of _fallback_clouds, after the flatness inputs
+    assert cases[dirac][0].points.tolist() == [[0.0, 0.0]]
+    assert pruned[dirac][1] == full[dirac][1]
 
 
 def _rotated(nu, theta):
@@ -455,13 +572,8 @@ def _cross3():
     return DiscreteMeasure(pts, np.full(pts.shape[0], 0.05))
 
 
-def test_chart_search_values_are_pinned():
-    # Three inputs above the plane whose principal value is above floor/2,
-    # so each runs the coarse frames and the chart search; values and
-    # transport solves are pinned.  The smoke cloud of
-    # test_d_cone_three_dimensional_smoke as a 2-plane problem, the
-    # three-axis cross for lines, and the second of two 25-atom clouds in R^4
-    # (four clouds in R^3 are drawn first) for 2-planes.
+def _chart_inputs():
+    """(measure, m) of the three pinned chart searches."""
     rng = np.random.default_rng(8)
     smoke = DiscreteMeasure(rng.normal(size=(30, 3)) * 0.4,
                             rng.uniform(0.5, 1, 30))
@@ -469,11 +581,21 @@ def test_chart_search_values_are_pinned():
     clouds = [DiscreteMeasure(rng.normal(size=(25, n)) * 0.4,
                               rng.uniform(0.5, 1, 25))
               for n in (3, 3, 3, 3, 4, 4, 4, 4)]
-    got = [_value_and_solves(nu, m)
-           for nu, m in ((smoke, 2), (_cross3(), 1), (clouds[7], 2))]
+    return [(smoke, 2), (_cross3(), 1), (clouds[7], 2)]
+
+
+def test_chart_search_values_are_pinned():
+    # Three inputs above the plane whose principal value is above floor/2,
+    # so each runs the coarse frames and the chart search; values and
+    # transport solves (116, 93 and 126 before the dual bounds skipped
+    # frames) are pinned.  The smoke cloud of
+    # test_d_cone_three_dimensional_smoke as a 2-plane problem, the
+    # three-axis cross for lines, and the second of two 25-atom clouds in R^4
+    # (four clouds in R^3 are drawn first) for 2-planes.
+    got = [_value_and_solves(nu, m) for nu, m in _chart_inputs()]
     assert [(repr(value), solves) for value, solves in got] == [
-        ("0.7802817936200728", 116), ("0.5577549960255836", 93),
-        ("0.9319405806103026", 126)]
+        ("0.7802817936200728", 61), ("0.5577549960255836", 41),
+        ("0.9319405806103026", 73)]
 
 
 class _RecordingStart(cones.WarmStart):
@@ -503,7 +625,8 @@ def test_one_holder_keyed_by_projectors(monkeypatch, cross_entry, case):
     # One WarmStart per level: the full-resolution one serves the principal
     # and compass solves, the half-resolution one the coarse frames.  No
     # full-resolution problem has the coarse marginals, so the coarse holder
-    # is gone when the compass makes its first evaluation.  Every key a
+    # is gone when the compass makes its first evaluation.  The coarse
+    # holder is read once per coarse frame its level solves.  Every key a
     # lookup reads is the flattened projector F F^T of an orthonormal n x m
     # frame: symmetric, idempotent and of trace m.
     nu, m = (cross_entry.measure, 1) if case == "cross" else (_cloud3(), 2)
@@ -512,11 +635,11 @@ def test_one_holder_keyed_by_projectors(monkeypatch, cross_entry, case):
     search = cones._compass_search
 
     def watched(fun, x, fx):
-        def first(y):
+        def first(y, bar):
             if not alive:
                 alive.extend(ref() is not None
                              for ref, _ in _RecordingStart.made)
-            return fun(y)
+            return fun(y, bar)
         return search(first, x, fx)
     monkeypatch.setattr(_RecordingStart, "made", [])
     monkeypatch.setattr(cones, "WarmStart", _RecordingStart)
@@ -525,7 +648,7 @@ def test_one_holder_keyed_by_projectors(monkeypatch, cross_entry, case):
     assert value > cone_floor(1.0, m) / 2  # the search ran
     (_, fine_keys), (_, coarse_keys) = _RecordingStart.made
     assert alive == [True, False]
-    assert len(coarse_keys) == len(cones._coarse_frames(n, m))
+    assert 1 < len(coarse_keys) <= len(cones._coarse_frames(n, m))
     assert len(fine_keys) > 1
     for key in fine_keys + coarse_keys:
         proj = key.reshape(n, n)
@@ -570,7 +693,7 @@ def test_mass_outside_the_ball_does_not_steer_the_search(far):
 def test_compass_search_stop_rules():
     calls = []
 
-    def flat(x):
+    def flat(x, bar):
         calls.append(x)
         return 1.0
 
@@ -584,7 +707,7 @@ def test_compass_search_stop_rules():
     assert len(calls) == 60
 
     target = np.array([0.1, -0.2])
-    value = _compass_search(lambda x: float(np.abs(x - target).sum()),
+    value = _compass_search(lambda x, bar: float(np.abs(x - target).sum()),
                             np.zeros(2), 0.3)
     assert value <= 2 * OPTIMIZER_TOL
 
@@ -596,18 +719,28 @@ def test_compass_search_solves_a_repeated_point_once(monkeypatch):
     monkeypatch.setattr(cones, "_SEARCH_STEP", 1.0)
     calls = []
 
-    def fun(x):
+    def fun(x, bar):
         calls.append(float(x[0]))
         return abs(float(x[0]) - 1.5)
 
-    assert _compass_search(fun, np.zeros(1), 1.5) == 0.0
-    assert calls[:4] == [1.0, 2.0, 0.0, 1.5]
-    # Four calls, two repeats, then two calls per step 1/4, ..., 1/512.
-    assert len(calls) == len(set(calls)) == 4 + 2 * 8
-    calls.clear()
+    # A trial may return inf when its value is at least its bar, the
+    # current value: it still counts, is remembered as not improving, and
+    # the search makes the same trials to the same value.
+    def skipping(x, bar):
+        value = fun(x, bar)
+        return np.inf if value >= bar else value
+
+    for search_fun in (fun, skipping):
+        calls.clear()
+        assert _compass_search(search_fun, np.zeros(1), 1.5) == 0.0
+        assert calls[:4] == [1.0, 2.0, 0.0, 1.5]
+        # Four calls, two repeats, then two calls per step 1/4, ..., 1/512.
+        assert len(calls) == len(set(calls)) == 4 + 2 * 8
     monkeypatch.setattr(cones, "_SEARCH_EVALS", 6)
-    assert _compass_search(fun, np.zeros(1), 1.5) == 0.0
-    assert calls == [1.0, 2.0, 0.0, 1.5]
+    for search_fun in (fun, skipping):
+        calls.clear()
+        assert _compass_search(search_fun, np.zeros(1), 1.5) == 0.0
+        assert calls == [1.0, 2.0, 0.0, 1.5]
 
 
 def test_import_loads_no_scipy():

@@ -6,9 +6,9 @@ from gmtlab.errors import (ContractError, DimensionMismatchError,
                            SingularMatrixError)
 from gmtlab.kernels import frozen_discrepancy, pv_convergence_scan, riesz_kernel
 from gmtlab.measures import (AffineMap, Ball, DiscreteMeasure, EllipseField,
-                             HalfSpace, ellipse_ball, lambda_rescale,
-                             load_measure_csv, mass_in, pushforward, restrict,
-                             save_measure_csv)
+                             HalfSpace, ellipse_ball, lambda_distances,
+                             lambda_rescale, load_measure_csv, mass_in,
+                             pushforward, restrict, save_measure_csv)
 
 
 def test_mass_in_line_segment(line_entry):
@@ -174,6 +174,25 @@ def test_ball_membership_reads_an_overflowing_distance_as_outside():
     # The mass of one ball still refuses the center by name.
     with pytest.raises(ContractError, match="too far from the sample"):
         mass_in(mu, Ball(np.zeros(2), 1.0))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_lambda_distances_match_the_numpy_norm_bit_for_bit(n):
+    # Below 8 coordinates the squares are added column by column; the bits
+    # must be those of numpy's reduction, on (N, n) rows and on a (P, K, n)
+    # stack of balls, with magnitudes from 1e-8 to 1e8 in one row.
+    rng = np.random.default_rng(n)
+    for shape in ((1000, n), (9, 37, n)):
+        points = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        center = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n)
+        inv = rng.normal(size=(n, n))
+        for matrix in (None, inv):
+            u, dist = lambda_distances(points, center, matrix)
+            assert np.array_equal(
+                u, points - center if matrix is None
+                else (points - center) @ matrix.T)
+            assert dist.shape == shape[:-1]
+            assert np.array_equal(dist, np.sqrt(np.sum(u * u, axis=-1)))
 
 
 def test_pushforward_composition_dyadic_exact():
