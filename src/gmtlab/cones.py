@@ -15,13 +15,15 @@ eigenvectors of the target's second moment, the plane of the L^2
 beta-numbers) is tried first.  Its value U bounds the infimum above, and
 cone distances are >= 0, so U <= floor/2 (half the discretization floor
 below) is certified by the bracket [0, U] and returned.  Otherwise a fixed
-coarse set of frames is followed by a compass search around the best of
-them in a chart of G(n, m).  The result is the smallest value seen, the
-principal frame's included, an upper bound that is not certified.  The
-solves at one grid step share one `gmtlab.transport.WarmStart` holder keyed
-by the projector F F^T of their frame, so each starts from the basis of the
-nearest frame solved before it at that step.  Values are clamped to
-[0, 1], and 1 is returned when F_s(nu) = 0.
+coarse set of frames, ranked on a coarser grid (a quarter of the resolution
+for lines, half for m >= 2), is followed by a full-resolution compass search
+around the best of them in a chart of G(n, m); no coarse value is reported.
+The result is the smallest value seen, the principal frame's included, an
+upper bound that is not certified.  The solves at one grid step share one
+`gmtlab.transport.WarmStart` holder keyed by the projector F F^T of their
+frame, so each starts from the basis of the nearest frame solved before it
+at that step.  Values are clamped to [0, 1], and 1 is returned when
+F_s(nu) = 0.
 
 A solve also leaves a feasible potential, the c-transform of its duals,
 whose 1-Lipschitz extension bounds every frame's value at that step from
@@ -53,6 +55,13 @@ from .transport import WarmStart, _distances, c_transform
 # Candidate-plane grid spacing relative to the scale s, per dimension m of
 # the plane; chosen so flat samples stay within the LP site budget.
 _GRID_DIV = {1: 80, 2: 8, 3: 4}
+
+# Coarse-level grid step in full-resolution steps, per dimension m of the
+# plane (2 when m is not listed).  The coarse values only rank frames.  For
+# lines a quarter-resolution grid ranks the 36 angles 5 degrees apart for
+# about a quarter of the half-resolution grid's pivots (on the cross, 349
+# against 1,538); for m = 2 the coarser grid ranks worse.
+_COARSE_STEPS = {1: 4}
 
 # The compass search stops once its step falls below this tolerance, or
 # after _SEARCH_EVALS full-resolution evaluations.
@@ -388,8 +397,12 @@ def _level(target, m, s, step):
     mass.
 
     A target of more than ``SITE_CAP // 2`` atoms is first snapped to the
-    grid of ``step``, each atom moving by at most step * sqrt(n) / 2, inside
-    the floor; a cell's atoms merge as in `gmtlab.lipmetric._merge_duplicates`.
+    grid of ``step``, each atom moving by at most step * sqrt(n) / 2; a
+    cell's atoms merge as in `gmtlab.lipmetric._merge_duplicates`.  At the
+    full-resolution step that move is inside the floor.  The coarse level's
+    step is ``_COARSE_STEPS`` full steps, so for lines an atom moves by up to
+    2 sqrt(n) full steps, outside the floor; its values only rank frames and
+    never reach the output.
     """
     if target.points.shape[0] > SITE_CAP // 2:
         cells, mass = _merge_duplicates(np.round(target.points / step),
@@ -414,10 +427,12 @@ def d_cone_flat(nu, m, s):
     the LP's membership test (`gmtlab.lipmetric.ball_mask`), and `f_ball`
     runs only for plane solves.  The principal frame's full-resolution value
     is returned when it is within ``cone_floor(s, m) / 2``.  Otherwise the
-    `_coarse_frames` at half resolution pick a frame, `_compass_search`
-    refines it in its `_chart` at full resolution from that frame's value
-    (the principal value when the coarse stage picks the principal frame),
-    and the smaller of its result and the principal value is returned.  Each
+    `_coarse_frames`, solved on the grid of ``_COARSE_STEPS`` full steps
+    (4 for lines, 2 above), pick a frame, `_compass_search` refines it in its
+    `_chart` at full resolution from that frame's value (the principal value
+    when the coarse stage picks the principal frame), and the smaller of its
+    result and the principal value is returned; when rebinning at the coarse
+    step leaves no mass in the ball, the principal value is.  Each
     `_Level` owns one holder, keyed by the frame's projector F F^T, which
     depends on neither basis nor sign; the coarse one and its bases are
     dropped before the compass starts.
@@ -466,14 +481,15 @@ def d_cone_flat(nu, m, s):
     principal_frame = _principal_frame(fine.target, m)
     principal = fine.solve(principal_frame)
     if principal <= cone_floor(s, m) / 2:
-        return float(np.clip(principal, 0.0, 1.0)) + 0.0  # never -0.0
+        return _reported(principal)
 
-    # Otherwise the coarse stage at half resolution locates the basin;
-    # refinement and the reported value use the full grid (whose floor is
-    # the quoted one).
-    coarse = _level(inball, m, s, 2 * step)
+    # Otherwise the coarse stage locates the basin; refinement and the
+    # reported value use the full grid (whose floor is the quoted one).
+    coarse = _level(inball, m, s, _COARSE_STEPS.get(m, 2) * step)
     if coarse is None:
-        return 1.0
+        # Rebinning at the coarse step put all the mass on or outside the
+        # sphere: there is no frame to rank, and the principal value stands.
+        return _reported(principal)
     best_frame, best_val = None, np.inf
     for frame in _coarse_frames(n, m):
         # A frame whose value could not be a new best is not solved.
@@ -488,7 +504,13 @@ def d_cone_flat(nu, m, s):
     best = _compass_search(lambda x, bar: fine.solve(frame_at(x), bar),
                            origin, start)
     # Never report more than the principal frame already evaluated.
-    return float(np.clip(min(principal, best), 0.0, 1.0)) + 0.0
+    return _reported(min(principal, best))
+
+
+def _reported(value):
+    """A cone distance as `d_cone_flat` reports it: clamped to [0, 1], and
+    never -0.0."""
+    return float(np.clip(value, 0.0, 1.0)) + 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,10 @@ def test_d_cone_at_an_extreme_scale_in_float_range(s, value):
     assert d_cone_flat(corpus.gen_line(0.01).measure, 1, s) == value
 
 
-def _line_oracle(nu, angles):
+def _line_oracle(nu, angles, warm=True):
     """Brute force at s = 1: direct LP per direction, full-resolution line,
-    clamped to [0, 1] as d_cone_flat reports it."""
+    clamped to [0, 1] as d_cone_flat reports it.  With ``warm``, each
+    direction's solve starts from the basis of the one before it."""
     s = 1.0
     target = DiscreteMeasure(
         nu.points, nu.weights / f_ball(nu, DiscreteMeasure.empty(2), s), dim=2)
@@ -126,12 +127,20 @@ def _line_oracle(nu, angles):
     ks = np.arange(-80, 81) * h
     caps = s - np.abs(ks)
     norm = float(np.full(ks.size, h) @ np.maximum(caps, 0))
+    holder = transport.WarmStart() if warm else None
     best = np.inf
     for th in angles:
         pts = np.column_stack([ks * np.cos(th), ks * np.sin(th)])
         cand = DiscreteMeasure(pts, np.full(ks.size, h) / norm, dim=2)
-        best = min(best, f_ball(target, cand, s))
+        best = min(best, f_ball(target, cand, s, warm=holder))
     return float(np.clip(best, 0.0, 1.0))
+
+
+def test_warm_line_oracle_matches_cold_solves():
+    nu = random_cloud(np.random.default_rng(12), 12)
+    angles = np.pi * np.arange(90) / 90
+    assert abs(_line_oracle(nu, angles)
+               - _line_oracle(nu, angles, warm=False)) <= 1e-12
 
 
 def test_d_cone_delta_matches_plane_grid_oracle():
@@ -143,8 +152,10 @@ def test_d_cone_delta_matches_plane_grid_oracle():
     assert value == pytest.approx(DELTA_CONE_BASELINE, abs=0.02)
 
     rng = np.random.default_rng(12)
-    for _ in range(6):
-        nu = random_cloud(rng, 12)
+    clouds = [random_cloud(rng, 12) for _ in range(6)]
+    rng = np.random.default_rng(5)
+    clouds += [random_cloud(rng, 40) for _ in range(6)]
+    for nu in clouds + [HOSTILE_CLOUDS["cross"]]:
         best = _line_oracle(nu, np.pi * np.arange(360) / 360)
         assert d_cone_flat(nu, 1, 1.0) == pytest.approx(best, abs=1e-3)
 
@@ -219,8 +230,9 @@ def test_flatness_outputs_are_pinned(monkeypatch):
     # call is a plane solve.  The line rungs stop at the principal frame
     # (1 f_ball call); the cross, whose principal axis is an arm, pays that
     # one solve and then runs the search, whose coarse stage picks that same
-    # frame, so the compass starts from that solve.  The dual bounds skip 31
-    # of the 49 frames the search visits.
+    # frame, so the compass starts from that solve.  The dual bounds skip 32
+    # of the 49 frames the search visits: 26 of the 36 coarse frames and 6
+    # of the 13 compass trials.
     counts = {}
 
     def counting(name, real):
@@ -242,7 +254,7 @@ def test_flatness_outputs_are_pinned(monkeypatch):
     assert got == [("0.0", 1, 0, 0),
                    ("0.0024999999999999988", 1, 1, 107),
                    ("0.007500000000000012", 1, 1, 188),
-                   ("0.4141883688394247", 18, 18, 2751)]
+                   ("0.4141883688394247", 17, 17, 1562)]
 
 
 def _value_and_solves(nu, m=1, s=1.0):
@@ -291,7 +303,7 @@ def test_dual_bounds_never_exceed_the_solved_value(n, m):
         nu = random_cloud(rng, 15, dim=n)
         inside = cones.ball_mask(nu.points, 1.0)
         target = DiscreteMeasure(nu.points[inside], nu.weights[inside], dim=n)
-        for level_step in (step, 2 * step):
+        for level_step in (step, cones._COARSE_STEPS.get(m, 2) * step):
             level = cones._level(target, m, 1.0, level_step)
             solved = [_random_frame(rng, n, m) for _ in range(4)]
             for frame in solved:
@@ -519,6 +531,27 @@ def test_principal_frame_shortcut_above_the_plane():
         assert 0.0 <= value <= cone_floor(1.0, m) / 2
 
 
+@pytest.mark.parametrize("axis", range(4))
+def test_an_empty_coarse_level_reports_the_principal_value(axis):
+    # 300 atoms at radius 0.978-0.99 around an axis: over the site budget,
+    # so each level rebins them.  On the full-resolution grid they stay
+    # inside the sphere; on the coarse grid they all land on or outside it,
+    # leaving no mass to rank frames with.  The clamped principal value is
+    # returned.
+    rng = np.random.default_rng(axis)
+    radius = rng.uniform(0.978, 0.99, 300)
+    angle = rng.uniform(-0.02, 0.02, 300) + axis * np.pi / 2
+    nu = DiscreteMeasure(np.column_stack([radius * np.cos(angle),
+                                          radius * np.sin(angle)]),
+                         rng.uniform(0.5, 1.0, 300))
+    step = cones.cone_grid_step(1.0, 1)
+    assert cones._level(nu, 1, 1.0, cones._COARSE_STEPS[1] * step) is None
+    fine = cones._level(nu, 1, 1.0, step)
+    principal = fine.solve(cones._principal_frame(fine.target, 1))
+    assert principal > cone_floor(1.0, 1) / 2
+    assert d_cone_flat(nu, 1, 1.0) == float(np.clip(principal, 0.0, 1.0))
+
+
 def test_search_never_reports_more_than_the_principal_frame():
     # 81 atoms 0.025 apart on a line in R^4: along (1, 2, -2, 0.5) the
     # principal value is just above floor/2, so the search runs, and neither
@@ -623,7 +656,7 @@ def _cloud3():
 @pytest.mark.parametrize("case", ["cross", "cloud3"])
 def test_one_holder_keyed_by_projectors(monkeypatch, cross_entry, case):
     # One WarmStart per level: the full-resolution one serves the principal
-    # and compass solves, the half-resolution one the coarse frames.  No
+    # and compass solves, the coarse one the coarse frames.  No
     # full-resolution problem has the coarse marginals, so the coarse holder
     # is gone when the compass makes its first evaluation.  The coarse
     # holder is read once per coarse frame its level solves.  Every key a
