@@ -207,12 +207,22 @@ def gen_lambda_field(kind, **kw):
                                         turning with the first coordinate;
       checkerboard(m1, m2, cell)     -- discontinuous two-phase field
                                         (not Dini);
-      radial_holder(alpha, base)     -- (base + min(|x|, 1)^alpha) * I, a
+      radial_holder(alpha, base, n)  -- (base + min(|x|, 1)^alpha) * I_n, a
                                         C^alpha field.
 
-    Non-finite parameters are rejected here; singular matrices are left to
-    the determinant floor of `EllipseField.matrices`.
+    A keyword the kind does not read and non-finite parameters are rejected
+    here; singular matrices are left to the determinant floor of
+    `EllipseField.matrices`.
     """
+    params = {"constant": "matrix", "rotating": "eccentricity rate",
+              "checkerboard": "m1 m2 cell", "radial_holder": "alpha base n"}
+    if kind not in params:
+        raise ContractError(f"unknown field kind {kind!r}")
+    unknown = sorted(set(kw) - set(params[kind].split()))
+    if unknown:
+        raise ContractError(f"{kind} field has no parameter {unknown[0]!r}; "
+                            f"its parameters are {params[kind]}")
+
     if kind == "constant":
         matrix = np.asarray(kw["matrix"], dtype=float)
         require_finite(matrix=matrix)
@@ -235,7 +245,7 @@ def gen_lambda_field(kind, **kw):
     if kind == "checkerboard":
         m1 = np.asarray(kw["m1"], dtype=float)
         m2 = np.asarray(kw["m2"], dtype=float)
-        cell = float(kw.get("cell", 1.0))
+        cell = float(kw.get("cell", 0.5))
         require_finite(m1=m1, m2=m2)
         require_positive_finite("cell", cell)
 
@@ -265,8 +275,6 @@ def gen_lambda_field(kind, **kw):
             return (base + power)[:, None, None] * np.eye(n)
 
         return EllipseField(evaluate, n)
-
-    raise ContractError(f"unknown field kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import (ContractError, DimensionMismatchError,
                      SingularMatrixError, require_atom_count, require_finite,
-                     require_finite_distances, require_nonnegative_finite,
-                     require_positive_finite)
+                     require_finite_distances, require_positive_finite)
 
 # Relative tolerance of `within` and `beyond`: |y - a| <= r * (1 + TIE_TOL)
 # and |y - a| >= r * (1 - TIE_TOL).
@@ -119,11 +118,6 @@ class DiscreteMeasure:
     @property
     def total_mass(self):
         return float(self.weights.sum())
-
-    def scaled(self, factor):
-        """Measure with all weights multiplied by ``factor`` (>= 0)."""
-        require_nonnegative_finite("scaling factor", factor)
-        return DiscreteMeasure(self.points, self.weights * factor, dim=self.dim)
 
     def __repr__(self):
         return (

@@ -9,10 +9,10 @@ import pytest
 
 from gmtlab import transport
 from gmtlab.cli import (_FIELD_KINDS, _MEASURE_KINDS, _METRIC_MODES,
-                        ConfigError, RunConfig, _fmt, main)
+                        ConfigError, RunConfig, _fmt, field_from_config, main)
 from gmtlab.cones import cone_floor
 from gmtlab.errors import SolverError
-from gmtlab.corpus import gen_half_line
+from gmtlab.corpus import gen_half_line, gen_lambda_field
 from gmtlab.measures import DiscreteMeasure, lambda_pass, save_measure_csv
 from gmtlab.simplex import simplex_max_bounded
 from test_acceptance import CLI_CONFIGS
@@ -217,6 +217,18 @@ def test_the_readme_lists_the_kinds_and_modes_of_the_tables():
         (mode, module.__name__.split(".")[-1], call,
          [(key, str(default)) for key, default in keys.items()])
         for mode, (module, call, keys) in _METRIC_MODES.items()]
+
+
+# A config that names only the field kind builds the field of the library's
+# defaults; the checkerboard's phases are I and 2I (the default contrast).
+@pytest.mark.parametrize("kind", _FIELD_KINDS)
+def test_field_kind_defaults_are_the_library_defaults(kind):
+    field = field_from_config(RunConfig.parse(f"[field]\nkind = {kind}\n"), 2)
+    phases = {"checkerboard": dict(m1=np.eye(2), m2=2 * np.eye(2))}
+    want = gen_lambda_field(kind, **phases.get(kind, {}))
+    # (0.7, 0.1) lies in the second checkerboard phase at cell 0.5.
+    pts = np.array([[0.0, 0.0], [0.7, 0.1], [0.3, -0.4], [-1.2, 0.9]])
+    assert np.array_equal(field.matrices(pts), want.matrices(pts))
 
 
 def test_metric_dcone_mode(tmp_path):

@@ -272,6 +272,16 @@ def test_matrices_equal_the_pointwise_definition_on_a_seeded_cloud(name):
     (dict(kind="radial_holder", alpha=np.nan), "alpha"),
     (dict(kind="radial_holder", alpha=-1.0), "alpha"),
     (dict(kind="radial_holder", base=np.inf), "base"),
+    # A misspelled keyword would otherwise leave its parameter at the default.
+    (dict(kind="rotating", eccentricty=5.0), "^rotating field has no "
+     "parameter 'eccentricty'; its parameters are eccentricity rate$"),
+    (dict(kind="radial_holder", alpah=0.9, n=3), "^radial_holder field has "
+     "no parameter 'alpah'; its parameters are alpha base n$"),
+    (dict(kind="checkerboard", m1=np.eye(2), m2=2 * np.eye(2), cel=0.5),
+     "^checkerboard field has no parameter 'cel'; its parameters are m1 m2 "
+     "cell$"),
+    (dict(kind="constant", matrix=np.eye(2), rate=1.0),
+     "^constant field has no parameter 'rate'; its parameters are matrix$"),
 ])
 def test_field_parameters_rejected_by_name(params, name):
     with pytest.raises(ContractError, match=name):

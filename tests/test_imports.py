@@ -6,17 +6,22 @@ of a distance pass a ball, window or annulus holds, and `cli` formats what
 the library computes.
 
 A stdlib-`ast` check, so it needs no linter: a deleted routine may not leave
-behind an import that only it used.  ``__init__.py`` is skipped by the first
-rule, since its imports are the package's re-exports.
+behind an import that only it used.  ``__init__.py`` meets the same rule, so
+the package root cannot re-export a name: each name has one import path, its
+own module.  A fresh interpreter checks what the imports load.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gmtlab"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source):
@@ -75,16 +80,14 @@ def test_the_check_finds_a_concurrency_import():
                                            "threading"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_thread_or_process_pool(path):
     assert concurrency_imports(path.read_text()) == []
 
 
-# The object path of balls and maps lives in `measures` alone (and its
-# re-exports in `__init__`).  So Lambda(a) reaches the scans only through the
-# field, whose check is the only one it meets, and deleting the path touches
-# only `measures`, `__init__` and the tests.
+# The object path of balls and maps lives in `measures` alone.  So Lambda(a)
+# reaches the scans only through the field, whose check is the only one it
+# meets, and deleting the path touches only `measures` and the tests.
 BYPASSES = {"Ball", "AffineMap", "ellipse_ball", "lambda_rescale",
             "mass_in", "pushforward"}
 
@@ -220,3 +223,31 @@ def test_the_check_finds_a_command_that_computes():
 
 def test_the_cli_only_formats():
     assert cli_faults((PACKAGE / "cli.py").read_text()) == []
+
+
+# `import gmtlab` loads no submodule, and `import gmtlab.cli` loads the
+# modules the commands run and no other.  (That neither loads scipy or the
+# dense simplex, which only the tests use, is checked in `test_cones` and
+# `test_lipmetric`.)
+CLI_MODULES = ["gmtlab", *(f"gmtlab.{name}" for name in (
+    "blowup cli cones corpus errors kernels lipmetric measures moduli "
+    "reports transport").split())]
+
+
+def test_a_fresh_import_loads_only_what_the_commands_run():
+    code = ("import json, sys\n"
+            "def loaded(top):\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] == top)\n"
+            "import gmtlab\n"
+            "root = loaded('gmtlab')\n"
+            "import gmtlab.cli\n"
+            "print(json.dumps([root, loaded('gmtlab')]))\n")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    root, cli = json.loads(out.stdout)
+    assert root == ["gmtlab"]
+    assert cli == CLI_MODULES

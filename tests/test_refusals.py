@@ -1,7 +1,7 @@
-"""Hostile inputs refused by name: each by the finite, positive or
-nonnegative rule of `gmtlab.errors` that it breaks, before it can turn into a
-nan result, a numpy warning, an empty measure or a refusal naming another
-argument; a derived input handed to a constructor by `TypeError`.
+"""Hostile inputs refused by name: each by the finite or positive rule of
+`gmtlab.errors` that it breaks, before it can turn into a nan result, a numpy
+warning, an empty measure or a refusal naming another argument; a derived
+input handed to a constructor by `TypeError`.
 """
 
 import numpy as np
@@ -40,8 +40,6 @@ ROWS = {
     "lambda-rescale-inf": (
         lambda: lambda_rescale(MU, [0.0, 0.0], INF, EllipseField.identity(2)),
         ContractError, "rescaling radius must be positive and finite, got inf"),
-    "scaled-nan": (lambda: MU.scaled(NAN), ContractError,
-                   "scaling factor must be nonnegative and finite, got nan"),
     "ball-radius-inf": (lambda: Ball([0.0, 0.0], INF), ContractError,
                         "ball radius must be positive and finite, got inf"),
     "ball-hidden-inverse": (
