@@ -74,8 +74,11 @@ class RunConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.parse(fh.read())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.parse(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def canonical(self):
         parts = []

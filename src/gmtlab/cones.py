@@ -25,11 +25,11 @@ frame, so each starts from the basis of the nearest frame solved before it
 at that step.  Values are clamped to [0, 1], and 1 is returned when
 F_s(nu) = 0.
 
-A solve also leaves a feasible potential, the c-transform of its duals,
-whose 1-Lipschitz extension bounds every frame's value at that step from
-below by weak duality (Kelley 1960).  A coarse frame or compass trial whose
-bound, less a scale-free margin, shows that its value could not have moved
-the search is not solved (`d_cone_flat` states the rules).
+Every transport solve also leaves a feasible potential, the c-transform of
+its duals, whose 1-Lipschitz extension bounds every frame's value at that
+step from below by weak duality (Kelley 1960).  A coarse frame or compass
+trial whose bound, less a scale-free margin, shows that its value could not
+have moved the search is not solved (`d_cone_flat` states the rules).
 
 ``symmetry_defect`` evaluates the annulus moment whose vanishing at every
 window characterizes points of symmetry.
@@ -78,7 +78,8 @@ _SEARCH_STEP = np.pi / 72
 _RANDOM_FRAMES = 64
 
 # A frame is skipped only when its dual lower bound clears the bar by
-# _BOUND_MARGIN times s * (total target + candidate mass); see `_lower_bound`.
+# _BOUND_MARGIN times s * (total target + candidate mass); see
+# `_Level.lower_bound`.
 _BOUND_MARGIN = 1e-9
 
 # Largest (anchors, candidates, atoms) array one block of a bound builds.
@@ -284,22 +285,19 @@ class _Level:
     frame F (|coords @ F^T| = |coords|, so every solve sees the same bits);
     ``warm`` is the level's one `WarmStart`.
 
-    A solve that reaches the transport simplex can add an anchor (see
-    `solve`): the c-transform f of its duals (`gmtlab.transport.c_transform`)
-    at the target atoms x_a, so f_a <= cap_a.  The extension
+    Every solve that reaches the transport simplex leaves an anchor: the
+    c-transform f of its duals (`gmtlab.transport.c_transform`) at the
+    target atoms x_a, so f_a <= cap_a.  The extension
     f-(y) = max(-cap(y), max_a f_a - |y - x_a|) is 1-Lipschitz, has
     |f-| <= cap (cap is 1-Lipschitz) and f-(x_a) >= f_a, so it is feasible
     in the program of every frame F and, the target being nonnegative, weak
-    duality gives the anchor's bound (`bounds`)
+    duality gives the anchor's bound (`lower_bound`)
 
         F_s(target - candidates(F)) >= sum_a t_a f_a - sum_j w_j f-(y_j(F)).
 
     This needs no other property of f, so the audit tolerance of the solve
-    does not enter.  Since |y - x_a| <= |y| + |x_a| and |y_j(F)| = |coords_j|
-    for every F, the anchor's ``top``, its bound with f-(y_j) replaced by
-    max(-cap(y_j), max_a (f_a - |x_a|) - |y_j|), is at least its bound at
-    every frame; it is computed once.  An atom on or outside the sphere
-    (cap_a = 0) adds nothing to either side and is left out.
+    does not enter.  An atom on or outside the sphere (cap_a = 0) adds
+    nothing to either side and is left out.
     """
 
     def __init__(self, target, coords, weights, s):
@@ -309,35 +307,24 @@ class _Level:
         pts = target.points
         radii = np.sqrt(np.sum(pts * pts, axis=1))
         inner = radii < s
-        self.atoms, self.radii = pts[inner], radii[inner]
-        self.caps, self.mass = s - self.radii, target.weights[inner]
-        # |y_j| and -cap(y_j) at every frame's candidates y_j.
-        self.rho = np.sqrt(np.sum(coords * coords, axis=1))
-        self.floor = np.minimum(self.rho - s, 0.0)
+        self.atoms, self.caps = pts[inner], s - radii[inner]
+        self.mass = target.weights[inner]
+        # -cap(y_j) at every frame's candidates y_j.
+        self.floor = np.minimum(np.sqrt(np.sum(coords * coords, axis=1)) - s,
+                                0.0)
         self.margin = _BOUND_MARGIN * s * (target.weights.sum()
                                            + weights.sum())
-        # Per anchor: f at the atoms, sum_a t_a f_a and its top; the
-        # largest top.
-        self.potentials, self.sums, self.tops = [], [], []
-        self.top = -np.inf
+        # Per anchor: f at the atoms and sum_a t_a f_a.
+        self.potentials, self.sums = [], []
 
     def solve(self, frame, bar=np.inf):
         """F_s of the target against the candidates of ``frame``, solved
         from the holder's nearest basis, keyed by the projector F F^T.
-        Returns inf without a solve when `_lower_bound` shows the value is
-        at least ``bar``.
-
-        A transport solve adds its anchor when ``bar`` is inf or some
-        anchor's top reached it.  When none did, the level's values lie too
-        close together for the bounds to separate (a Dirac mass ties at
-        every frame), and the anchor would cost its c-transform for
-        nothing.  Any set of anchors gives sound bounds; on the pinned
-        inputs and over a hundred seeded clouds and circles this one skips
-        exactly the frames that keeping every anchor skips.
+        Returns inf without a solve when `lower_bound` shows the value is
+        at least ``bar``; every transport solve leaves its anchor.
         """
         cand = self.coords @ frame.T
-        reached = bar == np.inf or self.top - self.margin >= bar
-        if bar < np.inf and _lower_bound(self, cand, bar) >= bar:
+        if bar < np.inf and self.lower_bound(cand) >= bar:
             return np.inf
         warm = self.warm
         warm.key = (frame @ frame.T).ravel()
@@ -345,51 +332,34 @@ class _Level:
         value = f_ball(self.target,
                        DiscreteMeasure(cand, self.weights, dim=cand.shape[1]),
                        self.s, warm=warm)
-        if reached and warm.dual is not None:
+        if warm.dual is not None:
             f = c_transform(self.atoms, self.caps, warm.dual)
-            total = float(self.mass @ f)
-            far = np.maximum((f - self.radii).max() - self.rho, self.floor)
-            top = total - float(self.weights @ far)
             self.potentials.append(f)
-            self.sums.append(total)
-            self.tops.append(top)
-            self.top = max(self.top, top)
+            self.sums.append(float(self.mass @ f))
         return value
 
-    def bounds(self, cand, rows):
-        """The bounds of the anchors numbered ``rows`` at the frame whose
-        candidate atoms are ``cand`` (see the class doc), in one array
-        expression per block of anchors whose (anchors, candidates, atoms)
-        array stays within _BOUND_CELLS."""
+    def lower_bound(self, cand):
+        """A value that F_s of the target against the candidate atoms
+        ``cand`` does not fall below, as its solve computes it: the largest
+        anchor bound (see the class doc) less the level's margin; -inf when
+        there is no anchor.  The bounds are one array expression per block
+        of anchors whose (anchors, candidates, atoms) array stays within
+        _BOUND_CELLS.
+
+        The margin, ``_BOUND_MARGIN * s * (total target + candidate mass)``,
+        is scale-free: every term of a bound and of the solve's objective is
+        at most a few times s * (total mass) in size, and the rounding of
+        either sum is many orders of magnitude below 1e-9 of that."""
         reach = _distances(cand, self.atoms)
         block = max(1, _BOUND_CELLS // reach.size)
-        out = []
-        for lo in range(0, len(rows), block):
-            part = rows[lo:lo + block]
-            ext = (np.array([self.potentials[k] for k in part])[:, None, :]
+        best = -np.inf
+        for lo in range(0, len(self.potentials), block):
+            ext = (np.array(self.potentials[lo:lo + block])[:, None, :]
                    - reach).max(axis=2)
             np.maximum(ext, self.floor, out=ext)
-            out.append(np.array([self.sums[k] for k in part])
-                       - ext @ self.weights)
-        return np.concatenate(out)
-
-
-def _lower_bound(level, cand, bar):
-    """A value that F_s of the ``level`` target against the candidate atoms
-    ``cand`` does not fall below, as its solve computes it: the largest
-    anchor bound less the level's margin, over the anchors whose top less
-    the margin reaches ``bar`` (the others cannot reach it); -inf when there
-    is none.
-
-    The margin, ``_BOUND_MARGIN * s * (total target + candidate mass)``, is
-    scale-free: every term of a bound and of the solve's objective is at
-    most a few times s * (total mass) in size, and the rounding of either
-    sum is many orders of magnitude below 1e-9 of that."""
-    if level.top - level.margin < bar:
-        return -np.inf
-    rows = [k for k, top in enumerate(level.tops)
-            if top - level.margin >= bar]
-    return level.bounds(cand, rows).max() - level.margin
+            best = max(best, float((np.array(self.sums[lo:lo + block])
+                                    - ext @ self.weights).max()))
+        return best - self.margin
 
 
 def _level(target, m, s, step):
@@ -437,10 +407,10 @@ def d_cone_flat(nu, m, s):
     depends on neither basis nor sign; the coarse one and its bases are
     dropped before the compass starts.
 
-    A frame whose solve cannot change the answer is not solved.  Solves
-    leave anchors at their level (`_Level.solve`), and `_lower_bound`
-    gives a value the frame's solve cannot fall below: the best anchor
-    bound less a margin of
+    A frame whose solve cannot change the answer is not solved.  Every
+    transport solve leaves an anchor at its level (`_Level.solve`), and
+    `_Level.lower_bound` gives a value the frame's solve cannot fall below:
+    the best anchor bound less a margin of
     ``_BOUND_MARGIN * s * (total target + candidate mass)``, which covers
     the rounding of the bound and of the solve.  The coarse stage skips a
     frame whose lower bound is at least ``best_val - 1e-15``, its bar for a

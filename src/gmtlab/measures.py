@@ -465,28 +465,37 @@ def load_measure_csv(path, dim=None):
     """Read a measure written by `save_measure_csv`.
 
     Leading ``#`` comment lines are skipped; when ``dim`` is given the
-    column count is validated against it.
+    column count is validated against it.  A file that is not UTF-8 text,
+    a row the CSV reader refuses and a cell that is not a number are refused
+    by path, and a cell also by row.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        while header and header[0].startswith("#"):
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             header = next(reader, None)
-        if not header or header[-1] != "w":
-            raise ContractError(f"{path}: expected header x1,...,xn,w")
-        ncols = len(header)
-        if dim is not None and ncols != dim + 1:
-            raise ContractError(
-                f"{path}: {ncols - 1} coordinate columns, expected {dim}"
-            )
-        pts, ws = [], []
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != ncols:
-                raise ContractError(f"{path}: ragged row {row!r}")
-            vals = [float(v) for v in row]
-            pts.append(vals[:-1])
-            ws.append(vals[-1])
+            while header and header[0].startswith("#"):
+                header = next(reader, None)
+            if not header or header[-1] != "w":
+                raise ContractError(f"{path}: expected header x1,...,xn,w")
+            ncols = len(header)
+            if dim is not None and ncols != dim + 1:
+                raise ContractError(
+                    f"{path}: {ncols - 1} coordinate columns, expected {dim}"
+                )
+            pts, ws = [], []
+            for row in reader:
+                if not row or row[0].startswith("#"):
+                    continue
+                if len(row) != ncols:
+                    raise ContractError(f"{path}: ragged row {row!r}")
+                try:
+                    vals = [float(v) for v in row]
+                except ValueError as exc:
+                    raise ContractError(
+                        f"{path}: row {reader.line_num}: {exc}") from None
+                pts.append(vals[:-1])
+                ws.append(vals[-1])
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ContractError(f"{path}: {exc}") from None
     return DiscreteMeasure(np.array(pts).reshape(len(ws), ncols - 1), ws,
                            dim=ncols - 1)

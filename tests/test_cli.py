@@ -407,6 +407,53 @@ def test_bad_config_exits_2(tmp_path):
     assert run_cli(["density", "--config", cfg]) == 2
 
 
+_CSV_DENSITY_CFG = LINE_DENSITY_CFG.replace(
+    "kind = line\nh = 0.001\nextent = 1.0", "kind = csv\npath = {csv}")
+
+
+def _run_csv_density(tmp_path, csv_bytes, cfg_tail=b"", out=None):
+    """Exit code of `density` on a measure CSV holding ``csv_bytes``, with
+    ``cfg_tail`` appended to the config."""
+    csv = tmp_path / "measure.csv"
+    csv.write_bytes(csv_bytes)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(_CSV_DENSITY_CFG.replace("{csv}", str(csv)).encode()
+                    + cfg_tail)
+    return run_cli(["density", "--config", str(cfg)]
+                   + ([] if out is None else ["--out", str(out)]))
+
+
+@pytest.mark.parametrize("csv_bytes,cfg_tail,message", [
+    (b"x1,x2,w\n0.1,abc,1.0\n", b"",
+     "measure.csv: row 2: could not convert string to float: 'abc'"),
+    (b"x1,x2,w\n0.1,0.2,1.0\xff\n", b"",
+     "measure.csv: 'utf-8' codec can't decode byte 0xff"),
+    (b"x1,x2,w\n0.1,0.2,1.0\n", b"# \xff\n",
+     "run.cfg: 'utf-8' codec can't decode byte 0xff"),
+    (b"x1,x2,w\n0.1," + b"1" * 200_000 + b",1.0\n", b"",
+     "measure.csv: field larger than field limit (131072)"),
+    (b"x1,x2,w\n0.1,0.2\n", b"", "measure.csv: ragged row ['0.1', '0.2']"),
+    (b"0.1,0.2,1.0\n", b"", "measure.csv: expected header x1,...,xn,w"),
+    (b"", b"", "measure.csv: expected header x1,...,xn,w"),
+    (b"x1,x2,w\n0.1,0.2,nan\n", b"", "weights must be finite"),
+], ids=["csv-cell-not-a-number", "csv-not-utf8", "config-not-utf8",
+        "csv-field-too-large", "csv-ragged-row", "csv-no-header",
+        "csv-empty", "csv-nan-weight"])
+def test_a_hostile_measure_or_config_file_exits_2(tmp_path, capsys,
+                                                   csv_bytes, cfg_tail,
+                                                   message):
+    assert _run_csv_density(tmp_path, csv_bytes, cfg_tail) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gmt-lab: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_a_header_only_measure_csv_is_the_empty_measure(tmp_path):
+    out = tmp_path / "density.csv"
+    assert _run_csv_density(tmp_path, b"x1,x2,w\n", out=out) == 0
+    assert "# verdict=zero-density" in out.read_text()
+
+
 def test_dmo_boundary_probe_of_wrong_length_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, DMO_CFG.replace(
         "probes = 16", "probes = 16\nboundary_probe = 0.1, 0.2, 0.3"))

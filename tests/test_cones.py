@@ -306,11 +306,11 @@ def _random_frame(rng, n, m):
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2)])
 def test_dual_bounds_never_exceed_the_solved_value(n, m):
-    # Weak duality: at every frame, at both grid steps, each anchor's bound
-    # less the level's margin is at most F_s of the target against that
-    # frame's candidates as a cold solve computes it, and each bound is at
-    # most the anchor's top.  Four solved frames leave the anchors; at its
-    # own frame an anchor's bound is the solved value up to rounding.
+    # Weak duality: at every frame, at both grid steps, the level's lower
+    # bound is at most F_s of the target against that frame's candidates as
+    # a cold solve computes it.  Four solved frames leave the anchors; at a
+    # solved frame the largest anchor bound, the lower bound plus the
+    # margin, is the solved value up to rounding.
     rng = np.random.default_rng(30 + 3 * n + m)
     step = cones.cone_grid_step(1.0, m)
     for _ in range(3):
@@ -322,19 +322,17 @@ def test_dual_bounds_never_exceed_the_solved_value(n, m):
             solved = [_random_frame(rng, n, m) for _ in range(4)]
             for frame in solved:
                 level.solve(frame)
-            rows = list(range(len(level.tops)))
-            assert len(rows) == 4
+            assert len(level.potentials) == 4
             frames = solved + [_random_frame(rng, n, m) for _ in range(6)]
             for k, frame in enumerate(frames):
                 cand = level.coords @ frame.T
                 value = f_ball(level.target,
                                DiscreteMeasure(cand, level.weights, dim=n),
                                1.0)
-                bounds = level.bounds(cand, rows)
-                assert (bounds - level.margin <= value).all()
-                assert (bounds <= level.tops).all()
+                bound = level.lower_bound(cand)
+                assert bound <= value
                 if k < len(solved):
-                    assert abs(bounds[k] - value) <= 1e-12
+                    assert abs(bound + level.margin - value) <= 1e-12
 
 
 def _pinned_inputs():
@@ -388,7 +386,7 @@ def test_pruned_search_returns_the_unpruned_bits(monkeypatch):
     pinned = _pinned_inputs()
     cases = pinned + [(nu, m, 1.0) for nu, m in _seeded_clouds()]
     pruned = [_searched_frames(nu, m, s) for nu, m, s in cases]
-    monkeypatch.setattr(cones, "_lower_bound", lambda *args: -np.inf)
+    monkeypatch.setattr(cones._Level, "lower_bound", lambda *args: -np.inf)
     full = [_searched_frames(nu, m, s) for nu, m, s in cases]
     for k, ((nu, _, _), (value, frames), (expected, every)) in enumerate(
             zip(cases, pruned, full)):
@@ -402,6 +400,19 @@ def test_pruned_search_returns_the_unpruned_bits(monkeypatch):
     dirac = 4  # the first of _fallback_clouds, after the flatness inputs
     assert cases[dirac][0].points.tolist() == [[0.0, 0.0]]
     assert pruned[dirac][1] == full[dirac][1]
+
+
+def test_pruned_search_solve_counts_are_pinned():
+    # The transport solves of each pinned input and seeded cloud, pinned so
+    # that a change which weakens the pruning fails here even when every
+    # value keeps its bits.
+    cases = _pinned_inputs() + [(nu, m, 1.0) for nu, m in _seeded_clouds()]
+    counts = [_value_and_solves(nu, m, s)[1] for nu, m, s in cases]
+    assert counts == [0, 1, 1, 17, 49, 20, 26, 18, 22, 25, 25, 20, 1, 1, 1,
+                      49, 49, 61, 41, 73, 14, 35, 20, 9, 37, 36, 27, 10, 16,
+                      34, 35, 13, 34, 22, 19, 24, 38, 15, 26, 39, 21, 29, 11,
+                      15, 14, 15, 19, 41]
+    assert sum(counts) == 1168
 
 
 def _rotated(nu, theta):
