@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import cone_floor, d_cone_flat, symmetry_defect
-from .errors import (ContractError, ResolutionGuardError,
+from .errors import (ContractError, ResolutionGuardError, require_atom_count,
                      require_nonnegative_finite, require_positive_finite)
 from .measures import DiscreteMeasure, ball_masses, lambda_pass, within
 from .reports import ScanReport
@@ -68,6 +68,7 @@ class ScaleLadder:
             raise ContractError("ladder ratio must lie in (0, 1)")
         if self.count < 1:
             raise ContractError("ladder needs at least one radius")
+        require_atom_count(self.count, "scale ladder")
         require_nonnegative_finite("spacing", self.spacing)
         if self.r_min < RESOLUTION_GUARD * self.spacing:
             raise ResolutionGuardError(

@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import blowup, cones, corpus, kernels, lipmetric, moduli
-from .errors import ContractError, GmtLabError, GuardError
+from .errors import ContractError, GmtLabError, GuardError, require_atom_count
 from .measures import (DiscreteMeasure, EllipseField, load_measure_csv,
                        save_measure_csv)
 
@@ -75,7 +75,7 @@ class RunConfig:
     @classmethod
     def load(cls, path):
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 return cls.parse(fh.read())
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: {exc}") from None
@@ -284,7 +284,7 @@ def cmd_pv(cfg, out, seed):
     spec = kernels.riesz_kernel(field, m)
     x = point_from_config(cfg, entry.measure.dim, "pv")
     eps0 = cfg.get_float("pv", "eps0", 0.4)
-    rungs = cfg.get_int("pv", "rungs", 6)
+    rungs = require_atom_count(cfg.get_int("pv", "rungs", 6), "eps ladder")
     outer = cfg.get_float("pv", "R")
     ladder = [eps0 * 0.5 ** k for k in range(rungs)]
     cfg.require_all_read()

@@ -1,7 +1,7 @@
 """Flat measures, distances to the flat cones, and the symmetry defect.
 
-``sample_flat`` discretizes c * H^m restricted to an m-plane through the
-origin inside a ball.  ``d_cone_flat`` computes the scale-s distance from a
+``sample_flat`` discretizes c * H^m restricted to the plane of the first m
+axes inside a ball.  ``d_cone_flat`` computes the scale-s distance from a
 measure to the cone of m-dimensional flat measures,
 
     d_s(nu, M_{n,m}) = inf { F_s(nu / F_s(nu), mu) :
@@ -41,7 +41,6 @@ of that step, which is covered by the same floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -96,42 +95,6 @@ def cone_floor(s, m):
     return 2.0 * cone_grid_step(s, m) / s
 
 
-@dataclass(frozen=True)
-class FlatMeasureSpec:
-    """Plane frame + constant + grid spacing defining a discretized c*H^m|V.
-
-    ``frame`` holds m orthonormal n-vectors as columns of an (n, m) array.
-    """
-
-    frame: np.ndarray
-    constant: float
-    spacing: float
-
-    def __post_init__(self):
-        fr = np.asarray(self.frame, dtype=float)
-        if fr.ndim != 2:
-            raise ContractError("frame must be an (n, m) array")
-        n, m = fr.shape
-        if not 1 <= m <= n:
-            raise ContractError(f"plane dimension m={m} invalid in R^{n}")
-        gram = fr.T @ fr
-        if not np.abs(gram - np.eye(m)).max() <= 1e-12:  # nan fails too
-            raise ContractError("frame is not orthonormal to 1e-12")
-        require_positive_finite("flat-measure constant", self.constant)
-        require_positive_finite("grid spacing", self.spacing)
-        fr = np.ascontiguousarray(fr)
-        fr.setflags(write=False)
-        object.__setattr__(self, "frame", fr)
-
-    @property
-    def ambient_dim(self):
-        return self.frame.shape[0]
-
-    @property
-    def plane_dim(self):
-        return self.frame.shape[1]
-
-
 def _plane_grid(m, h, radius):
     """Points of the grid h * Z^m inside the closed ball B(0, radius) in R^m,
     in lexicographic order; each coordinate is the single product k * h."""
@@ -144,23 +107,25 @@ def _plane_grid(m, h, radius):
     return coords[np.sqrt(np.sum(coords * coords, axis=1)) <= radius]
 
 
-def sample_flat(spec, radius):
-    """Grid discretization of c * H^m|V inside the closed ball B(0, radius).
+def sample_flat(n, m, c, radius, h):
+    """Grid discretization of c * H^m restricted to the plane of the first m
+    axes of R^n, inside the closed ball B(0, radius).
 
-    Nodes sit at integer multiples of the spacing along the frame; each
-    carries weight c * spacing^m, so the total mass converges to the
-    m-volume as the spacing shrinks.
+    Nodes sit at integer multiples of the spacing h along the axes; each
+    carries weight c * h^m, so the total mass converges to the m-volume as
+    the spacing shrinks.
     """
+    if not 1 <= m <= n:
+        raise ContractError(f"plane dimension m={m} invalid in R^{n}")
+    require_positive_finite("flat-measure constant", c)
+    require_positive_finite("grid spacing", h)
     require_positive_finite("radius", radius)
-    h = spec.spacing
     if h > radius / 10:
         raise ContractError(
             f"spacing {h} too coarse for radius {radius} (need h <= radius/10)"
         )
-    m = spec.plane_dim
-    points = _plane_grid(m, h, radius) @ spec.frame.T
-    weights = np.full(points.shape[0], spec.constant * h ** m)
-    return DiscreteMeasure(points, weights, dim=spec.ambient_dim)
+    points = _plane_grid(m, h, radius) @ np.eye(n)[:, :m].T
+    return DiscreteMeasure(points, np.full(points.shape[0], c * h ** m), dim=n)
 
 
 # ---------------------------------------------------------------------------

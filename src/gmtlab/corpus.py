@@ -1,9 +1,12 @@
 """Deterministic generators for the benchmark measures and coefficient fields.
 
-Every generator is a pure function of its parameters, so entries regenerate
-bit for bit.  Labels record the ground truth the diagnostics are expected to
-recover: rectifiable samples must pass convergence/flatness checks, the
-four-corner Cantor construction must fail them.
+The measures are flat samples c * H^m on the plane of the first m axes (the
+line and the half-line among them), arc-length samples of the sine graph and
+the circle, the cross, and the four-corner Cantor measure.  Every generator
+is a pure function of its parameters, so entries regenerate bit for bit.
+Labels record the ground truth the diagnostics are expected to recover:
+rectifiable samples must pass convergence/flatness checks, the four-corner
+Cantor construction must fail them.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from .errors import (ContractError, require_atom_count, require_finite,
                      require_positive_finite)
 from .measures import DiscreteMeasure, EllipseField, HalfSpace, restrict
-from .cones import FlatMeasureSpec, sample_flat
+from .cones import sample_flat
 
 LABELS = ("rectifiable", "purely-unrectifiable", "atomic", "mixed")
 
@@ -39,15 +42,12 @@ class CorpusEntry:
         return float(self.params.get("h", 0.0))
 
 
-def gen_flat(n, m, c, radius, h, name=None):
-    """Grid sample of c * H^m restricted to the plane of the first m axes;
-    label rectifiable.  Another m-plane is `sample_flat` of its frame."""
-    if not 1 <= m <= n:
-        raise ContractError(f"plane dimension m={m} invalid in R^{n}")
-    measure = sample_flat(FlatMeasureSpec(np.eye(n)[:, :m], c, h), radius)
+def gen_flat(n, m, c, radius, h):
+    """`sample_flat`'s c * H^m on the plane of the first m axes of R^n;
+    label rectifiable."""
     return CorpusEntry(
-        name=name or f"flat_n{n}_m{m}",
-        measure=measure,
+        name=f"flat_n{n}_m{m}",
+        measure=sample_flat(n, m, c, radius, h),
         label="rectifiable",
         params={"n": n, "m": m, "c": c, "radius": radius, "h": h},
     )
@@ -55,9 +55,8 @@ def gen_flat(n, m, c, radius, h, name=None):
 
 def gen_line(h, extent=1.0):
     """H^1 on the x-axis segment [-extent, extent] in the plane."""
-    entry = gen_flat(2, 1, 1.0, extent, h, name="line")
-    return CorpusEntry(name="line", measure=entry.measure, label="rectifiable",
-                       params={"h": h, "extent": extent})
+    return CorpusEntry(name="line", measure=sample_flat(2, 1, 1.0, extent, h),
+                       label="rectifiable", params={"h": h, "extent": extent})
 
 
 def gen_half_line(h, extent=1.0):
@@ -69,49 +68,27 @@ def gen_half_line(h, extent=1.0):
                        params={"h": h, "extent": extent})
 
 
-def gen_graph(f, lip_bound, domain, h, grad=None, name="graph"):
-    """Arc-length sample of the graph {(t, f(t))} over a 1-D interval.
-
-    Weights are h * sqrt(1 + f'(t)^2) with the gradient at the node (central
-    difference unless ``grad`` is supplied).
-    """
-    a, b = float(domain[0]), float(domain[1])
+def gen_sine_graph(h, amplitude=0.1, frequency=1.0, extent=2.0):
+    """Arc-length sample of the graph t |-> amplitude * sin(frequency * t)
+    over [-extent, extent]: nodes at -extent + k h, each of weight
+    h * sqrt(1 + f'(t)^2).  f and f' are evaluated node by node, since
+    numpy's vectorized sin, like its power (see `_libm_pow`), is not the
+    same in every last bit on every CPU."""
+    require_finite(amplitude=amplitude, frequency=frequency)
     require_positive_finite("h", h)
-    require_positive_finite("domain_width", b - a)
-    require_atom_count(np.ceil((b + h / 2 - a) / h))
-    t = np.arange(a, b + h / 2, h)
+    require_positive_finite("domain_width", 2.0 * extent)
+    require_atom_count(np.ceil((extent + h / 2 + extent) / h))
+    t = np.arange(-float(extent), float(extent) + h / 2, h)
     with np.errstate(over="ignore", invalid="ignore"):
-        ft = np.asarray([f(v) for v in t], dtype=float)
-        if grad is not None:
-            df = np.asarray([grad(v) for v in t], dtype=float)
-        else:
-            df = np.gradient(ft, t)
+        ft = np.asarray([amplitude * np.sin(frequency * v) for v in t])
+        df = np.asarray([amplitude * frequency * np.cos(frequency * v)
+                         for v in t])
         w = h * np.sqrt(1.0 + df * df)
     if not (np.isfinite(ft).all() and np.isfinite(w).all()):
-        raise ContractError(f"{name} has a non-finite sample or weight")
-    if np.abs(df).max() > lip_bound * (1 + 1e-9):
-        raise ContractError("sampled gradient exceeds the declared bound")
-    pts = np.column_stack([t, ft])
-    return CorpusEntry(
-        name=name,
-        measure=DiscreteMeasure(pts, w, dim=2),
-        label="rectifiable",
-        params={"h": h, "domain": (a, b), "lip_bound": lip_bound},
-    )
-
-
-def gen_sine_graph(h, amplitude=0.1, frequency=1.0, extent=2.0):
-    """The bounded-slope graph t |-> amplitude * sin(frequency * t)."""
-    require_finite(amplitude=amplitude, frequency=frequency)
-    entry = gen_graph(
-        lambda t: amplitude * np.sin(frequency * t),
-        lip_bound=abs(amplitude * frequency),
-        domain=(-extent, extent),
-        h=h,
-        grad=lambda t: amplitude * frequency * np.cos(frequency * t),
-        name="sine_graph",
-    )
-    return CorpusEntry(name="sine_graph", measure=entry.measure,
+        raise ContractError("sine_graph has a non-finite sample or weight")
+    return CorpusEntry(name="sine_graph",
+                       measure=DiscreteMeasure(np.column_stack([t, ft]), w,
+                                               dim=2),
                        label="rectifiable",
                        params={"h": h, "amplitude": amplitude,
                                "frequency": frequency, "extent": extent})

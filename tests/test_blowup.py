@@ -8,7 +8,7 @@ from gmtlab.blowup import (FLATNESS_SCALE, ScaleLadder, blowup_report,
                            density_gap_verdict, density_scan,
                            flatness_profile, sandwich_check)
 from gmtlab.cones import d_cone_flat
-from gmtlab.corpus import gen_graph, gen_lambda_field
+from gmtlab.corpus import gen_lambda_field, gen_sine_graph
 from gmtlab.errors import ContractError, ResolutionGuardError
 from gmtlab.measures import Ball, DiscreteMeasure, EllipseField, mass_in
 
@@ -175,9 +175,7 @@ def test_flatness_profile_flat_sample(line_entry, identity2):
 
 def test_flatness_profile_graph_decreases(identity2):
     amp, freq = 0.4, 2.0
-    entry = gen_graph(lambda t: amp * np.sin(freq * t), lip_bound=amp * freq,
-                      domain=(-2.5, 2.5), h=0.001,
-                      grad=lambda t: amp * freq * np.cos(freq * t))
+    entry = gen_sine_graph(0.001, amp, freq, extent=2.5)
     t0 = 0.4
     a = np.array([t0, amp * np.sin(freq * t0)])
     lad = ScaleLadder(r0=0.8, rho=0.5, count=4, spacing=0.001)

@@ -1191,3 +1191,33 @@ def test_generate_above_the_atom_cap_exits_3(tmp_path, capsys, kind, key):
     assert run_cli(["generate", "--config", cfg, "--out", str(out)]) == 3
     assert "above the cap of 4194304" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text", [
+    ("density", LINE_DENSITY_CFG.replace(
+        "rho = 0.63096\ncount = 6",
+        "rho = 0.9999999999999\ncount = 1000000000000")),
+    ("blowup", BLOWUP_CFG.replace(
+        "rho = 0.5\ncount = 2",
+        "rho = 0.9999999999999\ncount = 1000000000000")),
+    ("pv", HALFLINE_PV_CFG.replace("rungs = 5", "rungs = 4194305"))])
+def test_a_ladder_above_the_atom_cap_exits_3(tmp_path, capsys, command, text):
+    # Refused by the sample cap before a radius is allocated.
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / f"{command}.csv"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "above the cap of 4194304" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_config_with_a_byte_order_mark_reads_as_the_plain_config(tmp_path):
+    outs = []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(bom + LINE_DENSITY_CFG.lstrip().encode())
+        out = tmp_path / f"{name}.csv"
+        assert run_cli(["density", "--config", str(cfg), "--out",
+                        str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

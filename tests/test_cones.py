@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 from conftest import random_cloud
 from gmtlab import cones, corpus, transport
 from gmtlab.blowup import ScaleLadder, blowup_sequence
-from gmtlab.cones import (OPTIMIZER_TOL, FlatMeasureSpec, _compass_search,
-                          cone_floor, d_cone_flat, sample_flat,
-                          symmetry_defect)
+from gmtlab.cones import (OPTIMIZER_TOL, _compass_search, cone_floor,
+                          d_cone_flat, sample_flat, symmetry_defect)
 from gmtlab.errors import ContractError
 from gmtlab.lipmetric import f_ball
 from gmtlab.measures import (AffineMap, Ball, DiscreteMeasure, EllipseField,
@@ -29,26 +28,23 @@ DELTA_CONE_BASELINE = 0.5
 
 
 def test_sample_flat_line_mass():
-    spec = FlatMeasureSpec(np.array([[1.0], [0.0]]), 1.0, 0.001)
-    mu = sample_flat(spec, 1.0)
+    mu = sample_flat(2, 1, 1.0, 1.0, 0.001)
     assert mu.total_mass == pytest.approx(2.0, abs=2 * 0.001)
 
 
 def test_sample_flat_disc_mass():
-    spec = FlatMeasureSpec(np.eye(3)[:, :2], 1.0, 0.005)
-    mu = sample_flat(spec, 1.0)
+    mu = sample_flat(3, 2, 1.0, 1.0, 0.005)
     assert mu.total_mass == pytest.approx(np.pi, abs=0.05)
 
 
 def test_sample_flat_rejects_m_zero():
-    with pytest.raises(ContractError):
-        FlatMeasureSpec(np.zeros((2, 0)), 1.0, 0.01)
+    with pytest.raises(ContractError, match="m=0 invalid in R\\^2"):
+        sample_flat(2, 0, 1.0, 1.0, 0.01)
 
 
 def test_sample_flat_rejects_coarse_spacing():
-    spec = FlatMeasureSpec(np.array([[1.0], [0.0]]), 1.0, 0.2)
     with pytest.raises(ContractError):
-        sample_flat(spec, 1.0)
+        sample_flat(2, 1, 1.0, 1.0, 0.2)
 
 
 @pytest.mark.parametrize("constant,spacing,message", [
@@ -58,13 +54,7 @@ def test_sample_flat_rejects_coarse_spacing():
 def test_flat_spec_names_a_non_finite_constant_or_spacing(constant, spacing,
                                                           message):
     with pytest.raises(ContractError, match=message):
-        FlatMeasureSpec(np.array([[1.0], [0.0]]), constant, spacing)
-
-
-def test_frame_orthonormality_enforced():
-    frame = np.array([[1.0], [1e-6]])
-    with pytest.raises(ContractError):
-        FlatMeasureSpec(frame, 1.0, 0.01)
+        sample_flat(2, 1, constant, 1.0, spacing)
 
 
 def test_d_cone_of_flat_sample_is_tiny(line_entry):
@@ -545,7 +535,7 @@ def test_principal_frame_shortcut_above_the_plane():
     line3 = DiscreteMeasure(
         np.column_stack([t, np.zeros_like(t), np.zeros_like(t)]),
         np.full(t.size, 0.025))
-    plane = sample_flat(FlatMeasureSpec(np.eye(3)[:, :2], 1.0, 0.05), 1.0)
+    plane = sample_flat(3, 2, 1.0, 1.0, 0.05)
     u = np.arange(-100, 101) * 0.01
     direction = np.array([1.0, 2.0, -2.0, 0.5]) / np.linalg.norm(
         [1.0, 2.0, -2.0, 0.5])
@@ -859,8 +849,7 @@ def test_symmetry_defect_window_validation(line_entry):
 def test_flat_defect_shrinks_with_spacing():
     vals = []
     for h in (0.01, 0.005):
-        spec = FlatMeasureSpec(np.array([[1.0], [0.0]]), 1.0, h)
-        mu = sample_flat(spec, 1.0)
+        mu = sample_flat(2, 1, 1.0, 1.0, h)
         # generic off-center base point on the support
         x = mu.points[np.argmin(np.abs(mu.points[:, 0] - 0.3))]
         vals.append(symmetry_defect(mu, x, 0.05, 0.5, 1))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmtlab.corpus import (cantor_construction_corners, gen_circle, gen_cross,
-                           gen_four_corner_cantor, gen_flat, gen_graph,
+                           gen_four_corner_cantor, gen_flat,
                            gen_lambda_field, gen_line, gen_sine_graph,
                            write_manifest)
 from gmtlab.errors import MAX_ATOMS, ContractError, GuardError
@@ -71,8 +71,7 @@ def test_regeneration_bitwise():
 
 def test_flat_zero_graph_agree():
     flat = gen_flat(2, 1, 1.0, 1.0, 0.01)
-    graph = gen_graph(lambda t: 0.0, lip_bound=0.0, domain=(-1.0, 1.0), h=0.01,
-                      grad=lambda t: 0.0)
+    graph = gen_sine_graph(0.01, amplitude=0.0, extent=1.0)
     assert np.allclose(np.sort(flat.measure.points[:, 0]),
                        np.sort(graph.measure.points[:, 0]), atol=1e-12)
     assert np.allclose(graph.measure.weights, 0.01)
@@ -91,9 +90,7 @@ def test_graph_mass_is_arc_length():
 
 def test_graph_local_density_is_length_factor():
     amp, freq = 0.3, 1.5
-    entry = gen_graph(lambda t: amp * np.sin(freq * t), lip_bound=amp * freq,
-                      domain=(-2, 2), h=0.001,
-                      grad=lambda t: amp * freq * np.cos(freq * t))
+    entry = gen_sine_graph(0.001, amp, freq, extent=2)
     from gmtlab.measures import Ball, mass_in
     t0 = 0.7
     p = np.array([t0, amp * np.sin(freq * t0)])
@@ -108,19 +105,13 @@ def test_graph_local_density_is_length_factor():
     assert got == pytest.approx(2.0, rel=0.02)
 
 
-def test_graph_rejects_slope_over_bound():
-    with pytest.raises(ContractError):
-        gen_graph(lambda t: t, lip_bound=0.5, domain=(-1, 1), h=0.01)
-
-
 BAD_SIZES = [0.0, -0.01, np.nan, np.inf]
 
 
 @pytest.mark.parametrize("h", BAD_SIZES)
 @pytest.mark.parametrize("make", [
-    gen_cross, gen_circle, gen_sine_graph,
-    lambda h: gen_graph(np.sin, lip_bound=1.0, domain=(-1.0, 1.0), h=h)],
-    ids=["cross", "circle", "sine_graph", "graph"])
+    gen_cross, gen_circle, gen_sine_graph],
+    ids=["cross", "circle", "sine_graph"])
 def test_generators_reject_a_bad_spacing(make, h):
     with pytest.raises(ContractError, match="h must be positive and finite"):
         make(h)
@@ -129,9 +120,8 @@ def test_generators_reject_a_bad_spacing(make, h):
 @pytest.mark.parametrize("size", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("make", [
     lambda s: gen_cross(0.01, extent=s), lambda s: gen_circle(0.01, radius=s),
-    lambda s: gen_sine_graph(0.01, extent=s),
-    lambda s: gen_graph(np.sin, lip_bound=1.0, domain=(-1.0, s), h=0.01)],
-    ids=["cross", "circle", "sine_graph", "graph"])
+    lambda s: gen_sine_graph(0.01, extent=s)],
+    ids=["cross", "circle", "sine_graph"])
 def test_generators_reject_a_non_finite_extent(make, size):
     with pytest.raises(ContractError, match="must be positive and finite"):
         make(size)

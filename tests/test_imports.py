@@ -2,8 +2,8 @@
 thread or process pool, only `measures` reaches the object path of balls and
 maps (so the scans meet Lambda(a) only through the field), only `measures`
 evaluates a field at a batch of points, only `measures` decides which atoms
-of a distance pass a ball, window or annulus holds, and `cli` formats what
-the library computes.
+of a distance pass a ball, window or annulus holds, `cli` formats what the
+library computes, and every function the benchmark's tracer wraps exists.
 
 A stdlib-`ast` check, so it needs no linter: a deleted routine may not leave
 behind an import that only it used.  ``__init__.py`` meets the same rule, so
@@ -12,6 +12,7 @@ own module.  A fresh interpreter checks what the imports load.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -251,3 +252,20 @@ def test_a_fresh_import_loads_only_what_the_commands_run():
     root, cli = json.loads(out.stdout)
     assert root == ["gmtlab"]
     assert cli == CLI_MODULES
+
+
+TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+
+
+def test_every_tracer_target_resolves():
+    # `perfbench/tracer.py` wraps these by name, so deleting one breaks a
+    # traced benchmark run; the list is read, not imported.
+    tree = ast.parse(TRACER.read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and ast.unparse(node.targets[0]) == "TARGETS")
+    assert targets
+    missing = [f"{module}.{name}" for module, name in targets
+               if not hasattr(importlib.import_module(f"gmtlab.{module}"),
+                              name)]
+    assert missing == []

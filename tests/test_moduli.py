@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gmtlab.cones import FlatMeasureSpec, sample_flat
+from gmtlab.cones import sample_flat
 from gmtlab.corpus import gen_lambda_field
 from gmtlab.errors import (MAX_ATOMS, ContractError, DiniDivergenceWarning,
                            GuardError)
@@ -194,8 +194,7 @@ _RADIUS_TAKERS = {
     "tau_moduli": lambda r: tau_moduli(_sin_field(), PROBES, r),
     "dini_small": lambda r: dini_small(lambda t: t, r),
     "tau_of_modulus": lambda r: tau_of_modulus(lambda t: t, 2, r),
-    "sample_flat": lambda r: sample_flat(
-        FlatMeasureSpec(np.array([[1.0], [0.0]]), 1.0, 0.001), r),
+    "sample_flat": lambda r: sample_flat(2, 1, 1.0, r, 0.001),
 }
 
 

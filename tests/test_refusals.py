@@ -7,7 +7,6 @@ input handed to a constructor by `TypeError`.
 import numpy as np
 import pytest
 
-from gmtlab.cones import FlatMeasureSpec
 from gmtlab.errors import ContractError
 from gmtlab.kernels import KernelSpec, finsler_kernel, spd_sqrt, theta_kernel
 from gmtlab.lipmetric import f_scaling_residual
@@ -32,8 +31,6 @@ ROWS = {
                           ContractError, "normal must be finite"),
     "half-space-offset": (lambda: HalfSpace([1.0, 0.0], NAN),
                           ContractError, "offset must be finite"),
-    "flat-frame-nan": (lambda: FlatMeasureSpec([[NAN], [0.0]], 1.0, 0.01),
-                       ContractError, "frame is not orthonormal"),
     "scaling-residual-inf": (
         lambda: f_scaling_residual(MU, MU, INF),
         ContractError, "scale must be positive and finite, got inf"),
