@@ -131,7 +131,7 @@ class RunConfig:
 
     def get_floats(self, section, key, default=None):
         return self._parse(section, key, default, lambda value: [
-            float(v) for v in value.split(",") if v.strip()], "a list")
+            float(v) for v in value.split(",")], "a list")
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +211,13 @@ def field_from_config(cfg, dim, section="field"):
     return corpus.gen_lambda_field(kind, **keys)
 
 
-def ladder_from_config(cfg, spacing, section="ladder"):
-    return blowup.ScaleLadder(**_read_keys(cfg, section, {
-        "r0": 0.5, "rho": 0.5, "count": 4, "spacing": spacing}))
+def ladder_from_config(cfg, spacing):
+    """The [ladder] radii at the sample's own ``spacing``.  A command reads
+    its ladder last: the unread keys are checked here, before the
+    resolution guard can refuse the ladder."""
+    keys = _read_keys(cfg, "ladder", {"r0": 0.5, "rho": 0.5, "count": 4})
+    cfg.require_all_read()
+    return blowup.ScaleLadder(spacing=spacing, **keys)
 
 
 def point_from_config(cfg, dim, section, key="center"):
@@ -267,11 +271,10 @@ def report_lines(report, cfg, meta=()):
 def cmd_density(cfg, out, seed):
     entry = measure_from_config(cfg)
     field = field_from_config(cfg, entry.measure.dim)
-    ladder = ladder_from_config(cfg, entry.spacing)
     a = point_from_config(cfg, entry.measure.dim, "density")
     m = cfg.get_int("density", "m", 1)
     threshold = cfg.get_float("density", "threshold", 0.05)
-    cfg.require_all_read()
+    ladder = ladder_from_config(cfg, entry.spacing)
     report = blowup.density_scan(entry.measure, a, field, m, ladder)
     report.verdict = blowup.density_gap_verdict(report, threshold)
     _emit(out, report_lines(report, cfg))
@@ -297,11 +300,10 @@ def cmd_pv(cfg, out, seed):
 def cmd_blowup(cfg, out, seed):
     entry = measure_from_config(cfg)
     field = field_from_config(cfg, entry.measure.dim)
-    ladder = ladder_from_config(cfg, entry.spacing)
     a = point_from_config(cfg, entry.measure.dim, "blowup")
     m = cfg.get_int("blowup", "m", 1)
     r_list = cfg.get_floats("blowup", "sandwich_R", [0.5, 1.0, 2.0])
-    cfg.require_all_read()
+    ladder = ladder_from_config(cfg, entry.spacing)
     report = blowup.blowup_report(entry.measure, a, field, m, ladder, r_list)
     _emit(out, report_lines(report, cfg,
                             ("flatness_verdict", "flatness_floor")))

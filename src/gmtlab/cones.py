@@ -53,7 +53,7 @@ from .transport import WarmStart, _distances, c_transform
 
 # Candidate-plane grid spacing relative to the scale s, per dimension m of
 # the plane; chosen so flat samples stay within the LP site budget.
-_GRID_DIV = {1: 80, 2: 8, 3: 4}
+_GRID_DIV = {1: 80, 2: 8}
 
 # Coarse-level grid step in full-resolution steps, per dimension m of the
 # plane (2 when m is not listed).  The coarse values only rank frames.  For
@@ -217,24 +217,23 @@ def _compass_search(fun, x, fx):
     x + step e_1, ..., x + step e_d, then x - step e_1, ..., x - step e_d,
     and moves to the first strict improvement; a sweep without one halves
     the step.  The search stops once the step is below OPTIMIZER_TOL or
-    after _SEARCH_EVALS trials; a trial point seen before counts but reuses
-    its value instead of calling ``fun``.  Each trial passes the current
-    value as its bar, so an inf is a trial that could not improve, now or
-    at any later, smaller value.
+    after _SEARCH_EVALS trials.  A trial point seen before calls ``fun``
+    again; in the cone search that frame's own anchor answers it, nearly
+    always without a solve.  Each trial passes the current value as its
+    bar, so an inf is a trial that could not improve, now or at any later,
+    smaller value.
     """
     moves = np.concatenate([np.eye(x.size), -np.eye(x.size)])
-    step, calls, seen = _SEARCH_STEP, 0, {}
+    step, calls = _SEARCH_STEP, 0
     while step >= OPTIMIZER_TOL:
         for move in moves:
             if calls >= _SEARCH_EVALS:
                 return fx
             trial = x + step * move
-            key = trial.tobytes()
-            if key not in seen:
-                seen[key] = fun(trial, fx)
+            value = fun(trial, fx)
             calls += 1
-            if seen[key] < fx:
-                x, fx = trial, seen[key]
+            if value < fx:
+                x, fx = trial, value
                 break
         else:
             step /= 2

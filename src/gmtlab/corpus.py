@@ -184,7 +184,7 @@ def gen_lambda_field(kind, **kw):
                                         turning with the first coordinate;
       checkerboard(m1, m2, cell)     -- discontinuous two-phase field
                                         (not Dini);
-      radial_holder(alpha, base, n)  -- (base + min(|x|, 1)^alpha) * I_n, a
+      radial_holder(alpha, n)        -- (1 + min(|x|, 1)^alpha) * I_n, a
                                         C^alpha field.
 
     A keyword the kind does not read and non-finite parameters are rejected
@@ -192,7 +192,7 @@ def gen_lambda_field(kind, **kw):
     `EllipseField.matrices`.
     """
     params = {"constant": "matrix", "rotating": "eccentricity rate",
-              "checkerboard": "m1 m2 cell", "radial_holder": "alpha base n"}
+              "checkerboard": "m1 m2 cell", "radial_holder": "alpha n"}
     if kind not in params:
         raise ContractError(f"unknown field kind {kind!r}")
     unknown = sorted(set(kw) - set(params[kind].split()))
@@ -239,17 +239,15 @@ def gen_lambda_field(kind, **kw):
 
     if kind == "radial_holder":
         alpha = float(kw.get("alpha", 0.5))
-        base = float(kw.get("base", 1.0))
         n = int(kw.get("n", 2))
         require_positive_finite("alpha", alpha)
-        require_finite(base=base)
 
         def evaluate(pts):
             # |x| summed as np.linalg.norm sums it; an overflow clips to 1.
             with np.errstate(over="ignore"):
                 norm = np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
             power = _libm_pow(np.minimum(norm, 1.0), alpha).astype(float)
-            return (base + power)[:, None, None] * np.eye(n)
+            return (1.0 + power)[:, None, None] * np.eye(n)
 
         return EllipseField(evaluate, n)
 

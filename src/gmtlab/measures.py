@@ -53,8 +53,6 @@ def _as_points(points, dim=None):
         if dim is None:
             raise ContractError("empty point list needs an explicit dim")
         return np.zeros((0, dim), dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
     if pts.ndim != 2:
         raise ContractError(f"points must be a (N, dim) array, got shape {pts.shape}")
     return pts

@@ -294,8 +294,6 @@ def doubling_constant(radii, values):
     kappa = 1.0
     for i, t in enumerate(radii):
         window = (radii >= t / 2 - 1e-12 * t) & (radii <= t)
-        if not window.any():
-            continue
         floor = values[window].min()
         if values[i] == 0.0:
             continue

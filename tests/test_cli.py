@@ -12,7 +12,7 @@ from gmtlab.cli import (_FIELD_KINDS, _MEASURE_KINDS, _METRIC_MODES,
                         ConfigError, RunConfig, _fmt, field_from_config, main)
 from gmtlab.cones import cone_floor
 from gmtlab.errors import SolverError
-from gmtlab.corpus import gen_half_line, gen_lambda_field
+from gmtlab.corpus import gen_half_line, gen_lambda_field, gen_line
 from gmtlab.measures import DiscreteMeasure, lambda_pass, save_measure_csv
 from gmtlab.simplex import simplex_max_bounded
 from test_acceptance import CLI_CONFIGS
@@ -44,7 +44,6 @@ kind = identity
 r0 = 0.25
 rho = 0.5
 count = 7
-spacing = 6.103515625e-05
 [density]
 center = 0,0
 m = 1
@@ -407,6 +406,25 @@ def test_bad_config_exits_2(tmp_path):
     assert run_cli(["density", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("command,cfg_text,message", [
+    ("density", LINE_DENSITY_CFG.replace("kind = line\n", ""),
+     "missing [measure] kind"),
+    ("density", LINE_DENSITY_CFG.replace("r0 = 0.5", "r0 = half"),
+     "[ladder] r0 = 'half' is not a number"),
+    ("density", LINE_DENSITY_CFG.replace("kind = identity", "kind = spiral"),
+     "unknown field kind 'spiral'"),
+    ("metric", METRIC_CFG.replace("mode = fr\nr = 1.0", "mode = sup"),
+     "unknown metric mode 'sup'"),
+], ids=["missing-key", "not-a-number", "field-kind", "metric-mode"])
+def test_a_config_error_exits_2_by_name(tmp_path, capsys, command, cfg_text,
+                                        message):
+    out = tmp_path / "out.csv"
+    assert run_cli([command, "--config", write_cfg(tmp_path, cfg_text),
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"gmt-lab: {message}\n"
+    assert not out.exists()
+
+
 _CSV_DENSITY_CFG = LINE_DENSITY_CFG.replace(
     "kind = line\nh = 0.001\nextent = 1.0", "kind = csv\npath = {csv}")
 
@@ -525,6 +543,14 @@ def test_blowup_builds_one_rescaling_per_rung(tmp_path, monkeypatch):
 _LADDER = "r0 = 0.5\nrho = 0.5\ncount = 2"
 
 
+def _csv_line_cfg(tmp_path, h):
+    """`BLOWUP_CFG` with its line read from a measure CSV at spacing h."""
+    csv = tmp_path / "line.csv"
+    save_measure_csv(gen_line(0.01, 1.0).measure, csv)
+    return BLOWUP_CFG.replace("kind = line\nh = 0.01\nextent = 1.0",
+                              f"kind = csv\npath = {csv}\nh = {h}")
+
+
 @pytest.mark.parametrize("command,ladder,m,radius", [
     ("density", "r0 = 0.5\nrho = 0.5\ncount = 2000", 1, "5.563e-309"),
     ("density", "r0 = 0.5\nrho = 1e-160\ncount = 3", 2, "5e-161"),
@@ -532,16 +558,17 @@ _LADDER = "r0 = 0.5\nrho = 0.5\ncount = 2"
 ], ids=["r^-1-overflows", "r^-2-overflows", "blowup"])
 def test_a_ladder_whose_densities_leave_the_float_range_exits_3(
         tmp_path, capsys, monkeypatch, command, ladder, m, radius):
-    # With spacing 0 the resolution guard bounds no radius.  The densities
-    # refuse the first radius whose r^-m is not finite (at 0.5^1024 and at
-    # 5e-161 with m = 2), by r and m, before a blowup rung is built.
+    # A csv measure's spacing is its h: at h = 0 the resolution guard bounds
+    # no radius.  The densities refuse the first radius whose r^-m is not
+    # finite (at 0.5^1024 and at 5e-161 with m = 2), by r and m, before a
+    # blowup rung is built.
     from gmtlab import blowup
 
     def no_rung(*args, **kwargs):
         raise AssertionError("a rung was built")
 
     monkeypatch.setattr(blowup, "DiscreteMeasure", no_rung)
-    text = BLOWUP_CFG.replace(_LADDER, f"{ladder}\nspacing = 0").replace(
+    text = _csv_line_cfg(tmp_path, "0").replace(_LADDER, ladder).replace(
         "m = 1", f"m = {m}")
     if command == "density":
         text = text.replace("[blowup]", "[density]").replace(
@@ -636,8 +663,7 @@ def test_metric_dcone_infinite_scale_exits_2(tmp_path, capsys):
 
 
 def test_blowup_ladder_spacing_nan_exits_2(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, BLOWUP_CFG.replace("count = 2",
-                                                 "count = 2\nspacing = nan"))
+    cfg = write_cfg(tmp_path, _csv_line_cfg(tmp_path, "nan"))
     out = tmp_path / "blowup.csv"
     assert run_cli(["blowup", "--config", cfg, "--out", str(out)]) == 2
     assert "spacing must be nonnegative and finite" in capsys.readouterr().err
@@ -697,6 +723,18 @@ def test_density_center_off_the_support_is_zero_density(tmp_path):
     assert lines[-1] == "# verdict=zero-density"
     # Every density is 0, so no gap ratio exists: the column is empty.
     assert all(row.split(",")[1:] == ["0", ""] for row in lines[2:-1])
+
+
+def test_blowup_center_off_the_support_exits_2(tmp_path, capsys):
+    # The sandwich compares densities on the window, so it needs them
+    # positive; a density table, by contrast, reads zero-density.
+    cfg = write_cfg(tmp_path, BLOWUP_CFG.replace("center = 0,0",
+                                                 "center = 2,0"))
+    out = tmp_path / "blowup.csv"
+    assert run_cli(["blowup", "--config", cfg, "--out", str(out)]) == 2
+    assert ("sandwich needs positive densities on the window"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_dmo_boundary_probe_nan_exits_2(tmp_path, capsys):
@@ -827,6 +865,45 @@ center = 0,0
 m = 1
 """)
     assert run_cli(["density", "--config", cfg]) == 3
+
+
+def test_a_ladder_spacing_key_cannot_outvote_the_resolution_guard(tmp_path,
+                                                                   capsys):
+    # The guard reads the sample's own spacing, h = 0.01: a [ladder]
+    # spacing key is read by no command, so it cannot pass a ladder whose
+    # smallest radius is below 20 sample spacings.
+    text = LINE_DENSITY_CFG.replace("h = 0.001", "h = 0.01").replace(
+        "rho = 0.63096\ncount = 6", "rho = 0.5\ncount = 9")
+    out = tmp_path / "density.csv"
+    assert run_cli(["density", "--config", write_cfg(tmp_path, text),
+                    "--out", str(out)]) == 3
+    assert ("smallest ladder radius 0.001953 is below 20 sample spacings "
+            "(0.2)" in capsys.readouterr().err)
+    cfg = write_cfg(tmp_path, text.replace("count = 9",
+                                           "count = 9\nspacing = 1e-9"))
+    assert run_cli(["density", "--config", cfg, "--out", str(out)]) == 2
+    assert ("[ladder] spacing is not read by this command"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,cfg_text,key,value", [
+    ("blowup", BLOWUP_CFG, "[blowup] center", "0,,0"),
+    ("blowup", BLOWUP_CFG, "[blowup] sandwich_R", "0.5,,2"),
+    ("dmo", DMO_CFG, "[dmo] radii", "0.8,"),
+], ids=["center", "sandwich_R", "radii"])
+def test_a_list_with_an_empty_item_exits_2(tmp_path, capsys, command,
+                                           cfg_text, key, value):
+    # An empty item is not dropped: "0,,0" would otherwise read as (0, 0).
+    name = key.split()[1]
+    text = re.sub(rf"^{name} = .*$", f"{name} = {value}", cfg_text,
+                  flags=re.M)
+    out = tmp_path / "out.csv"
+    assert run_cli([command, "--config", write_cfg(tmp_path, text),
+                    "--out", str(out)]) == 2
+    assert (f"{key} = {value!r} is not a list"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_solver_refusal_exits_3(tmp_path, monkeypatch):

@@ -760,10 +760,10 @@ def test_compass_search_stop_rules():
     assert value <= 2 * OPTIMIZER_TOL
 
 
-def test_compass_search_solves_a_repeated_point_once(monkeypatch):
+def test_compass_search_calls_fun_again_on_a_repeated_point(monkeypatch):
     # From 0 with step 1 toward 1.5 (dyadic, so every trial is exact): moves
     # to 1, tries 2 and 0, halves, moves to 1.5, then meets 2 and 1 again.
-    # Those two repeats reuse their values but count toward the budget.
+    # Those two repeats call fun again and count toward the budget.
     monkeypatch.setattr(cones, "_SEARCH_STEP", 1.0)
     calls = []
 
@@ -772,8 +772,8 @@ def test_compass_search_solves_a_repeated_point_once(monkeypatch):
         return abs(float(x[0]) - 1.5)
 
     # A trial may return inf when its value is at least its bar, the
-    # current value: it still counts, is remembered as not improving, and
-    # the search makes the same trials to the same value.
+    # current value: it still counts, does not improve, and the search
+    # makes the same trials to the same value.
     def skipping(x, bar):
         value = fun(x, bar)
         return np.inf if value >= bar else value
@@ -781,14 +781,15 @@ def test_compass_search_solves_a_repeated_point_once(monkeypatch):
     for search_fun in (fun, skipping):
         calls.clear()
         assert _compass_search(search_fun, np.zeros(1), 1.5) == 0.0
-        assert calls[:4] == [1.0, 2.0, 0.0, 1.5]
-        # Four calls, two repeats, then two calls per step 1/4, ..., 1/512.
-        assert len(calls) == len(set(calls)) == 4 + 2 * 8
+        assert calls[:6] == [1.0, 2.0, 0.0, 1.5, 2.0, 1.0]
+        # Six calls, then two calls per step 1/4, ..., 1/512, all new.
+        assert len(calls) == 6 + 2 * 8
+        assert len(set(calls)) == 4 + 2 * 8
     monkeypatch.setattr(cones, "_SEARCH_EVALS", 6)
     for search_fun in (fun, skipping):
         calls.clear()
         assert _compass_search(search_fun, np.zeros(1), 1.5) == 0.0
-        assert calls == [1.0, 2.0, 0.0, 1.5]
+        assert calls == [1.0, 2.0, 0.0, 1.5, 2.0, 1.0]
 
 
 def test_import_loads_no_scipy():

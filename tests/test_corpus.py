@@ -266,7 +266,7 @@ def test_matrices_equal_the_pointwise_definition_on_a_seeded_cloud(name):
     (dict(kind="rotating", eccentricty=5.0), "^rotating field has no "
      "parameter 'eccentricty'; its parameters are eccentricity rate$"),
     (dict(kind="radial_holder", alpah=0.9, n=3), "^radial_holder field has "
-     "no parameter 'alpah'; its parameters are alpha base n$"),
+     "no parameter 'alpah'; its parameters are alpha n$"),
     (dict(kind="checkerboard", m1=np.eye(2), m2=2 * np.eye(2), cel=0.5),
      "^checkerboard field has no parameter 'cel'; its parameters are m1 m2 "
      "cell$"),
